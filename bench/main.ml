@@ -1565,11 +1565,11 @@ let n3 () =
          run keeps only the structural numbers *)
       if quick then "-" else Fmt.str "%a" Equiv.pp (Equiv.check b b')
     in
-    Fmt.pr "  %-24s %10s %10s %8s %7d %7d %7.2fs  %s@." name
+    Fmt.pr "  %-24s %10s %10s %8s %7d %7d %6.1fms  %s@." name
       (commas before.Gatecount.total_logical)
       (commas after.Gatecount.total_logical)
       (commas (before.Gatecount.total_logical - after.Gatecount.total_logical))
-      d0 (Depth.depth b') t verdict
+      d0 (Depth.depth b') (1000. *. t) verdict
   in
   let p = { Algo_bwt.default_params with Algo_bwt.n = 3; s = 1 } in
   row "bwt orthodox" (Algo_bwt.generate ~p ~which:`Orthodox ());

@@ -321,13 +321,13 @@ let optimize_arg =
   Arg.(
     value & flag
     & info [ "O"; "optimize" ]
-        ~doc:"Run the peephole optimizer (default pipeline) before output, \
+        ~doc:"Run the peephole optimizer before output, \
               printing before/after gate-count summaries.")
 
 let verbose_arg =
   Arg.(
     value & flag
-    & info [ "v"; "verbose" ] ~doc:"With $(b,-O), also print per-pass statistics.")
+    & info [ "v"; "verbose" ] ~doc:"With $(b,-O), also print per-round statistics.")
 
 let gate_base =
   Arg.(

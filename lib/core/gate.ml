@@ -190,22 +190,38 @@ let same_controls cs1 cs2 =
   let sort cs = List.sort compare (List.map key cs) in
   List.length cs1 = List.length cs2 && sort cs1 = sort cs2
 
+(* The diagonal Clifford+T phases in pi/4 steps: [T] = 1, [S] = 2,
+   [Z] = 4, a starred gate the negation mod 8 ([Z] is self-inverse). *)
+let eighths = function
+  | "T", inv -> Some (if inv then 7 else 1)
+  | "S", inv -> Some (if inv then 6 else 2)
+  | "Z", _ -> Some 4
+  | _ -> None
+
 (** Merge two gates acting on the same targets under the same controls
-    into one: [T·T = S], [S·S = Z] (and the starred versions), same-name
-    rotation addition ([Rz(a)·Rz(b) = Rz(a+b)], likewise [R]/[Ph] and
-    [exp(-i%Z)]), and global-phase addition. The result is exact — no
-    global-phase slack — so fusion is safe inside controllable boxed
-    subcircuits. Returns [None] when the pair has no fusion. *)
+    into one: any two of [T]/[S]/[Z] and their inverses sum their phases
+    ([T·T = S], [S·T* = T], [Z·S* = S], ...), same-name rotation
+    addition ([Rz(a)·Rz(b) = Rz(a+b)], likewise [R]/[Ph] and
+    [exp(-i%Z)]), and global-phase addition. A pair multiplying to the
+    identity fuses to a zero-angle [Phase] under the pair's controls
+    ({!is_identity}). The result is exact — no global-phase slack — so
+    fusion is safe inside controllable boxed subcircuits. Returns [None]
+    when the pair has no fusion. *)
 let fusion a b =
   match (a, b) with
   | Gate ga, Gate gb
-    when ga.targets = gb.targets && same_controls ga.controls gb.controls
-         && ga.name = gb.name && ga.inv = gb.inv -> (
-      match ga.name with
-      | "T" -> Some (Gate { ga with name = "S" })
-      | "S" ->
-          (* S^2 = Z and S*^2 = Z: Z is self-inverse *)
-          Some (Gate { ga with name = "Z"; inv = false })
+    when ga.targets = gb.targets && same_controls ga.controls gb.controls -> (
+      match (eighths (ga.name, ga.inv), eighths (gb.name, gb.inv)) with
+      | Some x, Some y -> (
+          let fused name inv = Some (Gate { ga with name; inv }) in
+          match (x + y) mod 8 with
+          | 0 -> Some (Phase { angle = 0.0; controls = ga.controls })
+          | 1 -> fused "T" false
+          | 2 -> fused "S" false
+          | 4 -> fused "Z" false
+          | 6 -> fused "S" true
+          | 7 -> fused "T" true
+          | _ -> None (* 3 and 5 eighths are no single gate *))
       | _ -> None)
   | Rot ra, Rot rb
     when ra.name = rb.name && ra.targets = rb.targets

@@ -119,9 +119,12 @@ val commutes : t -> t -> bool
     otherwise. *)
 
 val fusion : t -> t -> t option
-(** Fuse two gates on identical targets and controls into one:
-    [T·T = S], [S·S = Z], same-name rotation-angle addition, global-phase
-    addition. [None] when the pair has no fusion. *)
+(** Fuse two gates on identical targets and controls into one: any two
+    of [T]/[S]/[Z] and their inverses, phases summed in pi/4 steps
+    ([T·T = S], [S·T* = T], [Z·S* = S]; 3 or 5 steps do not fuse);
+    same-name rotation-angle addition; global-phase addition. A pair
+    that multiplies to the identity fuses to a gate satisfying
+    {!is_identity}. [None] when the pair has no fusion. *)
 
 val is_identity : t -> bool
 (** A zero-angle rotation or phase (fusion can produce these). *)

@@ -1,155 +1,49 @@
 open Quipper
 
-type pass = { pname : string; descr : string; run : Circuit.t -> Circuit.t }
-
-let builtin =
-  [
-    {
-      pname = "constants";
-      descr = "propagate classical constants from Init0/Init1; drop or kill controls";
-      run = Rewrite.propagate_constants;
-    };
-    {
-      pname = "flip-controls";
-      descr = "X.C(U).X = C'(U): absorb NOT pairs into control polarities";
-      run = (fun c -> Rewrite.flip_controls c);
-    };
-    {
-      pname = "cancel";
-      descr = "cancel inverse gate pairs across commuting neighbours";
-      run = (fun c -> Rewrite.cancel c);
-    };
-    {
-      pname = "fuse";
-      descr = "fuse rotations: Rz(a).Rz(b) = Rz(a+b), T.T = S, S.S = Z";
-      run = (fun c -> Rewrite.fuse c);
-    };
-  ]
-
-let default_pipeline =
-  List.map
-    (fun n -> List.find (fun p -> p.pname = n) builtin)
-    [ "constants"; "flip-controls"; "cancel"; "fuse" ]
-
-let find_pass name =
-  match List.find_opt (fun p -> p.pname = name) builtin with
-  | Some p -> p
-  | None ->
-      Errors.invalidf "unknown optimisation pass %S (known: %s)" name
-        (String.concat ", " (List.map (fun p -> p.pname) builtin))
-
-let pipeline_of_names names = List.map find_pass names
-
-type level = {
-  lname : string;
-  lgates_before : int;
-  lgates_after : int;
-  lseconds : float;
-}
-
 type stat = {
-  spass : string;
   round : int;
   gates_before : int;
   gates_after : int;
   depth_before : int;
   depth_after : int;
   seconds : float;
-  levels : level list;
+  rules : Stream_opt.stats;
 }
 
-(* flat logical gate count of one level's body — NOT expanded through
-   call multiplicities, because each level's body is rewritten exactly
-   once per pass regardless of how often it is called *)
-let flat_logical (c : Circuit.t) =
-  Array.fold_left
-    (fun n g -> if Gate.is_comment g then n else n + 1)
-    0 c.Circuit.gates
+(* A round changed the circuit iff some rule fired: cancellation,
+   fusion, flips and constant deletions remove gates, dropped controls
+   rewrite them, and nothing else touches the stream. Each firing
+   removes a gate or a control, so the fixpoint loop terminates. *)
+let fired (st : Stream_opt.stats) =
+  st.cancelled + st.fused + st.flipped + st.const_controls + st.const_deleted
+  > 0
 
-(* [Transform.map_circuits p.run], but timing and counting each level
-   (main + every box body) separately. The headline [stat] fields keep
-   the hierarchy-EXPANDED gate counts (body gates times call
-   multiplicity) — useful as "work the circuit represents" — but
-   attributing wall time against those would conflate a box rewritten
-   once with the thousands of calls replaying it; [levels] reports the
-   flat per-level counts the pass actually visited, and their times. *)
-let timed_map_circuits run (b : Circuit.b) =
-  let levels = ref [] in
-  let apply lname c =
-    let lgates_before = flat_logical c in
-    let t0 = Unix.gettimeofday () in
-    let c' = run c in
-    let lseconds = Unix.gettimeofday () -. t0 in
-    levels :=
-      { lname; lgates_before; lgates_after = flat_logical c'; lseconds }
-      :: !levels;
-    c'
-  in
-  let main = apply "main" b.Circuit.main in
-  let subs =
-    Circuit.Namespace.mapi
-      (fun name (s : Circuit.subroutine) ->
-        { s with Circuit.circ = apply name s.Circuit.circ })
-      b.Circuit.subs
-  in
-  ({ b with Circuit.main; subs }, List.rev !levels)
-
-let optimize ?(passes = default_pipeline) ?(max_rounds = 10) (b : Circuit.b) =
-  let stats = ref [] in
+let optimize (b : Circuit.b) =
   let measure b = (Gatecount.total_logical (Gatecount.aggregate b), Depth.depth b) in
-  let rec rounds r b =
-    if r > max_rounds then b
-    else
-      let changed = ref false in
-      let b' =
-        List.fold_left
-          (fun b p ->
-            let gates_before, depth_before = measure b in
-            let b', levels = timed_map_circuits p.run b in
-            let seconds =
-              List.fold_left (fun acc l -> acc +. l.lseconds) 0. levels
-            in
-            let gates_after, depth_after = measure b' in
-            stats :=
-              {
-                spass = p.pname;
-                round = r;
-                gates_before;
-                gates_after;
-                depth_before;
-                depth_after;
-                seconds;
-                levels;
-              }
-              :: !stats;
-            if b' <> b then changed := true;
-            b')
-          b passes
-      in
-      if !changed then rounds (r + 1) b' else b'
+  let rec rounds r b (gates_before, depth_before) stats =
+    let rules = Stream_opt.stats_create () in
+    let t0 = Unix.gettimeofday () in
+    let b' = Stream_opt.optimize_b ~rounds:1 ~window:max_int ~stats:rules b in
+    let seconds = Unix.gettimeofday () -. t0 in
+    let ((gates_after, depth_after) as after) = measure b' in
+    let stats =
+      { round = r; gates_before; gates_after; depth_before; depth_after; seconds; rules }
+      :: stats
+    in
+    if fired rules then rounds (r + 1) b' after stats else (b', List.rev stats)
   in
-  let b' = rounds 1 b in
-  (b', List.rev !stats)
+  rounds 1 b (measure b) []
 
 let pp_stats ppf stats =
-  Format.fprintf ppf "%-14s %5s %12s %12s %8s %7s %7s %9s@\n" "pass" "round"
-    "gates before" "gates after" "removed" "depth" "depth'" "time";
+  Format.fprintf ppf "%5s %12s %12s %8s %7s %7s %9s@\n" "round" "gates before"
+    "gates after" "removed" "depth" "depth'" "time";
   List.iter
     (fun s ->
-      Format.fprintf ppf "%-14s %5d %12d %12d %8d %7d %7d %8.1fms@\n" s.spass
-        s.round s.gates_before s.gates_after
+      Format.fprintf ppf "%5d %12d %12d %8d %7d %7d %8.1fms@\n  %a@\n" s.round
+        s.gates_before s.gates_after
         (s.gates_before - s.gates_after)
-        s.depth_before s.depth_after (1000. *. s.seconds);
-      match s.levels with
-      | [] | [ _ ] -> () (* unboxed: the one level is the headline row *)
-      | levels ->
-          List.iter
-            (fun l ->
-              Format.fprintf ppf "  %-12s %5s %12d %12d %8d %7s %7s %8.1fms@\n"
-                l.lname "" l.lgates_before l.lgates_after
-                (l.lgates_before - l.lgates_after)
-                "" "" (1000. *. l.lseconds))
-            levels)
+        s.depth_before s.depth_after (1000. *. s.seconds) Stream_opt.pp_stats
+        s.rules)
     stats
 
 let optimize_and_report ?(verbose = false) ppf (b : Circuit.b) =

@@ -1,69 +1,34 @@
-(** The pass manager: named peephole passes, configurable pipelines, a
-    fixpoint driver, and per-pass statistics.
+(** The materialized optimizer: {!Stream_opt}'s rules run to a fixpoint
+    over a whole in-memory circuit, with per-round statistics and the
+    command-line [-O] report.
 
-    Passes run over flat circuits; {!optimize} applies them hierarchically
-    (main circuit and every boxed subroutine body) via
-    {!Quipper.Transform.map_circuits}, repeating the whole pipeline until
-    a round changes nothing or [max_rounds] is hit. *)
+    Each round is one {!Stream_opt.optimize_b} stage whose window covers
+    the whole circuit, box bodies included; rounds repeat until one
+    leaves the circuit unchanged. *)
 
 open Quipper
 
-type pass = {
-  pname : string;  (** name used on the command line and in statistics *)
-  descr : string;
-  run : Circuit.t -> Circuit.t;
-}
-
-val builtin : pass list
-(** All named passes: ["constants"], ["flip-controls"], ["cancel"],
-    ["fuse"]. *)
-
-val default_pipeline : pass list
-(** [constants; flip-controls; cancel; fuse] — constant propagation first
-    so dropped controls expose X sandwiches, then cancellation, then
-    fusion on whatever rotations remain adjacent-up-to-commutation. *)
-
-val find_pass : string -> pass
-(** Look up a builtin pass by name; raises {!Quipper.Errors.Error} with
-    the known names on an unknown one. *)
-
-val pipeline_of_names : string list -> pass list
-
-type level = {
-  lname : string;  (** ["main"] or a subroutine name *)
-  lgates_before : int;  (** flat logical gates of this level's body *)
-  lgates_after : int;
-  lseconds : float;  (** wall time rewriting this one body *)
-}
-(** One hierarchy level of one pass application. A pass rewrites each
-    box body exactly once however many times it is called, so wall time
-    belongs to levels with {e flat} gate counts — against the
-    hierarchy-expanded counts in {!stat} a once-rewritten body would be
-    charged per call site. *)
-
 type stat = {
-  spass : string;  (** pass name *)
   round : int;  (** fixpoint round, starting at 1 *)
   gates_before : int;  (** {!Quipper.Gatecount.total_logical} before *)
   gates_after : int;
   depth_before : int;
   depth_after : int;
-  seconds : float;  (** wall time of this pass application (sum of levels) *)
-  levels : level list;  (** per-level breakdown: main first, then boxes *)
+  seconds : float;  (** wall time of this round's rewrite *)
+  rules : Stream_opt.stats;  (** this round's per-rule counters *)
 }
 
-val optimize :
-  ?passes:pass list -> ?max_rounds:int -> Circuit.b -> Circuit.b * stat list
-(** Run the pipeline hierarchically to a fixpoint (at most [max_rounds]
-    rounds, default 10). Statistics come back in application order, one
-    entry per pass per round. *)
+val optimize : Circuit.b -> Circuit.b * stat list
+(** Run the rules hierarchically to a fixpoint. Statistics come back one
+    entry per round, in order; the last round is the one that changed
+    nothing. *)
 
 val pp_stats : Format.formatter -> stat list -> unit
-(** A table of per-pass statistics: gates and depth before/after, gates
-    removed, wall time. *)
+(** A table of per-round statistics: gates and depth before/after, gates
+    removed, wall time, then the round's per-rule counters. *)
 
 val optimize_and_report : ?verbose:bool -> Format.formatter -> Circuit.b -> Circuit.b
-(** The command-line [-O] entry point: run the default pipeline, print
+(** The command-line [-O] entry point: run {!optimize}, print
     before/after {!Quipper.Gatecount.pp_summary} blocks (with the
     {!pp_stats} table in between when [verbose]) and a one-line
     ["Optimizer: removed N of M logical gates; depth a -> b"] summary,

@@ -3,11 +3,10 @@
     The window is a FIFO of entries plus a per-wire index: [last] maps
     each wire to the newest live entry touching it, and every entry
     remembers, per wire, the entry that was newest when it arrived
-    ([prev]) — the same per-wire adjacency {!Dag} builds eagerly, grown
-    incrementally and only backward. An arriving gate walks this
-    adjacency toward older entries exactly like {!Rewrite.walk} walks
-    forward: step past provable commuters, act on a cancellation or
-    fusion partner, stop at anything else.
+    ([prev]), and, once one arrives, its direct successor ([next]).
+    An arriving gate walks this adjacency toward older entries: step
+    past provable commuters, act on a cancellation or fusion partner,
+    stop at anything else.
 
     Rewrites mutate entries in place ([g = None] marks removal), so the
     emission order of surviving gates is the arrival order — retirement
@@ -20,8 +19,7 @@
     Constant propagation runs at arrival, before the walks. Arrival
     order equals emission order, and every rewrite is semantics-exact,
     so the transfer function sees a stream equivalent to what is
-    emitted — the same pipeline order ({i constants} first) as
-    {!Passes.default_pipeline}. *)
+    emitted. *)
 
 open Quipper
 
@@ -63,6 +61,154 @@ let pp_stats ppf st =
 
 let default_window = 256
 
+let default_lookahead = 32
+
+(* ------------------------------------------------------------------ *)
+(* Rule kernels                                                        *)
+
+(* The NOT-conjugation rule: [X·Λ(U)·X = Λ'(U)] where the sandwiched
+   gates use the X'ed wire only as a control, and [Λ'] is [Λ] with that
+   control's polarity flipped. [is_plain_x] recognises the conjugating
+   gate: an uncontrolled single-target [not]/[X]. *)
+let is_plain_x = function
+  | Gate.Gate { name = "not" | "X"; targets = [ _ ]; controls = []; _ } -> true
+  | _ -> false
+
+(* [w] appears in the gate's control list and nowhere else. *)
+let uses_only_as_control g w =
+  List.exists (fun (c : Gate.control) -> c.cwire = w) (Gate.controls g)
+  &&
+  match g with
+  | Gate.Gate { targets; _ } | Gate.Rot { targets; _ } -> not (List.mem w targets)
+  | Gate.Phase _ -> true
+  | Gate.Subroutine { inputs; outputs; _ } ->
+      not (List.mem w inputs || List.mem w outputs)
+  | _ -> false
+
+let with_controls g controls =
+  match g with
+  | Gate.Gate r -> Gate.Gate { r with controls }
+  | Gate.Rot r -> Gate.Rot { r with controls }
+  | Gate.Phase r -> Gate.Phase { r with controls }
+  | Gate.Subroutine r -> Gate.Subroutine { r with controls }
+  | g -> g
+
+let flip_control_on w g =
+  let flip (c : Gate.control) =
+    if c.cwire = w then { c with Gate.positive = not c.positive } else c
+  in
+  with_controls g (List.map flip (Gate.controls g))
+
+let eval_cgate name (ins : bool list) =
+  match (name, ins) with
+  | "not", [ a ] -> Some (not a)
+  | "and", _ -> Some (List.for_all Fun.id ins)
+  | "or", _ -> Some (List.exists Fun.id ins)
+  | "xor", _ -> Some (List.fold_left ( <> ) false ins)
+  | _ -> None
+
+(* Classical constant propagation from [Init0]/[Init1] and classical
+   [Cgate] evaluation, one gate at a time: [cp] maps wires to their known
+   basis values, [cp_step] processes one gate and says what to do with
+   it. [`Drop] deletes it (a control provably contradicts a known value,
+   or a swap of known-equal wires); [`Keep (g', n)] emits [g'], the gate
+   with [n] provably-satisfied controls removed. Known values flow
+   through X/Y flips, diagonal gates, measurements and classical logic,
+   and die at H-like gates and subroutine calls. *)
+type cp = (Wire.t, bool) Hashtbl.t
+
+let cp_step (known : cp) (g : Gate.t) : [ `Keep of Gate.t * int | `Drop ] =
+  let forget w = Hashtbl.remove known w in
+  (* split a control list by what the known-value map says about it *)
+  let resolve_controls controls =
+    let dead = ref false in
+    let dropped = ref 0 in
+    let kept =
+      List.filter
+        (fun (c : Gate.control) ->
+          match Hashtbl.find_opt known c.Gate.cwire with
+          | Some v when v = c.Gate.positive ->
+              incr dropped;
+              false (* always fires: drop the control *)
+          | Some _ ->
+              dead := true;
+              false
+          | None -> true)
+        controls
+    in
+    (kept, !dead, !dropped)
+  in
+  match g with
+  | Gate.Init { value; wire; _ } ->
+      Hashtbl.replace known wire value;
+      `Keep (g, 0)
+  | Gate.Term { wire; _ } | Gate.Discard { wire; _ } ->
+      forget wire;
+      `Keep (g, 0)
+  | Gate.Measure _ ->
+      (* a known wire is in a basis state: measuring preserves the
+         value, the wire merely turns classical *)
+      `Keep (g, 0)
+  | Gate.Cgate { name; out = o; ins } ->
+      (match
+         List.map (fun w -> Hashtbl.find_opt known w) ins
+         |> List.fold_left
+              (fun acc v ->
+                match (acc, v) with Some l, Some x -> Some (x :: l) | _ -> None)
+              (Some [])
+       with
+      | Some vals -> (
+          match eval_cgate name (List.rev vals) with
+          | Some v -> Hashtbl.replace known o v
+          | None -> forget o)
+      | None -> forget o);
+      `Keep (g, 0)
+  | Gate.Comment _ -> `Keep (g, 0)
+  | Gate.Gate _ | Gate.Rot _ | Gate.Phase _ | Gate.Subroutine _ -> (
+      let kept, dead, dropped = resolve_controls (Gate.controls g) in
+      if dead then
+        match g with
+        | Gate.Subroutine { inputs; outputs; _ } when inputs <> outputs ->
+            (* the call never fires, but deleting it would orphan its
+               output wire ids; keep it untouched, satisfied controls
+               included *)
+            List.iter forget inputs;
+            List.iter forget outputs;
+            `Keep (g, 0)
+        | Gate.Subroutine _ | Gate.Gate _ | Gate.Rot _ | Gate.Phase _ ->
+            (* never fires and targets = outputs: delete *)
+            `Drop
+        | _ -> assert false
+      else
+        let g = with_controls g kept in
+        match g with
+        | Gate.Gate { name = "not" | "X" | "Y"; targets = [ w ]; controls = []; _ }
+          ->
+            (match Hashtbl.find_opt known w with
+            | Some v -> Hashtbl.replace known w (not v)
+            | None -> ());
+            `Keep (g, dropped)
+        | Gate.Gate { name = "swap"; targets = [ a; b ]; controls = []; _ } -> (
+            match (Hashtbl.find_opt known a, Hashtbl.find_opt known b) with
+            | Some va, Some vb when va = vb ->
+                (* swapping two wires in the same basis state is the
+                   identity: delete *)
+                `Drop
+            | ka, kb ->
+                (match ka with Some v -> Hashtbl.replace known b v | None -> forget b);
+                (match kb with Some v -> Hashtbl.replace known a v | None -> forget a);
+                `Keep (g, dropped))
+        | Gate.Subroutine { inputs; outputs; _ } ->
+            List.iter forget inputs;
+            List.iter forget outputs;
+            `Keep (g, dropped)
+        | g when Gate.is_diagonal g ->
+            (* a diagonal gate fixes every basis value *)
+            `Keep (g, dropped)
+        | g ->
+            List.iter forget (Gate.targets g);
+            `Keep (g, dropped))
+
 (* ------------------------------------------------------------------ *)
 (* The window                                                          *)
 
@@ -95,7 +241,7 @@ type win = {
       (** surviving gate plus its input angle-site provenance *)
   q : entry Queue.t;
   last : (Wire.t, entry) Hashtbl.t;
-  cp : Rewrite.cp;
+  cp : cp;
   todo : entry Queue.t;
       (** re-examination worklist: the streaming stand-in for the
           materialized fixpoint — a removal may unblock pairs that were
@@ -117,13 +263,13 @@ let win_create ~window ~lookahead ~st emit =
     emit;
     q = Queue.create ();
     last = Hashtbl.create 64;
-    cp = Rewrite.cp_create ();
+    cp = Hashtbl.create 32;
     todo = Queue.create ();
     nseq = 0;
     angle_sensitive = false;
   }
 
-(* comments are transparent to the wire chains (as in [Dag]): they hold
+(* comments are transparent to the wire chains: they hold
    a queue slot so printing order survives, but never obstruct a walk *)
 let wires_of (g : Gate.t) =
   match g with
@@ -193,9 +339,9 @@ let next_on (e : entry) (wi : Wire.t) =
    sharing a wire with the removed gate may now get further. Schedule
    every live successor on the removed entry's wires for a fresh walk
    (successors are never retired while [e] is in the window —
-   retirement is FIFO). This is the streaming counterpart of [Passes]'s
-   fixpoint rounds: cascading, but local to where something changed and
-   bounded by the window. *)
+   retirement is FIFO). This is the in-window counterpart of fixpoint
+   rounds: cascading, but local to where something changed and bounded
+   by the window. *)
 let retrigger w (e : entry) =
   List.iter
     (fun wi ->
@@ -218,8 +364,8 @@ let remove w (e : entry) =
   retrigger w e
 
 (* The backward commuting walk for [e] at its own position: nearest
-   preceding live entry on any of its wires first ([Rewrite.walk]
-   mirrored, toward older gates). Removed entries are skipped for free;
+   preceding live entry on any of its wires first. Removed entries are
+   skipped for free;
    a retired entry ends the walk — retirement is FIFO, so everything
    beyond it is out of reach anyway. *)
 let match_entry w (e : entry) =
@@ -273,7 +419,7 @@ let match_entry w (e : entry) =
                     | Some f ->
                         (* fusion partners commute with exactly what [h]
                            did: sound to leave the result at the earlier
-                           position, as [Rewrite.fuse] does *)
+                           position *)
                         w.st.fused <- w.st.fused + 1;
                         if Gate.has_angle h || Gate.has_angle g then
                           w.angle_sensitive <- true;
@@ -303,14 +449,14 @@ let match_entry w (e : entry) =
       go ()
 
 (* The NOT-conjugation sandwich, scanned backward on the X'ed wire
-   alone ([Rewrite.flip_controls] mirrored): gates using the wire only
+   alone: gates using the wire only
    as a control collect; an older plain X closes the sandwich — flip
    the collected polarities in place, remove both X's. Tried before the
    generic walk because a control on the wire blocks commutation, so
    the walk could never reach the partner. *)
 let flip_entry w (e : entry) =
   match e.g with
-  | Some g when Rewrite.is_plain_x g -> (
+  | Some g when is_plain_x g -> (
       let wi = List.hd (Gate.targets g) in
       let rec scan cur sandwiched steps =
         match cur with
@@ -322,12 +468,12 @@ let flip_entry w (e : entry) =
               | None -> scan (prev_on x wi) sandwiched steps
               | Some h ->
                   if steps > w.lookahead then false
-                  else if Rewrite.is_plain_x h then begin
+                  else if is_plain_x h then begin
                     List.iter
                       (fun x' ->
                         match x'.g with
                         | Some hg ->
-                            x'.g <- Some (Rewrite.flip_control_on wi hg)
+                            x'.g <- Some (flip_control_on wi hg)
                         | None -> ())
                       sandwiched;
                     w.st.flipped <- w.st.flipped + 1;
@@ -335,7 +481,7 @@ let flip_entry w (e : entry) =
                     remove w e;
                     true
                   end
-                  else if Rewrite.uses_only_as_control h wi then
+                  else if uses_only_as_control h wi then
                     scan (prev_on x wi) (x :: sandwiched) (steps + 1)
                   else false)
       in
@@ -346,7 +492,7 @@ let examine w (e : entry) =
   match e.g with
   | None -> ()
   | Some g ->
-      if not (Rewrite.is_plain_x g && flip_entry w e) then match_entry w e
+      if not (is_plain_x g && flip_entry w e) then match_entry w e
 
 let drain w =
   while not (Queue.is_empty w.todo) do
@@ -360,7 +506,7 @@ let on_gate ?site w (g : Gate.t) =
   | Gate.Comment _ -> ignore (insert w g)
   | g -> (
       w.st.seen <- w.st.seen + 1;
-      match Rewrite.cp_step w.cp g with
+      match cp_step w.cp g with
       | `Drop -> w.st.const_deleted <- w.st.const_deleted + 1
       | `Keep (g, dropped) ->
           w.st.const_controls <- w.st.const_controls + dropped;
@@ -552,16 +698,16 @@ let sink_one ~window ~lookahead ~st ?memo (inner : 'r Sink.t) : 'r Sink.t =
 let default_rounds = 4
 
 (* One window pass interleaves all rules but commits its constant
-   propagation and its greedy matches in arrival order; the materialized
-   fixpoint instead lets each round's pass see the previous round's
-   removals (cancel an H·H pair, and the next constants pass propagates
-   straight through where the H used to be). Stacking stages recovers
-   exactly that: stage k's arrival stream is stage k-1's emission
-   stream, so its analyses run over the already-rewritten circuit —
-   k rounds of the fixpoint at O(k * window) memory. On the paper's BWT
-   and TF circuits 3 stages reach the materialized fixpoint. *)
+   propagation and its greedy matches in arrival order; a later pass
+   sees the earlier pass's removals (cancel an H·H pair, and the next
+   constants pass propagates straight through where the H used to be).
+   Stacking stages recovers exactly that: stage k's arrival stream is
+   stage k-1's emission stream, so its analyses run over the
+   already-rewritten circuit — k rounds of the fixpoint at
+   O(k * window) memory. On the paper's BWT and TF circuits 3 stages
+   reach the full-window fixpoint. *)
 let sink ?(rounds = default_rounds) ?(window = default_window)
-    ?(lookahead = Rewrite.default_lookahead) ?stats ?memo (inner : 'r Sink.t) :
+    ?(lookahead = default_lookahead) ?stats ?memo (inner : 'r Sink.t) :
     'r Sink.t =
   let st = match stats with Some s -> s | None -> stats_create () in
   let rec stack k inner =

@@ -1,11 +1,13 @@
-(** Streaming peephole optimisation: the {!Rewrite} rules recast as a
+(** The peephole optimizer: phase-exact rewrite rules run as a
     ['r Sink.t -> 'r Sink.t] transformer.
 
-    The materialized optimizer ({!Passes}) needs the whole [Circuit.t]
-    in memory, but the interesting circuits stream (64M+ gates, PR 4).
+    The interesting circuits stream (64M+ gates) and never exist as a
+    whole [Circuit.t], so the rules run over a window.
     [sink inner] interposes a bounded per-wire look-behind window
     between the gate stream and [inner]: each arriving gate first runs
-    the constant-propagation transfer function ({!Rewrite.cp_step}),
+    classical constant propagation (a control on a wire known to hold
+    the control's polarity is dropped; one known to contradict it
+    deletes the gate; a swap of two known-equal wires is deleted),
     then tries the NOT-conjugation sandwich on its wire, then walks
     backward over the window — stepping past provable commuters
     ({!Quipper.Gate.commutes}) — looking for an inverse to cancel
@@ -44,8 +46,8 @@ type stats = {
   mutable box_replayed : int;
       (** box bodies served by per-angle replay of a skeleton memo *)
 }
-(** Per-rule counters, mirroring {!Passes}'s per-pass statistics. Box
-    bodies share the counters of the sink that owns them. *)
+(** Per-rule counters. Box bodies share the counters of the sink that
+    owns them. *)
 
 val stats_create : unit -> stats
 
@@ -59,10 +61,10 @@ val default_window : int
 val default_rounds : int
 (** How many window stages [sink] stacks (4). One stage commits its
     analyses in arrival order; each further stage re-runs the rules
-    over the previous stage's emission stream, the streaming
-    counterpart of {!Passes.optimize}'s fixpoint rounds. On the
-    paper's BWT and TF circuits the default stack reproduces the
-    materialized fixpoint counts exactly. *)
+    over the previous stage's emission stream, a bounded-memory
+    stand-in for fixpoint rounds. On the paper's BWT and TF circuits
+    the default stack reproduces the full-window fixpoint counts
+    exactly. *)
 
 type memo
 (** A shareable box-body cache keyed on the {e skeleton} hash
@@ -92,7 +94,7 @@ val sink :
     stacks that many window stages ({!default_rounds}; memory is
     O(rounds * window)); [window] bounds per-stage look-behind
     ({!default_window}); [lookahead] bounds how many live entries a
-    backward walk visits ({!Rewrite.default_lookahead}); pass [stats]
+    backward walk visits (32); pass [stats]
     to read the per-rule counters after [finish] — counters accumulate
     across all stages and box bodies, so [seen]/[emitted] are per-stage
     sums, not circuit sizes. *)
@@ -108,4 +110,5 @@ val optimize_b :
 (** Run a materialized circuit through the streaming optimizer:
     [Sink.drive b (sink (Sink.circuit ()))]. The window covers the
     whole circuit only if [window] exceeds its gate count; with the
-    default window this is the streaming result, not {!Passes.optimize}. *)
+    default window this is the streaming result, not the full-window
+    fixpoint. *)

@@ -1,16 +1,15 @@
-(* Tests for the optimizer subsystem: the per-wire adjacency DAG, each
-   peephole rewrite on hand-built circuits, the pass manager, and
-   property-based translation validation — every optimized random circuit
-   must validate, mean the same thing (statevector up to global phase, or
-   bit-for-bit classically), never get deeper, and still round-trip
-   through the printer and parser. *)
+(* Tests for the optimizer subsystem: the T/S/Z fusion kernel, each
+   peephole rule on hand-built circuits through [Passes.optimize], its
+   per-round statistics, and property-based translation validation —
+   every optimized random circuit must validate, mean the same thing
+   (statevector up to global phase, or bit-for-bit classically), never
+   get deeper, and still round-trip through the printer and parser. *)
 
 open Quipper
 module Gen = Quipper_testgen.Gen
 open Circ
-module Dag = Quipper_opt.Dag
-module Rewrite = Quipper_opt.Rewrite
 module Passes = Quipper_opt.Passes
+module Stream_opt = Quipper_opt.Stream_opt
 module Equiv = Quipper_opt.Equiv
 
 let check = Alcotest.(check bool)
@@ -20,34 +19,31 @@ let optimize b = fst (Passes.optimize b)
 let find_kind b k = Gatecount.find_kind (Gatecount.aggregate b) k
 
 (* ------------------------------------------------------------------ *)
-(* The DAG                                                             *)
+(* Fusion kernel                                                        *)
 
-let test_dag_adjacency () =
-  let b =
-    gen_shape 2 (function
-      | [ a; b ] ->
-          let* a = hadamard a in
-          let* () = cnot ~control:a ~target:b in
-          let* _ = gate_T b in
-          return [ a; b ]
-      | _ -> assert false)
+let test_fusion_kernel () =
+  let q = 0 and c = 1 in
+  let g ?(controls = []) name inv =
+    Gate.Gate { name; inv; targets = [ q ]; controls }
   in
-  let c = b.Circuit.main in
-  let wa = (List.nth c.Circuit.inputs 0).Wire.wire in
-  let wb = (List.nth c.Circuit.inputs 1).Wire.wire in
-  let d = Dag.of_circuit c in
-  checki "three nodes" 3 (Dag.size d);
-  check "H -> CNOT on the control wire" true (Dag.next_on_wire d 0 wa = Some 1);
-  check "CNOT -> T on the target wire" true (Dag.next_on_wire d 1 wb = Some 2);
-  check "H does not touch the target wire" true (Dag.next_on_wire d 0 wb = None);
-  check "T's predecessor on its wire" true (Dag.prev_on_wire d 2 wb = Some 1);
-  Dag.remove d 1;
-  check "removal relinks both wire lists" true
-    (Dag.next_on_wire d 0 wa = None && Dag.prev_on_wire d 2 wb = None);
-  checki "two gates left" 2 (Array.length (Dag.to_circuit d).Circuit.gates);
-  check "change tracked" true (Dag.changed d)
+  let fused a b =
+    match Gate.fusion a b with
+    | Some f when Gate.is_identity f -> "id"
+    | Some (Gate.Gate { name; inv; _ }) -> if inv then name ^ "*" else name
+    | Some _ -> "other"
+    | None -> "none"
+  in
+  let checks = Alcotest.(check string) in
+  checks "S.T* = T" "T" (fused (g "S" false) (g "T" true));
+  checks "T.T* = id" "id" (fused (g "T" false) (g "T" true));
+  let controls = [ Gate.pos_control c ] in
+  checks "Z.S* = S under a control" "S"
+    (fused (g ~controls "Z" false) (g ~controls "S" true));
+  checks "T.S = 3 eighths: no fusion" "none" (fused (g "T" false) (g "S" false));
+  checks "mismatched controls: no fusion" "none"
+    (fused (g ~controls "Z" false) (g "S" true))
 
-let test_dag_comments_transparent () =
+let test_comments_transparent () =
   let b =
     gen_shape 1 (function
       | [ q ] ->
@@ -57,13 +53,8 @@ let test_dag_comments_transparent () =
           return [ q ]
       | _ -> assert false)
   in
-  let c = b.Circuit.main in
-  let w = (List.hd c.Circuit.inputs).Wire.wire in
-  let d = Dag.of_circuit c in
-  check "comment invisible to the wire list" true (Dag.next_on_wire d 0 w = Some 2);
-  check "comment has no gate" true (Dag.gate d 1 = None);
   (* the H pair cancels across the comment, which itself survives *)
-  let c' = Rewrite.cancel c in
+  let c' = (optimize b).Circuit.main in
   checki "only the comment remains" 1 (Array.length c'.Circuit.gates);
   check "and it is the comment" true (Gate.is_comment c'.Circuit.gates.(0))
 
@@ -82,7 +73,7 @@ let test_cancel_across_commuting () =
           return [ a; b ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.cancel b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "T pair cancelled" 0 (find_kind b' "T");
   checki "CNOT stays" 1 (find_kind b' "Not")
@@ -99,7 +90,7 @@ let test_cancel_blocked_by_noncommuting () =
           return [ a; b ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.cancel b in
+  let b' = optimize b in
   checki "T pair must stay" 2 (find_kind b' "T")
 
 let test_dead_init_elimination () =
@@ -114,7 +105,7 @@ let test_dead_init_elimination () =
           return [ q ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.cancel b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "Init0 gone" 0 (find_kind b' "Init0");
   checki "Term0 gone" 0 (find_kind b' "Term0");
@@ -131,7 +122,7 @@ let test_fusion () =
           return [ q ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.fuse b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "T.T fused away" 0 (find_kind b' "T");
   checki "...into one S" 1 (find_kind b' "S");
@@ -146,7 +137,7 @@ let test_fusion_to_identity () =
           return [ q ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.fuse b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "zero-angle fusion removes both" 0
     (Array.length b'.Circuit.main.Circuit.gates)
@@ -162,7 +153,7 @@ let test_flip_controls () =
           return [ a; b ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.flip_controls b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "one gate left" 1 (Array.length b'.Circuit.main.Circuit.gates);
   checki "with a negative control" 1
@@ -182,7 +173,7 @@ let test_propagate_constants () =
           return [ a; b ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.propagate_constants b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "one NOT left" 1 (find_kind b' "Not");
   checki "and it is uncontrolled" 1
@@ -201,24 +192,46 @@ let test_constant_swap_deleted () =
           return [ q ]
       | _ -> assert false)
   in
-  let b' = Transform.map_circuits Rewrite.propagate_constants b in
+  let b' = optimize b in
   Circuit.validate_b b';
   checki "swap of equal constants deleted" 0 (find_kind b' "Swap")
 
-(* ------------------------------------------------------------------ *)
-(* The pass manager                                                    *)
+let test_dead_renaming_call_kept () =
+  (* a call whose outputs differ from its inputs, under one control known
+     to hold and one known to fail: it never fires, but deleting it would
+     orphan its output wire, so it stays with both controls — and the
+     round counts no dropped control, or the fixpoint would never end *)
+  let alloc q =
+    let* a = qinit_bit false in
+    return (q, a)
+  in
+  let prog q =
+    let call =
+      box "alloc" ~in_:Qdata.qubit ~out:(Qdata.pair Qdata.qubit Qdata.qubit) alloc
+    in
+    let* x = qinit_bit true in
+    let* y = qinit_bit false in
+    let* q, a = call q |> controlled [ ctl x; ctl y ] in
+    let* () = qterm_bit true x in
+    let* () = qterm_bit false y in
+    return (q, a)
+  in
+  let b, _ = Circ.generate ~in_:Qdata.qubit prog in
+  let st = Stream_opt.stats_create () in
+  ignore (Stream_opt.optimize_b ~rounds:1 ~stats:st b);
+  checki "no control counted as dropped" 0 st.Stream_opt.const_controls;
+  let b', stats = Passes.optimize b in
+  Circuit.validate_b b';
+  checki "one round changes nothing" 1 (List.length stats);
+  check "call kept with both controls" true
+    (Array.exists
+       (function
+         | Gate.Subroutine { controls; _ } -> List.length controls = 2
+         | _ -> false)
+       b'.Circuit.main.Circuit.gates)
 
-let test_pass_manager () =
-  checki "four builtin passes" 4 (List.length Passes.builtin);
-  check "pipeline lookup by name" true
-    (List.map
-       (fun (p : Passes.pass) -> p.Passes.pname)
-       (Passes.pipeline_of_names [ "fuse"; "cancel" ])
-    = [ "fuse"; "cancel" ]);
-  check "unknown pass rejected" true
-    (match Passes.find_pass "inline-everything" with
-    | exception Errors.Error (Errors.Invalid _) -> true
-    | _ -> false)
+(* ------------------------------------------------------------------ *)
+(* Per-round statistics                                                 *)
 
 let test_optimize_reports_stats () =
   let b =
@@ -231,15 +244,14 @@ let test_optimize_reports_stats () =
   in
   let b', stats = Passes.optimize b in
   checki "everything cancelled" 0 (Array.length b'.Circuit.main.Circuit.gates);
-  check "stats cover every pass of round one" true
-    (List.length stats >= List.length Passes.default_pipeline);
-  let cancel_stat =
-    List.find
-      (fun (s : Passes.stat) -> s.Passes.spass = "cancel" && s.Passes.round = 1)
-      stats
-  in
-  checki "cancel removed the H pair" 2
-    (cancel_stat.Passes.gates_before - cancel_stat.Passes.gates_after)
+  match stats with
+  | [ r1; r2 ] ->
+      checki "round one removed the H pair" 2
+        (r1.Passes.gates_before - r1.Passes.gates_after);
+      checki "as one cancellation" 1 r1.Passes.rules.Stream_opt.cancelled;
+      checki "round two found nothing" 0
+        (r2.Passes.gates_before - r2.Passes.gates_after)
+  | _ -> Alcotest.failf "expected 2 rounds, got %d" (List.length stats)
 
 (* ------------------------------------------------------------------ *)
 (* Translation validation on random circuits                           *)
@@ -289,8 +301,9 @@ let prop_optimized_roundtrip =
 
 let suite =
   [
-    Alcotest.test_case "dag adjacency and removal" `Quick test_dag_adjacency;
-    Alcotest.test_case "dag comments transparent" `Quick test_dag_comments_transparent;
+    Alcotest.test_case "fusion kernel: T/S/Z phase sums" `Quick test_fusion_kernel;
+    Alcotest.test_case "comments transparent to cancel" `Quick
+      test_comments_transparent;
     Alcotest.test_case "cancel across commuting" `Quick test_cancel_across_commuting;
     Alcotest.test_case "cancel blocked when not commuting" `Quick
       test_cancel_blocked_by_noncommuting;
@@ -300,7 +313,7 @@ let suite =
     Alcotest.test_case "NOT-conjugation flips controls" `Quick test_flip_controls;
     Alcotest.test_case "constant propagation" `Quick test_propagate_constants;
     Alcotest.test_case "constant swap deletion" `Quick test_constant_swap_deleted;
-    Alcotest.test_case "pass manager" `Quick test_pass_manager;
+    Alcotest.test_case "dead renaming call kept" `Quick test_dead_renaming_call_kept;
     Alcotest.test_case "per-pass statistics" `Quick test_optimize_reports_stats;
     QCheck_alcotest.to_alcotest prop_optimize_statevector;
     QCheck_alcotest.to_alcotest prop_optimize_classical;

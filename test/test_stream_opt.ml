@@ -5,7 +5,7 @@
    bit-for-bit classically), streamed-vs-materialized reduction parity,
    window-monotonicity and depth properties on the same corpus, golden
    agreement with [Passes.optimize] on the paper's BWT and TF circuits,
-   and the per-level pass statistics satellite.
+   and the N3 table pinned.
 
    The corpus is deterministic: circuit [i] is [Gen.sample ~seed:i] of
    the same generators the QCheck properties use, so a failure names the
@@ -199,26 +199,36 @@ let test_corpus_classical () =
           Alcotest.failf "seed %d: not bit-for-bit classical: %a" seed Equiv.pp v)
     corpus_seeds
 
-(* With the window covering the whole circuit, the streamed greedy and
-   the materialized fixpoint agree gate-for-gate on (at least) 199 of
-   the 200 corpus circuits; the allowed residue is the greedy
-   commitment-order artifact (seed 96 keeps one extra gate), never a
-   streamed result *better* than the fixpoint or worse by more than
-   one gate. *)
+(* [Passes.optimize]'s logical gate count on corpus seed [i], recorded
+   from the materialized optimizer (per-wire DAG walkers, constants /
+   flip-controls / cancel / fuse pipeline to a fixpoint) before it was
+   replaced by the full-window [Stream_opt] fixpoint. The fixpoint may
+   not do worse on any seed, and the default 4-stage stream at a
+   corpus-covering window must reach the fixpoint exactly. *)
+let pinned_corpus = [|
+    14; 2; 13; 9; 7; 7; 8; 3; 1; 1; 6; 1; 2; 2; 8; 8; 13; 4; 4; 2;
+    14; 4; 17; 13; 3; 6; 2; 14; 13; 13; 7; 7; 5; 10; 10; 18; 15; 15; 9; 1;
+    10; 3; 2; 6; 7; 13; 7; 8; 11; 4; 16; 3; 14; 3; 13; 6; 13; 5; 13; 2;
+    6; 5; 13; 5; 9; 9; 8; 6; 10; 11; 12; 7; 4; 7; 3; 4; 5; 3; 12; 2;
+    3; 2; 8; 1; 3; 14; 14; 11; 17; 10; 10; 5; 4; 9; 6; 8; 8; 11; 13; 6;
+    11; 10; 8; 1; 8; 9; 7; 4; 13; 6; 6; 10; 1; 7; 14; 1; 6; 10; 7; 4;
+    3; 3; 10; 8; 8; 14; 8; 4; 7; 13; 5; 5; 1; 4; 2; 2; 5; 9; 9; 5;
+    4; 4; 3; 2; 5; 1; 3; 11; 2; 4; 14; 12; 10; 14; 5; 4; 8; 4; 1; 4;
+    11; 4; 10; 13; 8; 5; 3; 2; 1; 11; 4; 5; 9; 5; 7; 7; 12; 11; 4; 9;
+    8; 2; 4; 7; 14; 10; 1; 13; 7; 1; 13; 3; 7; 7; 15; 7; 6; 13; 7; 9
+  |]
+
 let test_corpus_passes_parity () =
-  let mismatches = ref 0 in
   List.iter
     (fun seed ->
       let b = corpus_circuit seed in
-      let mat = logical (fst (Passes.optimize b)) in
+      let pinned = pinned_corpus.(seed) in
+      let fix = logical (fst (Passes.optimize b)) in
       let st = logical (Stream_opt.optimize_b ~window:4096 b) in
-      if st <> mat then begin
-        incr mismatches;
-        if st < mat || st > mat + 1 then
-          Alcotest.failf "seed %d: streamed %d vs materialized %d" seed st mat
-      end)
-    corpus_seeds;
-  check "at most 2 greedy off-by-one residues in 200" true (!mismatches <= 2)
+      if fix > pinned || st <> fix then
+        Alcotest.failf "seed %d: fixpoint %d, streamed %d vs pinned %d" seed fix
+          st pinned)
+    corpus_seeds
 
 let test_corpus_never_deepens () =
   List.iter
@@ -303,51 +313,55 @@ let test_golden_tf () =
   checki "tf depth identical" (Depth.depth mat) depth
 
 (* ------------------------------------------------------------------ *)
-(* Per-level pass statistics (the wall-time conflation fix)             *)
+(* The N3 table, pinned                                                 *)
 
-let test_passes_per_level_stats () =
-  (* an H pair inside a box called twice: the headline (hierarchy-
-     expanded) cancel delta counts both call sites, the per-level
-     breakdown charges the box's flat body once — which is what its
-     wall time paid for *)
-  let inner q =
-    let* q = hadamard q in
-    let* q = hadamard q in
-    gate_T q
-  in
-  let prog (a, b2) =
-    let call = box "inner" ~in_:Qdata.qubit ~out:Qdata.qubit inner in
-    let* a = call a in
-    let* a = call a in
-    let* () = cnot ~control:a ~target:b2 in
-    return (a, b2)
-  in
-  let b, _ = Circ.generate ~in_:(Qdata.pair Qdata.qubit Qdata.qubit) prog in
-  let _, stats = Passes.optimize b in
-  let cancel =
-    List.find
-      (fun (s : Passes.stat) -> s.Passes.spass = "cancel" && s.Passes.round = 1)
-      stats
-  in
-  checki "headline delta is hierarchy-expanded (2 calls x 2 gates)" 4
-    (cancel.Passes.gates_before - cancel.Passes.gates_after);
-  let level name =
-    List.find
-      (fun (l : Passes.level) -> l.Passes.lname = name)
-      cancel.Passes.levels
-  in
-  let main = level "main" and box_l = level "inner" in
-  checki "main body flat delta" 0
-    (main.Passes.lgates_before - main.Passes.lgates_after);
-  checki "box body flat delta counted once" 2
-    (box_l.Passes.lgates_before - box_l.Passes.lgates_after);
-  let level_sum =
-    List.fold_left
-      (fun acc (l : Passes.level) -> acc +. l.Passes.lseconds)
-      0.0 cancel.Passes.levels
-  in
-  check "pass wall time is the sum of its levels" true
-    (Float.abs (cancel.Passes.seconds -. level_sum) < 1e-9)
+(* Logical counts, depths and optimized gatecount summaries of the N3
+   rows (EXPERIMENTS.md): BWT n=3 s=1 orthodox, template and QCL
+   baseline; TF l=4 n=3 r=2 pow17 and mul. Recorded from the
+   materialized optimizer it replaced, except the QCL summary: the one
+   unpaired X on a wire survives at the other end of six controlled NOTs
+   that use that wire as a control, so their polarities are flipped and
+   two [Not] gates move from the [controls 0+1] class to [controls 1];
+   total and depth are unchanged. *)
+let pinned_n3 =
+  [
+    ( "orthodox", 200, 117, 86, 55,
+      "Aggregated gate count:\n21: \"Init0\"\n1: \"Init1\"\n6: \"Meas\"\n9: \"Not\"\n1: \"Not\", controls 0+5\n17: \"Not\", controls 1\n64: \"Not\", controls 1+1\n16: \"Term0\"\n12: \"W\"\n12: \"W*\"\n1: \"exp(-i%Z)\"\n1: \"exp(-i%Z)\", controls 0+1\nTotal gates: 161\nInputs: 0\nOutputs: 6\nQubits in circuit: 14\n" );
+    ( "template", 504, 178, 137, 61,
+      "Aggregated gate count:\n52: \"Init0\"\n10: \"Init1\"\n6: \"Meas\"\n2: \"Not\", controls 0+5\n102: \"Not\", controls 1\n24: \"Not\", controls 1+1\n24: \"Not\", controls 2\n47: \"Term0\"\n9: \"Term1\"\n12: \"W\"\n12: \"W*\"\n1: \"exp(-i%Z)\"\n1: \"exp(-i%Z)\", controls 0+1\nTotal gates: 302\nInputs: 0\nOutputs: 6\nQubits in circuit: 30\n" );
+    ( "qcl", 988, 508, 261, 192,
+      "Aggregated gate count:\n36: \"Init0\"\n1: \"Init1\"\n6: \"Meas\"\n12: \"Not\"\n8: \"Not\", controls 0+1\n4: \"Not\", controls 0+2\n286: \"Not\", controls 1\n146: \"Not\", controls 1+1\n24: \"W\"\n24: \"W*\"\n4: \"exp(-i%Z)\", controls 1\nTotal gates: 551\nInputs: 0\nOutputs: 37\nQubits in circuit: 37\n" );
+    ( "pow17", 3196, 3172, 2269, 2269,
+      "Aggregated gate count:\n792: \"Init0\"\n580: \"Not\", controls 1\n2592: \"Not\", controls 2\n788: \"Term0\"\nTotal gates: 4752\nInputs: 4\nOutputs: 8\nQubits in circuit: 68\n" );
+    ( "mul", 348, 348, 251, 251,
+      "Aggregated gate count:\n88: \"Init0\"\n60: \"Not\", controls 1\n288: \"Not\", controls 2\n84: \"Term0\"\nTotal gates: 520\nInputs: 8\nOutputs: 12\nQubits in circuit: 40\n" );
+  ]
+
+let n3_circuit = function
+  | "orthodox" | "template" | "qcl" as name -> (
+      let p = { Algo_bwt.default_params with Algo_bwt.n = 3; s = 1 } in
+      match name with
+      | "orthodox" -> Algo_bwt.generate ~p ~which:`Orthodox ()
+      | "template" -> Algo_bwt.generate ~p ~which:`Template ()
+      | _ -> Qcl_baseline.Bwt_qcl.generate ~p ())
+  | name -> (
+      let p = { Algo_tf.Oracle.l = 4; n = 3; r = 2 } in
+      match name with
+      | "pow17" -> Algo_tf.Qwtfp.generate_pow17 ~p ()
+      | _ -> Algo_tf.Qwtfp.generate_mul ~p ())
+
+let test_pinned_n3 () =
+  List.iter
+    (fun (name, before, after, d0, d1, summary) ->
+      let b = n3_circuit name in
+      let b' = fst (Passes.optimize b) in
+      checki (name ^ " logical before") before (logical b);
+      checki (name ^ " logical after") after (logical b');
+      checki (name ^ " depth before") d0 (Depth.depth b);
+      checki (name ^ " depth after") d1 (Depth.depth b');
+      checks (name ^ " summary") summary
+        (Fmt.str "%a" Gatecount.pp_summary (Gatecount.summarize b')))
+    pinned_n3
 
 (* ------------------------------------------------------------------ *)
 
@@ -384,6 +398,5 @@ let suite =
     Alcotest.test_case "golden: bwt matches materialized -O" `Quick
       test_golden_bwt;
     Alcotest.test_case "golden: tf matches materialized -O" `Quick test_golden_tf;
-    Alcotest.test_case "passes: per-level wall-time stats" `Quick
-      test_passes_per_level_stats;
+    Alcotest.test_case "pinned: N3 rows of the fixpoint" `Quick test_pinned_n3;
   ]
