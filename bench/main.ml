@@ -10,7 +10,13 @@
 open Quipper
 module Qureg = Quipper_arith.Qureg
 
-let quick = Array.exists (fun a -> a = "quick") Sys.argv
+let quick =
+  match Sys.argv with
+  | [| _ |] -> false
+  | [| _; "quick" |] -> true
+  | _ ->
+      prerr_endline "usage: main.exe [quick]";
+      exit 2
 
 let section title =
   Fmt.pr "@.%s@.%s@." title (String.make (String.length title) '=')

@@ -1,128 +1,5 @@
-(** Circuit depth estimation.
+(** Circuit depth: the engine's clock, projected to a native int. *)
 
-    A companion to {!Gatecount} for the other axis of resource estimation:
-    the *depth* (parallel time) of a circuit, assuming any set of gates on
-    disjoint wires can fire simultaneously. Like the gate counter it works
-    hierarchically: a call to a boxed subcircuit advances every touched
-    wire by the callee's (memoized) depth. For calls this is an upper
-    bound — it serialises the callee against all of its wires as a block —
-    which is the standard conservative convention for hierarchical
-    resource estimates; [depth (Circuit.inline b)] gives the exact figure
-    when inlining is feasible, and the test suite checks the bound.
-
-    Initialisations, terminations and measurements each count as one time
-    step on their wire; comments are free. *)
-
-type profile = {
-  depth : int;  (** longest wire timeline *)
-  t_gates : int;  (** sequential T-count, a common cost proxy *)
-}
-
-(** Advance the per-wire clock [time] by one gate and return the new
-    finish time of that gate (0 for comments) — the step function shared
-    by the whole-circuit walk and the streaming tracker. *)
-let advance_gate ~(sub_depth : string -> int) (time : (Wire.t, int) Hashtbl.t)
-    (g : Gate.t) : int =
-  let get w = match Hashtbl.find_opt time w with Some t -> t | None -> 0 in
-  let advance wires dt =
-    let t = List.fold_left (fun acc w -> max acc (get w)) 0 wires + dt in
-    List.iter (fun w -> Hashtbl.replace time w t) wires;
-    t
-  in
-  match g with
-  | Gate.Comment _ -> 0
-  | Gate.Subroutine { name; inputs; outputs; controls; _ } ->
-      let wires =
-        inputs @ outputs
-        @ List.map (fun (k : Gate.control) -> k.Gate.cwire) controls
-      in
-      advance (List.sort_uniq compare wires) (sub_depth name)
-  | g ->
-      let wires = List.map (fun (e : Wire.endpoint) -> e.Wire.wire) (Gate.wires g) in
-      advance wires 1
-
-let depth_of_circuit ~(sub_depth : string -> int) (c : Circuit.t) : int =
-  let time : (Wire.t, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (e : Wire.endpoint) -> Hashtbl.replace time e.Wire.wire 0) c.Circuit.inputs;
-  Array.fold_left (fun acc g -> max acc (advance_gate ~sub_depth time g)) 0 c.Circuit.gates
-
-(** Hierarchical depth of a boxed circuit. *)
 let depth (b : Circuit.b) : int =
-  let memo : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let rec sub_depth name =
-    match Hashtbl.find_opt memo name with
-    | Some d -> d
-    | None ->
-        let sub = Circuit.find_sub b name in
-        let d = depth_of_circuit ~sub_depth sub.Circuit.circ in
-        Hashtbl.replace memo name d;
-        d
-  in
-  depth_of_circuit ~sub_depth b.Circuit.main
-
-(* ------------------------------------------------------------------ *)
-(* Streaming depth                                                     *)
-
-(** Incremental depth over a gate stream ({!Circ.run_streaming}): the
-    same per-wire clock as [depth_of_circuit], advanced gate by gate,
-    with subroutine depths memoized lazily from definitions recorded as
-    boxes close. Memory is O(live wires + namespace), not O(gates). *)
-type tracker = {
-  time : (Wire.t, int) Hashtbl.t;
-  mutable overall : int;
-  defs : (string, Circuit.t) Hashtbl.t;
-  memo : (string, int) Hashtbl.t;
-}
-
-let tracker () =
-  {
-    time = Hashtbl.create 64;
-    overall = 0;
-    defs = Hashtbl.create 16;
-    memo = Hashtbl.create 16;
-  }
-
-let track_inputs tr (es : Wire.endpoint list) =
-  List.iter (fun (e : Wire.endpoint) -> Hashtbl.replace tr.time e.Wire.wire 0) es
-
-let track_define tr name (sub : Circuit.subroutine) =
-  Hashtbl.replace tr.defs name sub.Circuit.circ
-
-let rec tracked_sub_depth tr name =
-  match Hashtbl.find_opt tr.memo name with
-  | Some d -> d
-  | None ->
-      let c =
-        match Hashtbl.find_opt tr.defs name with
-        | Some c -> c
-        | None -> Errors.raise_ (Unknown_subroutine name)
-      in
-      let d = depth_of_circuit ~sub_depth:(tracked_sub_depth tr) c in
-      Hashtbl.replace tr.memo name d;
-      d
-
-let track_gate tr (g : Gate.t) =
-  let t = advance_gate ~sub_depth:(tracked_sub_depth tr) tr.time g in
-  if t > tr.overall then tr.overall <- t;
-  (* a terminated wire's finish time is folded into [overall] above and
-     its id is never touched again, so dropping the clock entry keeps
-     the table at O(live wires) even when a generator allocates fresh
-     ancilla ids per iteration (the template oracle does) *)
-  match g with
-  | Gate.Term { wire; _ } | Gate.Discard { wire; _ } ->
-      Hashtbl.remove tr.time wire
-  | _ -> ()
-
-let tracked_depth tr = tr.overall
-
-(** Sequential T-gate count along the critical path is approximated by the
-    total T count; the exact T-depth needs scheduling, so we expose the
-    simple aggregate and document it as such. *)
-let profile (b : Circuit.b) : profile =
-  let counts = Gatecount.aggregate b in
-  let t_gates =
-    Gatecount.Counts.fold
-      (fun k n acc -> if k.Gatecount.kind = "T" then acc + n else acc)
-      counts 0
-  in
-  { depth = depth b; t_gates }
+  Resource.to_int "the depth"
+    (Resource.of_circuit ~counts:false ~peak:false b).Resource.depth

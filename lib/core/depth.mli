@@ -1,5 +1,5 @@
-(** Circuit depth estimation — the parallel-time axis of resource
-    estimation, computed hierarchically like {!Gatecount}.
+(** Circuit depth — the parallel-time axis of resource estimation, a
+    native-int projection of {!Resource}'s per-wire clock.
 
     A call to a boxed subcircuit advances every touched wire by the
     callee's memoized depth, which serialises the callee as a block: an
@@ -8,28 +8,5 @@
     the bound). Initialisations, terminations and measurements count one
     time step on their wire; comments are free. *)
 
-type profile = {
-  depth : int;  (** longest wire timeline *)
-  t_gates : int;  (** aggregate T count, a common cost proxy *)
-}
-
-val depth_of_circuit : sub_depth:(string -> int) -> Circuit.t -> int
 val depth : Circuit.b -> int
-val profile : Circuit.b -> profile
-
-(** {1 Streaming depth}
-
-    The same per-wire clock, advanced gate by gate as a stream arrives
-    ({!Circ.run_streaming}); yields exactly [depth] of the materialized
-    circuit. Memory is O(live wires + namespace), not O(gates). *)
-
-type tracker
-
-val tracker : unit -> tracker
-val track_inputs : tracker -> Wire.endpoint list -> unit
-
-val track_define : tracker -> string -> Circuit.subroutine -> unit
-(** Record a definition; must precede call gates naming it. *)
-
-val track_gate : tracker -> Gate.t -> unit
-val tracked_depth : tracker -> int
+(** Raises {!Errors.Error} [(Invalid _)] past [max_int]. *)

@@ -4,8 +4,10 @@
     per-call cost multiplied by the number of calls, recursively. This is
     the feature that lets the paper count a 30-trillion-gate circuit in
     under two minutes on a laptop (§5.4) — the count is a product over the
-    call tree, never an expansion of it. Counts are exact integers; OCaml's
-    63-bit native ints comfortably hold the paper's 3×10^13.
+    call tree, never an expansion of it. The recursion is {!Resource}'s;
+    this module projects its exact {!Wide} vectors to native ints, which
+    hold the paper's 3×10^13 comfortably, and raises rather than wraps
+    past [max_int].
 
     A count is keyed by gate kind: the gate's name plus its numbers of
     positive and negative controls, displayed Quipper-style as
@@ -33,140 +35,68 @@ let empty : t = Counts.empty
 let add (k : key) n (t : t) : t =
   Counts.update k (function None -> Some n | Some m -> Some (m + n)) t
 
-let merge_scaled factor (sub : t) (acc : t) : t =
-  Counts.fold (fun k n acc -> add k (n * factor) acc) sub acc
+(** Forget the quantum/classical split and the order of the controls. *)
+let key_of_xkey (x : Resource.Xkey.t) : key =
+  let p, n =
+    List.fold_left
+      (fun (p, n) (_, positive) -> if positive then (p + 1, n) else (p, n + 1))
+      (0, 0) x.Resource.Xkey.csig
+  in
+  { kind = x.Resource.Xkey.kind; inverted = x.Resource.Xkey.inverted;
+    pos_controls = p; neg_controls = n }
 
-let canonical_kind name =
-  (* Quipper prints the not gate capitalised *)
-  match name with
-  | "not" -> "Not"
-  | s -> s
+let key_of_gate g = Option.map key_of_xkey (Resource.xkey_of_gate g)
 
-let split_controls (cs : Gate.control list) =
-  List.fold_left
-    (fun (p, n) (c : Gate.control) -> if c.positive then (p + 1, n) else (p, n + 1))
-    (0, 0) cs
-
-let key_of_gate (g : Gate.t) : key option =
-  match g with
-  | Gate.Gate { name; inv; controls; _ } ->
-      let p, n = split_controls controls in
-      Some { kind = canonical_kind name; inverted = inv; pos_controls = p; neg_controls = n }
-  | Gate.Rot { name; inv; controls; _ } ->
-      let p, n = split_controls controls in
-      Some { kind = name; inverted = inv; pos_controls = p; neg_controls = n }
-  | Gate.Phase { controls; _ } ->
-      let p, n = split_controls controls in
-      Some { kind = "GPhase"; inverted = false; pos_controls = p; neg_controls = n }
-  | Gate.Init { ty = Wire.Q; value; _ } ->
-      Some { kind = (if value then "Init1" else "Init0"); inverted = false; pos_controls = 0; neg_controls = 0 }
-  | Gate.Init { ty = Wire.C; value; _ } ->
-      Some { kind = (if value then "CInit1" else "CInit0"); inverted = false; pos_controls = 0; neg_controls = 0 }
-  | Gate.Term { ty = Wire.Q; value; _ } ->
-      Some { kind = (if value then "Term1" else "Term0"); inverted = false; pos_controls = 0; neg_controls = 0 }
-  | Gate.Term { ty = Wire.C; value; _ } ->
-      Some { kind = (if value then "CTerm1" else "CTerm0"); inverted = false; pos_controls = 0; neg_controls = 0 }
-  | Gate.Discard { ty = Wire.Q; _ } ->
-      Some { kind = "Discard"; inverted = false; pos_controls = 0; neg_controls = 0 }
-  | Gate.Discard { ty = Wire.C; _ } ->
-      Some { kind = "CDiscard"; inverted = false; pos_controls = 0; neg_controls = 0 }
-  | Gate.Measure _ ->
-      Some { kind = "Meas"; inverted = false; pos_controls = 0; neg_controls = 0 }
-  | Gate.Cgate { name; _ } ->
-      Some { kind = "CGate:" ^ name; inverted = false; pos_controls = 0; neg_controls = 0 }
-  | Gate.Subroutine _ | Gate.Comment _ -> None
+let pp_key ppf k =
+  let name = if k.inverted then k.kind ^ "*" else k.kind in
+  match (k.pos_controls, k.neg_controls) with
+  | 0, 0 -> Fmt.pf ppf "%S" name
+  | p, 0 -> Fmt.pf ppf "%S, controls %d" name p
+  | p, n -> Fmt.pf ppf "%S, controls %d+%d" name p n
 
 (* ------------------------------------------------------------------ *)
-(* Aggregated counting over the call hierarchy                         *)
+(* Native-int projections of the engine's vectors                      *)
 
-(** Counts of a subroutine under inversion: Init<->Term swap, gate [inv]
-    bits flip. *)
-let invert_counts (t : t) : t =
-  Counts.fold
-    (fun k n acc ->
-      let k' =
-        match k.kind with
-        | "Init0" -> { k with kind = "Term0" }
-        | "Init1" -> { k with kind = "Term1" }
-        | "Term0" -> { k with kind = "Init0" }
-        | "Term1" -> { k with kind = "Init1" }
-        | "CInit0" -> { k with kind = "CTerm0" }
-        | "CInit1" -> { k with kind = "CTerm1" }
-        | "CTerm0" -> { k with kind = "CInit0" }
-        | "CTerm1" -> { k with kind = "CInit1" }
-        | name when name = "Not" || Gate.self_inverse name -> k
-        | _ -> { k with inverted = not k.inverted }
-      in
-      add k' n acc)
-    t empty
+let wide_counts (c : Resource.counts) : Wide.t Counts.t =
+  Resource.Xmap.fold
+    (fun x (w, _) m ->
+      Counts.update (key_of_xkey x)
+        (function None -> Some w | Some u -> Some (Wide.add u w))
+        m)
+    c Counts.empty
 
-(* The aggregation core, shared by the whole-circuit [aggregate] and the
-   streaming counter: parameterized by the subroutine lookup, and by a
-   memo table per (subroutine, added positive controls, added negative
-   controls) — calls with controls are rare, so the table stays small. *)
-
-type memo = (string * int * int, t) Hashtbl.t
-
-let rec count_gate ~(find : string -> Circuit.subroutine) ~(memo : memo)
-    ~(addp : int) ~(addn : int) (acc : t) (g : Gate.t) : t =
-  match g with
-  | Gate.Comment _ -> acc
-  | Gate.Subroutine { name; inv; controls; _ } ->
-      let p, n = split_controls controls in
-      let sub = counts_of_sub ~find ~memo name ~addp:(addp + p) ~addn:(addn + n) in
-      let sub = if inv then invert_counts sub else sub in
-      merge_scaled 1 sub acc
-  | g -> (
-      match key_of_gate g with
-      | None -> acc
-      | Some k ->
-          let k =
-            (* ambient controls from enclosing controlled calls attach
-               to every controllable gate of the body *)
-            match Gate.controllability g with
-            | Gate.Controllable ->
-                { k with
-                  pos_controls = k.pos_controls + addp;
-                  neg_controls = k.neg_controls + addn }
-            | _ -> k
-          in
-          add k 1 acc)
-
-and counts_of_circuit ~find ~memo (c : Circuit.t) ~addp ~addn : t =
-  Array.fold_left (count_gate ~find ~memo ~addp ~addn) empty c.Circuit.gates
-
-and counts_of_sub ~find ~memo name ~addp ~addn : t =
-  match Hashtbl.find_opt memo (name, addp, addn) with
-  | Some t -> t
-  | None ->
-      let sub : Circuit.subroutine = find name in
-      let t = counts_of_circuit ~find ~memo sub.Circuit.circ ~addp ~addn in
-      Hashtbl.replace memo (name, addp, addn) t;
-      t
+let int_counts (c : Resource.counts) : t =
+  Counts.mapi
+    (fun k w ->
+      match Wide.to_int_opt w with
+      | Some n -> n
+      | None -> Resource.to_int (Fmt.str "the count of %a" pp_key k) w)
+    (wide_counts c)
 
 (** [aggregate b]: gate counts of [b]'s main circuit with every boxed
-    subcircuit recursively inlined — computed without inlining anything.
-    A subroutine call under [k] extra controls contributes its body's counts
-    with [k] controls added to every controllable gate. *)
+    subcircuit recursively inlined — computed without inlining anything. *)
 let aggregate (b : Circuit.b) : t =
-  counts_of_circuit ~find:(Circuit.find_sub b) ~memo:(Hashtbl.create 16)
-    b.main ~addp:0 ~addn:0
+  int_counts (Resource.of_circuit ~peak:false ~depth:false b).Resource.counts
 
 (** Shallow counts of one circuit (subroutine calls counted as opaque single
     gates named after the subroutine). *)
 let shallow (c : Circuit.t) : t =
   Array.fold_left
     (fun acc g ->
-      match g with
-      | Gate.Comment _ -> acc
-      | Gate.Subroutine { name; inv; controls; _ } ->
-          let p, n = split_controls controls in
+      match (g, key_of_gate g) with
+      | Gate.Subroutine { name; inv; controls; _ }, _ ->
+          let p, n =
+            List.fold_left
+              (fun (p, n) (c : Gate.control) ->
+                if c.positive then (p + 1, n) else (p, n + 1))
+              (0, 0) controls
+          in
           add
             { kind = "Subroutine:" ^ name; inverted = inv;
               pos_controls = p; neg_controls = n }
             1 acc
-      | g -> (
-          match key_of_gate g with None -> acc | Some k -> add k 1 acc))
+      | _, Some k -> add k 1 acc
+      | _, None -> acc)
     empty c.Circuit.gates
 
 (* ------------------------------------------------------------------ *)
@@ -178,58 +108,30 @@ let is_io_kind k =
   | "CTerm1" | "Discard" | "CDiscard" | "Meas" -> true
   | _ -> false
 
+let sum what keep (t : t) =
+  Resource.to_int what
+    (Counts.fold
+       (fun k n acc -> if keep k then Wide.add acc (Wide.of_int n) else acc)
+       t Wide.zero)
+
 (** Total gates, counting everything (Quipper's "Total gates" line counts
     inits and terminations too; the §6 table separates them). *)
-let total (t : t) = Counts.fold (fun _ n acc -> acc + n) t 0
+let total (t : t) = sum "the total gate count" (fun _ -> true) t
 
 (** Total excluding initialisation/termination/measurement — the "Total" row
     of the §6 comparison table. *)
 let total_logical (t : t) =
-  Counts.fold (fun k n acc -> if is_io_kind k then acc else acc + n) t 0
+  sum "the logical gate count" (fun k -> not (is_io_kind k)) t
 
 let get (t : t) k = match Counts.find_opt k t with Some n -> n | None -> 0
 
 let find_kind (t : t) kind =
-  Counts.fold (fun k n acc -> if k.kind = kind then acc + n else acc) t 0
-
-(** One gate's effect on the (live wires, peak) pair — the step function
-    of both the whole-circuit [peak_wires] and the streaming tracker. A
-    subroutine call at a point with [l] live wires can reach
-    [l - arity_in + peak(sub)]. *)
-let peak_step ~(sub_peak : string -> int) (live, peak) (g : Gate.t) :
-    int * int =
-  match g with
-  | Gate.Init _ | Gate.Cgate _ ->
-      let live = live + 1 in
-      (live, max peak live)
-  | Gate.Term _ | Gate.Discard _ -> (live - 1, peak)
-  | Gate.Subroutine { name; inputs; outputs; _ } ->
-      let reach = live - List.length inputs + sub_peak name in
-      let live = live - List.length inputs + List.length outputs in
-      (live, max (max peak reach) live)
-  | _ -> (live, peak)
-
-let rec peak_of_circuit ~find ~(memo : (string, int) Hashtbl.t)
-    (c : Circuit.t) : int =
-  let start = List.length c.Circuit.inputs in
-  snd
-    (Array.fold_left
-       (peak_step ~sub_peak:(peak_of_sub ~find ~memo))
-       (start, start) c.Circuit.gates)
-
-and peak_of_sub ~find ~memo name =
-  match Hashtbl.find_opt memo name with
-  | Some p -> p
-  | None ->
-      let sub : Circuit.subroutine = find name in
-      let p = peak_of_circuit ~find ~memo sub.Circuit.circ in
-      Hashtbl.replace memo name p;
-      p
+  sum ("the count of " ^ kind) (fun k -> k.kind = kind) t
 
 (** Peak number of simultaneously-live wires ("Qubits in circuit"),
     computed hierarchically. *)
 let peak_wires (b : Circuit.b) : int =
-  peak_of_circuit ~find:(Circuit.find_sub b) ~memo:(Hashtbl.create 16) b.main
+  (Resource.of_circuit ~counts:false ~depth:false b).Resource.peak
 
 (* ------------------------------------------------------------------ *)
 (* Gate classes                                                        *)
@@ -276,16 +178,19 @@ type summary = {
   qubits : int;
 }
 
-let summarize (b : Circuit.b) : summary =
-  let counts = aggregate b in
+let summary_of (v : Resource.t) : summary =
+  let counts = int_counts v.Resource.counts in
   {
     counts;
     total = total counts;
     total_logical = total_logical counts;
-    inputs = List.length b.main.Circuit.inputs;
-    outputs = List.length b.main.Circuit.outputs;
-    qubits = peak_wires b;
+    inputs = v.Resource.in_arity;
+    outputs = v.Resource.out_arity;
+    qubits = v.Resource.peak;
   }
+
+let summarize (b : Circuit.b) : summary =
+  summary_of (Resource.of_circuit ~depth:false b)
 
 (** Aggregated counts for each boxed subcircuit, in definition order —
     Quipper's [-f gatecount] prints "a gate count for each boxed subcircuit
@@ -303,13 +208,6 @@ let per_subroutine (b : Circuit.b) : (string * summary) list =
       (name, summarize as_b))
     b.Circuit.sub_order
 
-let pp_key ppf k =
-  let name = if k.inverted then k.kind ^ "*" else k.kind in
-  match (k.pos_controls, k.neg_controls) with
-  | 0, 0 -> Fmt.pf ppf "%S" name
-  | p, 0 -> Fmt.pf ppf "%S, controls %d" name p
-  | p, n -> Fmt.pf ppf "%S, controls %d+%d" name p n
-
 let pp ppf (t : t) =
   Counts.iter (fun k n -> Fmt.pf ppf "%d: %a@\n" n pp_key k) t
 
@@ -319,73 +217,3 @@ let pp_summary ppf (s : summary) =
   Fmt.pf ppf "Inputs: %d@\n" s.inputs;
   Fmt.pf ppf "Outputs: %d@\n" s.outputs;
   Fmt.pf ppf "Qubits in circuit: %d@\n" s.qubits
-
-(* ------------------------------------------------------------------ *)
-(* Streaming counting                                                  *)
-
-(** Incremental counter over a gate stream, sharing the aggregation and
-    peak-wires cores above so the result is the one [summarize] gives on
-    the materialized circuit. Subroutine definitions arrive through
-    {!stream_define} (always before the first call gate naming them, the
-    order {!Circ.run_streaming} guarantees); memory is bounded by the
-    number of distinct gate kinds plus the subroutine namespace, not by
-    the gate count. *)
-type stream = {
-  mutable counts : t;
-  mutable live : int;
-  mutable peak : int;
-  mutable input_arity : int;
-  defs : (string, Circuit.subroutine) Hashtbl.t;
-  count_memo : memo;
-  peak_memo : (string, int) Hashtbl.t;
-}
-
-let stream_create () =
-  {
-    counts = empty;
-    live = 0;
-    peak = 0;
-    input_arity = 0;
-    defs = Hashtbl.create 16;
-    count_memo = Hashtbl.create 16;
-    peak_memo = Hashtbl.create 16;
-  }
-
-let stream_find st name =
-  match Hashtbl.find_opt st.defs name with
-  | Some s -> s
-  | None -> Errors.raise_ (Unknown_subroutine name)
-
-let stream_inputs st (es : Wire.endpoint list) =
-  let n = List.length es in
-  st.input_arity <- st.input_arity + n;
-  st.live <- st.live + n;
-  if st.live > st.peak then st.peak <- st.live
-
-let stream_define st name (sub : Circuit.subroutine) =
-  Hashtbl.replace st.defs name sub
-
-let stream_gate st (g : Gate.t) =
-  st.counts <-
-    count_gate ~find:(stream_find st) ~memo:st.count_memo ~addp:0 ~addn:0
-      st.counts g;
-  let live, peak =
-    peak_step
-      ~sub_peak:(fun name ->
-        peak_of_sub ~find:(stream_find st) ~memo:st.peak_memo name)
-      (st.live, st.peak) g
-  in
-  st.live <- live;
-  st.peak <- peak
-
-let stream_counts st = st.counts
-
-let stream_summary st ~outputs =
-  {
-    counts = st.counts;
-    total = total st.counts;
-    total_logical = total_logical st.counts;
-    inputs = st.input_arity;
-    outputs;
-    qubits = st.peak;
-  }

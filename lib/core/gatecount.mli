@@ -4,8 +4,11 @@
     its per-call cost multiplied by the number of calls, recursively —
     the count is a product over the call tree, never an expansion of it.
     This is what lets the paper count a 30-trillion-gate circuit in under
-    two minutes (§5.4). Counts are native OCaml integers (63-bit), ample
-    for the paper's 3x10^13. *)
+    two minutes (§5.4). The recursion is {!Resource}'s; everything here
+    is a native-int projection of its vectors. OCaml's 63-bit ints hold
+    the paper's 3x10^13 comfortably; past [max_int] every projection
+    raises {!Errors.Error} [(Invalid _)] instead of wrapping (the
+    message names [--estimate], whose {!Wide} figures are exact). *)
 
 type key = {
   kind : string;
@@ -26,17 +29,19 @@ module Counts : Map.S with type key = Key.t
 
 type t = int Counts.t
 
-val empty : t
-val add : key -> int -> t -> t
-val merge_scaled : int -> t -> t -> t
 val key_of_gate : Gate.t -> key option
-val invert_counts : t -> t
+
+val key_of_xkey : Resource.Xkey.t -> key
+(** Forget the quantum/classical split and the order of the controls. *)
+
+val wide_counts : Resource.counts -> Wide.t Counts.t
+(** A vector's counts, projected to keys but still exact. *)
 
 val aggregate : Circuit.b -> t
 (** Gate counts of the main circuit with every boxed subcircuit
-    recursively inlined — computed without inlining anything. A call under
-    extra controls contributes its body's counts with those controls added
-    to every controllable gate. *)
+    recursively inlined — computed without inlining anything. A call
+    under extra controls contributes its body's counts with those
+    controls added to every controllable gate. *)
 
 val shallow : Circuit.t -> t
 (** Counts of one circuit, subroutine calls as opaque single gates. *)
@@ -64,13 +69,6 @@ type klass = Clifford | T | Rotation | Structural | Classical | Other
 val klass_name : klass -> string
 val class_of_key : key -> klass
 
-val peak_step : sub_peak:(string -> int) -> int * int -> Gate.t -> int * int
-(** One gate's effect on the (live wires, peak) pair — the step function
-    of {!peak_wires} and of the streaming tracker, exposed so other
-    hierarchical analyses (notably [Quipper_estimate]) share the exact
-    peak-wires semantics: a subroutine call at [l] live wires can reach
-    [l - arity_in + sub_peak name]. *)
-
 val peak_wires : Circuit.b -> int
 (** Peak number of simultaneously-live wires ("Qubits in circuit"),
     computed hierarchically. *)
@@ -84,6 +82,9 @@ type summary = {
   qubits : int;
 }
 
+val summary_of : Resource.t -> summary
+(** The projection of a vector's counts and peak. *)
+
 val summarize : Circuit.b -> summary
 
 val per_subroutine : Circuit.b -> (string * summary) list
@@ -95,27 +96,3 @@ val pp_key : Format.formatter -> key -> unit
 
 val pp : Format.formatter -> t -> unit
 val pp_summary : Format.formatter -> summary -> unit
-
-(** {1 Streaming counting}
-
-    Incremental counting over a gate stream ({!Circ.run_streaming}),
-    sharing the aggregation and peak-wires cores with {!aggregate} and
-    {!peak_wires}, so the resulting {!summary} equals [summarize] of the
-    materialized circuit. Memory is bounded by the number of distinct
-    gate kinds plus the subroutine namespace, never by the gate count. *)
-
-type stream
-
-val stream_create : unit -> stream
-
-val stream_inputs : stream -> Wire.endpoint list -> unit
-(** Declare the circuit inputs (they start the live-wire tally). *)
-
-val stream_define : stream -> string -> Circuit.subroutine -> unit
-(** Record a subroutine definition; must precede call gates naming it. *)
-
-val stream_gate : stream -> Gate.t -> unit
-val stream_counts : stream -> t
-
-val stream_summary : stream -> outputs:int -> summary
-(** The summary so far; [outputs] is the final output arity. *)

@@ -63,31 +63,28 @@ let tee3 a b c = map (fun (x, (y, z)) -> (x, y, z)) (tee a (tee b c))
 (* ------------------------------------------------------------------ *)
 (* First-class sinks                                                   *)
 
-(** Streaming aggregated gate count: the same memoized per-subroutine
-    arithmetic as {!Gatecount.aggregate}, fed definitions as boxes close
-    and call gates as they stream. *)
-let gatecount () : Gatecount.summary t =
-  let st = Gatecount.stream_create () in
+(** The resource engine's streaming step: counts, peak and depth as
+    selected, fed definitions as boxes close and call gates as they
+    stream, so a call costs O(1) amortized whatever the callee's size. *)
+let resource ?counts ?peak ?depth () : Resource.t t =
+  let st = Resource.stream ?counts ?peak ?depth () in
   {
-    on_inputs = Gatecount.stream_inputs st;
-    on_gate = Gatecount.stream_gate st;
+    on_inputs = Resource.inputs st;
+    on_gate = Resource.gate st;
     on_subroutine_enter = (fun _ -> ());
-    on_subroutine_exit = Gatecount.stream_define st;
-    finish =
-      (fun outs -> Gatecount.stream_summary st ~outputs:(List.length outs));
+    on_subroutine_exit = Resource.define st;
+    finish = (fun outs -> Resource.finish st ~outputs:(List.length outs));
   }
 
-(** Streaming hierarchical depth (same convention as {!Depth.depth}:
-    subroutine calls serialise as blocks of the callee's memoized depth). *)
+(** Its counts and peak, as {!Gatecount.summarize} projects them. *)
+let gatecount () : Gatecount.summary t =
+  map Gatecount.summary_of (resource ~depth:false ())
+
+(** Its clock alone, as {!Depth.depth} projects it. *)
 let depth () : int t =
-  let tr = Depth.tracker () in
-  {
-    on_inputs = Depth.track_inputs tr;
-    on_gate = Depth.track_gate tr;
-    on_subroutine_enter = (fun _ -> ());
-    on_subroutine_exit = Depth.track_define tr;
-    finish = (fun _ -> Depth.tracked_depth tr);
-  }
+  map
+    (fun (v : Resource.t) -> Resource.to_int "the depth" v.Resource.depth)
+    (resource ~counts:false ~peak:false ())
 
 (** Streaming text printing, byte-identical to {!Printer.pp_bcircuit} on
     the materialized circuit: gate lines go out as gates stream,

@@ -40,15 +40,21 @@ val tee : 'a t -> 'b t -> ('a * 'b) t
 
 val tee3 : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 
+val resource :
+  ?counts:bool -> ?peak:bool -> ?depth:bool -> unit -> Resource.t t
+(** The streaming step of {!Resource}, running the selected parts (all
+    by default); equal to [Resource.of_circuit] of the materialized
+    circuit. Subroutine calls cost O(1) amortized; memory is bounded by
+    distinct gate kinds, live wires and the namespace. *)
+
 val gatecount : unit -> Gatecount.summary t
-(** Streaming aggregated gate count, identical (including the peak-wires
-    figure) to [Gatecount.summarize] of the materialized circuit. Uses
-    the same memoized per-subroutine aggregation, so a call gate costs
-    O(1) amortized regardless of the callee's size. *)
+(** [resource] without the depth clock, projected by
+    {!Gatecount.summary_of}: identical (including the peak-wires figure)
+    to [Gatecount.summarize] of the materialized circuit. *)
 
 val depth : unit -> int t
-(** Streaming hierarchical depth, identical to [Depth.depth] of the
-    materialized circuit. *)
+(** [resource] with the depth clock alone, identical to [Depth.depth] of
+    the materialized circuit. *)
 
 val printer : Format.formatter -> unit t
 (** Streaming text output, byte-identical to [Printer.pp_bcircuit] of

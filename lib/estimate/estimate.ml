@@ -1,464 +1,52 @@
-(** Symbolic resource estimation: per-box resource vectors combined over
-    call multiplicities, repetitions, controls and inverses — see the
-    interface for the exactness contract. The accumulation core mirrors
-    [Gatecount]'s recursion gate for gate (same memoization structure,
-    same ambient-control and inversion semantics, same peak-wires step
-    function) so the small-instance projection is bit-identical to the
-    exact streamed counts; the differences are the {!Wide} accumulators,
-    the refined {!Xkey} (quantum vs classical controls, which
-    [Decompose] distinguishes), and the representative gate kept per key
-    so [in_base] can expand one exemplar per kind. *)
+(** Symbolic resource estimation: the combinators and readers over the
+    vectors of {!Resource} — see the interface for the exactness
+    contract. Deriving a vector is the engine's walk; this module only
+    composes vectors and reads them. *)
 
 open Quipper
 
-module Xkey = struct
-  type t = {
-    kind : string;
-    inverted : bool;
-    arity : int;
-    qpos : int;
-    qneg : int;
-    cpos : int;
-    cneg : int;
-    csig : (Wire.ty * bool) list;
-        (** the {e ordered} control signature (type, sign). The four
-            counts above are its tallies, kept for cheap projection —
-            but the order itself must be part of the key: multi-control
-            decomposition pairs controls in order, so two gates whose
-            controls agree as multisets but not as sequences can
-            decompose to different sign-multisets. *)
-  }
+type t = Resource.t
 
-  let compare = Stdlib.compare
+module Xmap = Resource.Xmap
 
-  let to_key (x : t) : Gatecount.key =
-    {
-      Gatecount.kind = x.kind;
-      inverted = x.inverted;
-      pos_controls = x.qpos + x.cpos;
-      neg_controls = x.qneg + x.cneg;
-    }
-
-  let pp ppf x =
-    Fmt.pf ppf "%a{q%d+%d c%d+%d}" Gatecount.pp_key (to_key x) x.qpos x.qneg
-      x.cpos x.cneg
-end
-
-module Xmap = Map.Make (Xkey)
-
-type vec = {
-  counts : Wide.t Xmap.t;
-  reps : Gate.t Xmap.t;  (** one representative gate per key *)
-  in_arity : int;
-  out_arity : int;
-  peak : int;
-  depth : Wide.t;
-}
-
-type t = vec
-
-(* ------------------------------------------------------------------ *)
-(* Keys and count maps                                                 *)
-
-let split4 (cs : Gate.control list) =
-  List.fold_left
-    (fun (qp, qn, cp, cn) (c : Gate.control) ->
-      match (c.Gate.cty, c.Gate.positive) with
-      | Wire.Q, true -> (qp + 1, qn, cp, cn)
-      | Wire.Q, false -> (qp, qn + 1, cp, cn)
-      | Wire.C, true -> (qp, qn, cp + 1, cn)
-      | Wire.C, false -> (qp, qn, cp, cn + 1))
-    (0, 0, 0, 0) cs
-
-(* [Gatecount.key_of_gate] supplies the canonical kind and inversion
-   bit, so the projection to plain keys agrees with the exact counter by
-   construction; the control split and target arity are refined here. *)
-let xkey_of_gate (g : Gate.t) : Xkey.t option =
-  match Gatecount.key_of_gate g with
-  | None -> None
-  | Some k ->
-      let cs = Gate.controls g in
-      let qp, qn, cp, cn = split4 cs in
-      Some
-        {
-          Xkey.kind = k.Gatecount.kind;
-          inverted = k.Gatecount.inverted;
-          arity = List.length (Gate.targets g);
-          qpos = qp;
-          qneg = qn;
-          cpos = cp;
-          cneg = cn;
-          csig = List.map (fun (c : Gate.control) -> (c.Gate.cty, c.Gate.positive)) cs;
-        }
-
-let madd (x : Xkey.t) (w : Wide.t) m =
-  Xmap.update x (function None -> Some w | Some v -> Some (Wide.add v w)) m
-
-let merge_counts sub acc = Xmap.fold madd sub acc
-let merge_reps sub acc = Xmap.union (fun _ a _ -> Some a) sub acc
-
-let max_wire_of (g : Gate.t) =
-  List.fold_left
-    (fun m (e : Wire.endpoint) -> max m e.Wire.wire)
-    0 (Gate.wires g)
-
-(* A representative gate for a key shifted by ambient controls: the same
-   gate with that many fresh controls attached, on wires guaranteed
-   disjoint from the gate's own. *)
-(* The control-signature block ambient controls append (the same order
-   [rep_with_ambient] materializes them in: [Gate.add_controls] puts new
-   controls after the gate's own). *)
-let amb_csig ((qp, qn, cp, cn) : int * int * int * int) =
-  List.concat
-    [
-      List.init qp (fun _ -> (Wire.Q, true));
-      List.init qn (fun _ -> (Wire.Q, false));
-      List.init cp (fun _ -> (Wire.C, true));
-      List.init cn (fun _ -> (Wire.C, false));
-    ]
-
-let rep_with_ambient ((qp, qn, cp, cn) : int * int * int * int) (g : Gate.t) :
-    Gate.t =
-  let next = ref (1 + max_wire_of g) in
-  let mk cty positive =
-    let w = !next in
-    incr next;
-    { Gate.cwire = w; cty; positive }
-  in
-  let cs =
-    List.concat
-      [
-        List.init qp (fun _ -> mk Wire.Q true);
-        List.init qn (fun _ -> mk Wire.Q false);
-        List.init cp (fun _ -> mk Wire.C true);
-        List.init cn (fun _ -> mk Wire.C false);
-      ]
-  in
-  Gate.add_controls cs g
-
-(* ------------------------------------------------------------------ *)
-(* Inversion, mirroring [Gatecount.invert_counts] plus representative
-   maintenance                                                         *)
-
-let invert_kind = function
-  | "Init0" -> Some "Term0"
-  | "Init1" -> Some "Term1"
-  | "Term0" -> Some "Init0"
-  | "Term1" -> Some "Init1"
-  | "CInit0" -> Some "CTerm0"
-  | "CInit1" -> Some "CTerm1"
-  | "CTerm0" -> Some "CInit0"
-  | "CTerm1" -> Some "CInit1"
-  | _ -> None
-
-let invert_xkey (x : Xkey.t) : Xkey.t =
-  match invert_kind x.Xkey.kind with
-  | Some kind -> { x with Xkey.kind }
-  | None ->
-      if x.Xkey.kind = "Not" || Gate.self_inverse x.Xkey.kind then x
-      else { x with Xkey.inverted = not x.Xkey.inverted }
-
-let irep (g : Gate.t) = try Gate.inverse g with _ -> g
-
-let invert_xcounts (counts, reps) =
-  Xmap.fold
-    (fun x w (c, r) ->
-      let x' = invert_xkey x in
-      let c = madd x' w c in
-      let r =
-        match Xmap.find_opt x reps with
-        | Some g when not (Xmap.mem x' r) -> Xmap.add x' (irep g) r
-        | _ -> r
-      in
-      (c, r))
-    counts (Xmap.empty, Xmap.empty)
-
-(* ------------------------------------------------------------------ *)
-(* The aggregation engine (the [Gatecount.count_gate] recursion with
-   Wide counts, split-control ambient signatures and representatives)   *)
-
-type amb = int * int * int * int
-
-type env = {
-  find : string -> Circuit.subroutine;
-  cmemo : (string * amb, Wide.t Xmap.t * Gate.t Xmap.t) Hashtbl.t;
-  dmemo : (string, Wide.t) Hashtbl.t;  (** per-box depth bound *)
-  pmemo : (string, int) Hashtbl.t;  (** per-box peak wires *)
-}
-
-let env_of_find find =
-  {
-    find;
-    cmemo = Hashtbl.create 16;
-    dmemo = Hashtbl.create 16;
-    pmemo = Hashtbl.create 16;
-  }
-
-let rec xcount_gate env ~(amb : amb) ((counts, reps) as acc) (g : Gate.t) =
-  match g with
-  | Gate.Comment _ -> acc
-  | Gate.Subroutine { name; inv; controls; _ } ->
-      let qp0, qn0, cp0, cn0 = amb in
-      let qp, qn, cp, cn = split4 controls in
-      let sc, sr =
-        xcounts_of_sub env name ~amb:(qp0 + qp, qn0 + qn, cp0 + cp, cn0 + cn)
-      in
-      let sc, sr = if inv then invert_xcounts (sc, sr) else (sc, sr) in
-      (merge_counts sc counts, merge_reps sr reps)
-  | g -> (
-      match xkey_of_gate g with
-      | None -> acc
-      | Some x ->
-          let qp, qn, cp, cn = amb in
-          let x, rep =
-            if
-              qp + qn + cp + cn > 0
-              && Gate.controllability g = Gate.Controllable
-            then
-              ( {
-                  x with
-                  Xkey.qpos = x.Xkey.qpos + qp;
-                  qneg = x.Xkey.qneg + qn;
-                  cpos = x.Xkey.cpos + cp;
-                  cneg = x.Xkey.cneg + cn;
-                  csig = x.Xkey.csig @ amb_csig amb;
-                },
-                lazy (rep_with_ambient amb g) )
-            else (x, lazy g)
-          in
-          let reps =
-            if Xmap.mem x reps then reps else Xmap.add x (Lazy.force rep) reps
-          in
-          (madd x Wide.one counts, reps))
-
-and xcounts_of_circuit env ~amb (c : Circuit.t) =
-  Array.fold_left (xcount_gate env ~amb) (Xmap.empty, Xmap.empty)
-    c.Circuit.gates
-
-and xcounts_of_sub env name ~amb =
-  match Hashtbl.find_opt env.cmemo (name, amb) with
-  | Some v -> v
-  | None ->
-      let sub : Circuit.subroutine = env.find name in
-      let v = xcounts_of_circuit env ~amb sub.Circuit.circ in
-      Hashtbl.replace env.cmemo (name, amb) v;
-      v
-
-(* Depth: the [Depth.advance_gate] per-wire clock with Wide times, so
-   symbolic depth bounds survive multiplication far past native ints.
-   Ambient controls do not change a call's advance (as in [Depth]). *)
-let wide_advance ~(sub_depth : string -> Wide.t)
-    (time : (Wire.t, Wide.t) Hashtbl.t) (g : Gate.t) : Wide.t =
-  let get w =
-    match Hashtbl.find_opt time w with Some t -> t | None -> Wide.zero
-  in
-  let advance wires dt =
-    let t =
-      Wide.add
-        (List.fold_left (fun acc w -> Wide.max_ acc (get w)) Wide.zero wires)
-        dt
-    in
-    List.iter (fun w -> Hashtbl.replace time w t) wires;
-    t
-  in
-  match g with
-  | Gate.Comment _ -> Wide.zero
-  | Gate.Subroutine { name; inputs; outputs; controls; _ } ->
-      let wires =
-        inputs @ outputs
-        @ List.map (fun (k : Gate.control) -> k.Gate.cwire) controls
-      in
-      advance (List.sort_uniq Stdlib.compare wires) (sub_depth name)
-  | g ->
-      advance
-        (List.map (fun (e : Wire.endpoint) -> e.Wire.wire) (Gate.wires g))
-        Wide.one
-
-let rec wdepth_of_sub env name : Wide.t =
-  match Hashtbl.find_opt env.dmemo name with
-  | Some d -> d
-  | None ->
-      let sub : Circuit.subroutine = env.find name in
-      let d = wdepth_of_circuit env sub.Circuit.circ in
-      Hashtbl.replace env.dmemo name d;
-      d
-
-and wdepth_of_circuit env (c : Circuit.t) : Wide.t =
-  let time : (Wire.t, Wide.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Wire.endpoint) -> Hashtbl.replace time e.Wire.wire Wide.zero)
-    c.Circuit.inputs;
-  Array.fold_left
-    (fun acc g ->
-      Wide.max_ acc (wide_advance ~sub_depth:(wdepth_of_sub env) time g))
-    Wide.zero c.Circuit.gates
-
-(* Peak wires: exactly [Gatecount.peak_step], with this module's own
-   per-box memo. *)
-let rec xpeak_of_sub env name : int =
-  match Hashtbl.find_opt env.pmemo name with
-  | Some p -> p
-  | None ->
-      let sub : Circuit.subroutine = env.find name in
-      let c = sub.Circuit.circ in
-      let start = List.length c.Circuit.inputs in
-      let p =
-        snd
-          (Array.fold_left
-             (Gatecount.peak_step ~sub_peak:(xpeak_of_sub env))
-             (start, start) c.Circuit.gates)
-      in
-      Hashtbl.replace env.pmemo name p;
-      p
-
-(* ------------------------------------------------------------------ *)
-(* Deriving vectors                                                    *)
-
-let of_circuit (b : Circuit.b) : t =
-  let env = env_of_find (Circuit.find_sub b) in
-  let counts, reps = xcounts_of_circuit env ~amb:(0, 0, 0, 0) b.Circuit.main in
-  let in_arity = List.length b.Circuit.main.Circuit.inputs in
-  let _, peak =
-    Array.fold_left
-      (Gatecount.peak_step ~sub_peak:(xpeak_of_sub env))
-      (in_arity, in_arity) b.Circuit.main.Circuit.gates
-  in
-  {
-    counts;
-    reps;
-    in_arity;
-    out_arity = List.length b.Circuit.main.Circuit.outputs;
-    peak;
-    depth = wdepth_of_circuit env b.Circuit.main;
-  }
-
-let sink () : t Sink.t =
-  let defs : (string, Circuit.subroutine) Hashtbl.t = Hashtbl.create 16 in
-  let find name =
-    match Hashtbl.find_opt defs name with
-    | Some s -> s
-    | None -> Errors.raise_ (Errors.Unknown_subroutine name)
-  in
-  let env = env_of_find find in
-  let counts = ref Xmap.empty and reps = ref Xmap.empty in
-  let live = ref 0 and peak = ref 0 and in_arity = ref 0 in
-  let time : (Wire.t, Wide.t) Hashtbl.t = Hashtbl.create 64 in
-  let depth = ref Wide.zero in
-  Sink.make
-    ~on_inputs:(fun es ->
-      let n = List.length es in
-      in_arity := !in_arity + n;
-      live := !live + n;
-      if !live > !peak then peak := !live;
-      List.iter
-        (fun (e : Wire.endpoint) -> Hashtbl.replace time e.Wire.wire Wide.zero)
-        es)
-    ~on_gate:(fun g ->
-      let c, r = xcount_gate env ~amb:(0, 0, 0, 0) (!counts, !reps) g in
-      counts := c;
-      reps := r;
-      let l, p =
-        Gatecount.peak_step ~sub_peak:(xpeak_of_sub env) (!live, !peak) g
-      in
-      live := l;
-      peak := p;
-      let t = wide_advance ~sub_depth:(wdepth_of_sub env) time g in
-      if Wide.compare t !depth > 0 then depth := t)
-    ~on_subroutine_exit:(fun name sub -> Hashtbl.replace defs name sub)
-    ~finish:(fun outs ->
-      {
-        counts = !counts;
-        reps = !reps;
-        in_arity = !in_arity;
-        out_arity = List.length outs;
-        peak = !peak;
-        depth = !depth;
-      })
-    ()
-
+let of_circuit b = Resource.of_circuit b
+let sink () = Sink.resource ()
 let of_circ ~in_ f = fst (Circ.run_streaming ~in_ f (sink ()))
 let of_circ_unit c = fst (Circ.run_streaming_unit c (sink ()))
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
 
-let in_arity v = v.in_arity
-let out_arity v = v.out_arity
-let peak_wires v = v.peak
-let depth_bound v = v.depth
-
-let total v = Xmap.fold (fun _ w acc -> Wide.add acc w) v.counts Wide.zero
-
-let to_counts v : Wide.t Gatecount.Counts.t =
-  Xmap.fold
-    (fun x w m ->
-      Gatecount.Counts.update (Xkey.to_key x)
-        (function None -> Some w | Some u -> Some (Wide.add u w))
-        m)
-    v.counts Gatecount.Counts.empty
-
+let in_arity (v : t) = v.in_arity
+let out_arity (v : t) = v.out_arity
+let peak_wires (v : t) = v.peak
+let depth_bound (v : t) = v.depth
+let to_counts (v : t) = Gatecount.wide_counts v.counts
 let counts v = Gatecount.Counts.bindings (to_counts v)
-let xcounts v = Xmap.bindings v.counts
 
-let total_logical v =
+let sum keep (v : t) =
   Xmap.fold
-    (fun x w acc ->
-      if Gatecount.is_io_kind (Xkey.to_key x) then acc else Wide.add acc w)
+    (fun x (w, _) acc -> if keep x then Wide.add acc w else acc)
     v.counts Wide.zero
 
-let t_count v =
-  Xmap.fold
-    (fun (x : Xkey.t) w acc ->
-      if
-        x.Xkey.kind = "T"
-        && x.Xkey.qpos + x.Xkey.qneg + x.Xkey.cpos + x.Xkey.cneg = 0
-      then Wide.add acc w
-      else acc)
-    v.counts Wide.zero
+let sum_keys keep = sum (fun x -> keep (Gatecount.key_of_xkey x))
+let total = sum (fun _ -> true)
+let total_logical = sum_keys (fun k -> not (Gatecount.is_io_kind k))
 
-let find_kind v kind =
-  Xmap.fold
-    (fun (x : Xkey.t) w acc ->
-      if x.Xkey.kind = kind then Wide.add acc w else acc)
-    v.counts Wide.zero
-
-let get v k =
-  match Gatecount.Counts.find_opt k (to_counts v) with
-  | Some w -> w
-  | None -> Wide.zero
-
-let all_classes =
-  [
-    Gatecount.Clifford;
-    Gatecount.T;
-    Gatecount.Rotation;
-    Gatecount.Structural;
-    Gatecount.Classical;
-    Gatecount.Other;
-  ]
+let t_count =
+  sum (fun x -> x.Resource.Xkey.kind = "T" && x.Resource.Xkey.csig = [])
 
 let by_class v =
-  let totals =
-    Xmap.fold
-      (fun x w acc ->
-        let c = Gatecount.class_of_key (Xkey.to_key x) in
-        (c, w) :: acc)
-      v.counts []
-  in
   List.map
-    (fun c ->
-      ( c,
-        List.fold_left
-          (fun acc (c', w) -> if c' = c then Wide.add acc w else acc)
-          Wide.zero totals ))
-    all_classes
+    (fun c -> (c, sum_keys (fun k -> Gatecount.class_of_key k = c) v))
+    Gatecount.[ Clifford; T; Rotation; Structural; Classical; Other ]
 
-let equal a b =
-  Xmap.equal Wide.equal a.counts b.counts
+let equal (a : t) (b : t) =
+  Xmap.equal (fun (w, _) (u, _) -> Wide.equal w u) a.counts b.counts
   && a.in_arity = b.in_arity && a.out_arity = b.out_arity && a.peak = b.peak
   && Wide.equal a.depth b.depth
 
-let agrees v (s : Gatecount.summary) =
+let agrees (v : t) (s : Gatecount.summary) =
   let proj = to_counts v in
   Gatecount.Counts.cardinal proj = Gatecount.Counts.cardinal s.Gatecount.counts
   && Gatecount.Counts.for_all
@@ -470,7 +58,7 @@ let agrees v (s : Gatecount.summary) =
   && v.out_arity = s.Gatecount.outputs
   && v.peak = s.Gatecount.qubits
 
-let pp_summary ppf v =
+let pp_summary ppf (v : t) =
   (* the [Gatecount.pp_summary] block first (same field order, decimal
      counts of any width), then the symbolic-only lines *)
   Fmt.pf ppf "Aggregated gate count:@\n";
@@ -495,24 +83,23 @@ let pp_summary ppf v =
 (* ------------------------------------------------------------------ *)
 (* Combinators                                                         *)
 
-let seq a b =
+let seq (a : t) (b : t) : t =
   if a.out_arity <> b.in_arity then
     invalid_arg
       (Printf.sprintf "Estimate.seq: arity mismatch (%d outputs vs %d inputs)"
          a.out_arity b.in_arity);
   {
-    counts = merge_counts b.counts a.counts;
-    reps = merge_reps b.reps a.reps;
+    counts = Resource.merge b.counts a.counts;
     in_arity = a.in_arity;
     out_arity = b.out_arity;
     (* at the seam exactly [a.out_arity = b.in_arity] wires are live —
        the baseline both peaks are measured from — so the combined peak
-       is the max, the same reach argument as [Gatecount.peak_step] *)
+       is the max, the same reach argument as a subroutine call's *)
     peak = max a.peak b.peak;
     depth = Wide.add a.depth b.depth;
   }
 
-let repeat n v =
+let repeat n (v : t) : t =
   if n < 0 then invalid_arg "Estimate.repeat: negative count";
   if v.in_arity <> v.out_arity then
     invalid_arg
@@ -521,160 +108,86 @@ let repeat n v =
           be arity-preserving to iterate)"
          v.in_arity v.out_arity);
   if n = 0 then
-    {
-      v with
-      counts = Xmap.empty;
-      reps = Xmap.empty;
-      depth = Wide.zero;
-      peak = v.in_arity;
-    }
+    { v with counts = Xmap.empty; depth = Wide.zero; peak = v.in_arity }
   else
     {
       v with
-      counts = Xmap.map (fun w -> Wide.mul_int w n) v.counts;
+      counts = Xmap.map (fun (w, g) -> (Wide.mul_int w n, g)) v.counts;
       depth = Wide.mul_int v.depth n;
     }
 
-let inverse v =
-  let counts, reps = invert_xcounts (v.counts, v.reps) in
+let inverse (v : t) : t =
   {
-    counts;
-    reps;
+    v with
+    counts = Resource.invert v.counts;
     in_arity = v.out_arity;
     out_arity = v.in_arity;
-    peak = v.peak;
-    depth = v.depth;
   }
 
-let controlled ?(pos = 0) ?(neg = 0) v =
+let controlled ?(pos = 0) ?(neg = 0) (v : t) : t =
   if pos < 0 || neg < 0 then
     invalid_arg "Estimate.controlled: negative control count";
   if pos + neg = 0 then v
   else begin
     let amb = (pos, neg, 0, 0) in
-    let counts, reps =
+    let counts =
       Xmap.fold
-        (fun x w (c, r) ->
-          let rep = Xmap.find_opt x v.reps in
-          match rep with
-          | Some g when Gate.controllability g = Gate.Controllable ->
-              let x' =
-                {
-                  x with
-                  Xkey.qpos = x.Xkey.qpos + pos;
-                  qneg = x.Xkey.qneg + neg;
-                  csig = x.Xkey.csig @ amb_csig amb;
-                }
-              in
-              let c = madd x' w c in
-              let r =
-                if Xmap.mem x' r then r
-                else Xmap.add x' (rep_with_ambient amb g) r
-              in
-              (c, r)
-          | Some g ->
-              (madd x w c, if Xmap.mem x r then r else Xmap.add x g r)
-          | None -> (madd x w c, r))
-        v.counts (Xmap.empty, Xmap.empty)
+        (fun x (w, g) acc ->
+          match Gate.controllability g with
+          | Gate.Controllable ->
+              Resource.bump (Resource.ambient_key amb x) w
+                (Resource.ambient_rep amb g) acc
+          | _ -> Resource.bump x w g acc)
+        v.counts Xmap.empty
     in
-    let v' = { v with counts; reps } in
+    let v' = { v with counts } in
     (* controls serialize every gate they attach to, so the only sound
        cheap depth bound for the controlled block is its gate total *)
     { v' with depth = Wide.max_ v.depth (total v') }
   end
 
-(* One gate kind's expansion into a base: the gadget's keyed gates, its
-   own scheduled depth, and its ancilla overhead beyond the wires the
-   gate already touches. *)
-let gadget_stats base (rep : Gate.t) :
-    [ `Identity | `Gadget of (Xkey.t * Gate.t) list * int * int ] =
-  let alloc =
-    let next = ref (1 + max_wire_of rep) in
-    fun (_ : Wire.ty) ->
-      let w = !next in
-      incr next;
-      w
+(* One gate kind's expansion into a base: the engine's vector of the
+   gadget, on the wires [rep] touches (its peak minus those is the
+   ancilla overhead). [None] when [rep] is already in the base. *)
+let gadget base (rep : Gate.t) =
+  let next = ref (1 + Resource.max_wire_of rep) in
+  let alloc (_ : Wire.ty) =
+    let w = !next in
+    incr next;
+    w
   in
   match Decompose.expand base ~alloc rep with
-  | [ g ] when g == rep -> `Identity
+  | [ g ] when g == rep -> None
   | gs ->
-      let keyed =
-        List.filter_map
-          (fun g -> Option.map (fun x -> (x, g)) (xkey_of_gate g))
-          gs
+      let inputs =
+        List.sort_uniq
+          (fun (a : Wire.endpoint) b -> Int.compare a.Wire.wire b.Wire.wire)
+          (Gate.wires rep)
       in
-      (* gadget depth: flat per-wire clocks (gadgets contain no calls) *)
-      let time : (Wire.t, int) Hashtbl.t = Hashtbl.create 16 in
-      let depth =
-        List.fold_left
-          (fun acc g ->
-            match g with
-            | Gate.Comment _ -> acc
-            | g ->
-                let wires =
-                  List.map
-                    (fun (e : Wire.endpoint) -> e.Wire.wire)
-                    (Gate.wires g)
-                in
-                let t =
-                  1
-                  + List.fold_left
-                      (fun m w ->
-                        max m
-                          (Option.value (Hashtbl.find_opt time w) ~default:0))
-                      0 wires
-                in
-                List.iter (fun w -> Hashtbl.replace time w t) wires;
-                max acc t)
-          0 gs
-      in
-      (* only unitary gates decompose, so every wire [rep] touches is
-         live before it fires: ancilla overhead = gadget peak - that *)
-      let live0 =
-        List.length
-          (List.sort_uniq Stdlib.compare
-             (List.map (fun (e : Wire.endpoint) -> e.Wire.wire)
-                (Gate.wires rep)))
-      in
-      let _, peakg =
-        List.fold_left
-          (Gatecount.peak_step ~sub_peak:(fun _ -> 0))
-          (live0, live0) gs
-      in
-      `Gadget (keyed, max 1 depth, max 0 (peakg - live0))
+      Some
+        (Resource.of_circuit
+           (Circuit.of_main
+              { Circuit.inputs; gates = Array.of_list gs; outputs = [] }),
+         List.length inputs)
 
-let in_base base v =
-  let counts, reps, maxd, maxe =
+let in_base base (v : t) : t =
+  let counts, maxd, maxe =
     Xmap.fold
-      (fun x w (cacc, racc, maxd, maxe) ->
-        if Wide.is_zero w then (cacc, racc, maxd, maxe)
-        else
-          match Xmap.find_opt x v.reps with
-          | None -> (madd x w cacc, racc, maxd, maxe)
-          | Some rep -> (
-              match gadget_stats base rep with
-              | `Identity ->
-                  ( madd x w cacc,
-                    (if Xmap.mem x racc then racc else Xmap.add x rep racc),
-                    maxd,
-                    maxe )
-              | `Gadget (keyed, d, e) ->
-                  let cacc, racc =
-                    List.fold_left
-                      (fun (c, r) (k, g) ->
-                        ( madd k w c,
-                          if Xmap.mem k r then r else Xmap.add k g r ))
-                      (cacc, racc) keyed
-                  in
-                  (cacc, racc, max maxd d, max maxe e)))
+      (fun x (w, rep) (acc, maxd, maxe) ->
+        match gadget base rep with
+        | None -> (Resource.bump x w rep acc, maxd, maxe)
+        | Some ((gv : t), live) ->
+            ( Xmap.fold
+                (fun k (m, g) acc -> Resource.bump k (Wide.mul w m) g acc)
+                gv.counts acc,
+              max maxd (Resource.to_int "a gadget's depth" gv.depth),
+              max maxe (gv.peak - live) ))
       v.counts
-      (Xmap.empty, Xmap.empty, 1, 0)
+      (Xmap.empty, 1, 0)
   in
   {
+    v with
     counts;
-    reps;
-    in_arity = v.in_arity;
-    out_arity = v.out_arity;
     peak = v.peak + maxe;
     depth = Wide.mul_int v.depth maxd;
   }

@@ -1,24 +1,25 @@
 (** Symbolic resource estimation over the subroutine tree.
 
-    The streaming counters (PR 4) made circuit size independent of RAM,
-    but they still visit every top-level gate: a flat 10^12-gate
-    instance takes 10^12 sink callbacks. This module closes the gap to
-    the paper's scalability claim (§5.4) and to the resource-estimation
-    literature (arXiv:1412.0625): derive, once, a {e resource vector}
-    for each piece of a program — gate counts by kind and class,
-    T-count, a depth bound, peak wires — then combine vectors across
-    call multiplicities, repetitions, controls and inverses without
-    expanding anything. Accumulators are arbitrary-precision ({!Wide}),
-    so quoted totals never silently wrap however far the parameters are
-    pushed.
+    A flat 10^12-gate instance takes 10^12 sink callbacks even when
+    streamed. This module closes the gap to the paper's scalability
+    claim (§5.4) and to the resource-estimation literature
+    (arXiv:1412.0625): derive, once, a {e resource vector} for each
+    piece of a program — gate counts by kind and class, T-count, a depth
+    bound, peak wires — then combine vectors across call multiplicities,
+    repetitions, controls and inverses without expanding anything. The
+    vectors are {!Resource}'s, whose {!Wide} accumulators never wrap
+    however far the parameters are pushed.
 
-    Exactness contract, differentially validated against the exact
-    streamed {!Gatecount}/{!Depth} in [test_estimate]:
+    Exactness contract. {!Gatecount} and {!Depth} are native-int
+    projections of the same vectors, so on one circuit they agree by
+    construction; what [test_estimate] checks differentially is the
+    combinators against the circuits they model, and the vectors against
+    pinned summaries of a fixed circuit corpus:
 
-    - gate counts, T-count and peak wires are {e exact} — [of_circuit]
-      equals [Gatecount.summarize] key for key, and [seq]/[repeat]
-      preserve that equality (each repetition emits the same gate
-      multiset);
+    - gate counts, T-count and peak wires are {e exact}, and
+      [seq]/[repeat] keep them exact (each repetition emits the same
+      gate multiset), as [inverse] and [controlled] do for the reversed
+      and controlled circuits;
     - [depth_bound] is an {e upper bound} on the exact scheduled depth
       ([Depth.depth] of the inlined circuit), equal to the hierarchical
       [Depth.depth] on the same circuit, and exact on flat circuits;
@@ -30,40 +31,7 @@
 
 open Quipper
 
-(** Count keys, refined from {!Gatecount.key}: decomposition treats
-    quantum and classical controls differently (classical controls are
-    never decomposed), so the symbolic estimator keys counts on the full
-    control signature and projects down to [Gatecount.key] for
-    comparisons and printing. *)
-module Xkey : sig
-  type t = {
-    kind : string;  (** canonical kind, as in {!Gatecount.key} *)
-    inverted : bool;
-    arity : int;  (** quantum targets *)
-    qpos : int;
-    qneg : int;  (** quantum controls by sign *)
-    cpos : int;
-    cneg : int;  (** classical controls by sign *)
-    csig : (Wire.ty * bool) list;
-        (** the ordered control signature (type, sign) — the four counts
-            are its tallies. Order is part of the key because
-            multi-control decomposition pairs controls in sequence:
-            same-multiset, different-order control lists can decompose
-            to different sign-multisets, and [in_base] scales one
-            representative's gadget by the key's multiplicity. *)
-  }
-
-  val compare : t -> t -> int
-
-  val to_key : t -> Gatecount.key
-  (** Forget the quantum/classical split. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
-module Xmap : Map.S with type key = Xkey.t
-
-type t
+type t = Resource.t
 (** A resource vector: per-kind {!Wide} gate counts, input/output
     arities, peak simultaneously-live wires, and a {!Wide} depth
     bound. *)
@@ -71,16 +39,13 @@ type t
 (** {1 Deriving vectors} *)
 
 val of_circuit : Circuit.b -> t
-(** The vector of a materialized boxed circuit — the symbolic analogue
-    of [Gatecount.summarize] plus [Depth.depth], computed by the same
-    product-over-the-call-tree recursion (memoized per subroutine and
-    ambient-control signature), never by expansion. *)
+(** [Resource.of_circuit] with every part: the vector of a materialized
+    boxed circuit, never expanded. *)
 
 val sink : unit -> t Sink.t
-(** A streaming consumer ({!Circ.run_streaming}): hierarchical like the
-    gatecount sink — subroutine call gates cost O(1) amortized, bodies
-    are never unboxed. Memory is bounded by distinct gate kinds plus the
-    namespace. *)
+(** [Sink.resource ()]: the same vector from a stream
+    ({!Circ.run_streaming}); subroutine call gates cost O(1) amortized,
+    bodies are never unboxed. *)
 
 val of_circ : in_:('b, 'q, 'c) Qdata.t -> ('q -> 'r Circ.t) -> t
 (** Run a circuit-producing function through {!sink}. *)
@@ -107,8 +72,8 @@ val repeat : int -> t -> t
 
 val inverse : t -> t
 (** The vector of the reversed circuit: Init/Term kinds swap, [inv]
-    bits flip (except self-inverse kinds), arities swap — exactly
-    {!Gatecount.invert_counts} lifted to {!Wide}. *)
+    bits flip (except self-inverse kinds), arities swap — the counts of
+    [Reverse] of the circuit. *)
 
 val controlled : ?pos:int -> ?neg:int -> t -> t
 (** The vector of the same block called under [pos] positive and [neg]
@@ -146,13 +111,8 @@ val total_logical : t -> Wide.t
 val t_count : t -> Wide.t
 (** Uncontrolled T and T* gates (each costs one magic state). *)
 
-val find_kind : t -> string -> Wide.t
-val get : t -> Gatecount.key -> Wide.t
-
 val counts : t -> (Gatecount.key * Wide.t) list
 (** Projected counts in {!Gatecount.Key} order. *)
-
-val xcounts : t -> (Xkey.t * Wide.t) list
 
 val by_class : t -> (Gatecount.klass * Wide.t) list
 (** Counts rolled up by {!Gatecount.class_of_key}, every class listed. *)

@@ -1,7 +1,9 @@
-(* Tests for the depth analysis and the per-subroutine counter. *)
+(* Tests for the depth projection and the per-subroutine counter. *)
 
 open Quipper
 module Gen = Quipper_testgen.Gen
+module Estimate = Quipper_estimate.Estimate
+module Wide = Quipper_estimate.Wide
 open Circ
 
 let checki = Alcotest.(check int)
@@ -67,9 +69,7 @@ let test_hierarchical_depth_bound () =
         sub x)
   in
   let boxed = Depth.depth b in
-  let flat =
-    Depth.depth_of_circuit ~sub_depth:(fun _ -> assert false) (Circuit.inline b)
-  in
+  let flat = Depth.depth (Circuit.of_main (Circuit.inline b)) in
   check "bound holds" true (boxed >= flat);
   checki "flat depth" 2 flat;
   checki "boxed bound" 2 boxed
@@ -80,9 +80,7 @@ let prop_depth_bound_random =
     (fun ops ->
       let b = Gen.circuit_of_program ~n:4 ops in
       let boxed = Depth.depth b in
-      let flat =
-        Depth.depth_of_circuit ~sub_depth:(fun _ -> 0) (Circuit.inline b)
-      in
+      let flat = Depth.depth (Circuit.of_main (Circuit.inline b)) in
       boxed >= flat && flat > 0 = (boxed > 0))
 
 let test_depth_le_gates () =
@@ -92,16 +90,20 @@ let test_depth_le_gates () =
   let total = Gatecount.total (Gatecount.aggregate b) in
   check "1 <= depth <= total gates" true (d >= 1 && d <= total)
 
+(* The T-count is the magic-state count: uncontrolled T and T* only, so
+   the controlled T below is not one of them. *)
 let test_profile () =
   let b, _ =
-    Circ.generate ~in_:Qdata.qubit (fun q ->
+    Circ.generate ~in_:(Qdata.pair Qdata.qubit Qdata.qubit) (fun (q, c) ->
         let* q = gate_T q in
         let* q = hadamard q in
-        gate_T q)
+        let* q = gate_T q in
+        let* q = gate_T q |> controlled [ ctl c ] in
+        return (q, c))
   in
-  let pr = Depth.profile b in
-  checki "t count" 2 pr.Depth.t_gates;
-  checki "depth" 3 pr.Depth.depth
+  let v = Estimate.of_circuit b in
+  check "t count" true (Wide.equal_int (Estimate.t_count v) 2);
+  checki "depth" 4 (Depth.depth b)
 
 let test_per_subroutine () =
   let p = { Algo_tf.Oracle.l = 4; n = 3; r = 2 } in

@@ -1,15 +1,14 @@
 (* The symbolic resource estimator ([Quipper_estimate]).
 
-   The load-bearing property is differential: on everything small enough
-   to count exactly, the symbolic vector must be bit-identical to the
-   streamed/materialized [Gatecount] summary (counts key for key,
-   T-count, peak wires), its depth bound must equal the hierarchical
-   [Depth.depth] and dominate the exact inlined depth, and every
-   combinator ([seq], [repeat], [inverse], [controlled], [in_base]) must
-   match the materialized circuit it models. Then the arbitrary-precision
-   layer ([Wide]) is checked past native-int range, and the composed
-   BWT/TF estimates are checked against the streamed whole algorithms —
-   the small-parameter anchor of the scaled tables in EXPERIMENTS.md. *)
+   [Gatecount], [Depth] and the estimator are projections of one engine
+   ([Resource]), so the anchors are external: summary digests and depths
+   pinned over a 200-program corpus and a boxed circuit, and every
+   combinator ([seq], [repeat], [inverse], [controlled], [in_base])
+   against the materialized circuit it models. Then the arbitrary-
+   precision layer ([Wide]) is checked past native-int range, and the
+   composed BWT/TF estimates are checked against the streamed whole
+   algorithms — the small-parameter anchor of the scaled tables in
+   EXPERIMENTS.md. *)
 
 open Quipper
 open Circ
@@ -86,41 +85,104 @@ let exact_t_count (s : Gatecount.summary) =
       else acc)
     s.Gatecount.counts 0
 
-let prop_corpus =
-  QCheck2.Test.make
-    ~name:
-      "corpus: of_circuit/sink = summarize, depth = Depth.depth, class \
-       rollup (200)"
-    ~count:200
-    (Gen.program_gen ~n:qn ())
-    (fun ops ->
+(* The corpus: program [i] is [Gen.sample ~seed:i]. [Gatecount], [Depth]
+   and [Estimate] are projections of one engine, so comparing them on a
+   circuit compares the engine with itself; the anchor is instead each
+   program's [Gatecount.pp_summary] digest (the first 12 hex digits of
+   its MD5) and [Depth.depth], recorded when the gate counter, the
+   depth tracker and the estimator were three separate recursions that
+   agreed on every seed. *)
+let corpus_program seed = Gen.sample ~seed (Gen.program_gen ~n:qn ())
+
+let summary_digest s =
+  String.sub (Digest.to_hex (Digest.string (Fmt.str "%a" Gatecount.pp_summary s))) 0 12
+
+let pinned_corpus = [|
+  ("36a51468fc19", 14); ("41a00ae170aa", 6); ("2fd9045c1439", 5); ("4de0a51103a6", 8);
+  ("512187e3f1ce", 11); ("46d834426ba4", 9); ("5553a1ef0954", 8); ("f230dfc431eb", 1);
+  ("796fa5637a37", 1); ("fa3afd596676", 1); ("303176376192", 6); ("b9cb03818aab", 8);
+  ("50e86276dd84", 3); ("f9ecfbdd863f", 2); ("ee60afd43608", 9); ("03d36bcc0dfc", 7);
+  ("c37f6aaa1ad1", 10); ("db730d6cb2c5", 3); ("8a5c7ef2b6db", 2); ("53f6c9086d60", 2);
+  ("f720366eda99", 13); ("9365f4c8cd72", 4); ("a29178d43491", 8); ("84a4adc85c15", 12);
+  ("d64ec6d638f5", 2); ("197f121a0479", 10); ("df9875539868", 3); ("1f07379c153c", 8);
+  ("56f1801b5b1e", 21); ("1c023152b89c", 14); ("9bd8f7e5041a", 4); ("ca0d8f4df3bb", 6);
+  ("0860ef7f53de", 6); ("2b355eabdfa0", 7); ("ee23bdf1b6eb", 8); ("cea3bb08c773", 18);
+  ("e0d5424474b1", 10); ("276fad02fd13", 6); ("08c70a84246e", 7); ("93e8ceceef34", 2);
+  ("8be64be0b4c3", 12); ("305442bb18b7", 2); ("8ec569f7205f", 20); ("6bb14c3af990", 5);
+  ("a589a5777767", 7); ("2ac5950cd9a7", 13); ("3f8d830b373e", 4); ("140ed6070d7a", 7);
+  ("ffbbac92a347", 9); ("96f0c408742c", 2); ("1245541feca9", 17); ("a3a912f7e7b8", 2);
+  ("ea016cd8a5f4", 8); ("847da84aee8e", 6); ("d4630b53a695", 9); ("8d78a8c14261", 2);
+  ("d267fda63d9f", 9); ("b36af9122e0b", 3); ("6b1751a874da", 9); ("e4544949acda", 12);
+  ("cc18d474278b", 6); ("6e5d162088e0", 7); ("1569ec56182a", 13); ("9de6beda586c", 4);
+  ("f3c1d45efcf4", 5); ("4f7b939f7ea5", 8); ("50b41e18602c", 10); ("6a5d81c93776", 4);
+  ("a5f1eda9cab8", 14); ("5f4ee3b8620d", 15); ("2db3bec3bf00", 8); ("63433cdec6d4", 8);
+  ("a0552e4b2d33", 2); ("24d3ff9bbc03", 13); ("a166d82c90cd", 3); ("446a26b94e7b", 8);
+  ("95d14a283057", 5); ("cd53d41001c2", 3); ("c3dcf0b4ac7a", 9); ("a20df52aa798", 2);
+  ("87e02ff282f2", 2); ("cfead6941856", 2); ("031f4f8ff744", 6); ("796fa5637a37", 1);
+  ("173be14d71e0", 2); ("a9a2f0895af4", 8); ("b162bd989d3d", 8); ("678c0e2d80a2", 9);
+  ("8e30c88775da", 17); ("37aee22029b1", 6); ("15ad2467a8fe", 6); ("dd9c1cd040dc", 10);
+  ("d7bc0504ffd9", 2); ("83f17bf4ab07", 5); ("61e6326e43a1", 3); ("bcd3ac179007", 4);
+  ("44213b5901c9", 8); ("250532f66811", 15); ("f3d2e2e36d18", 15); ("c4ff921a5552", 5);
+  ("2e4615ee99d9", 7); ("ede86218d306", 13); ("303cc2c3d366", 5); ("b2f020f43919", 1);
+  ("98c3c4aaed3a", 7); ("2ca279c9bda4", 7); ("b68c295f7671", 13); ("19cd21cccff1", 3);
+  ("b30cddce025d", 9); ("da7785fe889e", 12); ("f8f21bd118d6", 4); ("97848e514b6c", 8);
+  ("bbdbc1ba1c2d", 1); ("3401b8a7e4f2", 3); ("980b2a5fdbd3", 24); ("fa3afd596676", 1);
+  ("9a8014dda9be", 3); ("3ccf63e938e9", 14); ("39bd9ed8e847", 4); ("60f1bc6e6d72", 3);
+  ("70d5d6d06aa0", 3); ("b7b494133597", 11); ("0ab0d119a70d", 7); ("3c1fb842d05c", 8);
+  ("e2afd106166c", 5); ("92aaaa33c72a", 21); ("c666c749ccbc", 6); ("5e817051e6f5", 6);
+  ("3dc411d3638d", 3); ("a724338adec4", 20); ("531f185fba41", 3); ("f0268dada604", 7);
+  ("fa3afd596676", 1); ("b5da46d7213a", 2); ("3359c48cca64", 2); ("50e86276dd84", 2);
+  ("57a986b3267d", 4); ("39f6c34bd143", 9); ("0b2957a29385", 7); ("8bf16a420a22", 2);
+  ("5ef2a154d43e", 8); ("5233b674f4ed", 2); ("e95233b123f6", 3); ("5cefa991f7ce", 2);
+  ("8fb74ed40cc2", 2); ("fdc496b71db3", 1); ("ff83093eccb9", 9); ("e5cfb481bdb7", 17);
+  ("9cedb61211b6", 3); ("89b73f7cd0c7", 2); ("ee64d6daef81", 15); ("65370d8bc98f", 9);
+  ("9d2338c1ed42", 8); ("9d8f60a867cb", 8); ("b81d46b3afcc", 19); ("d19cc5e31692", 14);
+  ("6c6b00168dd0", 11); ("edd50b12fcd3", 2); ("fdc496b71db3", 1); ("31b2aaaa91f5", 16);
+  ("a429691bd825", 8); ("fb2b971c92a7", 3); ("cee0addc6d67", 8); ("c6a76744d460", 8);
+  ("0d6b39a30783", 11); ("fd146f089c13", 5); ("be8883aa6ad2", 2); ("ed078d1357d7", 1);
+  ("670be0d539bc", 1); ("af399e11766c", 26); ("9ec69a041e2c", 11); ("5f374863a4ce", 3);
+  ("a6b35e2124c6", 5); ("37a52f86c826", 4); ("e37fdba6e6d3", 9); ("6762d6ea6233", 5);
+  ("333d08f6332a", 12); ("5973f8ee9b28", 6); ("5f374863a4ce", 3); ("9b784be06638", 10);
+  ("8363653e412f", 6); ("872dc643a2b5", 1); ("e6541c649459", 5); ("0014a8fb3351", 7);
+  ("2ee7109d6441", 13); ("6e9ba96bee11", 6); ("bbdbc1ba1c2d", 1); ("31aaa308f9b7", 17);
+  ("835f73e5331a", 9); ("fa3afd596676", 1); ("6bcccd6ab665", 10); ("e1c376aa8e53", 2);
+  ("d9af8489e41c", 4); ("3afaab2ed807", 5); ("1c7dd777d830", 18); ("9ec0babe7c63", 30);
+  ("ae240a216c68", 3); ("18f2c30a5838", 9); ("4c05b4a0fb6e", 5); ("78bb785cc4fa", 6);
+|]
+
+let test_corpus_pinned () =
+  Array.iteri
+    (fun seed (digest, depth) ->
+      let ops = corpus_program seed in
       let b = Gen.circuit_of_program ~n:qn ops in
       let s = Gatecount.summarize b in
       let v = Estimate.of_circuit b in
-      let vs = est_of ~n:qn ops in
-      Estimate.agrees v s
+      let fail what = Alcotest.failf "seed %d: %s" seed what in
+      if summary_digest s <> digest then fail "summary differs from the pinned one";
+      if Depth.depth b <> depth then fail "depth differs from the pinned one";
       (* the streaming sink and the materialized walk build one vector *)
-      && Estimate.equal v vs
-      && Wide.equal_int (Estimate.t_count v) (exact_t_count s)
-      (* generated programs are flat at top level, so the depth bound is
-         the exact scheduled depth *)
-      && Wide.equal_int (Estimate.depth_bound v) (Depth.depth b)
-      && Estimate.peak_wires v = s.Gatecount.qubits
+      if not (Estimate.equal v (est_of ~n:qn ops)) then fail "sink <> of_circuit";
+      if not (Wide.equal_int (Estimate.t_count v) (exact_t_count s)) then
+        fail "t-count";
       (* the by-class rollup partitions the total *)
-      && Wide.equal
-           (List.fold_left
-              (fun acc (_, w) -> Wide.add acc w)
-              Wide.zero (Estimate.by_class v))
-           (Estimate.total v))
+      if
+        not
+          (Wide.equal
+             (List.fold_left
+                (fun acc (_, w) -> Wide.add acc w)
+                Wide.zero (Estimate.by_class v))
+             (Estimate.total v))
+      then fail "by-class rollup")
+    pinned_corpus
 
-(* [inverse] and [controlled] against the materialized counterparts. *)
+(* [inverse] against the counts of the materialized reversed circuit. *)
 let prop_inverse =
-  QCheck2.Test.make ~name:"corpus: inverse = invert_counts (100)" ~count:100
+  QCheck2.Test.make ~name:"corpus: inverse = Reverse (100)" ~count:100
     (Gen.program_gen ~n:qn ())
     (fun ops ->
       let b = Gen.circuit_of_program ~n:qn ops in
       let v = Estimate.inverse (Estimate.of_circuit b) in
-      counts_match v (Gatecount.invert_counts (Gatecount.aggregate b))
+      counts_match v (Gatecount.aggregate (Reverse.bcircuit b))
       && Estimate.in_arity v = List.length b.Circuit.main.Circuit.outputs
       && Estimate.out_arity v = List.length b.Circuit.main.Circuit.inputs)
 
@@ -220,14 +282,16 @@ let boxed_circuit () =
   in
   b
 
+(* [boxed_circuit]'s summary digest and depth, pinned like the corpus. *)
+let boxed_pinned = ("0978cc190737", 16)
+
 let test_boxed () =
   let b = boxed_circuit () in
   let s = Gatecount.summarize b in
   let v = Estimate.of_circuit b in
-  check "boxed counts exact (plain, controlled and inverse calls)" true
-    (Estimate.agrees v s);
-  check "boxed depth bound = hierarchical Depth.depth" true
-    (Wide.equal_int (Estimate.depth_bound v) (Depth.depth b));
+  check "boxed counts and depth pinned (plain, controlled and inverse calls)" true
+    ((summary_digest s, Depth.depth b) = boxed_pinned);
+  check "boxed estimate = summary" true (Estimate.agrees v s);
   let flat = Circuit.of_main (Circuit.inline b) in
   check "boxed depth bound >= exact inlined depth" true
     (match Wide.to_int_opt (Estimate.depth_bound v) with
@@ -326,7 +390,9 @@ let suite =
   [
     Alcotest.test_case "wide: basics vs int reference" `Quick test_wide_basics;
     Alcotest.test_case "wide: past native-int range" `Quick test_wide_overflow;
-    QCheck_alcotest.to_alcotest prop_corpus;
+    Alcotest.test_case
+      "corpus: of_circuit/sink = summarize, pinned digests and depths (200)"
+      `Quick test_corpus_pinned;
     QCheck_alcotest.to_alcotest prop_inverse;
     QCheck_alcotest.to_alcotest prop_controlled;
     QCheck_alcotest.to_alcotest prop_compose;

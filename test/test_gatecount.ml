@@ -236,6 +236,71 @@ let prop_aggregate_equals_inline =
       let flat = Gatecount.shallow (Circuit.inline b) in
       Gatecount.Counts.equal ( = ) agg flat)
 
+(* A box tree [levels] deep, each box calling the one below twice, the
+   bottom one a Hadamard: 2^(levels-1) gates and as many steps of depth.
+   Built as a [Circuit.b] directly, so nothing on the way counts. *)
+let doubling_tree levels =
+  let w = [ Wire.qw 0 ] in
+  let name k = Fmt.str "level%d" k in
+  let call k =
+    Gate.Subroutine
+      { name = name k; inv = false; inputs = [ 0 ]; outputs = [ 0 ]; controls = [] }
+  in
+  let body k =
+    if k = 0 then [| Gate.Gate { name = "H"; inv = false; targets = [ 0 ]; controls = [] } |]
+    else [| call (k - 1); call (k - 1) |]
+  in
+  let subs =
+    List.fold_left
+      (fun subs k ->
+        Circuit.Namespace.add (name k)
+          { Circuit.circ = { Circuit.inputs = w; gates = body k; outputs = w };
+            controllable = true }
+          subs)
+      Circuit.Namespace.empty
+      (List.init levels Fun.id)
+  in
+  { Circuit.main = { Circuit.inputs = w; gates = [| call (levels - 1) |]; outputs = w };
+    subs;
+    sub_order = List.init levels name }
+
+let test_overflow_raises () =
+  let direct = doubling_tree 64 in
+  let text = Printer.to_string direct in
+  let parsed = Parser.parse text in
+  Alcotest.(check string) "printer/parser roundtrip" text (Printer.to_string parsed);
+  List.iter
+    (fun (how, b) ->
+      let raises what f =
+        match f () with
+        | exception Errors.Error (Errors.Invalid msg) ->
+            check (Fmt.str "%s: %s names --estimate" how what) true
+              (Astring_contains.contains msg "--estimate")
+        | _ -> Alcotest.failf "%s: %s wrapped instead of raising" how what
+      in
+      raises "aggregate" (fun () -> Gatecount.aggregate b);
+      raises "summarize" (fun () -> Gatecount.summarize b);
+      raises "streamed gatecount" (fun () -> Sink.drive b (Sink.gatecount ()));
+      raises "depth" (fun () -> Depth.depth b);
+      raises "streamed depth" (fun () -> Sink.drive b (Sink.depth ()));
+      (* the exact figures are one flag away *)
+      let v = Quipper_estimate.Estimate.of_circuit b in
+      let exact = "9223372036854775808" in
+      check (how ^ ": estimate total") true
+        (Quipper_estimate.Wide.to_string (Quipper_estimate.Estimate.total v) = exact);
+      check (how ^ ": estimate depth") true
+        (Quipper_estimate.Wide.to_string (Quipper_estimate.Estimate.depth_bound v)
+        = exact))
+    [ ("direct", direct); ("parsed", parsed) ];
+  (* every key fits, the sum does not *)
+  let counts = Gatecount.aggregate (doubling_tree 62) in
+  checki "2^61 fits" (1 lsl 61) (Gatecount.total counts);
+  let t = { Gatecount.kind = "T"; inverted = false; pos_controls = 0; neg_controls = 0 } in
+  match Gatecount.total (Gatecount.Counts.add t (1 lsl 61) counts) with
+  | exception Errors.Error (Errors.Invalid msg) ->
+      check "total names --estimate" true (Astring_contains.contains msg "--estimate")
+  | n -> Alcotest.failf "total wrapped to %d" n
+
 let suite =
   [
     Alcotest.test_case "exponential aggregate counting" `Quick test_exponential_counting;
@@ -251,4 +316,5 @@ let suite =
     Alcotest.test_case "golden summary (BF oracle 3x3)" `Quick test_summary_golden_bf;
     Alcotest.test_case "golden summary (USV)" `Quick test_summary_golden_usv;
     QCheck_alcotest.to_alcotest prop_aggregate_equals_inline;
+    Alcotest.test_case "overflow raises, never wraps" `Quick test_overflow_raises;
   ]
