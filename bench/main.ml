@@ -985,8 +985,9 @@ let n6 () =
    versus the naive per-shot rebuild+resimulate loop — at 1, 8 and 64
    concurrent clients on the BWT exact-walk and repetition-code
    workloads. Acceptance: >= 10x shots/sec over naive at 64 clients on
-   BWT, with bit-identical per-shot outcomes at equal seeds. Every row
-   lands in BENCH_N7.json. *)
+   BWT, with bit-identical per-shot outcomes at equal seeds. Then the
+   kernel split's break-even on the worker pool, by state size. Every
+   row lands in BENCH_N7.json. *)
 
 let n7 () =
   section "N7: shot service (batched sampling vs per-shot resimulation)";
@@ -1111,6 +1112,63 @@ let n7 () =
            (warm.Serve.misses - cold.Serve.misses)
            cold.Serve.hits cold.Serve.misses))
     workloads;
+  (* Where the kernel split breaks even, given that a split costs one
+     pool wake-up: one butterfly (H) and one pure move (X) per call,
+     forced through the 2-domain split against the sequential path, by
+     state size. The rows record where Kernel.threshold could sit; they
+     do not set it. *)
+  let saved_t = !Kernel.threshold in
+  let samples = if quick then 3 else 7 in
+  Fmt.pr "@.  kernel split on the pool, us per call (median of %d):@." samples;
+  Fmt.pr "  %-8s %8s %12s %12s %8s@." "kernel" "qubits" "1 domain" "2 domains"
+    "speedup";
+  let kernels =
+    [
+      ("h", fun ~re ~im ~size ~bit ->
+          Kernel.kh ~re ~im ~size ~bit ~cmask:0 ~cwant:0);
+      ("x", fun ~re ~im ~size ~bit ->
+          Kernel.kx ~re ~im ~size ~bit ~cmask:0 ~cwant:0);
+    ]
+  in
+  List.iter
+    (fun (kname, k) ->
+      List.iter
+        (fun q ->
+          let size = 1 lsl q and bit = 1 lsl (q / 2) in
+          let re = Array.init size (fun i -> float_of_int (i land 7))
+          and im = Array.make size 0.25 in
+          (* ~16M amplitudes swept per sample, so small states time many
+             calls and large ones a few *)
+          let calls = max 4 ((1 lsl 24) / size) in
+          let per_call_us d =
+            Kernel.num_domains := d;
+            Kernel.threshold := 1;
+            let sample () =
+              let (), s =
+                time (fun () ->
+                    for _ = 1 to calls do
+                      k ~re ~im ~size ~bit
+                    done)
+              in
+              s *. 1e6 /. float_of_int calls
+            in
+            let xs = List.sort compare (List.init samples (fun _ -> sample ())) in
+            Kernel.num_domains := saved;
+            Kernel.threshold := saved_t;
+            List.nth xs (samples / 2)
+          in
+          let d1 = per_call_us 1 in
+          let d2 = per_call_us 2 in
+          Fmt.pr "  %-8s %8d %12.2f %12.2f %7.2fx@." kname q d1 d2 (d1 /. d2);
+          record
+            (Fmt.str
+               "  {\"name\": \"kernel_split\", \"kernel\": \"%s\", \"qubits\": \
+                %d, \"amplitudes\": %d, \"us_per_call_1_domain\": %.3f, \
+                \"us_per_call_2_domains\": %.3f, \"speedup\": %.3f}"
+               kname q size d1 d2 (d1 /. d2)))
+        (if quick then [ 12; 16; 20 ]
+         else [ 10; 12; 13; 14; 15; 16; 18; 20; 22 ]))
+    kernels;
   let oc = open_out "BENCH_N7.json" in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "[\n";

@@ -37,7 +37,8 @@ let domains_arg =
     value & opt int 0
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel kernels and batched requests (0 = keep \
+          "Parallel chunks for large kernels and batched requests, run on a \
+           worker pool capped at the core count (0 = keep \
            the default: $(b,QUIPPER_DOMAINS) when set, else the machine's \
            recommended count). Outcomes never depend on this.")
 

@@ -85,8 +85,8 @@ let run_batch wl n s dt distance rounds shots requests clients seed backend chec
     List.init requests (fun r ->
         { Serve.circuit; inputs; shots; seed = Rng.derive seed r })
   in
-  (* [clients] concurrent clients = that many requests in flight at
-     once: the batch fans across that many worker domains *)
+  (* [clients] concurrent clients = the batch splits into that many
+     request chunks, served on the process-wide pool *)
   let saved = !Kernel.num_domains in
   if clients > 0 then Kernel.num_domains := clients;
   let t0 = Unix.gettimeofday () in
@@ -291,7 +291,8 @@ let clients_arg =
   Arg.(
     value & opt int 0
     & info [ "clients" ] ~docv:"C"
-        ~doc:"Concurrent clients (worker domains serving the batch; 0 = the \
+        ~doc:"Concurrent clients (request chunks the batch splits into, \
+              served by a worker pool capped at the core count; 0 = the \
               domain default). Throughput scales, outcomes do not change.")
 
 let backend_arg =

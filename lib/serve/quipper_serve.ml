@@ -20,10 +20,10 @@
     so boxed subroutines compile once for the whole service. Both caches
     are LRU-bounded when a capacity is given: a long-lived service under
     a diverse request stream evicts the least-recently-used preparation
-    instead of growing without bound. Batches fan across domains in
-    contiguous deterministic chunks: shot [s] of request [r] depends
-    only on [Rng.derive r.seed s], never on the worker count or which
-    worker served it.
+    instead of growing without bound. Batches split into contiguous
+    deterministic chunks on the process-wide {!Quipper_sim.Pool}: shot
+    [s] of request [r] depends only on [Rng.derive r.seed s], never on
+    the worker count or which worker served it.
 
     Parameter sweeps — the same circuit skeleton at many rotation-angle
     vectors — get a second cache level keyed on
@@ -42,6 +42,7 @@ module Fuse = Quipper_sim.Fuse
 module Statevector = Quipper_sim.Statevector
 module Clifford = Quipper_sim.Clifford
 module Kernel = Quipper_sim.Kernel
+module Pool = Quipper_sim.Pool
 module Stream_opt = Quipper_opt.Stream_opt
 
 type request = {
@@ -399,27 +400,16 @@ let submit t req : reply =
   let entry, cache_hit = lookup_or_prepare t req in
   draw_shots entry ~shots:req.shots ~seed:req.seed ~cache_hit
 
-(* Fan [serve 0 .. serve (n-1)] across domains in contiguous
-   deterministic chunks: result [i] is a function of item [i] alone, so
-   the worker count changes wall-clock only, never outcomes. *)
+(* Serve [0 .. n-1] as up to [num_domains] contiguous chunks on the pool:
+   result [i] is a function of item [i] alone, so the chunking and the
+   worker count change wall-clock only, never outcomes. *)
 let fan_out n serve =
-  let workers = min (max 1 !Kernel.num_domains) n in
-  if workers <= 1 then
-    for i = 0 to n - 1 do
-      serve i
-    done
-  else begin
-    let chunk = (n + workers - 1) / workers in
-    let doms =
-      List.init workers (fun w ->
-          Domain.spawn (fun () ->
-              let lo = w * chunk and hi = min n ((w + 1) * chunk) in
-              for i = lo to hi - 1 do
-                serve i
-              done))
-    in
-    List.iter Domain.join doms
-  end
+  let chunks = max 1 (min !Kernel.num_domains n) in
+  let chunk = (n + chunks - 1) / chunks in
+  Pool.run ~domains:chunks chunks (fun w ->
+      for i = w * chunk to min n ((w + 1) * chunk) - 1 do
+        serve i
+      done)
 
 let submit_batch t (reqs : request list) : (reply, string) result list =
   let reqs = Array.of_list reqs in

@@ -10,9 +10,10 @@
     A service caches prepared states across requests, keyed on
     [(Circuit.hash, inputs)] and LRU-bounded when given a capacity, and
     shares one {!Quipper_sim.Fuse} compiled-box cache across all
-    preparations; {!submit_batch} fans independent requests across
-    domains in deterministic chunks, so every outcome is a function of
-    the request's own seed — never of the worker count.
+    preparations; {!submit_batch} splits independent requests into
+    deterministic contiguous chunks run on a process-wide pool, capped at
+    the core count, with the caller taking part — so every outcome is a
+    function of the request's own seed, never of the worker count.
 
     {!submit_sweep} serves parameter sweeps — one circuit skeleton at
     many rotation-angle vectors — through a second cache keyed on
@@ -113,15 +114,19 @@ val submit : t -> request -> reply
     retries. *)
 
 val submit_batch : t -> request list -> (reply, string) result list
-(** Serve independent requests concurrently across up to
-    [!Quipper_sim.Kernel.num_domains] domains (deterministic contiguous
-    chunking — outcomes are independent of the worker count, {e and} of
-    whether [submit] or [submit_batch] served them). Exceptions are
-    contained per request: one failing request never loses a batch. *)
+(** Serve independent requests concurrently: the batch splits into
+    [min !Quipper_sim.Kernel.num_domains n] contiguous chunks of
+    [ceil (n / chunks)] requests, run on {!Quipper_sim.Pool} — a
+    process-wide pool, capped at the core count, with the caller taking
+    part. Outcomes are independent of the chunk and worker counts, {e
+    and} of whether [submit] or [submit_batch] served them. Exceptions
+    are contained per request: one failing request never loses a
+    batch. *)
 
 val submit_sweep : t -> sweep -> (reply, string) result list
-(** Serve every point of a parameter sweep, fanned across domains like
-    {!submit_batch}. The angle-independent structure — fuser block
+(** Serve every point of a parameter sweep, chunked onto the same
+    process-wide pool (capped at the core count, with the caller taking
+    part) as {!submit_batch}. The angle-independent structure — fuser block
     boundaries, commutation scheduling, wire remaps, box replay
     plumbing — is compiled once per [(Circuit.hash_skeleton, inputs)]
     class ({!Quipper_sim.Fuse.compile_template}) and cached across

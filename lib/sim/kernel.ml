@@ -35,9 +35,11 @@
     Kernels operate on the first [size] elements of the (re, im) pair of
     unboxed float arrays; the arrays may be longer (capacity-managed by
     {!Statevector}). Above {!threshold} amplitudes, elementwise kernels
-    chunk their compressed index space across [num_domains] OCaml 5
-    [Domain]s. Chunking is deterministic and elementwise, so results do
-    not depend on the domain count; reductions that feed sampling
+    split their compressed index space into [num_domains] contiguous
+    chunks, run on {!Pool} — a process-wide pool, capped at the core
+    count, with the caller taking part. Chunking is deterministic and
+    elementwise, so results depend on neither the domain count nor the
+    number of live workers; reductions that feed sampling
     (measurement probabilities) are sequential by design — ordered float
     summation, and hence every sampled outcome, is identical on any
     machine. *)
@@ -60,23 +62,19 @@ let num_domains =
 
 let threshold =
   ref (match env_int "QUIPPER_PAR_THRESHOLD" with Some t -> t | None -> 1 lsl 19)
-(** Minimum number of amplitudes before a kernel fans out across
-    domains; below it, spawn overhead dominates. *)
+(** Minimum number of amplitudes before a kernel fans out on the pool;
+    bench section N7 measures where the split breaks even. *)
 
-(** [par_range n f] runs [f lo hi] over a partition of [0, n), in
-    parallel when worthwhile. [f] must touch disjoint state per index. *)
+(** [par_range n f] runs [f lo hi] over [num_domains] contiguous chunks
+    of [0, n) (the last takes the remainder) on the pool, when [n]
+    reaches the threshold. [f] must touch disjoint state per index. *)
 let par_range n (f : int -> int -> unit) =
   let d = !num_domains in
   if d <= 1 || n < !threshold then f 0 n
-  else begin
+  else
     let chunk = n / d in
-    let workers =
-      Array.init (d - 1) (fun k ->
-          Domain.spawn (fun () -> f (k * chunk) ((k + 1) * chunk)))
-    in
-    f ((d - 1) * chunk) n;
-    Array.iter Domain.join workers
-  end
+    Pool.run ~domains:d d (fun k ->
+        f (k * chunk) (if k = d - 1 then n else (k + 1) * chunk))
 
 (* Expand a compressed index [j] (over the subspace where the target bit
    is 0) to the full index: insert a 0 bit at position [p], where

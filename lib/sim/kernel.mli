@@ -10,27 +10,32 @@
     caller) and produce results bit-identical to the generic matrix
     path of the {!Reference} engine.
 
-    Elementwise kernels partition their index space across OCaml 5
-    [Domain]s when [size] reaches {!threshold}; the partition is
-    deterministic and elementwise, so results are independent of the
-    domain count. *)
+    Elementwise kernels partition their index space into
+    {!num_domains} chunks when [size] reaches {!threshold} and run them
+    on {!Pool} — a process-wide pool, capped at the core count, with the
+    caller taking part; the partition is deterministic and elementwise,
+    so results are independent of the domain count. *)
 
 val num_domains : int ref
-(** Domains used by large kernels; defaults to
-    [Domain.recommended_domain_count ()], overridden at startup by the
-    environment variable [QUIPPER_DOMAINS] when it holds a positive
-    integer (benchmarks and CI pin parallelism this way without code
-    edits). Set to 1 to force the sequential path. *)
+(** Chunks a large kernel (and a {!Quipper_serve} batch) splits into;
+    defaults to [Domain.recommended_domain_count ()], overridden at
+    startup by the environment variable [QUIPPER_DOMAINS] when it holds
+    a positive integer (benchmarks and CI pin parallelism this way
+    without code edits). The chunks run on {!Pool}, a process-wide pool
+    capped at the core count with the caller taking part, so any value
+    is safe, however far past OCaml's domain limit. Set to 1 to force
+    the sequential path. *)
 
 val threshold : int ref
-(** Minimum amplitude count before kernels fan out across domains;
+(** Minimum amplitude count before kernels fan out on the pool;
     defaults to [2^19], overridden at startup by the environment
     variable [QUIPPER_PAR_THRESHOLD] when it holds a positive integer. *)
 
 val par_range : int -> (int -> int -> unit) -> unit
-(** [par_range n f] runs [f lo hi] over a partition of [0, n), in
-    parallel above the threshold. [f] must touch disjoint state per
-    index. *)
+(** [par_range n f] runs [f lo hi] over a partition of [0, n): below
+    the threshold as one call, above it as {!num_domains} contiguous
+    chunks (the last takes the remainder) on the pool. [f] must touch
+    disjoint state per index. *)
 
 val kx :
   re:float array -> im:float array -> size:int -> bit:int -> cmask:int ->

@@ -25,6 +25,7 @@ let () =
       ("fuse", Test_fuse.suite);
       ("frame", Test_frame.suite);
       ("serve", Test_serve.suite);
+      ("pool", Test_pool.suite);
       ("sweep", Test_sweep.suite);
       ("estimate", Test_estimate.suite);
     ]
