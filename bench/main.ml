@@ -673,9 +673,8 @@ let n2 () =
         ancilla pair allocated and retired inside every segment, so
         Init/Term land mid-run and must commute past pending blocks;
      3. boxed repeated calls: one arithmetic-style body boxed once and
-        called over rotating wire windows, fused with the per-box
-        compilation cache on and off — the cache's own contribution is
-        the gap between the two fused legs.
+        called over rotating wire windows, each call replaying the
+        body's compiled block program.
 
    Every row also lands in BENCH_N5.json for machine consumption. *)
 
@@ -864,22 +863,13 @@ let n5 () =
     b
   in
   let g = flat_gates boxed in
-  let nocache = { Fuse.default_config with Fuse.cache = false } in
   let sv, t_unf = time_best (fun () -> Sv.run_circuit ~seed:1 boxed (zeros nb)) in
-  let fu0, t_nc =
-    time_best (fun () ->
-        Fuse.run_circuit ~config:nocache ~seed:1 boxed (zeros nb))
-  in
   let fu, t_fus = time_best (fun () -> Fuse.run_circuit ~seed:1 boxed (zeros nb)) in
-  let dev_nc = max_dev (Sv.amplitudes sv) (Fuse.amplitudes fu0) in
   let dev = max_dev (Sv.amplitudes sv) (Fuse.amplitudes fu) in
   let label = Fmt.str "boxed_calls_%dq" nb in
-  row (label ^ " (cache off)") g t_unf t_nc dev_nc;
-  row (label ^ " (cache on)") g t_unf t_fus dev;
+  row label g t_unf t_fus dev;
   Fmt.pr "    %a@." Fuse.pp_stats (Fuse.stats fu);
-  Fmt.pr "    box-cache win over re-fusing each call: %.2fx@." (t_nc /. t_fus);
   record (label ^ "_unfused") g t_unf 1.0;
-  record (label ^ "_fused_nocache") g t_nc (t_unf /. t_nc);
   record (label ^ "_fused_cache") g t_fus (t_unf /. t_fus);
   (* machine-readable dump *)
   let oc = open_out "BENCH_N5.json" in

@@ -700,17 +700,7 @@ let replay (c : ctx) (circ : Circuit.t) (actual_ins : Wire.endpoint list) :
 let reverse_fun ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
     (f : 'q -> 'q2 t) : 'q2 -> 'q t =
  fun y c ->
-  let circ = capture c in_ out f in
-  let rev_gates =
-    Array.of_list
-      (Array.fold_left
-         (fun acc g -> if Gate.is_comment g then acc else Gate.inverse g :: acc)
-         [] circ.Circuit.gates)
-  in
-  let rev_circ =
-    { Circuit.inputs = circ.Circuit.outputs; gates = rev_gates;
-      outputs = circ.Circuit.inputs }
-  in
+  let rev_circ = Circuit.reverse (capture c in_ out f) in
   let actual_outs = replay c rev_circ (out.Qdata.qleaves y) in
   in_.Qdata.qbuild actual_outs
 
@@ -754,36 +744,12 @@ let with_computed (compute : 'a t) (use : 'a -> 'b t) : 'b t =
       c.controls <- saved_controls;
       b)
 
-(** Paper-style [with_computed_fun x compute use]. *)
+(** Paper-style [with_computed_fun x compute use]: compute from [x], use,
+    uncompute back to [x]. [use] must return the intermediate value
+    unchanged. *)
 let with_computed_fun (x : 'x) (compute : 'x -> 'a t) (use : 'a -> ('a * 'r) t) :
     ('x * 'r) t =
- fun c ->
-  (* Quipper's version: compute from x, use, uncompute back to x. The
-     intermediate value must be returned unchanged by [use]. *)
-  let trimming = !control_trimming in
-  let saved_controls = c.controls in
-  begin_retain c;
-  Fun.protect
-    ~finally:(fun () -> end_retain c)
-    (fun () ->
-      if trimming then c.controls <- [];
-      let start = Vec.length c.buf in
-      let a = compute x c in
-      let mid = Vec.length c.buf in
-      c.controls <- saved_controls;
-      let a', r = use a c in
-      ignore a';
-      c.controls <- [];
-      (try
-         for i = mid - 1 downto start do
-           let g = Vec.get c.buf i in
-           if not (Gate.is_comment g) then emit c (Gate.inverse g)
-         done
-       with e ->
-         c.controls <- saved_controls;
-         raise e);
-      c.controls <- saved_controls;
-      (x, r))
+  with_computed (fun c -> compute x c) (fun a c -> (x, snd (use a c)))
 
 (* ------------------------------------------------------------------ *)
 (* Boxed subcircuits (§4.4.4)                                          *)

@@ -138,102 +138,52 @@ let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
     Errors.invalidf "circuit leaves %d wires live but declares %d outputs"
       (Hashtbl.length live) (List.length c.outputs)
 
+(** Reject a box call graph with a cycle: a box that calls itself,
+    directly or through other boxes, has no finite expansion, and every
+    walker that expands calls would run forever on it. Names without a
+    definition are opaque leaves, as in {!validate}. *)
+let check_acyclic (b : b) =
+  let state : (string, [ `Open | `Closed ]) Hashtbl.t = Hashtbl.create 16 in
+  let rec visit stack name =
+    match Hashtbl.find_opt state name with
+    | Some `Closed -> ()
+    | Some `Open ->
+        (* [stack] is the open path, innermost first; the cycle is its
+           suffix from [name]'s own frame *)
+        let rec upto acc = function
+          | [] -> acc
+          | n :: _ when n = name -> n :: acc
+          | n :: rest -> upto (n :: acc) rest
+        in
+        Errors.invalidf "recursive box call: %s"
+          (String.concat " -> " (upto [ name ] stack))
+    | None -> (
+        match Namespace.find_opt name b.subs with
+        | None -> ()
+        | Some s ->
+            Hashtbl.replace state name `Open;
+            Array.iter
+              (function
+                | Gate.Subroutine { name = callee; _ } ->
+                    visit (name :: stack) callee
+                | _ -> ())
+              s.circ.gates;
+            Hashtbl.replace state name `Closed)
+  in
+  Namespace.iter (fun name _ -> visit [] name) b.subs
+
 let validate_b (b : b) =
+  check_acyclic b;
   validate ~subs:b.subs b.main;
   Namespace.iter (fun _ s -> validate ~subs:b.subs s.circ) b.subs
-
-(* ------------------------------------------------------------------ *)
-(* Inlining                                                            *)
-
-(** Expand every [Subroutine] gate of [b]'s main circuit recursively,
-    producing a flat circuit together with, for each emitted gate, the
-    stack of subroutine names it was inlined out of (outermost first; []
-    for gates of the main circuit). Fresh ids for the callee's internal
-    wires are drawn from [fresh]. Only feasible for small circuits, but
-    invaluable for testing that hierarchical operations (counting,
-    reversal, simulation) agree with their flat counterparts, and for
-    fault-site enumeration, which must report where in the hierarchy a
-    fault lands. *)
-let inline_provenance (b : b) : t * string list array =
-  let fresh =
-    ref
-      (List.fold_left
-         (fun acc (e : Wire.endpoint) -> max acc (e.wire + 1))
-         0 b.main.inputs)
-  in
-  let bump w = if w >= !fresh then fresh := w + 1 in
-  let out = Vec.create () in
-  let prov = Vec.create () in
-  let rec emit_circuit (c : t) (rename : Wire.t -> Wire.t) (path : string list) =
-    Array.iter
-      (fun g ->
-        let g = Gate.rename rename g in
-        match g with
-        | Gate.Subroutine { name; inv; inputs; outputs; controls } ->
-            let { circ; _ } = find_sub b name in
-            let body_gates =
-              if inv then
-                (* reverse of the body: gates reversed and inverted *)
-                Array.of_list
-                  (Array.fold_left
-                     (fun acc g ->
-                       if Gate.is_comment g then acc else Gate.inverse g :: acc)
-                     [] circ.gates)
-              else circ.gates
-            in
-            let d_in = if inv then circ.outputs else circ.inputs in
-            let d_out = if inv then circ.inputs else circ.outputs in
-            let map = Hashtbl.create 16 in
-            List.iter2
-              (fun (e : Wire.endpoint) actual -> Hashtbl.replace map e.wire actual)
-              d_in inputs;
-            List.iter2
-              (fun (e : Wire.endpoint) actual -> Hashtbl.replace map e.wire actual)
-              d_out outputs;
-            let rename' w =
-              match Hashtbl.find_opt map w with
-              | Some w' -> w'
-              | None ->
-                  let w' = !fresh in
-                  incr fresh;
-                  Hashtbl.add map w w';
-                  w'
-            in
-            let sub : t =
-              { inputs = d_in; gates = body_gates; outputs = d_out }
-            in
-            (* inline recursively, adding the call's controls to every
-               controllable gate of the body *)
-            let before = Vec.length out in
-            emit_circuit sub rename' (path @ [ name ]);
-            if controls <> [] then
-              for i = before to Vec.length out - 1 do
-                Vec.set out i (Gate.add_controls controls (Vec.get out i))
-              done
-        | g ->
-            List.iter (fun (e : Wire.endpoint) -> bump e.wire) (Gate.wires g);
-            Vec.push out g;
-            Vec.push prov path)
-      c.gates
-  in
-  List.iter (fun (e : Wire.endpoint) -> bump e.wire) b.main.inputs;
-  List.iter (fun (e : Wire.endpoint) -> bump e.wire) b.main.outputs;
-  (* pre-scan to make sure fresh ids do not collide with main's wires *)
-  Array.iter
-    (fun g -> List.iter (fun (e : Wire.endpoint) -> bump e.wire) (Gate.wires g))
-    b.main.gates;
-  emit_circuit b.main (fun w -> w) [];
-  ( { inputs = b.main.inputs; gates = Vec.to_array out; outputs = b.main.outputs },
-    Vec.to_array prov )
-
-let inline (b : b) : t = fst (inline_provenance b)
 
 (* ------------------------------------------------------------------ *)
 (* Structural hashing                                                  *)
 
 (* One canonical structural hash for the whole stack: the shot service's
-   request cache, Fuse's per-box compiled-program cache, Sink.unbox's
-   prepared-box cache and golden tests all key off this definition. It is
+   request and template caches, the resolved body hashes of [Boxdefs]
+   (keys of Fuse's compiled programs and of Stream_opt's body caches) and
+   golden tests all key off this definition. It is
    order-sensitive, parameter-sensitive (rotation angles enter via their
    IEEE-754 bit patterns, so 0.1 +. 0.2 <> 0.3 hashes differently) and
    box-aware (a Subroutine gate folds in the callee's body hash, not just
@@ -303,23 +253,113 @@ let hash_t_gen ~skel ?(resolve = fun _ -> None) (c : t) : int64 =
 let hash_t ?resolve c = hash_t_gen ~skel:false ?resolve c
 let hash_skeleton_t ?resolve c = hash_t_gen ~skel:true ?resolve c
 
+(* ------------------------------------------------------------------ *)
+(* Reversal and box calls                                              *)
+
+let reverse (c : t) : t =
+  let gates =
+    Array.of_list
+      (Array.fold_left
+         (fun acc g -> if Gate.is_comment g then acc else Gate.inverse g :: acc)
+         [] c.gates)
+  in
+  { inputs = c.outputs; gates; outputs = c.inputs }
+
+(* What a box call means, stated once for every walker that expands or
+   keys calls: a definition looked up by name, its resolved body hashes,
+   the body a call runs (for [inv], its reverse with the formals
+   swapped) and the call-site wire map. *)
+module Boxdefs = struct
+  type circuit = t
+
+  type t = {
+    defs : (string, subroutine) Hashtbl.t;
+    exact : (string, int64) Hashtbl.t; (* resolved hashes, reset on define *)
+    skeleton : (string, int64) Hashtbl.t;
+    inverses : (string, circuit) Hashtbl.t;
+  }
+
+  let create () =
+    {
+      defs = Hashtbl.create 16;
+      exact = Hashtbl.create 16;
+      skeleton = Hashtbl.create 16;
+      inverses = Hashtbl.create 16;
+    }
+
+  let define t name sub =
+    Hashtbl.replace t.defs name sub;
+    (* this name's hash — and that of any box calling it — changes; only
+       its own reversed body does *)
+    Hashtbl.reset t.exact;
+    Hashtbl.reset t.skeleton;
+    Hashtbl.remove t.inverses name
+
+  let of_b (b : b) =
+    let t = create () in
+    Namespace.iter (define t) b.subs;
+    t
+
+  let find t name =
+    match Hashtbl.find_opt t.defs name with
+    | Some s -> s
+    | None -> Errors.raise_ (Unknown_subroutine name)
+
+  let resolved ~skel t name =
+    let memo = if skel then t.skeleton else t.exact in
+    let rec go n =
+      match Hashtbl.find_opt memo n with
+      | Some h -> h
+      | None ->
+          (* placeholder guards against recursive namespaces *)
+          Hashtbl.add memo n (mix_string 0L n);
+          let h =
+            match Hashtbl.find_opt t.defs n with
+            | None -> mix_string 0xD6E8FEB86659FD93L n
+            | Some s ->
+                mix_bool
+                  (hash_t_gen ~skel ~resolve:(fun m -> Some (go m)) s.circ)
+                  s.controllable
+          in
+          Hashtbl.replace memo n h;
+          h
+    in
+    go name
+
+  let hash t name = resolved ~skel:false t name
+  let hash_skeleton t name = resolved ~skel:true t name
+
+  let callee t name ~inv =
+    let s = find t name in
+    if not inv then s.circ
+    else
+      match Hashtbl.find_opt t.inverses name with
+      | Some c -> c
+      | None ->
+          let c = reverse s.circ in
+          Hashtbl.add t.inverses name c;
+          c
+
+  let renamer ~fresh (callee : circuit) ~inputs ~outputs =
+    let map = Hashtbl.create 16 in
+    List.iter2
+      (fun (e : Wire.endpoint) a -> Hashtbl.replace map e.wire a)
+      callee.inputs inputs;
+    List.iter2
+      (fun (e : Wire.endpoint) a -> Hashtbl.replace map e.wire a)
+      callee.outputs outputs;
+    fun w ->
+      match Hashtbl.find_opt map w with
+      | Some w' -> w'
+      | None ->
+          let w' = fresh () in
+          Hashtbl.replace map w w';
+          w'
+end
+
 let hash_gen ~skel (b : b) : int64 =
-  let tbl : (string, int64) Hashtbl.t = Hashtbl.create 16 in
-  let rec hash_sub name =
-    match Hashtbl.find_opt tbl name with
-    | Some h -> h
-    | None ->
-        (* placeholder guards against (ill-formed) recursive namespaces *)
-        Hashtbl.add tbl name (mix_string 0L name);
-        let h =
-          match Namespace.find_opt name b.subs with
-          | None -> mix_string 0xD6E8FEB86659FD93L name
-          | Some s -> mix_bool (hash_t_gen ~skel ~resolve s.circ) s.controllable
-        in
-        Hashtbl.replace tbl name h;
-        h
-  and resolve name = Some (hash_sub name) in
-  hash_t_gen ~skel ~resolve b.main
+  let defs = Boxdefs.of_b b in
+  hash_t_gen ~skel ~resolve:(fun n -> Some (Boxdefs.resolved ~skel defs n)) b.main
 
 let hash (b : b) : int64 = hash_gen ~skel:false b
 let hash_skeleton (b : b) : int64 = hash_gen ~skel:true b
@@ -405,3 +445,60 @@ let subst_angles (b : b) (v : float array) : b =
       b.subs b.sub_order
   in
   { b with main; subs }
+
+(* ------------------------------------------------------------------ *)
+(* Inlining                                                            *)
+
+(** Expand every [Subroutine] gate of [b]'s main circuit recursively,
+    producing a flat circuit together with, for each emitted gate, the
+    stack of subroutine names it was inlined out of (outermost first; []
+    for gates of the main circuit). Fresh ids for the callee's internal
+    wires count up from past every wire of the main circuit. Only
+    feasible for small circuits, but invaluable for testing that
+    hierarchical operations (counting, reversal, simulation) agree with
+    their flat counterparts, and for fault-site enumeration, which must
+    report where in the hierarchy a fault lands. *)
+let inline_provenance (b : b) : t * string list array =
+  let defs = Boxdefs.of_b b in
+  let next = ref 0 in
+  let bump w = if w >= !next then next := w + 1 in
+  let fresh () =
+    let w = !next in
+    incr next;
+    w
+  in
+  let out = Vec.create () in
+  let prov = Vec.create () in
+  let rec emit_circuit (c : t) (rename : Wire.t -> Wire.t) (path : string list) =
+    Array.iter
+      (fun g ->
+        match Gate.rename rename g with
+        | Gate.Subroutine { name; inv; inputs; outputs; controls } ->
+            let callee = Boxdefs.callee defs name ~inv in
+            (* inline recursively, adding the call's controls to every
+               controllable gate of the body *)
+            let before = Vec.length out in
+            emit_circuit callee
+              (Boxdefs.renamer ~fresh callee ~inputs ~outputs)
+              (path @ [ name ]);
+            if controls <> [] then
+              for i = before to Vec.length out - 1 do
+                Vec.set out i (Gate.add_controls controls (Vec.get out i))
+              done
+        | g ->
+            List.iter (fun (e : Wire.endpoint) -> bump e.wire) (Gate.wires g);
+            Vec.push out g;
+            Vec.push prov path)
+      c.gates
+  in
+  List.iter (fun (e : Wire.endpoint) -> bump e.wire) b.main.inputs;
+  List.iter (fun (e : Wire.endpoint) -> bump e.wire) b.main.outputs;
+  (* pre-scan to make sure fresh ids do not collide with main's wires *)
+  Array.iter
+    (fun g -> List.iter (fun (e : Wire.endpoint) -> bump e.wire) (Gate.wires g))
+    b.main.gates;
+  emit_circuit b.main Fun.id [];
+  ( { inputs = b.main.inputs; gates = Vec.to_array out; outputs = b.main.outputs },
+    Vec.to_array prov )
+
+let inline (b : b) : t = fst (inline_provenance b)

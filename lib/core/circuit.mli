@@ -39,26 +39,20 @@ val validate : ?subs:subroutine Namespace.t -> t -> unit
     wires, terminations kill them, and the final live set matches the
     declared outputs. Raises {!Errors.Error} otherwise. *)
 
+val check_acyclic : b -> unit
+(** Raise {!Errors.Error} [(Invalid _)], naming the cycle, when a box
+    calls itself directly or through other boxes. *)
+
 val validate_b : b -> unit
-(** [validate] on the main circuit and every subroutine body. *)
-
-val inline : b -> t
-(** Expand every subroutine call recursively into a flat circuit, renaming
-    internal wires apart. Only feasible for small circuits; invaluable for
-    testing that hierarchical operations agree with flat ones. *)
-
-val inline_provenance : b -> t * string list array
-(** Like {!inline}, also returning, for each emitted gate, the stack of
-    subroutine names it was inlined out of (outermost first; [[]] for
-    gates of the main circuit). Fault-site enumeration uses this to
-    report where in the hierarchy each site lives. *)
+(** {!check_acyclic}, then [validate] on the main circuit and every
+    subroutine body. *)
 
 (** {2 Structural hashing}
 
     One canonical 64-bit structural hash for the whole stack: the shot
-    service's request cache, [Fuse]'s per-box compiled-program cache,
-    [Sink.unbox]'s prepared-box cache and golden tests all key off this
-    definition. The hash is order-sensitive and parameter-sensitive
+    service's request and template caches, the resolved body hashes of
+    {!Boxdefs} (which key [Fuse]'s compiled programs and [Stream_opt]'s
+    body caches) and golden tests all key off this definition. The hash is order-sensitive and parameter-sensitive
     (rotation angles enter via their IEEE-754 bit patterns), and ignores
     comments — which are transparent to counting, optimization and
     simulation alike. *)
@@ -120,3 +114,70 @@ val subst_angles : b -> float array -> b
     gates whose angle is bitwise-unchanged are physically shared.
     Raises if [Array.length v <> num_angles b]. The result satisfies
     [hash_skeleton (subst_angles b v) = hash_skeleton b]. *)
+
+(** {2 Reversal and box calls} *)
+
+val reverse : t -> t
+(** The inverse circuit: gates reversed and inverted, comments dropped,
+    inputs and outputs swapped. [Init] and [Term] swap roles;
+    measurements, discards and classical gates raise [Not_reversible]. *)
+
+(** The box table: what a call means, for every walker that expands or
+    keys box calls ({!inline}, [Sink.unbox], [Fuse], [Stream_opt]). A
+    table is mutable and belongs to one walker; it is not shared between
+    domains. *)
+module Boxdefs : sig
+  type circuit := t
+  type t
+
+  val create : unit -> t
+
+  val of_b : b -> t
+  (** A table holding every definition of a boxed circuit. *)
+
+  val define : t -> string -> subroutine -> unit
+  (** Add or replace a definition. Resolved hashes are recomputed after
+      the next [define]; a redefined name stops matching keys built from
+      its old body. *)
+
+  val find : t -> string -> subroutine
+  (** Raises {!Errors.Error} [(Unknown_subroutine _)]. *)
+
+  val hash : t -> string -> int64
+  (** The body hash {!Circuit.hash} folds in for a call to the name: the
+      definition's {!hash_t} with every nested call resolved the same way,
+      and its [controllable] flag (a name with no definition hashes by
+      name alone), memoized until the next {!define}. *)
+
+  val hash_skeleton : t -> string -> int64
+  (** The same, through {!hash_skeleton_t}. *)
+
+  val callee : t -> string -> inv:bool -> circuit
+  (** The circuit a call runs: the body, or for an inverse call its
+      {!reverse}, built once per definition. Its [inputs] and [outputs]
+      are the call's formals. *)
+
+  val renamer :
+    fresh:(unit -> Wire.t) ->
+    circuit ->
+    inputs:Wire.t list ->
+    outputs:Wire.t list ->
+    Wire.t ->
+    Wire.t
+  (** [renamer ~fresh callee ~inputs ~outputs] maps [callee]'s formals to
+      a call's actual wires and each other wire of the body to a [fresh ()]
+      id on first sight, so each walker keeps its own wire naming. *)
+end
+
+(** {2 Inlining} *)
+
+val inline : b -> t
+(** Expand every subroutine call recursively into a flat circuit, renaming
+    internal wires apart. Only feasible for small circuits; invaluable for
+    testing that hierarchical operations agree with flat ones. *)
+
+val inline_provenance : b -> t * string list array
+(** Like {!inline}, also returning, for each emitted gate, the stack of
+    subroutine names it was inlined out of (outermost first; [[]] for
+    gates of the main circuit). Fault-site enumeration uses this to
+    report where in the hierarchy each site lives. *)

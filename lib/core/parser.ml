@@ -304,11 +304,9 @@ let parse (text : string) : Circuit.b =
   let main, rest = parse_circuit_lines lines in
   let rec subs acc order = function
     | [] ->
-        {
-          Circuit.main;
-          subs = acc;
-          sub_order = List.rev order;
-        }
+        let b = { Circuit.main; subs = acc; sub_order = List.rev order } in
+        Circuit.check_acyclic b;
+        b
     | line :: rest when is_prefix ~prefix:"Subroutine:" line ->
         let name, _ = parse_quoted line (String.index line '"') in
         let controllable, rest =

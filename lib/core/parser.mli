@@ -4,7 +4,9 @@
     property the test suite checks on random circuits. *)
 
 val parse : string -> Circuit.b
-(** Raises {!Errors.Error} [(Invalid _)] on malformed input. *)
+(** Raises {!Errors.Error} [(Invalid _)] on malformed input, including a
+    box that calls itself directly or through other boxes
+    ({!Circuit.check_acyclic}). *)
 
 val parse_file : string -> Circuit.b
 

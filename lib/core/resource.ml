@@ -435,20 +435,14 @@ let of_circuit ?(counts = true) ?(peak = true) ?(depth = true) (b : Circuit.b) =
 (* ------------------------------------------------------------------ *)
 (* Streaming                                                           *)
 
-type stream = {
-  defs : (string, Circuit.subroutine) Hashtbl.t;
-  main : walk;
-  mutable in_arity : int;
-}
+type stream = { defs : Circuit.Boxdefs.t; main : walk; mutable in_arity : int }
 
 let stream ?(counts = true) ?(peak = true) ?(depth = true) () =
-  let defs = Hashtbl.create 16 in
-  let find name =
-    match Hashtbl.find_opt defs name with
-    | Some s -> s
-    | None -> Errors.raise_ (Errors.Unknown_subroutine name)
+  let defs = Circuit.Boxdefs.create () in
+  let main =
+    walk (env (Circuit.Boxdefs.find defs)) ~amb:no_amb ~counts ~peak ~depth ~live:0
   in
-  { defs; main = walk (env find) ~amb:no_amb ~counts ~peak ~depth ~live:0; in_arity = 0 }
+  { defs; main; in_arity = 0 }
 
 let inputs s (es : Wire.endpoint list) =
   let n = List.length es in
@@ -457,6 +451,6 @@ let inputs s (es : Wire.endpoint list) =
   w.live <- w.live + n;
   if w.live > w.peak then w.peak <- w.live
 
-let define s name sub = Hashtbl.replace s.defs name sub
+let define s name sub = Circuit.Boxdefs.define s.defs name sub
 let gate s g = step s.main g
 let finish s ~outputs = result s.main ~in_arity:s.in_arity ~out_arity:outputs

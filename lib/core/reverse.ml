@@ -1,32 +1,14 @@
 (** Circuit-level reversal.
 
     [Circ.reverse_fun] reverses a circuit-producing *function*; this module
-    reverses materialised circuits, including hierarchical ones. Per §4.2.2
-    of the paper, circuits containing qubit initialisations and assertive
-    terminations are unitary between the asserted subspaces, so they reverse
-    without complaint: [Init] and [Term] swap roles. Measurements, discards
+    reverses hierarchical circuits ({!Circuit.reverse} reverses flat ones).
+    Per §4.2.2 of the paper, circuits containing qubit initialisations and
+    assertive terminations are unitary between the asserted subspaces, so
+    they reverse without complaint: [Init] and [Term] swap roles. Measurements, discards
     and classical gates have no inverse and raise [Errors.Error
     (Not_reversible _)]. *)
-
-let circuit (c : Circuit.t) : Circuit.t =
-  let gates =
-    Array.of_list
-      (Array.fold_left
-         (fun acc g -> if Gate.is_comment g then acc else Gate.inverse g :: acc)
-         [] c.Circuit.gates)
-  in
-  { Circuit.inputs = c.Circuit.outputs; gates; outputs = c.Circuit.inputs }
 
 (** Reverse a boxed circuit. Subroutine definitions are kept as-is — calls
     in the reversed main circuit carry the [inv] flag, so the namespace is
     shared between a circuit and its reverse, preserving hierarchy. *)
-let bcircuit (b : Circuit.b) : Circuit.b = { b with main = circuit b.main }
-
-(** Is this circuit reversible at all? *)
-let is_reversible (c : Circuit.t) =
-  Array.for_all
-    (fun g ->
-      match g with
-      | Gate.Measure _ | Gate.Discard _ | Gate.Cgate _ -> false
-      | _ -> true)
-    c.Circuit.gates
+let bcircuit (b : Circuit.b) : Circuit.b = { b with main = Circuit.reverse b.main }

@@ -182,100 +182,32 @@ let drive (b : Circuit.b) (s : 'r t) : 'r =
     wires internal to calls, which are drawn from a private negative
     counter and so never collide with builder ids). Call controls are
     appended to every controllable body gate, inverse calls replay the
-    reversed inverted body — the same expansion as
-    [Circuit.inline_provenance]. Definitions are consumed, not
-    forwarded: the inner sink sees a flat, subroutine-free stream. *)
+    reversed inverted body — the call semantics of [Circuit.Boxdefs],
+    which [Circuit.inline_provenance] expands too. Definitions are
+    consumed, not forwarded: the inner sink sees a flat, subroutine-free
+    stream. *)
 let unbox (inner : 'r t) : 'r t =
-  let defs : (string, Circuit.subroutine) Hashtbl.t = Hashtbl.create 16 in
-  (* body preparation — in particular building the reversed inverted
-     body — is O(body size), so it is memoized per (name, inv, body
-     hash) rather than redone for each of the possibly thousands of
-     call gates. The structural hash in the key (same discipline as
-     Fuse's compiled-program cache) means a redefined name simply stops
-     hitting the old entries — same-named bodies cannot alias. *)
-  let prepared :
-      ( string * bool * int64,
-        Gate.t array * Wire.endpoint list * Wire.endpoint list )
-      Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let hashes : (string, int64) Hashtbl.t = Hashtbl.create 16 in
-  let body_hash name =
-    let rec go n =
-      match Hashtbl.find_opt hashes n with
-      | Some h -> h
-      | None ->
-          Hashtbl.add hashes n 0L;
-          let h =
-            match Hashtbl.find_opt defs n with
-            | None -> 0L
-            | Some (s : Circuit.subroutine) ->
-                Circuit.hash_t ~resolve:(fun m -> Some (go m)) s.Circuit.circ
-          in
-          Hashtbl.replace hashes n h;
-          h
-    in
-    go name
-  in
-  let fresh = ref (-1) in
-  let find name =
-    match Hashtbl.find_opt defs name with
-    | Some s -> s
-    | None -> Errors.raise_ (Unknown_subroutine name)
-  in
-  let prepare name inv =
-    match Hashtbl.find_opt prepared (name, inv, body_hash name) with
-    | Some p -> p
-    | None ->
-        let { Circuit.circ; _ } = find name in
-        let body =
-          if inv then
-            Array.of_list
-              (Array.fold_left
-                 (fun acc g ->
-                   if Gate.is_comment g then acc else Gate.inverse g :: acc)
-                 [] circ.Circuit.gates)
-          else circ.Circuit.gates
-        in
-        let d_in = if inv then circ.Circuit.outputs else circ.Circuit.inputs in
-        let d_out = if inv then circ.Circuit.inputs else circ.Circuit.outputs in
-        let p = (body, d_in, d_out) in
-        Hashtbl.replace prepared (name, inv, body_hash name) p;
-        p
+  let defs = Circuit.Boxdefs.create () in
+  let next = ref (-1) in
+  let fresh () =
+    let w = !next in
+    decr next;
+    w
   in
   let rec expand (g : Gate.t) =
     match g with
     | Gate.Subroutine { name; inv; inputs; outputs; controls } ->
-        let body, d_in, d_out = prepare name inv in
-        let map = Hashtbl.create 16 in
-        List.iter2
-          (fun (e : Wire.endpoint) a -> Hashtbl.replace map e.Wire.wire a)
-          d_in inputs;
-        List.iter2
-          (fun (e : Wire.endpoint) a -> Hashtbl.replace map e.Wire.wire a)
-          d_out outputs;
-        let rename w =
-          match Hashtbl.find_opt map w with
-          | Some w' -> w'
-          | None ->
-              let w' = !fresh in
-              decr fresh;
-              Hashtbl.replace map w w';
-              w'
-        in
+        let callee = Circuit.Boxdefs.callee defs name ~inv in
+        let rename = Circuit.Boxdefs.renamer ~fresh callee ~inputs ~outputs in
         Array.iter
           (fun g -> expand (Gate.add_controls controls (Gate.rename rename g)))
-          body
+          callee.Circuit.gates
     | g -> inner.on_gate g
   in
   {
     on_inputs = inner.on_inputs;
     on_gate = expand;
     on_subroutine_enter = (fun _ -> ());
-    on_subroutine_exit =
-      (fun name sub ->
-        Hashtbl.replace defs name sub;
-        (* this name's hash — and that of any box calling it — changes *)
-        Hashtbl.reset hashes);
+    on_subroutine_exit = Circuit.Boxdefs.define defs;
     finish = inner.finish;
   }

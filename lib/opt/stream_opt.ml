@@ -550,10 +550,6 @@ let optimize_gates_tagged ~window ~lookahead ~st (gates : Gate.t array) =
   let pairs = Vec.to_array out in
   (Array.map fst pairs, Array.map snd pairs, w.angle_sensitive)
 
-let optimize_gates ~window ~lookahead ~st (gates : Gate.t array) =
-  let gs, _, _ = optimize_gates_tagged ~window ~lookahead ~st gates in
-  gs
-
 (* ------------------------------------------------------------------ *)
 (* Skeleton-keyed body memo                                            *)
 
@@ -570,26 +566,9 @@ type memo_entry =
   | Msensitive
   | Mreplay of { gates : Gate.t array; sites : int option array }
 
-type memo = {
-  mtbl : (int64, memo_entry) Hashtbl.t;
-  mlock : Mutex.t;
-}
+type memo = (int64, memo_entry) Quipper_sim.Memo.t
 
-let memo () = { mtbl = Hashtbl.create 64; mlock = Mutex.create () }
-
-let memo_find m h =
-  Mutex.lock m.mlock;
-  let r = Hashtbl.find_opt m.mtbl h in
-  Mutex.unlock m.mlock;
-  r
-
-let memo_add m h e =
-  Mutex.lock m.mlock;
-  (* keep-first on a race: either racer's entry is equivalent (replay
-     entries substitute all sites; sensitive entries are sensitive for
-     every body of the skeleton) *)
-  if not (Hashtbl.mem m.mtbl h) then Hashtbl.add m.mtbl h e;
-  Mutex.unlock m.mlock
+let memo () : memo = Quipper_sim.Memo.create ()
 
 let replay_body ~(v : float array) (gates : Gate.t array)
     (sites : int option array) : Gate.t array =
@@ -605,63 +584,42 @@ let replay_body ~(v : float array) (gates : Gate.t array)
 
 let sink_one ~window ~lookahead ~st ?memo (inner : 'r Sink.t) : 'r Sink.t =
   let w = win_create ~window ~lookahead ~st (fun g _ -> inner.Sink.on_gate g) in
-  (* original definitions, for resolved structural hashing — the same
-     memoization discipline as [Sink.unbox] and [Fuse]'s box cache:
-     keyed on the resolved hash, redefinitions miss instead of alias *)
-  let defs : (string, Circuit.subroutine) Hashtbl.t = Hashtbl.create 16 in
-  let hashes : (string, int64) Hashtbl.t = Hashtbl.create 16 in
-  let skel_hashes : (string, int64) Hashtbl.t = Hashtbl.create 16 in
-  let resolved_hash ~skel cache name =
-    let rec go n =
-      match Hashtbl.find_opt cache n with
-      | Some h -> h
-      | None ->
-          Hashtbl.add cache n 0L;
-          let h =
-            match Hashtbl.find_opt defs n with
-            | None -> 0L
-            | Some (s : Circuit.subroutine) ->
-                if skel then
-                  Circuit.hash_skeleton_t
-                    ~resolve:(fun m -> Some (go m))
-                    s.Circuit.circ
-                else
-                  Circuit.hash_t ~resolve:(fun m -> Some (go m)) s.Circuit.circ
-          in
-          Hashtbl.replace cache n h;
-          h
-    in
-    go name
-  in
-  let body_hash name = resolved_hash ~skel:false hashes name in
-  let skel_hash name = resolved_hash ~skel:true skel_hashes name in
+  (* original definitions, for resolved structural hashing: body caches
+     key on the box table's resolved hashes, so redefinitions miss
+     instead of alias *)
+  let defs = Circuit.Boxdefs.create () in
   let optimized : (int64, Gate.t array) Hashtbl.t = Hashtbl.create 16 in
   (* Optimize one body, consulting the shareable skeleton memo first:
      replay angle-insensitive templates by substitution, re-optimize
      (and record) otherwise. *)
   let optimize_body name (sub : Circuit.subroutine) =
     let gates = sub.Circuit.circ.Circuit.gates in
+    let reoptimize () =
+      st.boxes_optimized <- st.boxes_optimized + 1;
+      let gs, _, _ = optimize_gates_tagged ~window ~lookahead ~st gates in
+      gs
+    in
     match memo with
-    | None ->
-        st.boxes_optimized <- st.boxes_optimized + 1;
-        optimize_gates ~window ~lookahead ~st gates
+    | None -> reoptimize ()
     | Some m -> (
-        let sh = skel_hash name in
-        match memo_find m sh with
-        | Some (Mreplay { gates = tpl; sites }) ->
+        let computed = ref None in
+        let entry, _ =
+          Quipper_sim.Memo.find_or_compute m
+            (Circuit.Boxdefs.hash_skeleton defs name)
+            (fun () ->
+              let gs, sites, sensitive =
+                optimize_gates_tagged ~window ~lookahead ~st gates
+              in
+              st.boxes_optimized <- st.boxes_optimized + 1;
+              computed := Some gs;
+              if sensitive then Msensitive else Mreplay { gates = gs; sites })
+        in
+        match (!computed, entry) with
+        | Some gs, _ -> gs
+        | None, Mreplay { gates = tpl; sites } ->
             st.box_replayed <- st.box_replayed + 1;
             replay_body ~v:(Circuit.angles_t sub.Circuit.circ) tpl sites
-        | Some Msensitive ->
-            st.boxes_optimized <- st.boxes_optimized + 1;
-            optimize_gates ~window ~lookahead ~st gates
-        | None ->
-            let gs, sites, sensitive =
-              optimize_gates_tagged ~window ~lookahead ~st gates
-            in
-            st.boxes_optimized <- st.boxes_optimized + 1;
-            memo_add m sh
-              (if sensitive then Msensitive else Mreplay { gates = gs; sites });
-            gs)
+        | None, Msensitive -> reoptimize ())
   in
   {
     Sink.on_inputs = inner.Sink.on_inputs;
@@ -669,11 +627,8 @@ let sink_one ~window ~lookahead ~st ?memo (inner : 'r Sink.t) : 'r Sink.t =
     on_subroutine_enter = inner.Sink.on_subroutine_enter;
     on_subroutine_exit =
       (fun name (sub : Circuit.subroutine) ->
-        Hashtbl.replace defs name sub;
-        (* this name's hash — and that of any box calling it — changes *)
-        Hashtbl.reset hashes;
-        Hashtbl.reset skel_hashes;
-        let h = body_hash name in
+        Circuit.Boxdefs.define defs name sub;
+        let h = Circuit.Boxdefs.hash defs name in
         let gates' =
           match Hashtbl.find_opt optimized h with
           | Some gs ->

@@ -20,9 +20,9 @@
 
     Every rule is phase-exact, so box bodies are optimized too: each
     [on_subroutine_exit] definition is rewritten once through a private
-    window — memoized on the resolved structural {!Quipper.Circuit.hash},
-    the same discipline as [Fuse]'s compiled-program cache and
-    {!Quipper.Sink.unbox} — and the optimized definition is forwarded
+    window — memoized on the resolved structural hash of
+    {!Quipper.Circuit.Boxdefs}, like [Fuse]'s compiled-program cache —
+    and the optimized definition is forwarded
     downstream. Call gates stay in the main window, where call/uncall
     pairs cancel and calls otherwise act as commutation barriers.
 
@@ -77,7 +77,8 @@ type memo
     recorded surviving sites; a body where an angle-dependent rewrite
     fired is pinned sensitive and always re-optimizes. Either way the
     output for a given body is independent of cache warmth. The memo is
-    mutex-protected and may be shared across sinks and domains. *)
+    a {!Quipper_sim.Memo}: it may be shared across sinks and domains, and
+    each skeleton optimizes once however many domains race for it. *)
 
 val memo : unit -> memo
 (** A fresh empty shareable skeleton memo. *)

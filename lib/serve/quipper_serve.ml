@@ -17,10 +17,12 @@
     [(Circuit.hash circuit, inputs)] — the canonical structural hash, so
     two clients submitting structurally-equal circuits share one
     preparation — and every preparation shares one {!Fuse.box_cache},
-    so boxed subroutines compile once for the whole service. Both caches
-    are LRU-bounded when a capacity is given: a long-lived service under
-    a diverse request stream evicts the least-recently-used preparation
-    instead of growing without bound. Batches split into contiguous
+    so boxed subroutines compile once for the whole service. The request
+    and template caches are {!Quipper_sim.Memo}s: each key prepares once
+    however many workers race for it, and both are LRU-bounded when a
+    capacity is given, so a long-lived service under a diverse request
+    stream evicts the least-recently-used preparation instead of growing
+    without bound. Batches split into contiguous
     deterministic chunks on the process-wide {!Quipper_sim.Pool}: shot
     [s] of request [r] depends only on [Rng.derive r.seed s], never on
     the worker count or which worker served it.
@@ -43,6 +45,7 @@ module Statevector = Quipper_sim.Statevector
 module Clifford = Quipper_sim.Clifford
 module Kernel = Quipper_sim.Kernel
 module Pool = Quipper_sim.Pool
+module Memo = Quipper_sim.Memo
 module Stream_opt = Quipper_opt.Stream_opt
 
 type request = {
@@ -94,37 +97,17 @@ type tentry =
   | Tshared of entry
   | Tplain
 
-(* An LRU slot: [tick] is the owning service's logical clock at last
-   use; eviction removes the minimum. A linear min-scan is O(capacity)
-   but runs only on insertion into a full cache, where it is dwarfed by
-   the preparation that produced the entry. *)
-type 'v slot = { v : 'v; mutable tick : int }
-
 type t = {
   choice : backend_choice;
   optimize : bool;
-  capacity : int option;  (** request-cache bound; [None] = unbounded *)
-  tcapacity : int option;  (** template-cache bound *)
   boxes : Fuse.box_cache;
   memo : Stream_opt.memo;
       (** shared skeleton memo for [optimize] services: box bodies
           optimize once per skeleton and replay per angle vector *)
-  cache : (int64 * bool list, entry slot) Hashtbl.t;
-  inflight : (int64 * bool list, unit) Hashtbl.t;
-      (** keys some worker is currently preparing *)
-  tcache : (int64 * bool list, tentry slot) Hashtbl.t;
-  t_inflight : (int64 * bool list, unit) Hashtbl.t;
-  lock : Mutex.t;
-  cond : Condition.t;  (** signalled when an in-flight preparation settles *)
-  mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable prepares : int;  (** completed preparations (the expensive runs) *)
-  mutable evictions : int;
-  mutable t_hits : int;
-  mutable t_misses : int;
-  mutable t_evictions : int;
-  mutable specialized : int;  (** sweep points served by re-specialization *)
+  cache : (int64 * bool list, entry) Memo.t;
+  tcache : (int64 * bool list, tentry) Memo.t;
+  prepares : int Atomic.t;  (** completed preparations (the expensive runs) *)
+  specialized : int Atomic.t;  (** sweep points served by re-specialization *)
 }
 
 type stats = {
@@ -142,89 +125,31 @@ type stats = {
 
 let create ?(backend : backend_choice = `Auto) ?(optimize = false) ?capacity
     ?template_capacity () =
-  (match capacity with
-  | Some c when c < 1 -> invalid_arg "Quipper_serve.create: capacity < 1"
-  | _ -> ());
-  (match template_capacity with
-  | Some c when c < 1 -> invalid_arg "Quipper_serve.create: template_capacity < 1"
-  | _ -> ());
   {
     choice = backend;
     optimize;
-    capacity;
-    tcapacity = template_capacity;
     boxes = Fuse.box_cache ();
     memo = Stream_opt.memo ();
-    cache = Hashtbl.create 64;
-    inflight = Hashtbl.create 8;
-    tcache = Hashtbl.create 8;
-    t_inflight = Hashtbl.create 8;
-    lock = Mutex.create ();
-    cond = Condition.create ();
-    clock = 0;
-    hits = 0;
-    misses = 0;
-    prepares = 0;
-    evictions = 0;
-    t_hits = 0;
-    t_misses = 0;
-    t_evictions = 0;
-    specialized = 0;
+    cache = Memo.create ?capacity ();
+    tcache = Memo.create ?capacity:template_capacity ();
+    prepares = Atomic.make 0;
+    specialized = Atomic.make 0;
   }
 
 let stats t =
-  Mutex.lock t.lock;
-  let s =
-    {
-      hits = t.hits;
-      misses = t.misses;
-      prepares = t.prepares;
-      entries = Hashtbl.length t.cache;
-      evictions = t.evictions;
-      t_hits = t.t_hits;
-      t_misses = t.t_misses;
-      t_entries = Hashtbl.length t.tcache;
-      t_evictions = t.t_evictions;
-      specialized = t.specialized;
-    }
-  in
-  Mutex.unlock t.lock;
-  s
-
-(* ------------------------------------------------------------------ *)
-(* LRU plumbing (lock held by the caller)                              *)
-
-let bump t =
-  t.clock <- t.clock + 1;
-  t.clock
-
-let evict_min tbl =
-  let victim =
-    Hashtbl.fold
-      (fun k (s : _ slot) acc ->
-        match acc with
-        | Some (_, best) when best <= s.tick -> acc
-        | _ -> Some (k, s.tick))
-      tbl None
-  in
-  match victim with
-  | Some (k, _) ->
-      Hashtbl.remove tbl k;
-      true
-  | None -> false
-
-(* insert under a capacity bound, evicting least-recently-used entries
-   first; returns how many were evicted *)
-let bounded_add t tbl cap key value =
-  let evicted = ref 0 in
-  (match cap with
-  | Some cap ->
-      while Hashtbl.length tbl >= cap && evict_min tbl do
-        incr evicted
-      done
-  | None -> ());
-  Hashtbl.replace tbl key { v = value; tick = bump t };
-  !evicted
+  let c = Memo.stats t.cache and tc = Memo.stats t.tcache in
+  {
+    hits = c.hits;
+    misses = c.misses;
+    prepares = Atomic.get t.prepares;
+    entries = c.entries;
+    evictions = c.evictions;
+    t_hits = tc.hits;
+    t_misses = tc.misses;
+    t_entries = tc.entries;
+    t_evictions = tc.evictions;
+    specialized = Atomic.get t.specialized;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Preparation                                                         *)
@@ -261,21 +186,24 @@ let measure_fused st outputs =
          | Wire.C -> Fuse.read_bit st e.Wire.wire)
        outputs)
 
-let prepare_fused boxes req outputs =
-  let st = Fuse.run_circuit ~boxes ~seed:prep_seed req.circuit req.inputs in
+(* [run seed] is one fused run of the prepared circuit: a full circuit
+   or a re-specialized template *)
+let fused_entry run outputs =
   {
     e_backend = "fused";
     e_sample =
-      (match Fuse.snapshot st with
+      (match Fuse.snapshot (run prep_seed) with
       | Some snap ->
           Some
             (fun rng -> Array.of_list (Statevector.sample_from snap ~rng outputs))
       | None -> None);
-    e_resim =
-      (fun seed ->
-        let st = Fuse.run_circuit ~boxes ~seed req.circuit req.inputs in
-        measure_fused st outputs);
+    e_resim = (fun seed -> measure_fused (run seed) outputs);
   }
+
+let prepare_fused boxes req outputs =
+  fused_entry
+    (fun seed -> Fuse.run_circuit ~boxes ~seed req.circuit req.inputs)
+    outputs
 
 let prepare_sv req outputs =
   let st = Statevector.run_circuit ~seed:prep_seed req.circuit req.inputs in
@@ -320,53 +248,16 @@ let prepare t req =
       | exception Errors.Error (Errors.Simulation _) ->
           prepare_fused t.boxes req outputs)
 
-(* Each key is prepared exactly once, however many workers race for it:
-   the first worker marks the key in-flight and prepares outside the
-   lock (preparation is a full simulation and must not serialize the
-   other workers); the rest block on the condition variable until the
-   preparation settles and then take the cached entry as a hit. If the
-   preparer dies, it clears the in-flight mark and wakes the waiters, so
-   one of them retries — a failure never wedges the key. *)
+(* Each key is prepared once however many workers race for it (the
+   others wait and count as hits), and a failed preparation leaves the
+   key to the next caller: the {!Memo} discipline. *)
 let lookup_or_prepare t req =
-  let key = (Circuit.hash req.circuit, req.inputs) in
-  Mutex.lock t.lock;
-  let rec acquire () =
-    match Hashtbl.find_opt t.cache key with
-    | Some slot ->
-        t.hits <- t.hits + 1;
-        slot.tick <- bump t;
-        Mutex.unlock t.lock;
-        `Cached slot.v
-    | None ->
-        if Hashtbl.mem t.inflight key then begin
-          Condition.wait t.cond t.lock;
-          acquire ()
-        end
-        else begin
-          t.misses <- t.misses + 1;
-          Hashtbl.replace t.inflight key ();
-          Mutex.unlock t.lock;
-          `Prepare
-        end
-  in
-  match acquire () with
-  | `Cached e -> (e, true)
-  | `Prepare -> (
-      match prepare t req with
-      | e ->
-          Mutex.lock t.lock;
-          t.evictions <- t.evictions + bounded_add t t.cache t.capacity key e;
-          t.prepares <- t.prepares + 1;
-          Hashtbl.remove t.inflight key;
-          Condition.broadcast t.cond;
-          Mutex.unlock t.lock;
-          (e, false)
-      | exception exn ->
-          Mutex.lock t.lock;
-          Hashtbl.remove t.inflight key;
-          Condition.broadcast t.cond;
-          Mutex.unlock t.lock;
-          raise exn)
+  Memo.find_or_compute t.cache
+    (Circuit.hash req.circuit, req.inputs)
+    (fun () ->
+      let e = prepare t req in
+      Atomic.incr t.prepares;
+      e)
 
 (* ------------------------------------------------------------------ *)
 (* Serving                                                             *)
@@ -480,49 +371,6 @@ let prepare_template t (sw : sweep) (v0 : float array) : tentry =
             match fused () with te -> te | exception _ -> Tplain)
         | exception _ -> Tplain)
 
-(* Same once-per-key discipline as [lookup_or_prepare], on the template
-   cache: skeleton classes compile once however many sweeps race. *)
-let lookup_or_prepare_template t (sw : sweep) (v0 : float array) =
-  let key = (Circuit.hash_skeleton sw.sw_circuit, sw.sw_inputs) in
-  Mutex.lock t.lock;
-  let rec acquire () =
-    match Hashtbl.find_opt t.tcache key with
-    | Some slot ->
-        t.t_hits <- t.t_hits + 1;
-        slot.tick <- bump t;
-        Mutex.unlock t.lock;
-        `Cached slot.v
-    | None ->
-        if Hashtbl.mem t.t_inflight key then begin
-          Condition.wait t.cond t.lock;
-          acquire ()
-        end
-        else begin
-          t.t_misses <- t.t_misses + 1;
-          Hashtbl.replace t.t_inflight key ();
-          Mutex.unlock t.lock;
-          `Prepare
-        end
-  in
-  match acquire () with
-  | `Cached te -> (te, true)
-  | `Prepare ->
-      (* [prepare_template] never raises (failures degrade to Tplain),
-         but keep the key un-wedged against surprises all the same *)
-      let te = try prepare_template t sw v0 with exn ->
-        Mutex.lock t.lock;
-        Hashtbl.remove t.t_inflight key;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.lock;
-        raise exn
-      in
-      Mutex.lock t.lock;
-      t.t_evictions <- t.t_evictions + bounded_add t t.tcache t.tcapacity key te;
-      Hashtbl.remove t.t_inflight key;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.lock;
-      (te, false)
-
 (* Serve point [i] of a sweep: bit-identical to
    [submit t (List.nth (sweep_requests sw) i)]. [Tshared] draws from
    the one angle-independent clifford entry; [Tfused] re-specializes
@@ -530,32 +378,16 @@ let lookup_or_prepare_template t (sw : sweep) (v0 : float array) =
    bit-identical to re-running the substituted circuit at equal seeds);
    [Tplain] runs the ordinary preparation on the substituted circuit,
    bypassing the request cache. *)
-let serve_point t (sw : sweep) (tent : tentry) ~warm i (v : float array) : reply
+let serve_point (t : t) (sw : sweep) (tent : tentry) ~warm i (v : float array) : reply
     =
   let seed = Rng.derive sw.sw_seed i in
   match tent with
   | Tshared e -> draw_shots e ~shots:sw.sw_shots ~seed ~cache_hit:warm
   | Tfused (tpl, outputs) ->
-      let st = Fuse.run_template ~seed:prep_seed tpl v in
       let entry =
-        {
-          e_backend = "fused";
-          e_sample =
-            (match Fuse.snapshot st with
-            | Some snap ->
-                Some
-                  (fun rng ->
-                    Array.of_list (Statevector.sample_from snap ~rng outputs))
-            | None -> None);
-          e_resim =
-            (fun seed ->
-              let st = Fuse.run_template ~seed tpl v in
-              measure_fused st outputs);
-        }
+        fused_entry (fun seed -> Fuse.run_template ~seed tpl v) outputs
       in
-      Mutex.lock t.lock;
-      t.specialized <- t.specialized + 1;
-      Mutex.unlock t.lock;
+      Atomic.incr t.specialized;
       draw_shots entry ~shots:sw.sw_shots ~seed ~cache_hit:warm
   | Tplain ->
       let req =
@@ -567,9 +399,7 @@ let serve_point t (sw : sweep) (tent : tentry) ~warm i (v : float array) : reply
         }
       in
       let entry = prepare t req in
-      Mutex.lock t.lock;
-      t.prepares <- t.prepares + 1;
-      Mutex.unlock t.lock;
+      Atomic.incr t.prepares;
       draw_shots entry ~shots:sw.sw_shots ~seed ~cache_hit:false
 
 let submit_sweep t (sw : sweep) : (reply, string) result list =
@@ -580,7 +410,12 @@ let submit_sweep t (sw : sweep) : (reply, string) result list =
   | v0 :: _ ->
       let points = Array.of_list sw.sw_points in
       let n = Array.length points in
-      let tent, warm = lookup_or_prepare_template t sw v0 in
+      (* skeleton classes compile once however many sweeps race *)
+      let tent, warm =
+        Memo.find_or_compute t.tcache
+          (Circuit.hash_skeleton sw.sw_circuit, sw.sw_inputs)
+          (fun () -> prepare_template t sw v0)
+      in
       let out = Array.make n (Error "unserved") in
       let serve i =
         out.(i) <-

@@ -105,8 +105,8 @@ val create :
 val submit : t -> request -> reply
 (** Serve one request: prepare (or fetch) the frozen pre-measurement
     state, then draw every shot from it. Each distinct key is prepared
-    exactly once however many workers race for it: the first marks it
-    in-flight and prepares, the rest block until the preparation settles
+    exactly once however many workers race for it ({!Quipper_sim.Memo}):
+    the first prepares, the rest block until the preparation settles
     and count as cache hits (asserted in [test_serve]). Raises like the
     underlying backend ([Simulation _] on incapable gate sets,
     termination assertions if the circuit trips one during

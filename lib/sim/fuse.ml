@@ -51,10 +51,9 @@ type config = {
       (** dense window K: blocks hold at most [2^K x 2^K] matrices *)
   max_diag_support : int;
       (** wider window for purely diagonal runs ([2^k]-entry tables) *)
-  cache : bool;  (** compile boxed subroutines once and replay calls *)
 }
 
-let default_config = { max_support = 4; max_diag_support = 8; cache = true }
+let default_config = { max_support = 4; max_diag_support = 8 }
 
 type stats = {
   mutable gates_seen : int;  (** top-level gates fed in (calls count as 1) *)
@@ -129,12 +128,10 @@ let gspec_of (g : Gate.t) (site : site) : gspec =
 let bspec_of_gate (gs : gspec) : bspec =
   match gs with None -> None | Some f -> Some (fun v -> Bgate (f v))
 
-(* A boxed subroutine compiled to blocks over its body wires. *)
-type program = {
-  blocks : (block * bspec) array;
-  p_in : Wire.endpoint list; (* formals, forward direction *)
-  p_out : Wire.endpoint list;
-}
+(* A boxed subroutine compiled to blocks over its body wires;
+   [callee] is the circuit the call runs, whose formals the replay
+   maps. *)
+type program = { blocks : (block * bspec) array; callee : Circuit.t }
 
 (* ------------------------------------------------------------------ *)
 (* The pending block under construction                                *)
@@ -670,28 +667,21 @@ let rec push_block fz (sp : bspec) (b : block) =
 (* Simulation state                                                    *)
 
 (* Compiled box programs, keyed (name, inv, body hash). The structural
-   hash — box-aware via [Circuit.hash_t]'s resolve hook — is part of the
-   key so that same-named boxes with different bodies can never alias:
+   hash — box-aware via [Circuit.Boxdefs.hash] — is part of the key so
+   that same-named boxes with different bodies can never alias:
    redefining a name simply stops hitting the old entries, and a cache
    shared between states (the shot service hands one cache to every
    worker) stays sound even when two clients define different boxes
-   under the same name. The mutex guards table access only; compilation
-   runs outside it (a recursive [compiled_program] would deadlock
-   otherwise), so two domains may race to compile the same program —
-   both results are identical and the second insert is a no-op. *)
-type box_cache = {
-  tbl : (string * bool * int64, program) Hashtbl.t;
-  lock : Mutex.t;
-}
+   under the same name. *)
+type box_cache = (string * bool * int64, program) Memo.t
 
-let box_cache () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
+let box_cache () : box_cache = Memo.create ()
 
 type state = {
   sv : Statevector.state;
   cfg : config;
   st_stats : stats;
-  defs : (string, Circuit.subroutine) Hashtbl.t;
-  hashes : (string, int64) Hashtbl.t; (* resolved body-hash memo *)
+  defs : Circuit.Boxdefs.t;
   compiled : box_cache;
   fresh : int ref; (* internal wires of replayed calls, negative *)
   fz : fuser; (* top-level fuser, emitting straight into [sv] *)
@@ -742,8 +732,7 @@ let create ?(config = default_config) ?boxes ?seed () =
       sv = Statevector.create ?seed ();
       cfg = config;
       st_stats = stats;
-      defs = Hashtbl.create 16;
-      hashes = Hashtbl.create 16;
+      defs = Circuit.Boxdefs.create ();
       compiled = (match boxes with Some c -> c | None -> box_cache ());
       fresh = ref (-1);
       fz =
@@ -758,49 +747,9 @@ let create ?(config = default_config) ?boxes ?seed () =
   in
   st
 
-let define st name (sub : Circuit.subroutine) =
-  Hashtbl.replace st.defs name sub;
-  (* A redefinition changes this name's body hash — and the hash of any
-     box whose body calls it — so the memo resets wholesale. Compiled
-     programs need no explicit invalidation: their cache keys carry the
-     body hash, so the old entries simply stop being looked up. *)
-  Hashtbl.reset st.hashes
-
-let body_hash st name : int64 =
-  (* Box-aware hash of [name]'s current definition, resolving nested
-     calls against this state's [defs] (memoized until the next
-     [define]). A name with no definition hashes to zero: the later
-     [find_def] raises where the seed code did. *)
-  let rec go n =
-    match Hashtbl.find_opt st.hashes n with
-    | Some h -> h
-    | None ->
-        Hashtbl.add st.hashes n 0L;
-        let h =
-          match Hashtbl.find_opt st.defs n with
-          | None -> 0L
-          | Some (s : Circuit.subroutine) ->
-              Circuit.hash_t ~resolve:(fun m -> Some (go m)) s.Circuit.circ
-        in
-        Hashtbl.replace st.hashes n h;
-        h
-  in
-  go name
-
-let find_def st name =
-  match Hashtbl.find_opt st.defs name with
-  | Some s -> s
-  | None -> Errors.raise_ (Unknown_subroutine name)
-
-(* Reversed, inverted, comment-free body for inverse calls — the same
-   expansion as [Sink.unbox]/[Circuit.inline]. *)
-let body_of (circ : Circuit.t) inv =
-  if inv then
-    Array.of_list
-      (Array.fold_left
-         (fun acc g -> if Gate.is_comment g then acc else Gate.inverse g :: acc)
-         [] circ.Circuit.gates)
-  else circ.Circuit.gates
+(* Compiled programs need no invalidation on redefinition: their keys
+   carry the body hash, so the old entries simply stop being looked up. *)
+let define st name sub = Circuit.Boxdefs.define st.defs name sub
 
 let remap_block rename (extra : Gate.control list) (b : block) : block =
   match b with
@@ -828,8 +777,7 @@ let rec feed_site st fz (site : site) (g : Gate.t) =
   match g with
   | Gate.Comment _ -> ()
   | Gate.Subroutine { name; inv; inputs; outputs; controls } ->
-      if st.cfg.cache then replay st fz ~name ~inv ~inputs ~outputs ~controls
-      else expand st fz ~name ~inv ~inputs ~outputs ~controls
+      replay st fz ~name ~inv ~inputs ~outputs ~controls
   | g when fusible g -> push_gate fz (gspec_of g site) g
   | g ->
       (* Barrier: measurement, Init/Term, classical logic, classically
@@ -871,22 +819,12 @@ let rec feed_site st fz (site : site) (g : Gate.t) =
 and replay st fz ~name ~inv ~inputs ~outputs ~controls =
   let prog = compiled_program st ~name ~inv in
   st.st_stats.calls_replayed <- st.st_stats.calls_replayed + 1;
-  let map = Hashtbl.create 16 in
-  List.iter2
-    (fun (e : Wire.endpoint) a -> Hashtbl.replace map e.Wire.wire a)
-    prog.p_in inputs;
-  List.iter2
-    (fun (e : Wire.endpoint) a -> Hashtbl.replace map e.Wire.wire a)
-    prog.p_out outputs;
-  let rename w =
-    match Hashtbl.find_opt map w with
-    | Some w' -> w'
-    | None ->
-        let w' = !(st.fresh) in
-        decr st.fresh;
-        Hashtbl.replace map w w';
-        w'
+  let fresh () =
+    let w = !(st.fresh) in
+    decr st.fresh;
+    w
   in
+  let rename = Circuit.Boxdefs.renamer ~fresh prog.callee ~inputs ~outputs in
   Array.iter
     (fun (b, sp) ->
       let sp' =
@@ -897,111 +835,59 @@ and replay st fz ~name ~inv ~inputs ~outputs ~controls =
       push_block fz sp' (remap_block rename controls b))
     prog.blocks
 
-(* Cache off: structural expansion (what [Sink.unbox] does), still
-   fusing across the call boundary. *)
-and expand st fz ~name ~inv ~inputs ~outputs ~controls =
-  let { Circuit.circ; _ } = find_def st name in
-  let body = body_of circ inv in
-  let d_in = if inv then circ.Circuit.outputs else circ.Circuit.inputs in
-  let d_out = if inv then circ.Circuit.inputs else circ.Circuit.outputs in
-  let map = Hashtbl.create 16 in
-  List.iter2
-    (fun (e : Wire.endpoint) a -> Hashtbl.replace map e.Wire.wire a)
-    d_in inputs;
-  List.iter2
-    (fun (e : Wire.endpoint) a -> Hashtbl.replace map e.Wire.wire a)
-    d_out outputs;
-  let rename w =
-    match Hashtbl.find_opt map w with
-    | Some w' -> w'
-    | None ->
-        let w' = !(st.fresh) in
-        decr st.fresh;
-        Hashtbl.replace map w w';
-        w'
-  in
-  Array.iter
-    (fun g ->
-      feed_site st fz None (Gate.add_controls controls (Gate.rename rename g)))
-    body
-
 (* Compile a box body to a block program, memoized per
    (name, inv, body hash). Nested calls replay their own compiled
    programs into this one, so a call tree compiles bottom-up into flat
    block sequences. *)
 and compiled_program st ~name ~inv : program =
-  let key = (name, inv, body_hash st name) in
-  let cached =
-    Mutex.lock st.compiled.lock;
-    let p = Hashtbl.find_opt st.compiled.tbl key in
-    Mutex.unlock st.compiled.lock;
-    p
+  let key = (name, inv, Circuit.Boxdefs.hash st.defs name) in
+  fst (Memo.find_or_compute st.compiled key (fun () -> compile st ~name ~inv))
+
+and compile st ~name ~inv : program =
+  let { Circuit.circ; _ } = Circuit.Boxdefs.find st.defs name in
+  let callee = Circuit.Boxdefs.callee st.defs name ~inv in
+  (* align the body's angle sites with the callee's gates:
+     forward bodies use the recorded row as-is; inverse bodies drop
+     comments, reverse, and toggle the negate flag on [Phase] sites
+     ([Gate.inverse] bakes the negated angle into the gate) *)
+  let sites =
+    match Hashtbl.find_opt st.sites_boxes name with
+    | None -> None
+    | Some fwd when not inv -> Some fwd
+    | Some fwd ->
+        let acc = ref [] in
+        Array.iteri
+          (fun i g ->
+            if not (Gate.is_comment g) then begin
+              let s =
+                match (g, fwd.(i)) with
+                | Gate.Phase _, Some (j, neg) -> Some (j, not neg)
+                | _, s -> s
+              in
+              acc := s :: !acc
+            end)
+          circ.Circuit.gates;
+        Some (Array.of_list !acc)
   in
-  match cached with
-  | Some p -> p
-  | None ->
-      let { Circuit.circ; _ } = find_def st name in
-      let body = body_of circ inv in
-      (* align the body's angle sites with [body_of]'s expansion:
-         forward bodies use the recorded row as-is; inverse bodies drop
-         comments, reverse, and toggle the negate flag on [Phase] sites
-         ([Gate.inverse] bakes the negated angle into the gate) *)
-      let sites =
-        match Hashtbl.find_opt st.sites_boxes name with
-        | None -> None
-        | Some fwd when not inv -> Some fwd
-        | Some fwd ->
-            let acc = ref [] in
-            Array.iteri
-              (fun i g ->
-                if not (Gate.is_comment g) then begin
-                  let s =
-                    match (g, fwd.(i)) with
-                    | Gate.Phase _, Some (j, neg) -> Some (j, not neg)
-                    | _, s -> s
-                  in
-                  acc := s :: !acc
-                end)
-              circ.Circuit.gates;
-            Some (Array.of_list !acc)
+  let acc = ref [] in
+  let cfz =
+    {
+      cfg = st.cfg;
+      emit = (fun b sp -> acc := (b, sp) :: !acc);
+      stats = st.st_stats;
+      pending = None;
+    }
+  in
+  Array.iteri
+    (fun i g ->
+      let site =
+        match sites with None -> None | Some arr -> arr.(i)
       in
-      let acc = ref [] in
-      let cfz =
-        {
-          cfg = st.cfg;
-          emit = (fun b sp -> acc := (b, sp) :: !acc);
-          stats = st.st_stats;
-          pending = None;
-        }
-      in
-      Array.iteri
-        (fun i g ->
-          let site =
-            match sites with None -> None | Some arr -> arr.(i)
-          in
-          feed_site st cfz site g)
-        body;
-      flush cfz;
-      let prog =
-        {
-          blocks = Array.of_list (List.rev !acc);
-          p_in = (if inv then circ.Circuit.outputs else circ.Circuit.inputs);
-          p_out = (if inv then circ.Circuit.inputs else circ.Circuit.outputs);
-        }
-      in
-      st.st_stats.boxes_compiled <- st.st_stats.boxes_compiled + 1;
-      Mutex.lock st.compiled.lock;
-      let prog =
-        (* a racing domain may have inserted first; keep its program so
-           every worker replays the same physical blocks *)
-        match Hashtbl.find_opt st.compiled.tbl key with
-        | Some p -> p
-        | None ->
-            Hashtbl.replace st.compiled.tbl key prog;
-            prog
-      in
-      Mutex.unlock st.compiled.lock;
-      prog
+      feed_site st cfz site g)
+    callee.Circuit.gates;
+  flush cfz;
+  st.st_stats.boxes_compiled <- st.st_stats.boxes_compiled + 1;
+  { blocks = Array.of_list (List.rev !acc); callee }
 
 (* ------------------------------------------------------------------ *)
 (* Public surface                                                      *)
@@ -1064,14 +950,19 @@ let measure_and_read st (w : ('b, 'q, 'c) Qdata.t) (q : 'q) : 'b =
   flush st.fz;
   Statevector.measure_and_read st.sv w q
 
-let run_circuit ?config ?boxes ?seed (b : Circuit.b) (inputs : bool list) :
-    state =
+(* A state holding [b]'s definitions, once its input arity checks out. *)
+let load ?config ?boxes ?seed what (b : Circuit.b) (inputs : bool list) =
   let st = create ?config ?boxes ?seed () in
   List.iter
     (fun name -> define st name (Circuit.Namespace.find name b.Circuit.subs))
     b.Circuit.sub_order;
   (if List.length inputs <> List.length b.Circuit.main.Circuit.inputs then
-     Errors.raise_ (Shape_mismatch "fused run: input arity"));
+     Errors.raise_ (Shape_mismatch (what ^ ": input arity")));
+  st
+
+let run_circuit ?config ?boxes ?seed (b : Circuit.b) (inputs : bool list) :
+    state =
+  let st = load ?config ?boxes ?seed "fused run" b inputs in
   List.iter2
     (fun (e : Wire.endpoint) v ->
       apply_gate st (Gate.Init { ty = e.Wire.ty; value = v; wire = e.Wire.wire }))
@@ -1102,18 +993,10 @@ let template_specialized_blocks t =
 
 let compile_template ?(config = default_config) (b : Circuit.b)
     (inputs : bool list) : template =
-  (* Box replay is what makes specs carry whole-circuit site indices;
-     a [cache = false] expansion would silently bake template angles
-     into unsited blocks, so force it on. The compilation cache is
-     private to this template: its programs carry this circuit's site
-     numbering and must not leak into shared caches. *)
-  let config = { config with cache = true } in
-  let st = create ~config () in
-  List.iter
-    (fun name -> define st name (Circuit.Namespace.find name b.Circuit.subs))
-    b.Circuit.sub_order;
-  (if List.length inputs <> List.length b.Circuit.main.Circuit.inputs then
-     Errors.raise_ (Shape_mismatch "template: input arity"));
+  (* The compilation cache is private to this template: its programs
+     carry this circuit's site numbering and must not leak into shared
+     caches. *)
+  let st = load ~config "template" b inputs in
   (* whole-circuit angle-site numbering, in [Circuit.angles] order:
      main gates first, then each box body in [sub_order] *)
   let ctr = ref 0 in

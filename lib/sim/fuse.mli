@@ -45,10 +45,6 @@ type config = {
       (** Window for purely diagonal runs (default 8). Diagonal tables
           have [2^k] entries and cost O(1) extra work per amplitude
           regardless of [k], so the window can be much wider. *)
-  cache : bool;
-      (** Compile each boxed subroutine once and replay calls (default
-          true). When false, calls are expanded structurally like
-          [Sink.unbox], still fusing across the call boundary. *)
 }
 
 val default_config : config
@@ -73,12 +69,11 @@ type state
 type box_cache
 (** A cache of compiled box programs, keyed
     [(name, inverse-flag, structural body hash)] — the hash is
-    {!Circuit.hash_t} with nested calls resolved, so same-named boxes
-    with different bodies can never alias. The cache is
-    mutex-protected and may be shared between states running on
-    different domains (the shot service hands one cache to every
-    worker); compilation happens outside the lock, so a race compiles
-    twice and keeps the first insert. *)
+    {!Circuit.Boxdefs.hash}, with nested calls resolved, so same-named
+    boxes with different bodies can never alias. It is a {!Memo}: it may
+    be shared between states running on different domains (the shot
+    service hands one cache to every worker), and each program compiles
+    once however many domains race for it. *)
 
 val box_cache : unit -> box_cache
 (** A fresh empty shareable cache. *)
@@ -167,7 +162,7 @@ val compile_template :
   ?config:config -> Circuit.b -> bool list -> template
 (** Compile circuit + basis inputs into a reusable template. The box
     cache used is private (compiled programs carry this circuit's
-    angle-site numbering); [config.cache] is forced on. The angle
+    angle-site numbering). The angle
     vector expected by {!run_template} follows {!Circuit.angles} order
     and the template was built at the circuit's own angles, so
     [run_template t (Circuit.angles b)] reproduces the original

@@ -26,6 +26,7 @@ let () =
       ("frame", Test_frame.suite);
       ("serve", Test_serve.suite);
       ("pool", Test_pool.suite);
+      ("memo", Test_memo.suite);
       ("sweep", Test_sweep.suite);
       ("estimate", Test_estimate.suite);
     ]

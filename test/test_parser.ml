@@ -95,7 +95,38 @@ let test_parse_errors () =
   in
   expect_fail "garbage";
   expect_fail "Inputs: 0:Qubit\nQGate[oops](0)\nOutputs: 0:Qubit";
-  expect_fail "Inputs: 0:Qubit\nQGate[\"H\"](0)"
+  expect_fail "Inputs: 0:Qubit\nQGate[\"H\"](0)";
+  (* a box that calls itself, directly or through another box, parses
+     as text but has no finite expansion: rejected, naming the cycle *)
+  let sub name callee =
+    Printf.sprintf
+      "Subroutine: %S\nControllable: true\nInputs: 1:Qubit\n\
+       Subroutine[%S](1) -> (1)\nOutputs: 1:Qubit\n"
+      name callee
+  in
+  let main = "Inputs: 0:Qubit\nSubroutine[\"f\"](0) -> (0)\nOutputs: 0:Qubit\n" in
+  let expect_cycle text cycle =
+    match Parser.parse text with
+    | exception Errors.Error (Errors.Invalid msg) ->
+        check ("error names " ^ cycle) true (Astring_contains.contains msg cycle)
+    | _ -> Alcotest.failf "expected a recursion error naming %s" cycle
+  in
+  expect_cycle (main ^ sub "f" "f") "f -> f";
+  expect_cycle (main ^ sub "f" "g" ^ sub "g" "f") "f -> g -> f";
+  (* [validate_b] rejects the same namespaces built without the parser *)
+  let ok = Parser.parse (main ^ sub "f" "g" ^ sub "g" "h") in
+  let recursive =
+    { ok with
+      Circuit.subs =
+        Circuit.Namespace.add "g"
+          (Circuit.Namespace.find "f" ok.Circuit.subs)
+          ok.Circuit.subs }
+  in
+  (match Circuit.validate_b recursive with
+  | exception Errors.Error (Errors.Invalid msg) ->
+      check "validate_b names the cycle" true
+        (Astring_contains.contains msg "g -> g")
+  | () -> Alcotest.fail "validate_b accepted a recursive box")
 
 let prop_roundtrip_random =
   QCheck2.Test.make ~name:"print-parse-print idempotent on random circuits"

@@ -17,6 +17,7 @@ module Fuse = Quipper_sim.Fuse
 module Kernel = Quipper_sim.Kernel
 module Noise = Quipper_sim.Noise
 module Serve = Quipper_serve
+module Stream_opt = Quipper_opt.Stream_opt
 
 let check = Alcotest.(check bool)
 let inputs_gen n = QCheck2.Gen.(list_repeat n bool)
@@ -182,7 +183,32 @@ let test_box_alias () =
   let fresh1 = amps b1 and fresh2 = amps b2 in
   check "shared cache: first circuit unchanged" true (amps ~boxes b1 = fresh1);
   check "shared cache: same-named box does not alias" true
-    (amps ~boxes b2 = fresh2)
+    (amps ~boxes b2 = fresh2);
+  (* one event stream that defines "body" as b1's, calls it, redefines
+     it as b2's and calls it again: each call must expand the body in
+     force *)
+  let both (s : 'r Sink.t) =
+    s.Sink.on_inputs b1.Circuit.main.Circuit.inputs;
+    List.iter
+      (fun (b : Circuit.b) ->
+        List.iter
+          (fun n -> s.Sink.on_subroutine_exit n (Circuit.find_sub b n))
+          b.Circuit.sub_order;
+        Array.iter s.Sink.on_gate b.Circuit.main.Circuit.gates)
+      [ b1; b2 ];
+    s.Sink.finish b1.Circuit.main.Circuit.outputs
+  in
+  let unboxed b = Sink.drive b (Sink.unbox (Sink.gates ())) in
+  check "unbox: a redefined box expands its new body" true
+    (both (Sink.unbox (Sink.gates ())) = unboxed b1 @ unboxed b2);
+  (* the optimizer's skeleton memo, shared across both circuits, must
+     not hand b1's rewritten body to b2 *)
+  let memo = Stream_opt.memo () in
+  let optimized ?memo b = Sink.drive b (Stream_opt.sink ?memo (Sink.circuit ())) in
+  let fresh1 = optimized b1 and fresh2 = optimized b2 in
+  check "stream_opt: shared memo, same-named box does not alias" true
+    (optimized ~memo b1 = fresh1 && optimized ~memo b2 = fresh2
+    && fresh1 <> fresh2)
 
 (* ------------------------------------------------------------------ *)
 (* The noiseless campaign fast path rides the same surface             *)
@@ -235,7 +261,32 @@ let test_single_prepare () =
        replies);
   check "prepared exactly once" true (st.Serve.prepares = 1);
   check "one miss, the rest hits" true
-    (st.Serve.misses = 1 && st.Serve.hits = 15 && st.Serve.entries = 1)
+    (st.Serve.misses = 1 && st.Serve.hits = 15 && st.Serve.entries = 1);
+  (* a preparation that fails wakes its waiters, and each retries and
+     fails in turn: no hang, no cached failure *)
+  let q = { Wire.wire = 0; ty = Wire.Q } in
+  let undefined =
+    Circuit.of_main
+      {
+        Circuit.inputs = [ q ];
+        gates =
+          [| Gate.Subroutine
+               { name = "undefined"; inv = false; inputs = [ 0 ]; outputs = [ 0 ];
+                 controls = [] } |];
+        outputs = [ q ];
+      }
+  in
+  let bad = { req with Serve.circuit = undefined; inputs = [ false ] } in
+  let svc = Serve.create () in
+  Kernel.num_domains := 4;
+  let replies = Serve.submit_batch svc (List.init 8 (fun _ -> bad)) in
+  Kernel.num_domains := saved;
+  let st = Serve.stats svc in
+  check "8 requests naming an undefined box: 8 errors" true
+    (List.length replies = 8
+    && List.for_all (function Error _ -> true | Ok _ -> false) replies);
+  check "no preparation completed, nothing cached" true
+    (st.Serve.prepares = 0 && st.Serve.entries = 0 && st.Serve.misses = 8)
 
 let suite =
   [

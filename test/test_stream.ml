@@ -10,6 +10,7 @@ module Gen = Quipper_testgen.Gen
 open Circ
 module Backend = Quipper_sim.Backend
 module Sv = Quipper_sim.Statevector
+module Fuse = Quipper_sim.Fuse
 
 let check = Alcotest.(check bool)
 let n = 4
@@ -185,6 +186,78 @@ let test_boxed_simulation () =
     (Backend.equal_observation obs reference)
 
 (* ------------------------------------------------------------------ *)
+(* One box table: every walker expands calls alike                     *)
+
+(* A random program boxed as "step" over [n] wires, called plainly
+   twice, under a control and inverted — the shape of [boxed_circuit]
+   in test_estimate.ml. *)
+let boxed_random ops =
+  let w = Qdata.list_of n Qdata.qubit in
+  let step = box "step" ~in_:w ~out:w (Gen.program_fun ops) in
+  fst
+    (Circ.generate
+       ~in_:(Qdata.list_of (n + 1) Qdata.qubit)
+       (fun ql ->
+         match ql with
+         | c :: rest ->
+             let* rest = step rest in
+             let* rest = step rest in
+             let* rest = with_controls [ ctl c ] (step rest) in
+             let* rest = reverse_simple w step rest in
+             return (c :: rest)
+         | [] -> assert false))
+
+(* [a] and [b] agree gate for gate up to a bijective renaming of the
+   wires internal to calls; wires of the main circuit keep their ids. *)
+let equal_up_to_internal_wires (a : Gate.t list) (b : Gate.t list) ~main =
+  let fwd = Hashtbl.create 64 and bwd = Hashtbl.create 64 in
+  let pair (x : Wire.endpoint) (y : Wire.endpoint) =
+    match (Hashtbl.find_opt fwd x.Wire.wire, Hashtbl.find_opt bwd y.Wire.wire) with
+    | Some y', _ -> y' = y.Wire.wire
+    | None, Some _ -> false
+    | None, None ->
+        let internal = not (List.mem x.Wire.wire main) in
+        (internal || x.Wire.wire = y.Wire.wire)
+        && begin
+             Hashtbl.add fwd x.Wire.wire y.Wire.wire;
+             Hashtbl.add bwd y.Wire.wire x.Wire.wire;
+             true
+           end
+  in
+  List.length a = List.length b
+  && List.for_all2
+       (fun ga gb ->
+         let wa = Gate.wires ga and wb = Gate.wires gb in
+         List.length wa = List.length wb
+         && List.for_all2 pair wa wb
+         && Gate.rename (Hashtbl.find fwd) ga = gb)
+       a b
+
+let prop_box_table_agreement =
+  QCheck2.Test.make
+    ~name:"box calls: Sink.unbox = Circuit.inline, Fuse = Statevector (60)"
+    ~count:60
+    QCheck2.Gen.(pair (Gen.program_gen ~n ~max_ops:8 ()) (list_repeat (n + 1) bool))
+    (fun (ops, inputs) ->
+      let b = boxed_random ops in
+      let flat = Circuit.inline b in
+      let main =
+        List.concat_map
+          (fun g -> List.map (fun (e : Wire.endpoint) -> e.Wire.wire) (Gate.wires g))
+          (Array.to_list b.Circuit.main.Circuit.gates)
+        @ List.map (fun (e : Wire.endpoint) -> e.Wire.wire) b.Circuit.main.Circuit.inputs
+      in
+      let reference = Sv.amplitudes (Sv.run_circuit ~seed:5 (Circuit.of_main flat) inputs) in
+      let fused = Fuse.amplitudes (Fuse.run_circuit ~seed:5 b inputs) in
+      equal_up_to_internal_wires ~main
+        (Sink.drive b (Sink.unbox (Sink.gates ())))
+        (Array.to_list flat.Circuit.gates)
+      && Array.length fused = Array.length reference
+      && Array.for_all2
+           (fun x y -> Quipper_math.Cplx.(norm (sub x y)) <= 1e-9)
+           fused reference)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -200,4 +273,5 @@ let suite =
       test_with_computed_stream;
     Alcotest.test_case "boxed circuit: streaming simulation" `Quick
       test_boxed_simulation;
+    QCheck_alcotest.to_alcotest prop_box_table_agreement;
   ]

@@ -275,7 +275,18 @@ let test_sweep_warm_template () =
   checki "every point re-specialized the kernel slots"
     (2 * List.length sw.Serve.sw_points)
     st.Serve.specialized;
-  checki "sweep points never enter the request cache" 0 st.Serve.entries
+  checki "sweep points never enter the request cache" 0 st.Serve.entries;
+  (* 8 identical sweeps racing on a cold service: one template compile,
+     the other 7 wait for it and hit *)
+  let svc = Serve.create ~backend:`Fused () in
+  let raced = Array.make 8 [] in
+  Quipper_sim.Pool.run ~domains:8 8 (fun i ->
+      raced.(i) <- outcomes_of (Serve.submit_sweep svc sw));
+  let st = Serve.stats svc in
+  check "racing sweeps bit-identical to the cold one" true
+    (Array.for_all (fun r -> r = cold) raced);
+  checki "racing sweeps: one template compile" 1 st.Serve.t_misses;
+  checki "racing sweeps: the rest hit" 7 st.Serve.t_hits
 
 let test_template_lru () =
   let pool = Array.init 24 (fun i -> 0.13 *. float (i - 5)) in
