@@ -157,6 +157,29 @@ let targets = function
 let wire_action g w =
   if List.mem w (targets g) then target_action g else Act_diag
 
+(* Merge walks over two ascending distinct-wire prefixes [wa.(0..na)]
+   and [wb.(0..nb)]; top-level rather than local so they allocate no
+   closure. *)
+let rec share wa na i wb nb j =
+  i < na && j < nb
+  &&
+  let x = wa.(i) and y = wb.(j) in
+  x = y || if x < y then share wa na (i + 1) wb nb j else share wa na i wb nb (j + 1)
+
+let rec shared_factors_commute a wa na i b wb nb j =
+  i >= na || j >= nb
+  ||
+  let x = wa.(i) and y = wb.(j) in
+  if x = y then
+    (match (wire_action a x, wire_action b x) with
+    | Act_diag, Act_diag | Act_x, Act_x -> true
+    | _ -> false)
+    && shared_factors_commute a wa na (i + 1) b wb nb (j + 1)
+  else if x < y then shared_factors_commute a wa na (i + 1) b wb nb j
+  else shared_factors_commute a wa na i b wb nb (j + 1)
+
+let factors g = is_diagonal g || List.length (targets g) <= 1
+
 (** Sound syntactic commutation check. Gates on disjoint wire sets always
     commute. Two diagonal gates commute however they overlap. Otherwise
     both gates must decompose as sums of per-wire tensor factors (single
@@ -166,29 +189,41 @@ let wire_action g w =
     commutes with a Z or a T on the same wire, but a CNOT's control
     against another CNOT's target does not). Multi-target non-diagonal
     gates (swap, W) only commute by disjointness. Conservative [false]
-    everywhere else — never claims commutation that does not hold. *)
-let commutes a b =
-  let wires_of g =
-    List.sort_uniq compare (List.map (fun (e : Wire.endpoint) -> e.Wire.wire) (wires g))
-  in
-  let shared = List.filter (fun w -> List.mem w (wires_of b)) (wires_of a) in
-  if shared = [] then true
+    everywhere else — never claims commutation that does not hold.
+
+    [commutes_sorted a wa na b wb nb] takes each gate's distinct wires
+    in ascending order as the first [na] (resp. [nb]) cells of [wa]
+    ([wb]) and allocates nothing. *)
+let commutes_sorted a wa na b wb nb =
+  if not (share wa na 0 wb nb 0) then true
   else if not (is_unitary a && is_unitary b) then false
   else if is_diagonal a && is_diagonal b then true
-  else
-    let factors g = is_diagonal g || List.length (targets g) <= 1 in
-    factors a && factors b
-    && List.for_all
-         (fun w ->
-           match (wire_action a w, wire_action b w) with
-           | Act_diag, Act_diag | Act_x, Act_x -> true
-           | _ -> false)
-         shared
+  else factors a && factors b && shared_factors_commute a wa na 0 b wb nb 0
 
+let commutes a b =
+  let sorted g =
+    Array.of_list
+      (List.sort_uniq Int.compare
+         (List.map (fun (e : Wire.endpoint) -> e.Wire.wire) (wires g)))
+  in
+  let wa = sorted a and wb = sorted b in
+  commutes_sorted a wa (Array.length wa) b wb (Array.length wb)
+
+let control_equal a b = a.cwire = b.cwire && a.cty = b.cty && a.positive = b.positive
+
+let rec occurrences c = function
+  | [] -> 0
+  | c' :: cs -> Bool.to_int (control_equal c c') + occurrences c cs
+
+let rec same_counts cs1 cs2 = function
+  | [] -> true
+  | c :: cs -> occurrences c cs1 = occurrences c cs2 && same_counts cs1 cs2 cs
+
+(* equal as multisets, without allocating: control lists are short *)
 let same_controls cs1 cs2 =
-  let key c = (c.cwire, c.cty, c.positive) in
-  let sort cs = List.sort compare (List.map key cs) in
-  List.length cs1 = List.length cs2 && sort cs1 = sort cs2
+  List.compare_lengths cs1 cs2 = 0 && same_counts cs1 cs2 cs1
+
+let same_wires = List.equal Int.equal
 
 (* The diagonal Clifford+T phases in pi/4 steps: [T] = 1, [S] = 2,
    [Z] = 4, a starred gate the negation mod 8 ([Z] is self-inverse). *)
@@ -210,7 +245,7 @@ let eighths = function
 let fusion a b =
   match (a, b) with
   | Gate ga, Gate gb
-    when ga.targets = gb.targets && same_controls ga.controls gb.controls -> (
+    when same_wires ga.targets gb.targets && same_controls ga.controls gb.controls -> (
       match (eighths (ga.name, ga.inv), eighths (gb.name, gb.inv)) with
       | Some x, Some y -> (
           let fused name inv = Some (Gate { ga with name; inv }) in
@@ -224,7 +259,7 @@ let fusion a b =
           | _ -> None (* 3 and 5 eighths are no single gate *))
       | _ -> None)
   | Rot ra, Rot rb
-    when ra.name = rb.name && ra.targets = rb.targets
+    when String.equal ra.name rb.name && same_wires ra.targets rb.targets
          && same_controls ra.controls rb.controls ->
       let eff angle inv = if inv then -.angle else angle in
       let angle = eff ra.angle ra.inv +. eff rb.angle rb.inv in

@@ -118,6 +118,15 @@ val commutes : t -> t -> bool
     that pairwise commute — diag/diag or X/X). Conservative [false]
     otherwise. *)
 
+val commutes_sorted : t -> Wire.t array -> int -> t -> Wire.t array -> int -> bool
+(** [commutes_sorted a wa na b wb nb] is [commutes a b], given each
+    gate's distinct wires in ascending order as the first [na] (resp.
+    [nb]) cells of [wa] ([wb]). Allocates nothing: the streaming
+    optimizer's window calls it on wire arrays cached per entry. *)
+
+val control_equal : control -> control -> bool
+(** Same wire, type and polarity. *)
+
 val fusion : t -> t -> t option
 (** Fuse two gates on identical targets and controls into one: any two
     of [T]/[S]/[Z] and their inverses, phases summed in pi/4 steps

@@ -77,18 +77,25 @@ let map_circuits (f : Circuit.t -> Circuit.t) (b : Circuit.b) : Circuit.b =
 (* ------------------------------------------------------------------ *)
 (* Peephole optimisation                                               *)
 
+let same_wires = List.equal Int.equal
+
+let same_control_list = List.equal Gate.control_equal
+
 let gates_cancel (a : Gate.t) (b : Gate.t) =
   match (a, b) with
   | Gate.Gate ga, Gate.Gate gb ->
-      ga.name = gb.name && ga.targets = gb.targets && ga.controls = gb.controls
+      String.equal ga.name gb.name && same_wires ga.targets gb.targets
+      && same_control_list ga.controls gb.controls
       && (if Gate.self_inverse ga.name then true else ga.inv <> gb.inv)
   | Gate.Rot ra, Gate.Rot rb ->
-      ra.name = rb.name && ra.targets = rb.targets && ra.controls = rb.controls
+      String.equal ra.name rb.name && same_wires ra.targets rb.targets
+      && same_control_list ra.controls rb.controls
       && ra.angle = rb.angle && ra.inv <> rb.inv
   | Gate.Subroutine sa, Gate.Subroutine sb ->
       (* a call followed by its inverse with matching wire flow *)
-      sa.name = sb.name && sa.inv <> sb.inv && sa.controls = sb.controls
-      && sa.outputs = sb.inputs && sa.inputs = sb.outputs
+      String.equal sa.name sb.name && sa.inv <> sb.inv
+      && same_control_list sa.controls sb.controls
+      && same_wires sa.outputs sb.inputs && same_wires sa.inputs sb.outputs
   | Gate.Init ia, Gate.Term tb ->
       (* a wire born and immediately terminated *)
       ia.wire = tb.wire && ia.value = tb.value && ia.ty = tb.ty

@@ -1,20 +1,26 @@
 (** Streaming peephole optimisation over a bounded look-behind window.
 
-    The window is a FIFO of entries plus a per-wire index: [last] maps
-    each wire to the newest live entry touching it, and every entry
-    remembers, per wire, the entry that was newest when it arrived
-    ([prev]), and, once one arrives, its direct successor ([next]).
-    An arriving gate walks this adjacency toward older entries: step
-    past provable commuters, act on a cancellation or fusion partner,
-    stop at anything else.
+    The window is a ring of entry slots in arrival order plus a per-wire
+    index: [last] maps each wire to the newest entry touching it, and
+    every entry keeps its gate's distinct wires as a sorted array with,
+    per wire, the entry that was newest on it when it arrived ([prev])
+    and, once one arrives, its direct successor ([next]). An arriving
+    gate walks this adjacency toward older entries: step past provable
+    commuters, act on a cancellation or fusion partner, stop at anything
+    else.
 
-    Rewrites mutate entries in place ([g = None] marks removal), so the
-    emission order of surviving gates is the arrival order — retirement
-    pops the FIFO head. Retirement is therefore monotone in [seq]: once
-    an entry is retired, so is everything older, which makes two
-    conservative short-cuts sound: a backward walk reaching a retired
-    entry stops (everything beyond is out of reach anyway), and retired
-    entries drop their [prev] links (bounding memory at O(window)).
+    Rewrites mutate entries in place (clearing [live] marks removal), so
+    the emission order of surviving gates is the arrival order —
+    retirement advances the ring's head. Retirement is therefore
+    monotone in arrival number: an entry has retired exactly when its
+    number is below the head's, and a backward walk reaching a retired
+    entry stops (everything beyond is out of reach anyway). Links are
+    arrival numbers rather than pointers, so a retired slot is reused
+    by a later gate and a stale link is recognised by its number; the
+    ring doubles only when every slot is in the window. The [last] index
+    and the constant map are int-keyed open-addressing tables, and the
+    walk keeps its per-wire cursors in one reused array, so the window
+    allocates nothing per gate beyond what a rewrite builds.
 
     Constant propagation runs at arrival, before the walks. Arrival
     order equals emission order, and every rewrite is semantics-exact,
@@ -107,147 +113,234 @@ let eval_cgate name (ins : bool list) =
   | "xor", _ -> Some (List.fold_left ( <> ) false ins)
   | _ -> None
 
+(* ------------------------------------------------------------------ *)
+(* Int-keyed tables                                                    *)
+
+(* Wire-keyed maps to non-negative ints (the [last] index, the constant
+   map): open addressing with linear probing over two int arrays, [-1]
+   marking a free cell. Nothing is allocated per operation — the arrays
+   double at half load — and removal shifts the rest of the probe run
+   back instead of leaving tombstones. *)
+module Itbl = struct
+  type t = { mutable keys : int array; mutable vals : int array; mutable size : int }
+
+  let create n = { keys = Array.make n 0; vals = Array.make n (-1); size = 0 }
+  let home keys k = (k * 0x2545F4914F6CDD1D) lsr 17 land (Array.length keys - 1)
+
+  (* the cell holding [k], or the free cell ending its probe run *)
+  let rec probe t k i =
+    if t.vals.(i) < 0 || t.keys.(i) = k then i
+    else probe t k ((i + 1) land (Array.length t.keys - 1))
+
+  let find t k = t.vals.(probe t k (home t.keys k))
+
+  let rec replace t k v =
+    let i = probe t k (home t.keys k) in
+    if t.vals.(i) >= 0 then t.vals.(i) <- v
+    else if 2 * (t.size + 1) > Array.length t.keys then begin
+      let keys = t.keys and vals = t.vals in
+      t.keys <- Array.make (2 * Array.length keys) 0;
+      t.vals <- Array.make (2 * Array.length keys) (-1);
+      t.size <- 0;
+      Array.iteri (fun j v' -> if v' >= 0 then replace t keys.(j) v') vals;
+      replace t k v
+    end
+    else begin
+      t.keys.(i) <- k;
+      t.vals.(i) <- v;
+      t.size <- t.size + 1
+    end
+
+  (* fill the hole at [i] from later cells of its probe run *)
+  let rec shift t hole j =
+    let mask = Array.length t.keys - 1 in
+    let j = (j + 1) land mask in
+    if t.vals.(j) < 0 then t.vals.(hole) <- -1
+    else if (j - home t.keys t.keys.(j)) land mask >= (j - hole) land mask then begin
+      t.keys.(hole) <- t.keys.(j);
+      t.vals.(hole) <- t.vals.(j);
+      shift t j j
+    end
+    else shift t hole j
+
+  let remove t k =
+    let i = probe t k (home t.keys k) in
+    if t.vals.(i) >= 0 then begin
+      t.size <- t.size - 1;
+      shift t i i
+    end
+end
+
 (* Classical constant propagation from [Init0]/[Init1] and classical
    [Cgate] evaluation, one gate at a time: [cp] maps wires to their known
-   basis values, [cp_step] processes one gate and says what to do with
-   it. [`Drop] deletes it (a control provably contradicts a known value,
-   or a swap of known-equal wires); [`Keep (g', n)] emits [g'], the gate
-   with [n] provably-satisfied controls removed. Known values flow
-   through X/Y flips, diagonal gates, measurements and classical logic,
-   and die at H-like gates and subroutine calls. *)
-type cp = (Wire.t, bool) Hashtbl.t
+   basis values (0 or 1), [cp_step] processes one gate and returns what
+   to emit: [dropped_gate] deletes it (a control provably contradicts a
+   known value, or a swap of known-equal wires); otherwise the gate with
+   its provably-satisfied controls removed, counted in [st]. Known
+   values flow through X/Y flips, diagonal gates, measurements and
+   classical logic, and die at H-like gates and subroutine calls. *)
+type cp = Itbl.t
 
-let cp_step (known : cp) (g : Gate.t) : [ `Keep of Gate.t * int | `Drop ] =
-  let forget w = Hashtbl.remove known w in
-  (* split a control list by what the known-value map says about it *)
-  let resolve_controls controls =
-    let dead = ref false in
-    let dropped = ref 0 in
-    let kept =
-      List.filter
-        (fun (c : Gate.control) ->
-          match Hashtbl.find_opt known c.Gate.cwire with
-          | Some v when v = c.Gate.positive ->
-              incr dropped;
-              false (* always fires: drop the control *)
-          | Some _ ->
-              dead := true;
-              false
-          | None -> true)
-        controls
-    in
-    (kept, !dead, !dropped)
-  in
+let dropped_gate = Gate.Comment { text = "dropped"; labels = [] }
+
+let rec forget_all known = function
+  | [] -> ()
+  | w :: ws ->
+      Itbl.remove known w;
+      forget_all known ws
+
+let rec controls_known known = function
+  | [] -> false
+  | (c : Gate.control) :: cs -> Itbl.find known c.cwire >= 0 || controls_known known cs
+
+(* what a unitary gate does to the known values: [g], or
+   [dropped_gate] for a swap of known-equal wires (the identity) *)
+let cp_unitary known st g =
+  match g with
+  | Gate.Gate { name = "not" | "X" | "Y"; targets = [ w ]; controls = []; _ } ->
+      let v = Itbl.find known w in
+      if v >= 0 then Itbl.replace known w (1 - v);
+      g
+  | Gate.Gate { name = "swap"; targets = [ a; b ]; controls = []; _ } ->
+      let va = Itbl.find known a and vb = Itbl.find known b in
+      if va >= 0 && va = vb then begin
+        st.const_deleted <- st.const_deleted + 1;
+        dropped_gate
+      end
+      else begin
+        if va >= 0 then Itbl.replace known b va else Itbl.remove known b;
+        if vb >= 0 then Itbl.replace known a vb else Itbl.remove known a;
+        g
+      end
+  | Gate.Subroutine { inputs; outputs; _ } ->
+      forget_all known inputs;
+      forget_all known outputs;
+      g
+  | g when Gate.is_diagonal g ->
+      (* a diagonal gate fixes every basis value *)
+      g
+  | g ->
+      forget_all known (Gate.targets g);
+      g
+
+let cp_step (known : cp) (st : stats) (g : Gate.t) : Gate.t =
   match g with
   | Gate.Init { value; wire; _ } ->
-      Hashtbl.replace known wire value;
-      `Keep (g, 0)
+      Itbl.replace known wire (Bool.to_int value);
+      g
   | Gate.Term { wire; _ } | Gate.Discard { wire; _ } ->
-      forget wire;
-      `Keep (g, 0)
+      Itbl.remove known wire;
+      g
   | Gate.Measure _ ->
       (* a known wire is in a basis state: measuring preserves the
          value, the wire merely turns classical *)
-      `Keep (g, 0)
-  | Gate.Cgate { name; out = o; ins } ->
+      g
+  | Gate.Cgate { name; out; ins } ->
+      let vals = List.map (Itbl.find known) ins in
       (match
-         List.map (fun w -> Hashtbl.find_opt known w) ins
-         |> List.fold_left
-              (fun acc v ->
-                match (acc, v) with Some l, Some x -> Some (x :: l) | _ -> None)
-              (Some [])
+         if List.mem (-1) vals then None else eval_cgate name (List.map (( = ) 1) vals)
        with
-      | Some vals -> (
-          match eval_cgate name (List.rev vals) with
-          | Some v -> Hashtbl.replace known o v
-          | None -> forget o)
-      | None -> forget o);
-      `Keep (g, 0)
-  | Gate.Comment _ -> `Keep (g, 0)
+      | Some v -> Itbl.replace known out (Bool.to_int v)
+      | None -> Itbl.remove known out);
+      g
+  | Gate.Comment _ -> g
   | Gate.Gate _ | Gate.Rot _ | Gate.Phase _ | Gate.Subroutine _ -> (
-      let kept, dead, dropped = resolve_controls (Gate.controls g) in
-      if dead then
-        match g with
-        | Gate.Subroutine { inputs; outputs; _ } when inputs <> outputs ->
-            (* the call never fires, but deleting it would orphan its
-               output wire ids; keep it untouched, satisfied controls
-               included *)
-            List.iter forget inputs;
-            List.iter forget outputs;
-            `Keep (g, 0)
-        | Gate.Subroutine _ | Gate.Gate _ | Gate.Rot _ | Gate.Phase _ ->
-            (* never fires and targets = outputs: delete *)
-            `Drop
-        | _ -> assert false
+      let cs = Gate.controls g in
+      (* nothing known about any control (the common case): the gate
+         passes as is, allocating nothing *)
+      if not (controls_known known cs) then cp_unitary known st g
       else
-        let g = with_controls g kept in
-        match g with
-        | Gate.Gate { name = "not" | "X" | "Y"; targets = [ w ]; controls = []; _ }
-          ->
-            (match Hashtbl.find_opt known w with
-            | Some v -> Hashtbl.replace known w (not v)
-            | None -> ());
-            `Keep (g, dropped)
-        | Gate.Gate { name = "swap"; targets = [ a; b ]; controls = []; _ } -> (
-            match (Hashtbl.find_opt known a, Hashtbl.find_opt known b) with
-            | Some va, Some vb when va = vb ->
-                (* swapping two wires in the same basis state is the
-                   identity: delete *)
-                `Drop
-            | ka, kb ->
-                (match ka with Some v -> Hashtbl.replace known b v | None -> forget b);
-                (match kb with Some v -> Hashtbl.replace known a v | None -> forget a);
-                `Keep (g, dropped))
-        | Gate.Subroutine { inputs; outputs; _ } ->
-            List.iter forget inputs;
-            List.iter forget outputs;
-            `Keep (g, dropped)
-        | g when Gate.is_diagonal g ->
-            (* a diagonal gate fixes every basis value *)
-            `Keep (g, dropped)
-        | g ->
-            List.iter forget (Gate.targets g);
-            `Keep (g, dropped))
+        let value (c : Gate.control) = Itbl.find known c.cwire in
+        let contradicts c =
+          let v = value c in
+          v >= 0 && (v = 1) <> c.Gate.positive
+        in
+        if List.exists contradicts cs then
+          match g with
+          | Gate.Subroutine { inputs; outputs; _ } when inputs <> outputs ->
+              (* the call never fires, but deleting it would orphan its
+                 output wire ids; keep it untouched, satisfied controls
+                 included *)
+              forget_all known inputs;
+              forget_all known outputs;
+              g
+          | _ ->
+              (* never fires and targets = outputs: delete *)
+              st.const_deleted <- st.const_deleted + 1;
+              dropped_gate
+        else
+          (* every known control always fires: drop those *)
+          let kept = List.filter (fun c -> value c < 0) cs in
+          let g = cp_unitary known st (with_controls g kept) in
+          if g != dropped_gate then
+            st.const_controls <- st.const_controls + List.length cs - List.length kept;
+          g)
 
 (* ------------------------------------------------------------------ *)
 (* The window                                                          *)
 
+(* One window entry. Entries are slots of a ring, reused once retired,
+   and every link between them is an arrival sequence number ([-1]:
+   none), so a slot's fields are all overwritten in place and nothing
+   is allocated per gate. *)
 type entry = {
-  seq : int;
-  mutable g : Gate.t option;  (** [None]: removed by a rewrite *)
-  mutable retired : bool;
-  ws : Wire.t list;  (** wires at insertion (rewrites never change them) *)
-  mask : int;
-      (** support bitmask (bit [w mod 62] per wire): a cheap commutation
-          pre-test — disjoint masks prove disjoint supports *)
+  mutable seq : int;  (** arrival number; the slot is [ring.(seq mod size)] *)
+  mutable g : Gate.t;
+  mutable live : bool;  (** [false]: removed by a rewrite *)
   mutable diag : bool;
       (** cached [Gate.is_diagonal] of [g]; two diagonal gates always
-          commute, skipping the allocating [Gate.commutes] walk *)
-  mutable site : int option;
-      (** input angle-site index ([Rot]/[Phase] arrival order), for the
-          box-body replay memo's output provenance *)
-  mutable prev : (Wire.t * entry) list;
-      (** per wire, the newest older entry on it at insertion time *)
-  mutable next : (Wire.t * entry) list;
-      (** per wire, the direct successor, once one arrives *)
+          commute *)
+  mutable site : int;
+      (** input angle-site index ([Rot]/[Phase] arrival order; [-1]:
+          none), for the box-body replay memo's output provenance *)
   mutable queued : bool;  (** already on the re-examination worklist *)
+  mutable nws : int;
+  mutable ws : Wire.t array;
+      (** the first [nws] cells: the gate's distinct wires, ascending, at
+          insertion (rewrites never change them) *)
+  mutable prev : int array;
+      (** per wire of [ws]: the newest older entry on it at insertion *)
+  mutable next : int array;  (** per wire of [ws]: the direct successor *)
 }
+
+let fresh_entry () =
+  {
+    seq = -1;
+    g = dropped_gate;
+    live = false;
+    diag = false;
+    site = -1;
+    queued = false;
+    nws = 0;
+    ws = Array.make 4 0;
+    prev = Array.make 4 (-1);
+    next = Array.make 4 (-1);
+  }
 
 type win = {
   window : int;
   lookahead : int;
   st : stats;
-  emit : Gate.t -> int option -> unit;
-      (** surviving gate plus its input angle-site provenance *)
-  q : entry Queue.t;
-  last : (Wire.t, entry) Hashtbl.t;
-  cp : cp;
-  todo : entry Queue.t;
-      (** re-examination worklist: the streaming stand-in for the
-          materialized fixpoint — a removal may unblock pairs that were
-          separated by the removed gate, so the removed entry's nearest
-          live successors get their walks retried, cascading *)
+  emit : Gate.t -> int -> unit;
+      (** surviving gate plus its input angle-site provenance ([-1]: none) *)
+  mutable ring : entry array;
+      (** power-of-two size; entry [s] sits at [s land (size - 1)] for
+          [head <= s < nseq] *)
+  mutable head : int;
+      (** oldest entry still in the window: retirement is FIFO, so an
+          entry is retired exactly when its [seq < head] *)
   mutable nseq : int;
+  last : Itbl.t;  (** wire -> newest entry on it *)
+  cp : cp;
+  mutable todo : int array;
+      (** re-examination worklist, a FIFO ring of entries: the streaming
+          stand-in for the materialized fixpoint — a removal may unblock
+          pairs that were separated by the removed gate, so the removed
+          entry's nearest live successors get their walks retried,
+          cascading *)
+  mutable todo_head : int;
+  mutable todo_len : int;
+  mutable cursors : int array;  (** the backward walk's, one per wire *)
   mutable angle_sensitive : bool;
       (** an angle-dependent rewrite fired: a [Rot] cancellation tests
           angle equality, a [Rot]/[Phase] fusion sums angles (and may
@@ -257,81 +350,156 @@ type win = {
 
 let win_create ~window ~lookahead ~st emit =
   {
-    window;
+    window = max window 0;
     lookahead;
     st;
     emit;
-    q = Queue.create ();
-    last = Hashtbl.create 64;
-    cp = Hashtbl.create 32;
-    todo = Queue.create ();
+    ring = Array.init 16 (fun _ -> fresh_entry ());
+    head = 0;
     nseq = 0;
+    last = Itbl.create 64;
+    cp = Itbl.create 32;
+    todo = Array.make 16 0;
+    todo_head = 0;
+    todo_len = 0;
+    cursors = Array.make 4 (-1);
     angle_sensitive = false;
   }
 
-(* comments are transparent to the wire chains: they hold
-   a queue slot so printing order survives, but never obstruct a walk *)
-let wires_of (g : Gate.t) =
+let entry w s = w.ring.(s land (Array.length w.ring - 1))
+
+(* index of wire [wi] in [e.ws]; [e] touches it *)
+let wire_index e wi =
+  let i = ref 0 in
+  while e.ws.(!i) <> wi do incr i done;
+  !i
+
+let grow_ring w =
+  let old = w.ring in
+  let n = 2 * Array.length old in
+  let ring = Array.make n old.(0) in
+  for s = w.head to w.nseq - 1 do
+    ring.(s land (n - 1)) <- old.(s land (Array.length old - 1))
+  done;
+  for s = w.nseq to w.head + n - 1 do
+    ring.(s land (n - 1)) <- fresh_entry ()
+  done;
+  w.ring <- ring
+
+(* add [wi] to the ascending distinct prefix of [e.ws] *)
+let add_wire e wi =
+  let n = e.nws in
+  let i = ref n in
+  while !i > 0 && e.ws.(!i - 1) > wi do decr i done;
+  if !i = 0 || e.ws.(!i - 1) <> wi then begin
+    if n = Array.length e.ws then begin
+      let ws = Array.make (2 * n) 0 in
+      Array.blit e.ws 0 ws 0 n;
+      e.ws <- ws;
+      e.prev <- Array.make (2 * n) (-1);
+      e.next <- Array.make (2 * n) (-1)
+    end;
+    Array.blit e.ws !i e.ws (!i + 1) (n - !i);
+    e.ws.(!i) <- wi;
+    e.nws <- n + 1
+  end
+
+let rec add_wires e = function
+  | [] -> ()
+  | wi :: ws ->
+      add_wire e wi;
+      add_wires e ws
+
+let rec add_controls e = function
+  | [] -> ()
+  | (c : Gate.control) :: cs ->
+      add_wire e c.cwire;
+      add_controls e cs
+
+(* [e] holds [g]: its diagonality and the wires of [Gate.wires g],
+   except that comments have none — they hold a ring slot so printing
+   order survives, but never obstruct a walk *)
+let set_gate e (g : Gate.t) =
+  e.g <- g;
+  e.diag <- Gate.is_diagonal g;
+  e.nws <- 0;
   match g with
-  | Gate.Comment _ -> []
-  | g ->
-      List.sort_uniq Int.compare
-        (List.map (fun (e : Wire.endpoint) -> e.Wire.wire) (Gate.wires g))
+  | Gate.Comment _ -> ()
+  | Gate.Gate { targets; controls; _ } | Gate.Rot { targets; controls; _ } ->
+      add_wires e targets;
+      add_controls e controls
+  | Gate.Phase { controls; _ } -> add_controls e controls
+  | Gate.Init { wire; _ } | Gate.Term { wire; _ } | Gate.Discard { wire; _ }
+  | Gate.Measure { wire } ->
+      add_wire e wire
+  | Gate.Cgate { out; ins; _ } ->
+      add_wire e out;
+      add_wires e ins
+  | Gate.Subroutine { inputs; outputs; controls; _ } ->
+      add_wires e inputs;
+      add_wires e outputs;
+      add_controls e controls
+
+(* The window's commutation test: the [diag && diag] pre-test, then
+   [Gate.commutes_sorted] on the cached wire arrays. *)
+let entries_commute x e =
+  (x.diag && e.diag) || Gate.commutes_sorted x.g x.ws x.nws e.g e.ws e.nws
+
+let entry_commutes a b =
+  let x = fresh_entry () and e = fresh_entry () in
+  set_gate x a;
+  set_gate e b;
+  entries_commute x e
 
 let retire_one w =
-  let e = Queue.pop w.q in
-  (match e.g with
-  | Some g ->
-      w.emit g e.site;
-      if not (Gate.is_comment g) then w.st.emitted <- w.st.emitted + 1
-  | None -> ());
-  e.retired <- true;
-  e.prev <- [];
-  e.next <- [];
-  List.iter
-    (fun wi ->
-      match Hashtbl.find_opt w.last wi with
-      | Some e' when e' == e -> Hashtbl.remove w.last wi
-      | _ -> ())
-    e.ws
+  let e = entry w w.head in
+  if e.live then begin
+    w.emit e.g e.site;
+    if not (Gate.is_comment e.g) then w.st.emitted <- w.st.emitted + 1
+  end;
+  w.head <- w.head + 1;
+  for i = 0 to e.nws - 1 do
+    if Itbl.find w.last e.ws.(i) = e.seq then Itbl.remove w.last e.ws.(i)
+  done
 
-let support_mask ws =
-  List.fold_left (fun m wi -> m lor (1 lsl ((wi land max_int) mod 62))) 0 ws
-
-let insert w (g : Gate.t) : entry =
-  let ws = wires_of g in
-  let e =
-    {
-      seq = w.nseq;
-      g = Some g;
-      retired = false;
-      ws;
-      mask = support_mask ws;
-      diag = Gate.is_diagonal g;
-      site = None;
-      prev = [];
-      next = [];
-      queued = false;
-    }
-  in
-  w.nseq <- w.nseq + 1;
-  e.prev <-
-    List.filter_map
-      (fun wi -> Option.map (fun p -> (wi, p)) (Hashtbl.find_opt w.last wi))
-      ws;
-  List.iter (fun (wi, p) -> p.next <- (wi, e) :: p.next) e.prev;
-  List.iter (fun wi -> Hashtbl.replace w.last wi e) ws;
-  Queue.push e w.q;
-  while Queue.length w.q > w.window do
+let insert w ~site (g : Gate.t) =
+  if w.nseq - w.head = Array.length w.ring then grow_ring w;
+  let s = w.nseq in
+  let e = entry w s in
+  e.seq <- s;
+  e.live <- true;
+  e.site <- site;
+  e.queued <- false;
+  set_gate e g;
+  for i = 0 to e.nws - 1 do
+    let wi = e.ws.(i) in
+    let p = Itbl.find w.last wi in
+    e.prev.(i) <- p;
+    e.next.(i) <- -1;
+    if p >= 0 then begin
+      let pe = entry w p in
+      pe.next.(wire_index pe wi) <- s
+    end;
+    Itbl.replace w.last wi s
+  done;
+  w.nseq <- s + 1;
+  while w.nseq - w.head > w.window do
     retire_one w
   done;
   e
 
-let prev_on (e : entry) (wi : Wire.t) =
-  Option.map snd (List.find_opt (fun ((w' : int), _) -> w' = wi) e.prev)
-
-let next_on (e : entry) (wi : Wire.t) =
-  Option.map snd (List.find_opt (fun ((w' : int), _) -> w' = wi) e.next)
+let todo_push w s =
+  let n = Array.length w.todo in
+  if w.todo_len = n then begin
+    let q = Array.make (2 * n) 0 in
+    for k = 0 to n - 1 do
+      q.(k) <- w.todo.((w.todo_head + k) land (n - 1))
+    done;
+    w.todo <- q;
+    w.todo_head <- 0
+  end;
+  w.todo.((w.todo_head + w.todo_len) land (Array.length w.todo - 1)) <- s;
+  w.todo_len <- w.todo_len + 1
 
 (* A removal may unblock walks the removed gate obstructed — and not
    just its immediate neighbour's: a stalled multi-wire walk stops the
@@ -342,181 +510,151 @@ let next_on (e : entry) (wi : Wire.t) =
    retirement is FIFO). This is the in-window counterpart of fixpoint
    rounds: cascading, but local to where something changed and bounded
    by the window. *)
-let retrigger w (e : entry) =
-  List.iter
-    (fun wi ->
-      let rec push n =
-        match next_on n wi with
-        | None -> ()
-        | Some n' ->
-            (match n'.g with
-            | Some _ when not n'.queued ->
-                n'.queued <- true;
-                Queue.push n' w.todo
-            | _ -> ());
-            push n'
-      in
-      push e)
-    e.ws
-
-let remove w (e : entry) =
-  e.g <- None;
-  retrigger w e
-
-(* The backward commuting walk for [e] at its own position: nearest
-   preceding live entry on any of its wires first. Removed entries are
-   skipped for free;
-   a retired entry ends the walk — retirement is FIFO, so everything
-   beyond it is out of reach anyway. *)
-let match_entry w (e : entry) =
-  match e.g with
-  | None -> ()
-  | Some g ->
-      (* cursors: per wire of [e], the oldest entry the walk has reached
-         on that wire — a gate touches 1-3 wires, so a small assoc list
-         beats a hash table on allocation *)
-      let cursors = ref e.prev in
-      let advance_past x =
-        cursors :=
-          List.filter_map
-            (fun ((wi, x') as c) ->
-              if x' == x then
-                match prev_on x wi with
-                | Some p -> Some (wi, p)
-                | None -> None
-              else Some c)
-            !cursors
-      in
-      let steps = ref 0 in
-      let rec go () =
-        match !cursors with
-        | [] -> ()
-        | (_, c0) :: rest ->
-          let x =
-            List.fold_left
-              (fun (acc : entry) (_, x) -> if x.seq > acc.seq then x else acc)
-              c0 rest
-          in
-          if x.retired then ()
-          else
-            match x.g with
-            | None ->
-                advance_past x;
-                go ()
-            | Some h ->
-                if !steps >= w.lookahead then ()
-                else begin
-                  incr steps;
-                  if Transform.gates_cancel h g then begin
-                    w.st.cancelled <- w.st.cancelled + 1;
-                    if Gate.has_angle h || Gate.has_angle g then
-                      w.angle_sensitive <- true;
-                    remove w x;
-                    remove w e
-                  end
-                  else
-                    match Gate.fusion h g with
-                    | Some f ->
-                        (* fusion partners commute with exactly what [h]
-                           did: sound to leave the result at the earlier
-                           position *)
-                        w.st.fused <- w.st.fused + 1;
-                        if Gate.has_angle h || Gate.has_angle g then
-                          w.angle_sensitive <- true;
-                        remove w e;
-                        if Gate.is_identity f then remove w x
-                        else begin
-                          x.g <- Some f;
-                          x.diag <- Gate.is_diagonal f;
-                          retrigger w x
-                        end
-                    | None ->
-                        (* cheap pre-test first: disjoint support masks
-                           prove disjoint wires, and two diagonal gates
-                           always commute — both are exactly the first
-                           branches of [Gate.commutes], minus its
-                           per-call wire-list allocation and walk *)
-                        if
-                          x.mask land e.mask = 0
-                          || (x.diag && e.diag)
-                          || Gate.commutes h g
-                        then begin
-                          advance_past x;
-                          go ()
-                        end
-              end
-      in
-      go ()
-
-(* The NOT-conjugation sandwich, scanned backward on the X'ed wire
-   alone: gates using the wire only
-   as a control collect; an older plain X closes the sandwich — flip
-   the collected polarities in place, remove both X's. Tried before the
-   generic walk because a control on the wire blocks commutation, so
-   the walk could never reach the partner. *)
-let flip_entry w (e : entry) =
-  match e.g with
-  | Some g when is_plain_x g -> (
-      let wi = List.hd (Gate.targets g) in
-      let rec scan cur sandwiched steps =
-        match cur with
-        | None -> false
-        | Some x ->
-            if x.retired then false
-            else (
-              match x.g with
-              | None -> scan (prev_on x wi) sandwiched steps
-              | Some h ->
-                  if steps > w.lookahead then false
-                  else if is_plain_x h then begin
-                    List.iter
-                      (fun x' ->
-                        match x'.g with
-                        | Some hg ->
-                            x'.g <- Some (flip_control_on wi hg)
-                        | None -> ())
-                      sandwiched;
-                    w.st.flipped <- w.st.flipped + 1;
-                    remove w x;
-                    remove w e;
-                    true
-                  end
-                  else if uses_only_as_control h wi then
-                    scan (prev_on x wi) (x :: sandwiched) (steps + 1)
-                  else false)
-      in
-      scan (prev_on e wi) [] 0)
-  | _ -> false
-
-let examine w (e : entry) =
-  match e.g with
-  | None -> ()
-  | Some g ->
-      if not (is_plain_x g && flip_entry w e) then match_entry w e
-
-let drain w =
-  while not (Queue.is_empty w.todo) do
-    let e = Queue.pop w.todo in
-    e.queued <- false;
-    if not e.retired then examine w e
+let retrigger w e =
+  for i = 0 to e.nws - 1 do
+    let wi = e.ws.(i) in
+    let s = ref e.next.(i) in
+    while !s >= 0 do
+      let n = entry w !s in
+      if n.live && not n.queued then begin
+        n.queued <- true;
+        todo_push w !s
+      end;
+      s := n.next.(wire_index n wi)
+    done
   done
 
-let on_gate ?site w (g : Gate.t) =
+let remove w e =
+  e.live <- false;
+  retrigger w e
+
+(* Step every cursor of [e]'s walk that stands on [x] to [x]'s
+   predecessor on that wire ([-1] once the wire has none). *)
+let advance_past w e x =
+  for i = 0 to e.nws - 1 do
+    if w.cursors.(i) = x.seq then w.cursors.(i) <- x.prev.(wire_index x e.ws.(i))
+  done
+
+let angled h g = Gate.has_angle h || Gate.has_angle g
+
+(* [e]'s backward walk from the newest cursor [x]: a removed [x] or a
+   provable commuter is stepped past, a cancellation or fusion partner
+   is acted on and ends the walk, anything else ends it too. So does a
+   retired [x] — retirement is FIFO, so everything beyond it is out of
+   reach anyway. *)
+let rec walk w e steps =
+  let s = ref (-1) in
+  for i = 0 to e.nws - 1 do
+    if w.cursors.(i) > !s then s := w.cursors.(i)
+  done;
+  if !s >= w.head then begin
+    let x = entry w !s in
+    if not x.live then begin
+      advance_past w e x;
+      walk w e steps
+    end
+    else if steps < w.lookahead then begin
+      let h = x.g and g = e.g in
+      if Transform.gates_cancel h g then begin
+        w.st.cancelled <- w.st.cancelled + 1;
+        if angled h g then w.angle_sensitive <- true;
+        remove w x;
+        remove w e
+      end
+      else
+        match Gate.fusion h g with
+        | Some f ->
+            (* fusion partners commute with exactly what [h] did: sound
+               to leave the result at the earlier position *)
+            w.st.fused <- w.st.fused + 1;
+            if angled h g then w.angle_sensitive <- true;
+            remove w e;
+            if Gate.is_identity f then remove w x
+            else begin
+              x.g <- f;
+              x.diag <- Gate.is_diagonal f;
+              retrigger w x
+            end
+        | None ->
+            if entries_commute x e then begin
+              advance_past w e x;
+              walk w e (steps + 1)
+            end
+    end
+  end
+
+(* The backward commuting walk for [e] at its own position: nearest
+   preceding live entry on any of its wires first; removed entries are
+   skipped for free. The cursors hold, per wire of [e], the newest entry
+   the walk has not yet passed on that wire. *)
+let match_entry w e =
+  if Array.length w.cursors < e.nws then w.cursors <- Array.make e.nws (-1);
+  Array.blit e.prev 0 w.cursors 0 e.nws;
+  walk w e 0
+
+(* The NOT-conjugation sandwich, scanned backward on the X'ed wire
+   alone: gates using the wire only as a control may sit between; an
+   older plain X closes the sandwich — flip the polarities of the live
+   entries between, remove both X's. Tried before the generic walk
+   because a control on the wire blocks commutation, so the walk could
+   never reach the partner. *)
+let rec scan_flip w wi s steps =
+  if s < w.head then -1
+  else
+    let x = entry w s in
+    let up = x.prev.(wire_index x wi) in
+    if not x.live then scan_flip w wi up steps
+    else if steps > w.lookahead then -1
+    else if is_plain_x x.g then s
+    else if uses_only_as_control x.g wi then scan_flip w wi up (steps + 1)
+    else -1
+
+let flip_entry w e =
+  let wi = e.ws.(0) in
+  let partner = scan_flip w wi e.prev.(0) 0 in
+  partner >= 0
+  && begin
+       let s = ref e.prev.(0) in
+       while !s <> partner do
+         let x = entry w !s in
+         if x.live then x.g <- flip_control_on wi x.g;
+         s := x.prev.(wire_index x wi)
+       done;
+       w.st.flipped <- w.st.flipped + 1;
+       remove w (entry w partner);
+       remove w e;
+       true
+     end
+
+let examine w e =
+  if e.live && e.seq >= w.head then
+    if not (is_plain_x e.g && flip_entry w e) then match_entry w e
+
+let drain w =
+  while w.todo_len > 0 do
+    let s = w.todo.(w.todo_head) in
+    w.todo_head <- (w.todo_head + 1) land (Array.length w.todo - 1);
+    w.todo_len <- w.todo_len - 1;
+    if s >= w.head then begin
+      let e = entry w s in
+      e.queued <- false;
+      examine w e
+    end
+  done
+
+let on_gate ~site w (g : Gate.t) =
   match g with
-  | Gate.Comment _ -> ignore (insert w g)
-  | g -> (
+  | Gate.Comment _ -> ignore (insert w ~site g)
+  | g ->
       w.st.seen <- w.st.seen + 1;
-      match cp_step w.cp g with
-      | `Drop -> w.st.const_deleted <- w.st.const_deleted + 1
-      | `Keep (g, dropped) ->
-          w.st.const_controls <- w.st.const_controls + dropped;
-          let e = insert w g in
-          e.site <- site;
-          examine w e;
-          drain w)
+      let g = cp_step w.cp w.st g in
+      if g != dropped_gate then begin
+        examine w (insert w ~site g);
+        drain w
+      end
 
 let flush w =
-  while not (Queue.is_empty w.q) do
+  while w.head < w.nseq do
     retire_one w
   done
 
@@ -534,7 +672,8 @@ let flush w =
 let optimize_gates_tagged ~window ~lookahead ~st (gates : Gate.t array) =
   let out = Vec.create () in
   let w =
-    win_create ~window ~lookahead ~st (fun g site -> Vec.push out (g, site))
+    win_create ~window ~lookahead ~st (fun g site ->
+        Vec.push out (g, if site < 0 then None else Some site))
   in
   let nsite = ref 0 in
   Array.iter
@@ -544,7 +683,7 @@ let optimize_gates_tagged ~window ~lookahead ~st (gates : Gate.t array) =
         incr nsite;
         on_gate ~site:i w g
       end
-      else on_gate w g)
+      else on_gate ~site:(-1) w g)
     gates;
   flush w;
   let pairs = Vec.to_array out in
@@ -623,12 +762,21 @@ let sink_one ~window ~lookahead ~st ?memo (inner : 'r Sink.t) : 'r Sink.t =
   in
   {
     Sink.on_inputs = inner.Sink.on_inputs;
-    on_gate = (fun g -> on_gate w g);
+    on_gate = (fun g -> on_gate ~site:(-1) w g);
     on_subroutine_enter = inner.Sink.on_subroutine_enter;
     on_subroutine_exit =
       (fun name (sub : Circuit.subroutine) ->
+        let redefined =
+          match Circuit.Boxdefs.find defs name with
+          | _ -> Some (Circuit.Boxdefs.hash defs name)
+          | exception Errors.Error _ -> None
+        in
         Circuit.Boxdefs.define defs name sub;
         let h = Circuit.Boxdefs.hash defs name in
+        (* a changed definition reaches [inner] only after every call
+           held in the window, which downstream expands by the
+           definition in force *)
+        if redefined <> None && redefined <> Some h then flush w;
         let gates' =
           match Hashtbl.find_opt optimized h with
           | Some gs ->

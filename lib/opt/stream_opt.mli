@@ -24,7 +24,9 @@
     {!Quipper.Circuit.Boxdefs}, like [Fuse]'s compiled-program cache —
     and the optimized definition is forwarded
     downstream. Call gates stay in the main window, where call/uncall
-    pairs cancel and calls otherwise act as commutation barriers.
+    pairs cancel and calls otherwise act as commutation barriers. A
+    name redefined with a different body first flushes the window, so
+    calls still held in it reach [inner] ahead of the new definition.
 
     The transformer never reorders surviving gates (rewrites happen in
     place in the window), so composing into {!Quipper.Sink.printer}
@@ -99,6 +101,11 @@ val sink :
     to read the per-rule counters after [finish] — counters accumulate
     across all stages and box bodies, so [seen]/[emitted] are per-stage
     sums, not circuit sizes. *)
+
+val entry_commutes : Gate.t -> Gate.t -> bool
+(** The window's commutation test on two freshly filled entries (cached
+    sorted wire arrays and diagonality): always equal to
+    {!Quipper.Gate.commutes}, exposed so tests can check that. *)
 
 val optimize_b :
   ?rounds:int ->

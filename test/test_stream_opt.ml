@@ -364,6 +364,129 @@ let test_pinned_n3 () =
     pinned_n3
 
 (* ------------------------------------------------------------------ *)
+(* One commutation rule                                                 *)
+
+(* The window tests commutation on entries (cached sorted wire arrays
+   and diagonality); it must be [Gate.commutes] exactly. Every ordered
+   pair of gates of a corpus circuit, from the general, rotation and
+   classical generators. *)
+let prop_entry_commutes =
+  QCheck2.Test.make ~name:"window commutation = Gate.commutes on corpus pairs"
+    ~count:200 ~print:string_of_int (QCheck2.Gen.int_range 0 199) (fun seed ->
+      List.for_all
+        (fun (b : Circuit.b) ->
+          let gs = b.Circuit.main.Circuit.gates in
+          Array.for_all
+            (fun a ->
+              Array.for_all
+                (fun g -> Stream_opt.entry_commutes a g = Gate.commutes a g)
+                gs)
+            gs)
+        [
+          corpus_circuit seed;
+          Gen.circuit_of_program ~n:4 (Gen.sample ~seed (Gen.rot_program_gen ~n:4 ()));
+          Gen.circuit_of_program ~n:5
+            (Gen.sample ~seed (Gen.classical_program_gen ~n:5 ()));
+        ])
+
+(* ------------------------------------------------------------------ *)
+(* Box redefinition                                                     *)
+
+(* One event stream that defines "body", calls it, redefines it and
+   calls it again (the [test_serve] box-alias stream). The first call is
+   still held in the window when the second definition arrives; each
+   call must still expand downstream to the body in force when it was
+   made. *)
+let test_redefinition_flushes_window () =
+  let shape = Qdata.list_of 2 Qdata.qubit in
+  let boxed ops =
+    fst
+      (Circ.generate ~in_:shape (fun ql ->
+           box "body" ~in_:shape ~out:shape (Gen.program_fun ops) ql))
+  in
+  let b1 = boxed [ Gen.H 0; Gen.CNot (0, 1) ] in
+  let b2 = boxed [ Gen.X 0; Gen.T 1 ] in
+  let both (s : 'r Sink.t) =
+    s.Sink.on_inputs b1.Circuit.main.Circuit.inputs;
+    List.iter
+      (fun (b : Circuit.b) ->
+        List.iter
+          (fun n -> s.Sink.on_subroutine_exit n (Circuit.find_sub b n))
+          b.Circuit.sub_order;
+        Array.iter s.Sink.on_gate b.Circuit.main.Circuit.gates)
+      [ b1; b2 ];
+    s.Sink.finish b1.Circuit.main.Circuit.outputs
+  in
+  let expanded b = Sink.drive b (Stream_opt.sink (Sink.unbox (Sink.gates ()))) in
+  check "each held call expands the body in force" true
+    (both (Stream_opt.sink (Sink.unbox (Sink.gates ())))
+    = expanded b1 @ expanded b2)
+
+(* ------------------------------------------------------------------ *)
+(* Printed output per window, pinned                                    *)
+
+(* MD5 of the printed [optimize_b ~window] output, concatenated over a
+   circuit list, recorded from the list-linked window this engine
+   replaced. Window 1 retires every entry at the next arrival; 2, 3 and
+   17 wrap the ring many times; 256 is the default; [max_int] grows it
+   to the whole circuit. *)
+let window_digest window bs =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun b -> Buffer.add_string buf (Printer.to_string (Stream_opt.optimize_b ~window b)))
+    bs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_windows =
+  [
+    ( "corpus", lazy (List.map corpus_circuit corpus_seeds),
+      [
+        (1, "0ffd85dc9d5a9632470e936e7c3a2b4f");
+        (2, "b2caeac9865ed951c6efa0625d6d2652");
+        (3, "c5fac120fda32f98b8efd1bb07a9d36e");
+        (17, "b47fcdb8c92fa81bdbe4eec1b18d17ea");
+        (256, "b47fcdb8c92fa81bdbe4eec1b18d17ea");
+        (max_int, "b47fcdb8c92fa81bdbe4eec1b18d17ea");
+      ] );
+    ( "bwt",
+      lazy
+        (let p = { Algo_bwt.default_params with Algo_bwt.n = 3; s = 2 } in
+         [ Algo_bwt.generate ~p ~which:`Orthodox (); Algo_bwt.generate ~p ~which:`Template () ]),
+      [
+        (1, "33dc932fd734a2785e7737154dad5389");
+        (2, "55134e35725ccb239f3a9a85e5559d2f");
+        (3, "55134e35725ccb239f3a9a85e5559d2f");
+        (17, "21cfdbe80914bf29b4c74e894aaae181");
+        (256, "082d02d37df293447b323c92856e2ba2");
+        (max_int, "082d02d37df293447b323c92856e2ba2");
+      ] );
+    ( "tf",
+      lazy
+        (let p = { Algo_tf.Oracle.l = 3; n = 2; r = 2 } in
+         [ Algo_tf.Qwtfp.generate_pow17 ~p () ]),
+      [
+        (1, "22994873b99537ff84a2c2a8bd2e1ee6");
+        (2, "22994873b99537ff84a2c2a8bd2e1ee6");
+        (3, "06edb3acdd5f9fb4b472a97ce6aca255");
+        (17, "9ffdc09a7a8e1348501a4685cad16811");
+        (256, "6bab8904562242abaaf0701e124259c3");
+        (max_int, "6bab8904562242abaaf0701e124259c3");
+      ] );
+  ]
+
+let test_pinned_window_digests () =
+  List.iter
+    (fun (name, bs, pins) ->
+      List.iter
+        (fun (window, digest) ->
+          checks
+            (Fmt.str "%s printed at window %d" name window)
+            digest
+            (window_digest window (Lazy.force bs)))
+        pins)
+    pinned_windows
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -399,4 +522,9 @@ let suite =
       test_golden_bwt;
     Alcotest.test_case "golden: tf matches materialized -O" `Quick test_golden_tf;
     Alcotest.test_case "pinned: N3 rows of the fixpoint" `Quick test_pinned_n3;
+    QCheck_alcotest.to_alcotest prop_entry_commutes;
+    Alcotest.test_case "box redefinition flushes held calls" `Quick
+      test_redefinition_flushes_window;
+    Alcotest.test_case "pinned: printed output per window" `Quick
+      test_pinned_window_digests;
   ]
