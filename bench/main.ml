@@ -1260,9 +1260,9 @@ let n8 () =
   anchor "tf l=2 n=2 r=1" "tf_small" (Estimate.agrees v_tf sum_tf) st et;
   (* 2. scaling: parameter points far past enumeration. BWT is flat, so
      the s-loop collapses symbolically — 10^12 timesteps in
-     milliseconds; TF's cost is the one-time boxed-body capture, shared
-     with the streaming path, so it scales with circuit *structure*,
-     never with the iteration count or gate total *)
+     milliseconds; TF's cost is generating its fragments, mostly box
+     calls on the whole register shape, so it scales with circuit
+     *structure*, never with the iteration count or gate total *)
   Fmt.pr "  %-34s %22s %7s %10s %s@." "" "total gates" "qubits" "seconds"
     "depth bound";
   let scaled name ?expect_total v s =

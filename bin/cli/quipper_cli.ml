@@ -73,3 +73,20 @@ let estimate_base_arg =
           "With $(b,--estimate), re-quote the estimate in a target gate base \
            ($(b,toffoli) or $(b,binary)) by applying the decomposition once \
            per gate kind as a counts transfer function.")
+
+(** One request line of the shot daemon, ["SHOTS SEED"], checked before
+    anything is submitted or allocated: SHOTS must lie in
+    [0 .. Sys.max_array_length]. Raises [Errors.Error (Invalid _)]
+    otherwise, so the daemon replies with that text. *)
+let shot_request line =
+  let bad () = Quipper.Errors.invalidf "expected \"SHOTS SEED\", got %S" line in
+  match String.split_on_char ' ' (String.trim line) with
+  | [ shots; seed ] -> (
+      match (int_of_string_opt shots, int_of_string_opt seed) with
+      | Some shots, Some seed ->
+          if shots < 0 || shots > Sys.max_array_length then
+            Quipper.Errors.invalidf "SHOTS must be between 0 and %d, got %d"
+              Sys.max_array_length shots;
+          (shots, seed)
+      | _ -> bad ())
+  | _ -> bad ()

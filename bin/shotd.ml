@@ -226,19 +226,11 @@ let run_daemon wl n s dt distance rounds backend optimize domains =
     | "stats" ->
         Fmt.pr "%a@." Serve.pp_stats (Serve.stats svc);
         loop ()
-    | line -> (
-        match String.split_on_char ' ' (String.trim line) with
-        | [ shots; seed ] -> (
-            match (int_of_string_opt shots, int_of_string_opt seed) with
-            | Some shots, Some seed ->
-                submit_line svc circuit inputs ~shots ~seed;
-                loop ()
-            | _ ->
-                Fmt.pr "error: expected \"SHOTS SEED\"@.";
-                loop ())
-        | _ ->
-            Fmt.pr "error: expected \"SHOTS SEED\"@.";
-            loop ())
+    | line ->
+        (match Quipper_cli.shot_request line with
+        | shots, seed -> submit_line svc circuit inputs ~shots ~seed
+        | exception (Quipper.Errors.Error _ as e) -> Fmt.pr "error: %s@." (Printexc.to_string e));
+        loop ()
   in
   loop ()
 

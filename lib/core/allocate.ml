@@ -63,6 +63,7 @@ let compact_circuit ?(subs : Circuit.subroutine Circuit.Namespace.t = Circuit.Na
       c.Circuit.inputs
   in
   let rename w = lookup p w in
+  let m = Wire.Marks.create () in
   let gates =
     Array.map
       (fun g ->
@@ -82,15 +83,16 @@ let compact_circuit ?(subs : Circuit.subroutine Circuit.Namespace.t = Circuit.Na
             Gate.Discard { d with wire = w' }
         | Gate.Subroutine s ->
             let inputs = List.map rename s.inputs in
+            Wire.Marks.call m ~inputs:s.inputs ~outputs:s.outputs;
             (* inputs not among outputs die; outputs not among inputs are
                born at the call *)
             List.iter
-              (fun w -> if not (List.mem w s.outputs) then release p w)
+              (fun w -> if Wire.Marks.find m w land 2 = 0 then release p w)
               s.inputs;
             let outputs =
               List.map
                 (fun w ->
-                  if List.mem w s.inputs then lookup p w else allocate p w)
+                  if Wire.Marks.find m w land 1 <> 0 then lookup p w else allocate p w)
                 s.outputs
             in
             (* account for the callee's internal peak *)

@@ -33,6 +33,7 @@ let render ?(max_columns = 10000) (c : Circuit.t) : string =
   let nrows = List.length wires in
   let row w = Hashtbl.find order w in
   let ngates = min max_columns (Array.length c.Circuit.gates) in
+  let m = Wire.Marks.create () in
   (* liveness/type per column: live.(r) is the wire state entering column j *)
   let state = Array.make nrows `Dead in
   List.iter
@@ -105,14 +106,17 @@ let render ?(max_columns = 10000) (c : Circuit.t) : string =
         mark_span col (rows_of (out :: ins))
     | Gate.Subroutine { name; inv; inputs; outputs; controls } ->
         let label = Printf.sprintf "[%s%s]" name (if inv then "*" else "") in
+        Wire.Marks.call m ~inputs ~outputs;
         List.iter (fun w -> col.(row w).text <- label) inputs;
         List.iter
-          (fun w -> if not (List.mem w inputs) then begin
+          (fun w -> if Wire.Marks.find m w land 1 = 0 then begin
               col.(row w).text <- label;
               state.(row w) <- `Q
             end)
           outputs;
-        List.iter (fun w -> if not (List.mem w outputs) then state.(row w) <- `Dying) inputs;
+        List.iter
+          (fun w -> if Wire.Marks.find m w land 2 = 0 then state.(row w) <- `Dying)
+          inputs;
         ctl_cells col controls;
         mark_span col
           (rows_of (inputs @ outputs @ List.map (fun (k : Gate.control) -> k.cwire) controls))

@@ -19,7 +19,7 @@ open Wire
 
 type ctx = {
   mutable fresh : Wire.t;
-  live : (Wire.t, Wire.ty) Hashtbl.t;
+  live : Wire.ty Wire.Tbl.t;
   mutable controls : Gate.control list;
   mutable buf : Gate.t Vec.t;
   subs : (string, Circuit.subroutine) Hashtbl.t;
@@ -36,6 +36,8 @@ type ctx = {
          inverses ([with_computed]'s uncompute half). When the count
          drops to zero the buffer is cleared, bounding streaming memory
          by the largest sandwich instead of the whole circuit. *)
+  mutable remap : Wire.t array;
+      (* [box]'s scratch: the actual wire of each body input, by position *)
   on_emit : (Gate.t -> unit) option;
   on_sub_enter : (string -> unit) option;
   on_sub_exit : (string -> Circuit.subroutine -> unit) option;
@@ -106,7 +108,7 @@ let create_ctx ?(boxing = true) ?(materialize = true) ?on_emit ?on_sub_enter
     ?on_sub_exit ?lift () =
   {
     fresh = 0;
-    live = Hashtbl.create 64;
+    live = Wire.Tbl.create 64;
     controls = [];
     buf = Vec.create ();
     subs = Hashtbl.create 16;
@@ -116,6 +118,7 @@ let create_ctx ?(boxing = true) ?(materialize = true) ?on_emit ?on_sub_enter
     boxing;
     materialize;
     retain = 0;
+    remap = [||];
     on_emit;
     on_sub_enter;
     on_sub_exit;
@@ -125,7 +128,7 @@ let create_ctx ?(boxing = true) ?(materialize = true) ?on_emit ?on_sub_enter
 let fresh_wire c ty =
   let w = c.fresh in
   c.fresh <- c.fresh + 1;
-  Hashtbl.replace c.live w ty;
+  Wire.Tbl.replace c.live w ty;
   w
 
 (** Allocate a wire id without registering it as live: the [Init] (or
@@ -146,27 +149,18 @@ let alloc_input c ty =
   w
 
 let live_outputs c =
-  Hashtbl.fold (fun w ty acc -> { Wire.wire = w; ty } :: acc) c.live []
-  |> List.sort (fun (a : Wire.endpoint) b -> compare a.wire b.wire)
+  Wire.Tbl.fold (fun w ty acc -> { Wire.wire = w; ty } :: acc) c.live []
+  |> List.sort (fun (a : Wire.endpoint) b -> Int.compare a.wire b.wire)
 
 (* ------------------------------------------------------------------ *)
 (* The gate emitter: the single point through which every gate passes   *)
 
 let check_live c w ty =
-  match Hashtbl.find_opt c.live w with
+  match Wire.Tbl.find_opt c.live w with
   | None -> Errors.raise_ (Dead_wire w)
   | Some ty' ->
       if ty <> ty' then
         Errors.raise_ (Wire_type { wire = w; expected = ty; got = ty' })
-
-let check_distinct endpoints =
-  let rec go seen = function
-    | [] -> ()
-    | (e : Wire.endpoint) :: tl ->
-        if List.mem e.wire seen then Errors.raise_ (No_cloning e.wire);
-        go (e.wire :: seen) tl
-  in
-  go [] endpoints
 
 (** Emit one gate: apply ambient controls, run the physicality checks,
     update the live table, append to the sink, notify the executor. The
@@ -180,7 +174,7 @@ let emit c (g : Gate.t) =
       | Gate.Control_neutral -> g
       | Gate.Not_controllable what -> Errors.raise_ (Not_controllable what)
   in
-  (match g with Gate.Comment _ -> () | _ -> check_distinct (Gate.wires g));
+  Gate.check_distinct g;
   (match g with
   | Gate.Gate { name; targets; controls; _ } ->
       (match Gate.primitive_arity name with
@@ -195,20 +189,20 @@ let emit c (g : Gate.t) =
   | Gate.Phase { controls; _ } ->
       List.iter (fun (k : Gate.control) -> check_live c k.cwire k.cty) controls
   | Gate.Init { ty; wire; _ } ->
-      if Hashtbl.mem c.live wire then
+      if Wire.Tbl.mem c.live wire then
         Errors.invalidf "init of already-live wire %d" wire
-      else Hashtbl.add c.live wire ty
+      else Wire.Tbl.add c.live wire ty
   | Gate.Term { ty; wire; _ } | Gate.Discard { ty; wire } ->
       check_live c wire ty;
-      Hashtbl.remove c.live wire
+      Wire.Tbl.remove c.live wire
   | Gate.Measure { wire } ->
       check_live c wire Wire.Q;
-      Hashtbl.replace c.live wire Wire.C
+      Wire.Tbl.replace c.live wire Wire.C
   | Gate.Cgate { out; ins; _ } ->
       List.iter (fun w -> check_live c w Wire.C) ins;
-      if Hashtbl.mem c.live out then
+      if Wire.Tbl.mem c.live out then
         Errors.invalidf "cgate output wire %d already live" out
-      else Hashtbl.add c.live out Wire.C
+      else Wire.Tbl.add c.live out Wire.C
   | Gate.Subroutine { name; inv; inputs; outputs; controls } ->
       List.iter (fun (k : Gate.control) -> check_live c k.cwire k.cty) controls;
       let sub =
@@ -221,9 +215,9 @@ let emit c (g : Gate.t) =
       let d_in = if inv then sub.circ.outputs else sub.circ.inputs in
       let d_out = if inv then sub.circ.inputs else sub.circ.outputs in
       List.iter2 (fun w (e : Wire.endpoint) -> check_live c w e.ty) inputs d_in;
-      List.iter (fun w -> Hashtbl.remove c.live w) inputs;
+      List.iter (fun w -> Wire.Tbl.remove c.live w) inputs;
       List.iter2
-        (fun w (e : Wire.endpoint) -> Hashtbl.replace c.live w e.ty)
+        (fun w (e : Wire.endpoint) -> Wire.Tbl.replace c.live w e.ty)
         outputs d_out
   | Gate.Comment _ -> ());
   (* a capture in progress ([extraction_depth > 0]) records into its own
@@ -589,18 +583,18 @@ let capture (c : ctx) (in_w : ('b, 'q, 'cc) Qdata.t)
     Circuit.t =
   let saved_buf = c.buf
   and saved_controls = c.controls
-  and saved_live = Hashtbl.copy c.live in
+  and saved_live = Wire.Tbl.copy c.live in
   c.buf <- Vec.create ();
   c.controls <- [];
-  Hashtbl.reset c.live;
+  Wire.Tbl.reset c.live;
   c.extraction_depth <- c.extraction_depth + 1;
   Fun.protect
     ~finally:(fun () ->
       c.extraction_depth <- c.extraction_depth - 1;
       c.buf <- saved_buf;
       c.controls <- saved_controls;
-      Hashtbl.reset c.live;
-      Hashtbl.iter (fun k v -> Hashtbl.replace c.live k v) saved_live)
+      Wire.Tbl.reset c.live;
+      Wire.Tbl.iter (fun k v -> Wire.Tbl.replace c.live k v) saved_live)
     (fun () ->
       let ins =
         List.map (fun ty -> { Wire.wire = fresh_wire c ty; ty }) in_w.Qdata.tys
@@ -610,10 +604,11 @@ let capture (c : ctx) (in_w : ('b, 'q, 'cc) Qdata.t)
       let outs = out_w.Qdata.qleaves y in
       (* every remaining live wire must be accounted for in the outputs;
          otherwise the function leaks wires (same error Quipper gives) *)
-      let declared = List.map (fun (e : Wire.endpoint) -> e.Wire.wire) outs in
-      Hashtbl.iter
+      let declared = Wire.Marks.create () in
+      List.iter (fun (e : Wire.endpoint) -> Wire.Marks.set declared e.Wire.wire 1) outs;
+      Wire.Tbl.iter
         (fun w _ ->
-          if not (List.mem w declared) then
+          if Wire.Marks.find declared w = 0 then
             Errors.raise_
               (Shape_mismatch
                  (Fmt.str "captured function leaks wire %d (not in output shape)" w)))
@@ -625,27 +620,27 @@ let capture (c : ctx) (in_w : ('b, 'q, 'cc) Qdata.t)
     the actual output endpoints. *)
 let replay (c : ctx) (circ : Circuit.t) (actual_ins : Wire.endpoint list) :
     Wire.endpoint list =
-  let map = Hashtbl.create 32 in
+  let map = Wire.Tbl.create 32 in
   (if List.length circ.Circuit.inputs <> List.length actual_ins then
      Errors.raise_ (Shape_mismatch "replay: input arity"));
   List.iter2
     (fun (d : Wire.endpoint) (a : Wire.endpoint) ->
       if d.Wire.ty <> a.Wire.ty then
         Errors.raise_ (Shape_mismatch "replay: input wire type");
-      Hashtbl.replace map d.Wire.wire a.Wire.wire)
+      Wire.Tbl.replace map d.Wire.wire a.Wire.wire)
     circ.Circuit.inputs actual_ins;
   let rename_init w ty =
     (* wires born inside the circuit get fresh actual ids *)
-    match Hashtbl.find_opt map w with
+    match Wire.Tbl.find_opt map w with
     | Some w' -> w'
     | None ->
         ignore ty;
         let w' = alloc_id c in
-        Hashtbl.replace map w w';
+        Wire.Tbl.replace map w w';
         w'
   in
   let rename w =
-    match Hashtbl.find_opt map w with
+    match Wire.Tbl.find_opt map w with
     | Some w' -> w'
     | None -> Errors.raise_ (Dead_wire w)
   in
@@ -672,7 +667,7 @@ let replay (c : ctx) (circ : Circuit.t) (actual_ins : Wire.endpoint list) :
             let outputs =
               List.map2
                 (fun w (e : Wire.endpoint) ->
-                  match Hashtbl.find_opt map w with
+                  match Wire.Tbl.find_opt map w with
                   | Some w' -> w'
                   | None -> rename_init w e.Wire.ty)
                 s.outputs d_out
@@ -774,10 +769,14 @@ let box name ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
   else begin
     (match Hashtbl.find_opt c.subs name with
     | Some existing ->
-        if
-          List.map (fun (e : Wire.endpoint) -> e.Wire.ty) existing.circ.Circuit.inputs
-          <> in_.Qdata.tys
-        then Errors.raise_ (Subroutine_redefined name)
+        let rec same_tys (es : Wire.endpoint list) tys =
+          match (es, tys) with
+          | [], [] -> true
+          | e :: es, ty :: tys -> e.Wire.ty = ty && same_tys es tys
+          | _ -> false
+        in
+        if not (same_tys existing.circ.Circuit.inputs in_.Qdata.tys) then
+          Errors.raise_ (Subroutine_redefined name)
     | None ->
         (match c.on_sub_enter with Some f -> f name | None -> ());
         let circ = capture c in_ out f in
@@ -791,20 +790,17 @@ let box name ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
     let actual_ins = in_.Qdata.qleaves x in
     (if List.length actual_ins <> List.length d_in then
        Errors.raise_ (Shape_mismatch (Fmt.str "box %s: input arity" name)));
-    let map = Hashtbl.create 16 in
-    List.iter2
-      (fun (d : Wire.endpoint) (a : Wire.endpoint) ->
-        Hashtbl.replace map d.Wire.wire a.Wire.wire)
-      d_in actual_ins;
+    (* [capture] allocated the body's inputs as consecutive ids, so
+       [remap], indexed from the first one, maps them to the actual wires *)
+    let n = List.length d_in in
+    if Array.length c.remap < n then c.remap <- Array.make (max n (2 * Array.length c.remap)) 0;
+    List.iteri (fun i (a : Wire.endpoint) -> c.remap.(i) <- a.Wire.wire) actual_ins;
+    let first = match d_in with d :: _ -> d.Wire.wire | [] -> 0 in
     let actual_outs =
       List.map
         (fun (e : Wire.endpoint) ->
-          match Hashtbl.find_opt map e.Wire.wire with
-          | Some w -> { e with Wire.wire = w }
-          | None ->
-              let w = c.fresh in
-              c.fresh <- c.fresh + 1;
-              { e with Wire.wire = w })
+          let i = e.Wire.wire - first in
+          { e with Wire.wire = (if i >= 0 && i < n then c.remap.(i) else alloc_id c) })
         d_out
     in
     emit c

@@ -48,30 +48,22 @@ let gate_count_shallow (c : t) =
     matches the declared outputs. Raises [Errors.Error] otherwise. Used by
     tests and after transformation passes. *)
 let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
-  let live : (Wire.t, Wire.ty) Hashtbl.t = Hashtbl.create 64 in
+  let live : Wire.ty Wire.Tbl.t = Wire.Tbl.create 64 in
   List.iter
     (fun (e : Wire.endpoint) ->
-      if Hashtbl.mem live e.wire then
+      if Wire.Tbl.mem live e.wire then
         Errors.invalidf "duplicate input wire %d" e.wire;
-      Hashtbl.add live e.wire e.ty)
+      Wire.Tbl.add live e.wire e.ty)
     c.inputs;
   let check_live w ty =
-    match Hashtbl.find_opt live w with
+    match Wire.Tbl.find_opt live w with
     | None -> Errors.raise_ (Dead_wire w)
     | Some ty' ->
         if ty <> ty' then
           Errors.raise_ (Wire_type { wire = w; expected = ty; got = ty' })
   in
-  let check_distinct endpoints =
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun (e : Wire.endpoint) ->
-        if Hashtbl.mem seen e.wire then Errors.raise_ (No_cloning e.wire);
-        Hashtbl.add seen e.wire ())
-      endpoints
-  in
   let apply_gate (g : Gate.t) =
-    (match g with Gate.Comment _ -> () | _ -> check_distinct (Gate.wires g));
+    Gate.check_distinct g;
     match g with
     | Gate.Gate { name; targets; controls; _ } ->
         (match Gate.primitive_arity name with
@@ -86,20 +78,20 @@ let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
     | Gate.Phase { controls; _ } ->
         List.iter (fun (c : Gate.control) -> check_live c.cwire c.cty) controls
     | Gate.Init { ty; wire; _ } ->
-        if Hashtbl.mem live wire then
+        if Wire.Tbl.mem live wire then
           Errors.invalidf "init of already-live wire %d" wire;
-        Hashtbl.add live wire ty
+        Wire.Tbl.add live wire ty
     | Gate.Term { ty; wire; _ } | Gate.Discard { ty; wire } ->
         check_live wire ty;
-        Hashtbl.remove live wire
+        Wire.Tbl.remove live wire
     | Gate.Measure { wire } ->
         check_live wire Wire.Q;
-        Hashtbl.replace live wire Wire.C
+        Wire.Tbl.replace live wire Wire.C
     | Gate.Cgate { out; ins; _ } ->
         List.iter (fun w -> check_live w Wire.C) ins;
-        if Hashtbl.mem live out then
+        if Wire.Tbl.mem live out then
           Errors.invalidf "cgate output wire %d already live" out;
-        Hashtbl.add live out Wire.C
+        Wire.Tbl.add live out Wire.C
     | Gate.Subroutine { name; inv; inputs; outputs; controls } -> (
         List.iter (fun (c : Gate.control) -> check_live c.cwire c.cty) controls;
         match Namespace.find_opt name subs with
@@ -107,7 +99,7 @@ let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
             (* unknown subroutine: treat as opaque, inputs stay live *)
             List.iter (fun w -> check_live w Wire.Q) inputs;
             List.iter
-              (fun w -> if not (Hashtbl.mem live w) then Hashtbl.add live w Wire.Q)
+              (fun w -> if not (Wire.Tbl.mem live w) then Wire.Tbl.add live w Wire.Q)
               outputs
         | Some { circ; controllable } ->
             if controls <> [] && not controllable then
@@ -124,19 +116,19 @@ let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
               (fun w (e : Wire.endpoint) -> check_live w e.ty)
               inputs d_in;
             (* inputs not among outputs die; outputs not among inputs appear *)
-            List.iter (fun w -> Hashtbl.remove live w) inputs;
+            List.iter (fun w -> Wire.Tbl.remove live w) inputs;
             List.iter2
               (fun w (e : Wire.endpoint) ->
-                if Hashtbl.mem live w then Errors.raise_ (No_cloning w);
-                Hashtbl.add live w e.ty)
+                if Wire.Tbl.mem live w then Errors.raise_ (No_cloning w);
+                Wire.Tbl.add live w e.ty)
               outputs d_out)
     | Gate.Comment _ -> ()
   in
   Array.iter apply_gate c.gates;
   List.iter (fun (e : Wire.endpoint) -> check_live e.wire e.ty) c.outputs;
-  if Hashtbl.length live <> List.length c.outputs then
+  if Wire.Tbl.length live <> List.length c.outputs then
     Errors.invalidf "circuit leaves %d wires live but declares %d outputs"
-      (Hashtbl.length live) (List.length c.outputs)
+      (Wire.Tbl.length live) (List.length c.outputs)
 
 (** Reject a box call graph with a cycle: a box that calls itself,
     directly or through other boxes, has no finite expansion, and every

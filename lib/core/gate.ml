@@ -109,6 +109,9 @@ let controls = function
   | Subroutine { controls; _ } -> controls
   | _ -> []
 
+(* each domain's scratch set for the width-linear walks below *)
+let marks = Domain.DLS.new_key Wire.Marks.create
+
 (** All wires the gate touches, with the type each wire must have *when the
     gate fires* (for [Measure] that is the qubit side). *)
 let wires gate : Wire.endpoint list =
@@ -123,11 +126,59 @@ let wires gate : Wire.endpoint list =
   | Cgate { out; ins; _ } -> Wire.cw out :: List.map Wire.cw ins
   | Subroutine { inputs; outputs; controls; _ } ->
       (* outputs may introduce wires not among the inputs *)
-      let outs =
-        List.filter (fun w -> not (List.mem w inputs)) outputs
-      in
+      let m = Domain.DLS.get marks in
+      Wire.Marks.call m ~inputs ~outputs;
+      let outs = List.filter (fun w -> Wire.Marks.find m w = 2) outputs in
       List.map Wire.qw inputs @ List.map Wire.qw outs @ List.map ctl controls
   | Comment { labels; _ } -> List.map (fun (w, _) -> Wire.qw w) labels
+
+(* mark [w] with [tag], raising [No_cloning w] if it is already marked;
+   these walks are top-level so they allocate no closure *)
+let see1 m tag w =
+  if Wire.Marks.find m w <> 0 then Errors.raise_ (No_cloning w);
+  Wire.Marks.set m w tag
+
+let rec see m tag = function
+  | [] -> ()
+  | w :: ws ->
+      see1 m tag w;
+      see m tag ws
+
+let rec see_controls m = function
+  | [] -> ()
+  | c :: cs ->
+      see1 m 2 c.cwire;
+      see_controls m cs
+
+(* a call's outputs that are among its inputs (tag 1) pass through *)
+let rec see_outputs m = function
+  | [] -> ()
+  | w :: ws ->
+      (match Wire.Marks.find m w with
+      | 0 -> Wire.Marks.set m w 2
+      | 1 -> ()
+      | _ -> Errors.raise_ (No_cloning w));
+      see_outputs m ws
+
+(** Raise [Errors.Error (No_cloning w)] when a wire occurs twice in
+    [wires g]; [w] is the first repeat in that list's order. Comments
+    are exempt. Linear in the gate's width. *)
+let check_distinct g =
+  let m = Domain.DLS.get marks in
+  Wire.Marks.clear m;
+  match g with
+  | Gate { targets; controls; _ } | Rot { targets; controls; _ } ->
+      see m 2 targets;
+      see_controls m controls
+  | Phase { controls; _ } -> see_controls m controls
+  | Init _ | Term _ | Discard _ | Measure _ | Comment _ -> ()
+  | Cgate { out; ins; _ } ->
+      see1 m 2 out;
+      see m 2 ins
+  | Subroutine { inputs; outputs; controls; _ } ->
+      see m 1 inputs;
+      see_outputs m outputs;
+      see_controls m controls
 
 (* ------------------------------------------------------------------ *)
 (* Rewriting predicates                                                *)
@@ -155,7 +206,7 @@ let targets = function
   | _ -> []
 
 let wire_action g w =
-  if List.mem w (targets g) then target_action g else Act_diag
+  if Wire.mem w (targets g) then target_action g else Act_diag
 
 (* Merge walks over two ascending distinct-wire prefixes [wa.(0..na)]
    and [wb.(0..nb)]; top-level rather than local so they allocate no

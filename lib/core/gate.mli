@@ -149,7 +149,14 @@ val controls : t -> control list
 
 val wires : t -> Wire.endpoint list
 (** Every wire the gate touches, with the type each must have when the
-    gate fires (for [Measure], the qubit side). *)
+    gate fires (for [Measure], the qubit side). A call lists its inputs,
+    then its outputs not among the inputs, then its controls. Linear in
+    the gate's width. *)
+
+val check_distinct : t -> unit
+(** Raise [Errors.Error (No_cloning w)] when a wire occurs twice in
+    {!wires}; [w] is the first repeat in that list's order. Comments are
+    exempt: their labels may repeat. Linear in the gate's width. *)
 
 val inverse : t -> t
 (** The inverse gate. [Init] and [Term] swap — the formal content of

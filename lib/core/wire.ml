@@ -35,3 +35,74 @@ let pp_endpoint ppf e =
 
 let pp_qubit ppf (Qubit w) = Fmt.pf ppf "q%d" w
 let pp_bit ppf (Bit w) = Fmt.pf ppf "c%d" w
+
+let rec mem (w : t) = function [] -> false | w' :: ws -> w = w' || mem w ws
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = Int.equal
+
+  (* the polymorphic table's hash, so iteration order is the same too *)
+  let hash = Hashtbl.hash
+end)
+
+(* Open addressing with linear probing over power-of-two arrays. A slot
+   is occupied iff its tag exceeds [base]; [clear] raises [base] past
+   every tag in use, so it costs O(1) and the arrays are reused. *)
+module Marks = struct
+  type nonrec t = {
+    mutable keys : t array;
+    mutable tags : int array;
+    mutable shift : int; (* 63 - log2 (capacity) *)
+    mutable base : int;
+    mutable size : int;
+  }
+
+  let create () =
+    { keys = Array.make 64 0; tags = Array.make 64 0; shift = 57; base = 0; size = 0 }
+
+  let clear m =
+    m.base <- m.base + 4;
+    m.size <- 0
+
+  let rec probe m w i =
+    if m.tags.(i) <= m.base || m.keys.(i) = w then i
+    else probe m w ((i + 1) land (Array.length m.keys - 1))
+
+  (* Fibonacci hashing: the top bits of [w] times 2^63 / phi *)
+  let slot m w = probe m w ((w * 0x4F1BBCDCBFA53E0B) lsr m.shift)
+
+  let find m w =
+    let t = m.tags.(slot m w) - m.base in
+    if t > 0 then t else 0
+
+  let grow m =
+    let keys = m.keys and tags = m.tags in
+    let n = 2 * Array.length keys in
+    m.keys <- Array.make n 0;
+    m.tags <- Array.make n 0;
+    m.shift <- m.shift - 1;
+    Array.iteri
+      (fun i t ->
+        if t > m.base then begin
+          let j = slot m keys.(i) in
+          m.keys.(j) <- keys.(i);
+          m.tags.(j) <- t
+        end)
+      tags
+
+  let set m w tag =
+    let i = slot m w in
+    if m.tags.(i) <= m.base then begin
+      m.keys.(i) <- w;
+      m.size <- m.size + 1
+    end;
+    m.tags.(i) <- m.base + tag;
+    if 2 * m.size > Array.length m.keys then grow m
+
+  let call m ~inputs ~outputs =
+    clear m;
+    List.iter (fun w -> set m w 1) inputs;
+    List.iter (fun w -> set m w (find m w lor 2)) outputs
+end

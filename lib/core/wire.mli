@@ -42,3 +42,36 @@ val bit_wire : bit -> t
 val pp_endpoint : Format.formatter -> endpoint -> unit
 val pp_qubit : Format.formatter -> qubit -> unit
 val pp_bit : Format.formatter -> bit -> unit
+
+val mem : t -> t list -> bool
+(** [List.mem] on wire ids, with integer equality. *)
+
+(** Hash tables keyed by wire id. They hash with {!Hashtbl.hash}, so
+    they iterate in the same order as a polymorphic [Hashtbl] fed the
+    same operations. *)
+module Tbl : Hashtbl.S with type key = t
+
+(** Reusable scratch sets of wire ids for the per-call checks on wide
+    gates: {!Marks.clear} costs O(1), {!Marks.find} and {!Marks.set}
+    O(1) expected, and nothing is allocated once the arrays are large
+    enough. Each marked wire carries a small tag, 1 to 3, so one pass
+    can tell apart, say, a call's inputs from its other wires. *)
+module Marks : sig
+  type wire := t
+  type t
+
+  val create : unit -> t
+
+  val clear : t -> unit
+  (** Unmark every wire. *)
+
+  val find : t -> wire -> int
+  (** The wire's tag, or 0 if it is not marked. *)
+
+  val set : t -> wire -> int -> unit
+  (** Mark the wire with a tag in 1..3, replacing any earlier tag. *)
+
+  val call : t -> inputs:wire list -> outputs:wire list -> unit
+  (** Unmark every wire, then tag a call's inputs 1 and its outputs 2;
+      a wire that passes through the call gets 3. *)
+end

@@ -85,10 +85,10 @@ let uses_only_as_control g w =
   List.exists (fun (c : Gate.control) -> c.cwire = w) (Gate.controls g)
   &&
   match g with
-  | Gate.Gate { targets; _ } | Gate.Rot { targets; _ } -> not (List.mem w targets)
+  | Gate.Gate { targets; _ } | Gate.Rot { targets; _ } -> not (Wire.mem w targets)
   | Gate.Phase _ -> true
   | Gate.Subroutine { inputs; outputs; _ } ->
-      not (List.mem w inputs || List.mem w outputs)
+      not (Wire.mem w inputs || Wire.mem w outputs)
   | _ -> false
 
 let with_controls g controls =
@@ -368,11 +368,16 @@ let win_create ~window ~lookahead ~st emit =
 
 let entry w s = w.ring.(s land (Array.length w.ring - 1))
 
-(* index of wire [wi] in [e.ws]; [e] touches it *)
+(* index of wire [wi] in [e.ws]; [e] touches it. A binary search over
+   the ascending prefix: a wide call's neighbours look up their wires in
+   its array, so a linear scan made each such call quadratic. *)
 let wire_index e wi =
-  let i = ref 0 in
-  while e.ws.(!i) <> wi do incr i done;
-  !i
+  let lo = ref 0 and hi = ref (e.nws - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if e.ws.(mid) < wi then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let grow_ring w =
   let old = w.ring in

@@ -282,3 +282,78 @@ let roundtrip_circuit_of_program ~n (ops : op list) : Circuit.b =
         reverse_simple w prog ql)
   in
   b
+
+(* ------------------------------------------------------------------ *)
+(* Wide gates: the width-linear wire walks against list references     *)
+
+(** Random gates over a small pool of wire ids, so that repeats are
+    common. Subroutine calls get inputs with duplicates, outputs that
+    permute the inputs, outputs not among the inputs and repeated
+    outputs; widths reach a few hundred wires. The pool sits at an
+    offset that may be negative or past 2^40, as parsed circuits may. *)
+let wide_gate_gen : Gate.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* base = oneofl [ 0; -50; 1 lsl 40 ] in
+  let* pool = int_range 1 300 in
+  let wire = map (fun i -> base + i) (int_range 0 (pool - 1)) in
+  let wires = list_size (int_range 0 (min 400 (2 * pool))) wire in
+  let control =
+    map3 (fun cwire positive q -> { Gate.cwire; cty = (if q then Wire.Q else Wire.C); positive })
+      wire bool bool
+  in
+  let controls = list_size (int_range 0 4) control in
+  let outputs inputs =
+    oneof
+      [
+        shuffle_l inputs;
+        wires;
+        (* some inputs pass through, the rest are born at the call *)
+        map (List.mapi (fun i w -> if i mod 3 = 0 then w + pool else w)) (shuffle_l inputs);
+      ]
+  in
+  let subroutine =
+    let* inputs = wires in
+    let* outputs = outputs inputs in
+    let* controls = controls in
+    let* inv = bool in
+    return (Gate.Subroutine { name = "f"; inv; inputs; outputs; controls })
+  in
+  frequency
+    [
+      (6, subroutine);
+      ( 2,
+        map2 (fun targets controls -> Gate.Gate { name = "U"; inv = false; targets; controls })
+          (list_size (int_range 1 3) wire) controls );
+      (1, map (fun controls -> Gate.Phase { angle = 0.5; controls }) controls);
+      (1, map2 (fun out ins -> Gate.Cgate { name = "xor"; out; ins }) wire wires);
+      (1, map (fun wire -> Gate.Measure { wire }) wire);
+      (1, map (fun ws -> Gate.Comment { text = "c"; labels = List.map (fun w -> (w, "l")) ws }) wires);
+    ]
+
+(** [Gate.wires] as it was defined with list scans: a call's outputs not
+    among its inputs are found with [List.mem]. *)
+let reference_wires (g : Gate.t) : Wire.endpoint list =
+  let ctl (c : Gate.control) = { Wire.wire = c.cwire; ty = c.cty } in
+  match g with
+  | Gate.Subroutine { inputs; outputs; controls; _ } ->
+      let outs = List.filter (fun w -> not (List.mem w inputs)) outputs in
+      List.map Wire.qw inputs @ List.map Wire.qw outs @ List.map ctl controls
+  | Gate.Gate { targets; controls; _ } | Gate.Rot { targets; controls; _ } ->
+      List.map Wire.qw targets @ List.map ctl controls
+  | Gate.Phase { controls; _ } -> List.map ctl controls
+  | Gate.Init { ty; wire; _ } | Gate.Term { ty; wire; _ } | Gate.Discard { ty; wire } ->
+      [ { Wire.wire; ty } ]
+  | Gate.Measure { wire } -> [ Wire.qw wire ]
+  | Gate.Cgate { out; ins; _ } -> Wire.cw out :: List.map Wire.cw ins
+  | Gate.Comment { labels; _ } -> List.map (fun (w, _) -> Wire.qw w) labels
+
+(** The no-cloning check as it was defined with list scans: the first
+    wire of [reference_wires g] that occurs earlier in it, comments
+    exempt. *)
+let reference_first_repeat (g : Gate.t) : Wire.t option =
+  let rec go seen = function
+    | [] -> None
+    | (e : Wire.endpoint) :: es ->
+        if List.mem e.wire seen then Some e.wire else go (e.wire :: seen) es
+  in
+  match g with Gate.Comment _ -> None | g -> go [] (reference_wires g)

@@ -79,6 +79,14 @@ let test_tf_full_structure () =
        (fun name -> Circuit.Namespace.mem name b.Circuit.subs)
        [ "o1"; "o4"; "o8"; "o7_ADD_controlled"; "a5"; "a6"; "a4" ])
 
+(* The whole algorithm at the paper's l and n, r=4: the structural hash
+   pins every gate, wire id and body, and was recorded before box calls
+   became linear in their width. *)
+let test_tf_paper_point_hash () =
+  let b = Algo_tf.Qwtfp.generate ~p:{ Algo_tf.Oracle.l = 31; n = 15; r = 4 } () in
+  Alcotest.(check string) "Circuit.hash" "8ccc14912a9e6e2f"
+    (Printf.sprintf "%Lx" (Circuit.hash b))
+
 let test_tf_qram () =
   (* fetch from a 4-entry qram at every address *)
   let p = { Algo_tf.Oracle.l = 3; n = 2; r = 2 } in
@@ -302,6 +310,7 @@ let suite =
     Alcotest.test_case "TF oracle involution" `Quick test_tf_oracle_xor_involution;
     Alcotest.test_case "TF circuits validate" `Quick test_tf_circuits_validate;
     Alcotest.test_case "TF full structure" `Quick test_tf_full_structure;
+    Alcotest.test_case "TF paper-point hash (r=4)" `Quick test_tf_paper_point_hash;
     Alcotest.test_case "TF qram fetch" `Quick test_tf_qram;
     Alcotest.test_case "TF oracle scaling" `Quick test_tf_gatecounts_scale;
     Alcotest.test_case "BWT circuits validate" `Quick test_bwt_circuits_validate;

@@ -440,6 +440,96 @@ let test_comment_labels () =
   check "comment label" true (Astring_contains.contains s "\"x\"")
 
 (* ------------------------------------------------------------------ *)
+(* Width-linear wire checks: same wires, same errors                   *)
+
+let error_text f =
+  match f () with
+  | exception Errors.Error r -> Errors.to_string r
+  | _ -> Alcotest.fail "expected an Errors.Error"
+
+(* a one-gate circuit whose inputs are exactly [ins] *)
+let validate_single g ins =
+  let ends = List.map Wire.qw ins in
+  Circuit.validate { Circuit.inputs = ends; gates = [| g |]; outputs = ends }
+
+(* The no-cloning error names the first repeat in [Gate.wires] order,
+   not, say, the smallest repeated id. *)
+let test_no_cloning_names_first_repeat () =
+  let w4 = Qdata.list_of 4 Qdata.qubit in
+  Alcotest.(check string) "box call on [a; b; b; a]"
+    "wire 1 used twice in one gate (no-cloning)"
+    (error_text (fun () ->
+         Circ.generate ~in_:(Qdata.pair Qdata.qubit Qdata.qubit) (fun (a, b) ->
+             box "four" ~in_:w4 ~out:w4 return [ a; b; b; a ])));
+  Alcotest.(check string) "target repeated among controls"
+    "wire 7 used twice in one gate (no-cloning)"
+    (error_text (fun () ->
+         validate_single
+           (Gate.Gate
+              { name = "not"; inv = false; targets = [ 7 ];
+                controls = [ Gate.pos_control 3; Gate.pos_control 7; Gate.neg_control 3 ] })
+           [ 3; 7 ]));
+  Alcotest.(check string) "call output born at the call, repeated as a control"
+    "wire 2 used twice in one gate (no-cloning)"
+    (error_text (fun () ->
+         validate_single
+           (Gate.Subroutine
+              { name = "f"; inv = false; inputs = [ 5; 1 ]; outputs = [ 1; 9; 5; 2 ];
+                controls = [ Gate.pos_control 4; Gate.pos_control 2 ] })
+           [ 1; 4; 5 ]));
+  Alcotest.(check string) "call output born twice"
+    "wire 8 used twice in one gate (no-cloning)"
+    (error_text (fun () ->
+         validate_single
+           (Gate.Subroutine
+              { name = "f"; inv = false; inputs = [ 5; 1 ]; outputs = [ 8; 1; 8 ]; controls = [] })
+           [ 1; 5 ]))
+
+(* With several leaked wires, the one named follows the live table's
+   iteration order, here after a nested capture. *)
+let test_box_leak_texts () =
+  Alcotest.(check string) "three leaked ancillas"
+    "shape mismatch: captured function leaks wire 2 (not in output shape)"
+    (error_text (fun () ->
+         Circ.generate ~in_:Qdata.qubit
+           (box "leaky3" ~in_:Qdata.qubit ~out:Qdata.qubit (fun q ->
+                let* _ = qinit_bit false in
+                let* _ = qinit_bit true in
+                let* _ = qinit_bit false in
+                return q))));
+  let w4 = Qdata.list_of 4 Qdata.qubit in
+  Alcotest.(check string) "leaks after a nested box"
+    "shape mismatch: captured function leaks wire 7 (not in output shape)"
+    (error_text (fun () ->
+         Circ.generate ~in_:w4
+           (box "outer" ~in_:w4 ~out:Qdata.qubit (fun qs ->
+                let* qs =
+                  box "inner" ~in_:w4 ~out:w4
+                    (fun qs ->
+                      let* () = hadamard_ (List.hd qs) in
+                      return qs)
+                    qs
+                in
+                let* _ = qinit_bit false in
+                return (List.nth qs 2)))))
+
+let prop_wires_match_reference =
+  QCheck2.Test.make ~name:"Gate.wires = list-scan reference" ~count:300
+    Gen.wide_gate_gen
+    (fun g -> Gate.wires g = Gen.reference_wires g)
+
+let prop_distinct_matches_reference =
+  QCheck2.Test.make ~name:"Gate.check_distinct = list-scan reference" ~count:300
+    Gen.wide_gate_gen
+    (fun g ->
+      let got =
+        match Gate.check_distinct g with
+        | () -> None
+        | exception Errors.Error (Errors.No_cloning w) -> Some w
+      in
+      got = Gen.reference_first_repeat g)
+
+(* ------------------------------------------------------------------ *)
 (* Properties over random circuits                                     *)
 
 let prop_generated_circuits_validate =
@@ -504,6 +594,11 @@ let suite =
     Alcotest.test_case "text printer" `Quick test_printer_output;
     Alcotest.test_case "ascii renderer" `Quick test_ascii_output;
     Alcotest.test_case "comments and labels" `Quick test_comment_labels;
+    Alcotest.test_case "no-cloning names the first repeat" `Quick
+      test_no_cloning_names_first_repeat;
+    Alcotest.test_case "box leak error texts" `Quick test_box_leak_texts;
+    QCheck_alcotest.to_alcotest prop_wires_match_reference;
+    QCheck_alcotest.to_alcotest prop_distinct_matches_reference;
     QCheck_alcotest.to_alcotest prop_generated_circuits_validate;
     QCheck_alcotest.to_alcotest prop_reverse_validates;
     QCheck_alcotest.to_alcotest prop_double_reverse_identity;

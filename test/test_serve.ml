@@ -288,8 +288,33 @@ let test_single_prepare () =
   check "no preparation completed, nothing cached" true
     (st.Serve.prepares = 0 && st.Serve.entries = 0 && st.Serve.misses = 8)
 
+(* The daemon's "SHOTS SEED" lines are checked before [submit]: a bad
+   count gets [Errors.Error] text, never a stdlib exception and never an
+   allocation sized by the request. *)
+let test_daemon_shot_lines () =
+  let reply line =
+    match Quipper_cli.shot_request line with
+    | shots, seed -> Fmt.str "ok %d %d" shots seed
+    | exception Errors.Error r -> Errors.to_string r
+  in
+  let check line expect = Alcotest.(check string) line expect (reply line) in
+  check "64 7" "ok 64 7";
+  check " 0 -3 " "ok 0 -3";
+  check (string_of_int Sys.max_array_length ^ " 1")
+    (Fmt.str "ok %d 1" Sys.max_array_length);
+  let range n =
+    Fmt.str "SHOTS must be between 0 and %d, got %d" Sys.max_array_length n
+  in
+  check "-5 1" (range (-5));
+  check "4611686018427387903 1" (range 4611686018427387903);
+  check (string_of_int (Sys.max_array_length + 1) ^ " 1") (range (Sys.max_array_length + 1));
+  check "foo" "expected \"SHOTS SEED\", got \"foo\"";
+  check "1 2 3" "expected \"SHOTS SEED\", got \"1 2 3\"";
+  check "1 x" "expected \"SHOTS SEED\", got \"1 x\""
+
 let suite =
   [
+    Alcotest.test_case "daemon rejects bad SHOTS before submit" `Quick test_daemon_shot_lines;
     QCheck_alcotest.to_alcotest prop_law_statevector;
     QCheck_alcotest.to_alcotest prop_law_fused;
     QCheck_alcotest.to_alcotest prop_law_clifford;
