@@ -5,9 +5,9 @@
     own spelling of it, with defaults that could drift apart. This
     module is now the single definition: the campaign modules alias
     their [engine] types to {!t} (kept one release for compatibility),
-    and every entry point defaults to {!default}, which honours the
+    and every entry point defaults to {!default}, which reads the
     [QUIPPER_ENGINE] environment variable the same way everywhere —
-    the engine analogue of [QUIPPER_DOMAINS] in {!Kernel}. *)
+    through {!Kernel.env}, like [QUIPPER_DOMAINS]. *)
 
 type t = [ `Auto | `Frame | `Slow ]
 
@@ -21,8 +21,6 @@ let of_string s =
   | _ -> Error (Fmt.str "unknown engine %S (expected auto, frame or slow)" s)
 
 let default () =
-  match Sys.getenv_opt "QUIPPER_ENGINE" with
-  | None -> `Auto
-  | Some s -> ( match of_string s with Ok e -> e | Error _ -> `Auto)
+  match Kernel.env "QUIPPER_ENGINE" of_string with Some e -> e | None -> `Auto
 
 let pp ppf e = Fmt.string ppf (to_string e)

@@ -19,8 +19,10 @@ val of_string : string -> (t, string) result
 
 val default : unit -> t
 (** The default engine every campaign entry point uses: [`Auto], unless
-    the environment variable [QUIPPER_ENGINE] holds a recognised
-    spelling — the engine analogue of [QUIPPER_DOMAINS] ({!Kernel}),
-    so benchmarks and CI pin the choice without code edits. *)
+    the environment variable [QUIPPER_ENGINE] is set — the engine
+    analogue of [QUIPPER_DOMAINS] ({!Kernel}), so benchmarks and CI pin
+    the choice without code edits. A value {!of_string} rejects raises
+    [Quipper.Errors.Error (Invalid _)] naming the variable
+    ({!Kernel.env}). *)
 
 val pp : Format.formatter -> t -> unit

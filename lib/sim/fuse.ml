@@ -439,13 +439,17 @@ let respec ~diag ~wires ~(items : item list) (v : float array) : block =
 
 (* Cost of applying one item, in units of one uncontrolled X sweep
    (~1 ms per 2^20 amplitudes on the reference machine). The constants
-   are measured, not derived: the specialised kernels iterate
-   compressed subspaces in contiguous runs, so a controlled gate is
-   {e cheaper} than an uncontrolled one, while the fused kernels pay
-   gather/scatter indirection — a dense k-wire block costs about
+   are measured, not derived, on uncontrolled gates: the fused kernels
+   pay gather/scatter indirection — a dense k-wire block costs about
    [2.6 * 2^k] sweeps (unrolled k <= 2 bodies are cheaper) and a fused
-   diagonal about 3.3 sweeps at any width. Fusion is emitted only when
-   the fused form beats replaying the absorbed items one by one. *)
+   diagonal about 3.3 sweeps at any width. Controls are not priced:
+   every kernel, fused or not, visits only the control subspace, so a
+   gate or block under [c] controls costs about [2^-c] of these figures
+   on both sides of the comparison — except a controlled gate absorbed
+   into a block, whose control wires join the block's support: it is
+   priced as if uncontrolled, which overstates what replaying it would
+   cost and so leans toward fusion. Fusion is emitted only when the
+   fused form beats replaying the absorbed items one by one. *)
 let dense_cost k =
   match k with
   | 0 | 1 -> 3.5

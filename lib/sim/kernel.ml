@@ -1,13 +1,9 @@
 (** In-place statevector kernels.
 
     The hot loops of the dense simulator, specialised per gate class
-    ({!Quipper.Gate.fast_class}): X/CNOT/Toffoli are index swaps, the
-    diagonal family (Z, S, T, R/Ph, Rz, exp(-i%Z), controlled phase) is
-    a phase multiply, and only H and W pay a butterfly. Controls are
-    folded into one precomputed (mask, want) pair per gate —
-    uncontrolled gates run a check-free loop, a single control is folded
-    into the iteration itself (quarter space, no per-index test), and
-    only multi-control gates check the mask once per index.
+    ({!Quipper.Gate.fast_class}): X/CNOT/Toffoli and swap are index
+    swaps, the diagonal family (Z, S, T, R/Ph, Rz, exp(-i%Z), controlled
+    phase) is a phase multiply, and only H and W pay a butterfly.
 
     Every kernel writes the same floating-point results, bit for bit,
     as the generic 2x2/4x4 matrix path of the seed engine (kept in
@@ -20,11 +16,19 @@
     float and runs ~4x slower). The differential and property tests
     rely on the bit-exactness.
 
-    Iteration is by {e runs}: the compressed index space (target bit
-    deleted) decomposes into maximal runs of contiguous full indices, so
-    the inner loops are sequential array sweeps with no per-index bit
-    surgery, over [Array.unsafe_*] (indices are in range by
-    construction: [expand j < size] for [j < size/2], and callers
+    Iteration is over the {e control subspace}: a gate's target bits and
+    quantum-control bits (its [fixed] bits) are deleted from the index,
+    and the kernel walks the [size lsr popcount fixed] compressed
+    indices that remain. Each compressed index expands to the base of
+    one group — zeros at the fixed bits, then the controls' wanted
+    values OR-ed in — so a gate with [c] controls visits only the
+    [2^-c] share of the state its controls select, and no index is ever
+    tested against a mask. The compressed space decomposes into maximal
+    runs of contiguous full indices (the free bits below the lowest
+    fixed bit), so the inner loops are sequential array sweeps; a run's
+    successor base is one carry past the fixed bits, and only a chunk's
+    first base pays a full bit-by-bit expansion. Loops use
+    [Array.unsafe_*] (indices are in range by construction, and callers
     guarantee [size <= Array.length re]). Two more non-flambda rules
     shape the code: loop bodies are top-level functions (free variables
     of an inline closure are re-fetched through the environment inside
@@ -34,43 +38,50 @@
 
     Kernels operate on the first [size] elements of the (re, im) pair of
     unboxed float arrays; the arrays may be longer (capacity-managed by
-    {!Statevector}). Above {!threshold} amplitudes, elementwise kernels
-    split their compressed index space into [num_domains] contiguous
-    chunks, run on {!Pool} — a process-wide pool, capped at the core
-    count, with the caller taking part. Chunking is deterministic and
-    elementwise, so results depend on neither the domain count nor the
-    number of live workers; reductions that feed sampling
-    (measurement probabilities) are sequential by design — ordered float
-    summation, and hence every sampled outcome, is identical on any
-    machine. *)
+    {!Statevector}). When a call touches at least {!threshold}
+    amplitudes, elementwise kernels split their compressed index space
+    into [num_domains] contiguous chunks, run on {!Pool} — a
+    process-wide pool, capped at the core count, with the caller taking
+    part. Chunking is deterministic and elementwise, so results depend
+    on neither the domain count nor the number of live workers;
+    reductions that feed sampling (measurement probabilities) are
+    sequential by design — ordered float summation, and hence every
+    sampled outcome, is identical on any machine. *)
 
-(* A positive integer from the environment; anything else (unset, junk,
-   zero, negative) falls through to the default. *)
-let env_int name =
+let env name parse =
   match Sys.getenv_opt name with
   | None -> None
+  | Some s when String.trim s = "" -> None
   | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> Some v
-      | _ -> None)
+      match parse (String.trim s) with
+      | Ok v -> Some v
+      | Error why -> Quipper.Errors.invalidf "%s=%S: %s" name s why)
+
+let positive_int s =
+  match int_of_string_opt s with
+  | Some v when v > 0 -> Ok v
+  | _ -> Error "expected a positive integer"
 
 let num_domains =
   ref
-    (match env_int "QUIPPER_DOMAINS" with
+    (match env "QUIPPER_DOMAINS" positive_int with
     | Some d -> d
     | None -> max 1 (Domain.recommended_domain_count ()))
 
 let threshold =
-  ref (match env_int "QUIPPER_PAR_THRESHOLD" with Some t -> t | None -> 1 lsl 19)
-(** Minimum number of amplitudes before a kernel fans out on the pool;
-    bench section N7 measures where the split breaks even. *)
+  ref
+    (match env "QUIPPER_PAR_THRESHOLD" positive_int with
+    | Some t -> t
+    | None -> 1 lsl 19)
 
-(** [par_range n f] runs [f lo hi] over [num_domains] contiguous chunks
-    of [0, n) (the last takes the remainder) on the pool, when [n]
-    reaches the threshold. [f] must touch disjoint state per index. *)
-let par_range n (f : int -> int -> unit) =
+(** [par_range ~touch n f] runs [f lo hi] over [num_domains] contiguous
+    chunks of [0, n) (the last takes the remainder) on the pool, when
+    the call touches at least the threshold's worth of amplitudes —
+    [n * touch], where each index touches [touch] of them. [f] must
+    touch disjoint state per index. *)
+let par_range ?(touch = 1) n (f : int -> int -> unit) =
   let d = !num_domains in
-  if d <= 1 || n < !threshold then f 0 n
+  if d <= 1 || n * touch < !threshold then f 0 n
   else
     let chunk = n / d in
     Pool.run ~domains:d d (fun k ->
@@ -83,23 +94,63 @@ let[@inline] expand j lowmask =
   ((j land lnot lowmask) lsl 1) lor (j land lowmask)
 
 (* ------------------------------------------------------------------ *)
-(* Pair kernels. Each chunk body walks [lo, hi) of compressed indices
-   run by run; within a run the full index is contiguous. The [0]
-   suffix marks the uncontrolled body, [1] the single-control body
-   (both the target bit and the control bit deleted from the index
-   space — the nested [expand] is valid because within a run only the
-   bits below the lower deleted bit vary, so the outer insertion point
-   never shifts), and [m] the multi-control body with the per-index
-   mask check. *)
+(* The control subspace                                                *)
 
-let kx0 ~re ~im ~bit ~lowmask lo hi =
-  let j = ref lo in
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+(* Compressed indices of a gate whose [fixed] bits are deleted. *)
+let subspace size fixed = size lsr popcount fixed
+
+(* Full index (fixed bits zero) of compressed index [j]: insert a 0 at
+   each fixed bit, lowest first — each insertion shifts only the bits at
+   or above its own position, so the ascending order never disturbs an
+   earlier one. *)
+let deposit j fixed =
+  let x = ref j and f = ref fixed in
+  while !f <> 0 do
+    let low = (!f land (- !f)) - 1 in
+    x := expand !x low;
+    f := !f land (!f - 1)
+  done;
+  !x
+
+(* The free bits below the lowest fixed bit: the low bits of a run, in
+   which compressed and full index agree. With nothing fixed the whole
+   space is one run (the mask stays clear of overflow). *)
+let run_mask fixed =
+  if fixed = 0 then max_int lsr 1 else (fixed land (- fixed)) - 1
+
+(* The next full index with the fixed bits zero after [i]: a carry that
+   skips over the fixed bits. *)
+let[@inline] next i fixed = ((i lor fixed) + 1) land lnot fixed
+
+(* Run [body lowmask x lo hi] over the compressed space of a gate with
+   [fixed] bits, chunked by {!par_range}; [x] is the full index of [lo].
+   The bodies receive the run mask and their first index as arguments,
+   so their loops make no calls: a call would spill every live value,
+   and the loop would reload them from the stack at each iteration. *)
+let sweep ?touch size fixed body =
+  let lowmask = run_mask fixed in
+  par_range ?touch (subspace size fixed) (fun lo hi ->
+      body lowmask (deposit lo fixed) lo hi)
+
+(* ------------------------------------------------------------------ *)
+(* Kernel bodies. Each walks the compressed indices [lo, hi) run by run:
+   [x] is the current run's first full index with the fixed bits zero,
+   and the group bases [x lor cwant .. + run length - 1] are contiguous.
+   [cwant] is the controls' wanted bits (plus, for the set-half
+   multiply, the target bit). *)
+
+(* Exchange each pair (i0, i0 lxor flip), i0 a group base: X (flip = the
+   target bit) and swap (the |10> base, flip = both bits). *)
+let kexchange ~re ~im ~flip ~fixed ~cwant lowmask x0 lo hi =
+  let j = ref lo and x = ref x0 in
   while !j < hi do
     let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    let base = expand !j lowmask in
+    let base = !x lor cwant in
     let fin = base + (run_end - !j) - 1 in
     for i0 = base to fin do
-      let i1 = i0 lor bit in
+      let i1 = i0 lxor flip in
       let xr = Array.unsafe_get re i0 *. 1.0
       and xi = Array.unsafe_get im i0 *. 1.0 in
       Array.unsafe_set re i0 (Array.unsafe_get re i1 *. 1.0);
@@ -107,63 +158,26 @@ let kx0 ~re ~im ~bit ~lowmask lo hi =
       Array.unsafe_set re i1 xr;
       Array.unsafe_set im i1 xi
     done;
-    j := run_end
-  done
-
-let kx1 ~re ~im ~bit ~lm ~hm ~cwant lo hi =
-  let j = ref lo in
-  while !j < hi do
-    let run_end = let e = (!j lor lm) + 1 in if e < hi then e else hi in
-    let base = expand (expand !j lm) hm lor cwant in
-    let fin = base + (run_end - !j) - 1 in
-    for i0 = base to fin do
-      let i1 = i0 lor bit in
-      let xr = Array.unsafe_get re i0 *. 1.0
-      and xi = Array.unsafe_get im i0 *. 1.0 in
-      Array.unsafe_set re i0 (Array.unsafe_get re i1 *. 1.0);
-      Array.unsafe_set im i0 (Array.unsafe_get im i1 *. 1.0);
-      Array.unsafe_set re i1 xr;
-      Array.unsafe_set im i1 xi
-    done;
-    j := run_end
-  done
-
-let kxm ~re ~im ~bit ~lowmask ~cmask ~cwant lo hi =
-  let j = ref lo in
-  while !j < hi do
-    let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    let base = expand !j lowmask in
-    for k = 0 to run_end - !j - 1 do
-      let i0 = base + k in
-      if i0 land cmask = cwant then begin
-        let i1 = i0 lor bit in
-        let xr = Array.unsafe_get re i0 *. 1.0
-        and xi = Array.unsafe_get im i0 *. 1.0 in
-        Array.unsafe_set re i0 (Array.unsafe_get re i1 *. 1.0);
-        Array.unsafe_set im i0 (Array.unsafe_get im i1 *. 1.0);
-        Array.unsafe_set re i1 xr;
-        Array.unsafe_set im i1 xi
-      end
-    done;
+    x := next fin fixed;
     j := run_end
   done
 
 (** X / CNOT / Toffoli: swap each pair. *)
 let kx ~re ~im ~size ~bit ~cmask ~cwant =
-  let lowmask = bit - 1 in
-  if cmask = 0 then par_range (size / 2) (kx0 ~re ~im ~bit ~lowmask)
-  else if cmask land (cmask - 1) = 0 then begin
-    let bl = if bit < cmask then bit else cmask in
-    let bh = if bit < cmask then cmask else bit in
-    par_range (size / 4) (kx1 ~re ~im ~bit ~lm:(bl - 1) ~hm:(bh - 1) ~cwant)
-  end
-  else par_range (size / 2) (kxm ~re ~im ~bit ~lowmask ~cmask ~cwant)
+  let fixed = bit lor cmask in
+  sweep ~touch:2 size fixed (kexchange ~re ~im ~flip:bit ~fixed ~cwant)
 
-let ky0 ~re ~im ~bit ~lowmask lo hi =
-  let j = ref lo in
+(** swap (with any controls): exchange amplitudes across the bit pair. *)
+let kswap ~re ~im ~size ~ba ~bb ~cmask ~cwant =
+  let fixed = ba lor bb lor cmask in
+  sweep ~touch:2 size fixed
+    (kexchange ~re ~im ~flip:(ba lxor bb) ~fixed ~cwant:(cwant lor ba))
+
+let ky_body ~re ~im ~bit ~fixed ~cwant lowmask x0 lo hi =
+  let j = ref lo and x = ref x0 in
   while !j < hi do
     let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    let base = expand !j lowmask in
+    let base = !x lor cwant in
     let fin = base + (run_end - !j) - 1 in
     for i0 = base to fin do
       let i1 = i0 lor bit in
@@ -174,43 +188,26 @@ let ky0 ~re ~im ~bit ~lowmask lo hi =
       Array.unsafe_set re i1 (-.xi);
       Array.unsafe_set im i1 xr
     done;
-    j := run_end
-  done
-
-let kym ~re ~im ~bit ~lowmask ~cmask ~cwant lo hi =
-  let j = ref lo in
-  while !j < hi do
-    let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    let base = expand !j lowmask in
-    for k = 0 to run_end - !j - 1 do
-      let i0 = base + k in
-      if i0 land cmask = cwant then begin
-        let i1 = i0 lor bit in
-        let xr = Array.unsafe_get re i0 *. 1.0
-        and xi = Array.unsafe_get im i0 in
-        Array.unsafe_set re i0 (Array.unsafe_get im i1 *. 1.0);
-        Array.unsafe_set im i0 (-.Array.unsafe_get re i1);
-        Array.unsafe_set re i1 (-.xi);
-        Array.unsafe_set im i1 xr
-      end
-    done;
+    x := next fin fixed;
     j := run_end
   done
 
 (** Y: amp0' = -i * amp1, amp1' = i * amp0. *)
 let ky ~re ~im ~size ~bit ~cmask ~cwant =
-  let lowmask = bit - 1 in
-  if cmask = 0 then par_range (size / 2) (ky0 ~re ~im ~bit ~lowmask)
-  else par_range (size / 2) (kym ~re ~im ~bit ~lowmask ~cmask ~cwant)
+  let fixed = bit lor cmask in
+  sweep ~touch:2 size fixed (ky_body ~re ~im ~bit ~fixed ~cwant)
 
-let kh0 ~re ~im ~bit ~lowmask ~r lo hi =
-  let j = ref lo in
+(* The butterfly (x, y) -> (r x + r y, r x - r y) on each pair
+   (i0, i0 lxor flip), i0 a group base: H (flip = the target bit) and W
+   (the |01> base, flip = both bits). *)
+let kbutterfly ~re ~im ~flip ~r ~fixed ~cwant lowmask x0 lo hi =
+  let j = ref lo and x = ref x0 in
   while !j < hi do
     let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    let base = expand !j lowmask in
+    let base = !x lor cwant in
     let fin = base + (run_end - !j) - 1 in
     for i0 = base to fin do
-      let i1 = i0 lor bit in
+      let i1 = i0 lxor flip in
       let xr = Array.unsafe_get re i0 and xi = Array.unsafe_get im i0 in
       let yr = Array.unsafe_get re i1 and yi = Array.unsafe_get im i1 in
       Array.unsafe_set re i0 ((r *. xr) +. (r *. yr));
@@ -218,104 +215,49 @@ let kh0 ~re ~im ~bit ~lowmask ~r lo hi =
       Array.unsafe_set re i1 ((r *. xr) -. (r *. yr));
       Array.unsafe_set im i1 ((r *. xi) -. (r *. yi))
     done;
+    x := next fin fixed;
     j := run_end
   done
 
-let khm ~re ~im ~bit ~lowmask ~r ~cmask ~cwant lo hi =
-  let j = ref lo in
-  while !j < hi do
-    let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    let base = expand !j lowmask in
-    for k = 0 to run_end - !j - 1 do
-      let i0 = base + k in
-      if i0 land cmask = cwant then begin
-        let i1 = i0 lor bit in
-        let xr = Array.unsafe_get re i0 and xi = Array.unsafe_get im i0 in
-        let yr = Array.unsafe_get re i1 and yi = Array.unsafe_get im i1 in
-        Array.unsafe_set re i0 ((r *. xr) +. (r *. yr));
-        Array.unsafe_set im i0 ((r *. xi) +. (r *. yi));
-        Array.unsafe_set re i1 ((r *. xr) -. (r *. yr));
-        Array.unsafe_set im i1 ((r *. xi) -. (r *. yi))
-      end
-    done;
-    j := run_end
-  done
-
-(** H: the butterfly (x, y) -> (r x + r y, r x - r y), r = 1/sqrt 2.
-    Term order mirrors the generic path's inner product exactly. *)
+(** H: the butterfly with r = 1/sqrt 2. Term order mirrors the generic
+    path's inner product exactly. *)
 let kh ~re ~im ~size ~bit ~cmask ~cwant =
-  let r = 1.0 /. sqrt 2.0 in
-  let lowmask = bit - 1 in
-  if cmask = 0 then par_range (size / 2) (kh0 ~re ~im ~bit ~lowmask ~r)
-  else par_range (size / 2) (khm ~re ~im ~bit ~lowmask ~r ~cmask ~cwant)
+  let fixed = bit lor cmask in
+  sweep ~touch:2 size fixed
+    (kbutterfly ~re ~im ~flip:bit ~r:(1.0 /. sqrt 2.0) ~fixed ~cwant)
 
-let kdiag1_0 ~re ~im ~bit ~lowmask ~d1_re ~d1_im lo hi =
-  let j = ref lo in
+(** W: H on the odd-parity subspace span(|01>, |10>), identity on |00>
+    and |11>. [ba] is the first wire's (high) bit. *)
+let kw ~re ~im ~size ~ba ~bb ~cmask ~cwant =
+  let fixed = ba lor bb lor cmask in
+  sweep ~touch:2 size fixed
+    (kbutterfly ~re ~im ~flip:(ba lxor bb) ~r:(1.0 /. sqrt 2.0) ~fixed
+       ~cwant:(cwant lor bb))
+
+(* Multiply every selected index by (pr, pi): the set half of a
+   diagonal with d0 = 1 ([cwant] includes the target bit), and the
+   controlled global phase. *)
+let kmul ~re ~im ~pr ~pi ~fixed ~cwant lowmask x0 lo hi =
+  let j = ref lo and x = ref x0 in
   while !j < hi do
     let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    let base = expand !j lowmask lor bit in
+    let base = !x lor cwant in
     let fin = base + (run_end - !j) - 1 in
-    for i1 = base to fin do
-      let yr = Array.unsafe_get re i1 and yi = Array.unsafe_get im i1 in
-      Array.unsafe_set re i1 ((d1_re *. yr) -. (d1_im *. yi));
-      Array.unsafe_set im i1 ((d1_re *. yi) +. (d1_im *. yr))
+    for i = base to fin do
+      let xr = Array.unsafe_get re i and xi = Array.unsafe_get im i in
+      Array.unsafe_set re i ((pr *. xr) -. (pi *. xi));
+      Array.unsafe_set im i ((pr *. xi) +. (pi *. xr))
     done;
+    x := next fin fixed;
     j := run_end
   done
 
-let kdiag1_1 ~re ~im ~bit ~lm ~hm ~cwant ~d1_re ~d1_im lo hi =
-  let j = ref lo in
-  while !j < hi do
-    let run_end = let e = (!j lor lm) + 1 in if e < hi then e else hi in
-    let base = expand (expand !j lm) hm lor cwant lor bit in
-    let fin = base + (run_end - !j) - 1 in
-    for i1 = base to fin do
-      let yr = Array.unsafe_get re i1 and yi = Array.unsafe_get im i1 in
-      Array.unsafe_set re i1 ((d1_re *. yr) -. (d1_im *. yi));
-      Array.unsafe_set im i1 ((d1_re *. yi) +. (d1_im *. yr))
-    done;
-    j := run_end
-  done
-
-let kdiag1_m ~re ~im ~bit ~lowmask ~cmask ~cwant ~d1_re ~d1_im lo hi =
-  let j = ref lo in
+let kdiag_body ~re ~im ~bit ~fixed ~cwant ~d0_re ~d0_im ~d1_re ~d1_im lowmask
+    x0 lo hi =
+  let j = ref lo and x = ref x0 in
   while !j < hi do
     let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    (* the target bit is never a control, so checking the mask on [i1]
-       is the same as on [i0] *)
-    let base = expand !j lowmask lor bit in
-    for k = 0 to run_end - !j - 1 do
-      let i1 = base + k in
-      if i1 land cmask = cwant then begin
-        let yr = Array.unsafe_get re i1 and yi = Array.unsafe_get im i1 in
-        Array.unsafe_set re i1 ((d1_re *. yr) -. (d1_im *. yi));
-        Array.unsafe_set im i1 ((d1_re *. yi) +. (d1_im *. yr))
-      end
-    done;
-    j := run_end
-  done
-
-(** diag(d0, d1) with d0 = 1: multiply only the bit-set half. Covers Z,
-    S, T, R/Ph and the controlled-phase family. *)
-let kdiag1 ~re ~im ~size ~bit ~cmask ~cwant ~d1_re ~d1_im =
-  let lowmask = bit - 1 in
-  if cmask = 0 then
-    par_range (size / 2) (kdiag1_0 ~re ~im ~bit ~lowmask ~d1_re ~d1_im)
-  else if cmask land (cmask - 1) = 0 then begin
-    let bl = if bit < cmask then bit else cmask in
-    let bh = if bit < cmask then cmask else bit in
-    par_range (size / 4)
-      (kdiag1_1 ~re ~im ~bit ~lm:(bl - 1) ~hm:(bh - 1) ~cwant ~d1_re ~d1_im)
-  end
-  else
-    par_range (size / 2)
-      (kdiag1_m ~re ~im ~bit ~lowmask ~cmask ~cwant ~d1_re ~d1_im)
-
-let kdiag_0 ~re ~im ~bit ~lowmask ~d0_re ~d0_im ~d1_re ~d1_im lo hi =
-  let j = ref lo in
-  while !j < hi do
-    let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    let base = expand !j lowmask in
+    let base = !x lor cwant in
     let fin = base + (run_end - !j) - 1 in
     for i0 = base to fin do
       let i1 = i0 lor bit in
@@ -326,57 +268,26 @@ let kdiag_0 ~re ~im ~bit ~lowmask ~d0_re ~d0_im ~d1_re ~d1_im lo hi =
       Array.unsafe_set re i1 ((d1_re *. yr) -. (d1_im *. yi));
       Array.unsafe_set im i1 ((d1_re *. yi) +. (d1_im *. yr))
     done;
+    x := next fin fixed;
     j := run_end
   done
 
-let kdiag_m ~re ~im ~bit ~lowmask ~cmask ~cwant ~d0_re ~d0_im ~d1_re ~d1_im
-    lo hi =
-  let j = ref lo in
-  while !j < hi do
-    let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    let base = expand !j lowmask in
-    for k = 0 to run_end - !j - 1 do
-      let i0 = base + k in
-      if i0 land cmask = cwant then begin
-        let i1 = i0 lor bit in
-        let xr = Array.unsafe_get re i0 and xi = Array.unsafe_get im i0 in
-        let yr = Array.unsafe_get re i1 and yi = Array.unsafe_get im i1 in
-        Array.unsafe_set re i0 ((d0_re *. xr) -. (d0_im *. xi));
-        Array.unsafe_set im i0 ((d0_re *. xi) +. (d0_im *. xr));
-        Array.unsafe_set re i1 ((d1_re *. yr) -. (d1_im *. yi));
-        Array.unsafe_set im i1 ((d1_re *. yi) +. (d1_im *. yr))
-      end
-    done;
-    j := run_end
-  done
-
-(** General diagonal diag(d0, d1): Rz and exp(-i%Z). *)
+(** Diagonal diag(d0, d1): Z, S, T, R/Ph, Rz, exp(-i%Z) and the
+    controlled-phase family. With d0 = 1 only the bit-set half is
+    multiplied. *)
 let kdiag ~re ~im ~size ~bit ~cmask ~cwant ~d0_re ~d0_im ~d1_re ~d1_im =
+  let fixed = bit lor cmask in
   if d0_re = 1.0 && d0_im = 0.0 then
-    kdiag1 ~re ~im ~size ~bit ~cmask ~cwant ~d1_re ~d1_im
+    sweep size fixed
+      (kmul ~re ~im ~pr:d1_re ~pi:d1_im ~fixed ~cwant:(cwant lor bit))
   else
-    let lowmask = bit - 1 in
-    if cmask = 0 then
-      par_range (size / 2)
-        (kdiag_0 ~re ~im ~bit ~lowmask ~d0_re ~d0_im ~d1_re ~d1_im)
-    else
-      par_range (size / 2)
-        (kdiag_m ~re ~im ~bit ~lowmask ~cmask ~cwant ~d0_re ~d0_im ~d1_re
-           ~d1_im)
-
-let kphase_chunk ~re ~im ~cmask ~cwant ~pr ~pi lo hi =
-  for i = lo to hi - 1 do
-    if i land cmask = cwant then begin
-      let xr = Array.unsafe_get re i and xi = Array.unsafe_get im i in
-      Array.unsafe_set re i ((pr *. xr) -. (pi *. xi));
-      Array.unsafe_set im i ((pr *. xi) +. (pi *. xr))
-    end
-  done
+    sweep ~touch:2 size fixed
+      (kdiag_body ~re ~im ~bit ~fixed ~cwant ~d0_re ~d0_im ~d1_re ~d1_im)
 
 (** Global phase e^{i angle} on every index satisfying the controls. *)
 let kphase ~re ~im ~size ~cmask ~cwant ~angle =
-  let pr = cos angle and pi = sin angle in
-  par_range size (kphase_chunk ~re ~im ~cmask ~cwant ~pr ~pi)
+  sweep size cmask
+    (kmul ~re ~im ~pr:(cos angle) ~pi:(sin angle) ~fixed:cmask ~cwant)
 
 (* ------------------------------------------------------------------ *)
 (* Sequential reductions                                               *)
@@ -476,70 +387,29 @@ let sum_norm2_half_unord ~re ~im ~size ~bit ~want =
   acc.(0) +. acc.(1) +. acc.(2) +. acc.(3)
 
 (* ------------------------------------------------------------------ *)
-(* Two-qubit kernels                                                   *)
+(* Generic fallback (unrecognised unitaries)                           *)
 
-let kswap_chunk ~re ~im ~ba ~bb ~cmask ~cwant lo hi =
-  for i = lo to hi - 1 do
-    if i land ba <> 0 && i land bb = 0 && i land cmask = cwant then begin
-      let j = i lxor ba lxor bb in
-      let xr = Array.unsafe_get re i *. 1.0
-      and xi = Array.unsafe_get im i *. 1.0 in
-      Array.unsafe_set re i (Array.unsafe_get re j *. 1.0);
-      Array.unsafe_set im i (Array.unsafe_get im j *. 1.0);
-      Array.unsafe_set re j xr;
-      Array.unsafe_set im j xi
-    end
-  done
-
-(** swap (with any controls): exchange amplitudes across the bit pair. *)
-let kswap ~re ~im ~size ~ba ~bb ~cmask ~cwant =
-  par_range size (kswap_chunk ~re ~im ~ba ~bb ~cmask ~cwant)
-
-let kw_chunk ~re ~im ~ba ~bb ~cmask ~cwant ~r lo hi =
-  for i = lo to hi - 1 do
-    (* i is the |01> index of its quadruple: a clear, b set *)
-    if i land ba = 0 && i land bb <> 0 && i land cmask = cwant then begin
-      let j = i lxor ba lxor bb in
-      let xr = Array.unsafe_get re i and xi = Array.unsafe_get im i in
-      let yr = Array.unsafe_get re j and yi = Array.unsafe_get im j in
-      Array.unsafe_set re i ((r *. xr) +. (r *. yr));
-      Array.unsafe_set im i ((r *. xi) +. (r *. yi));
-      Array.unsafe_set re j ((r *. xr) -. (r *. yr));
-      Array.unsafe_set im j ((r *. xi) -. (r *. yi))
-    end
-  done
-
-(** W: H on the odd-parity subspace span(|01>, |10>), identity on |00>
-    and |11>. [ba] is the first wire's (high) bit. *)
-let kw ~re ~im ~size ~ba ~bb ~cmask ~cwant =
-  let r = 1.0 /. sqrt 2.0 in
-  par_range size (kw_chunk ~re ~im ~ba ~bb ~cmask ~cwant ~r)
-
-(* ------------------------------------------------------------------ *)
-(* Generic fallbacks (unrecognised unitaries)                          *)
-
-let k1_chunk ~re ~im ~bit ~lowmask ~cmask ~cwant ~a_re ~a_im ~b_re ~b_im ~c_re
-    ~c_im ~d_re ~d_im lo hi =
-  let j = ref lo in
+let k1_body ~re ~im ~bit ~fixed ~cwant ~a_re ~a_im ~b_re ~b_im ~c_re ~c_im
+    ~d_re ~d_im lowmask x0 lo hi =
+  let j = ref lo and x = ref x0 in
   while !j < hi do
     let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
-    let base = expand !j lowmask in
-    for k = 0 to run_end - !j - 1 do
-      let i0 = base + k in
-      if i0 land cmask = cwant then begin
-        let i1 = i0 lor bit in
-        let x_re = Array.unsafe_get re i0 and x_im = Array.unsafe_get im i0 in
-        let y_re = Array.unsafe_get re i1 and y_im = Array.unsafe_get im i1 in
-        Array.unsafe_set re i0
-          ((a_re *. x_re) -. (a_im *. x_im) +. (b_re *. y_re) -. (b_im *. y_im));
-        Array.unsafe_set im i0
-          ((a_re *. x_im) +. (a_im *. x_re) +. (b_re *. y_im) +. (b_im *. y_re));
-        Array.unsafe_set re i1
-          ((c_re *. x_re) -. (c_im *. x_im) +. (d_re *. y_re) -. (d_im *. y_im));
-        Array.unsafe_set im i1
-          ((c_re *. x_im) +. (c_im *. x_re) +. (d_re *. y_im) +. (d_im *. y_re))
-      end
+    let base = !x lor cwant in
+    let fin = base + (run_end - !j) - 1 in
+    for i0 = base to fin do
+      let i1 = i0 lor bit in
+      let x_re = Array.unsafe_get re i0 and x_im = Array.unsafe_get im i0 in
+      let y_re = Array.unsafe_get re i1 and y_im = Array.unsafe_get im i1 in
+      Array.unsafe_set re i0
+        ((a_re *. x_re) -. (a_im *. x_im) +. (b_re *. y_re) -. (b_im *. y_im));
+      Array.unsafe_set im i0
+        ((a_re *. x_im) +. (a_im *. x_re) +. (b_re *. y_im) +. (b_im *. y_re));
+      Array.unsafe_set re i1
+        ((c_re *. x_re) -. (c_im *. x_im) +. (d_re *. y_re) -. (d_im *. y_im));
+      Array.unsafe_set im i1
+        ((c_re *. x_im) +. (c_im *. x_re) +. (d_re *. y_im) +. (d_im *. y_re))
     done;
+    x := next fin fixed;
     j := run_end
   done
 
@@ -549,36 +419,30 @@ let k1_generic ~re ~im ~size ~bit ~cmask ~cwant (m : Quipper_math.Mat2.t) =
   let open Quipper_math in
   let a = Mat2.get m 0 0 and b = Mat2.get m 0 1 in
   let c = Mat2.get m 1 0 and d = Mat2.get m 1 1 in
-  let lowmask = bit - 1 in
-  par_range (size / 2)
-    (k1_chunk ~re ~im ~bit ~lowmask ~cmask ~cwant ~a_re:(Cplx.re a)
-       ~a_im:(Cplx.im a) ~b_re:(Cplx.re b) ~b_im:(Cplx.im b) ~c_re:(Cplx.re c)
-       ~c_im:(Cplx.im c) ~d_re:(Cplx.re d) ~d_im:(Cplx.im d))
+  let fixed = bit lor cmask in
+  sweep ~touch:2 size fixed
+    (k1_body ~re ~im ~bit ~fixed ~cwant ~a_re:(Cplx.re a) ~a_im:(Cplx.im a)
+       ~b_re:(Cplx.re b) ~b_im:(Cplx.im b) ~c_re:(Cplx.re c) ~c_im:(Cplx.im c)
+       ~d_re:(Cplx.re d) ~d_im:(Cplx.im d))
 
 (* ------------------------------------------------------------------ *)
 (* Fused k-qubit kernels (gate fusion, {!Fuse})                        *)
 
-(* Expand a compressed index [j] (all [k] support bits deleted) to the
-   full index: insert a 0 bit at each deleted position. [masks] must be
-   the support bits sorted ascending — each insertion only shifts bits
-   at or above its own position, so ascending insertions never disturb
-   one another. *)
-let[@inline] kq_expand j (masks : int array) k =
-  let base = ref j in
-  for b = 0 to k - 1 do
-    let low = Array.unsafe_get masks b - 1 in
-    base := ((!base land lnot low) lsl 1) lor (!base land low)
-  done;
-  !base
+(* The fused bodies walk the same control subspace, with all [k]
+   support bits and the controls fixed; [offs.(l)] is the full-index
+   offset of matrix basis index [l] within a group. *)
 
-let kq_chunk ~re ~im ~sorted ~offs ~mre ~mim ~dim ~k ~cmask ~cwant lo hi =
+let kq_body ~re ~im ~offs ~mre ~mim ~dim ~fixed ~cwant lowmask x0 lo hi =
   (* per-chunk scratch: gather/apply/scatter buffers, allocated once per
      domain, not per index *)
   let vr = Array.make dim 0.0 and vi = Array.make dim 0.0 in
   let acc = Array.make 2 0.0 in
-  for j = lo to hi - 1 do
-    let base = kq_expand j sorted k in
-    if base land cmask = cwant then begin
+  let j = ref lo and x = ref x0 in
+  while !j < hi do
+    let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
+    let first = !x lor cwant in
+    let fin = first + (run_end - !j) - 1 in
+    for base = first to fin do
       for l = 0 to dim - 1 do
         let i = base lor Array.unsafe_get offs l in
         Array.unsafe_set vr l (Array.unsafe_get re i *. 1.0);
@@ -601,7 +465,9 @@ let kq_chunk ~re ~im ~sorted ~offs ~mre ~mim ~dim ~k ~cmask ~cwant lo hi =
         Array.unsafe_set re i (Array.unsafe_get acc 0 *. 1.0);
         Array.unsafe_set im i (Array.unsafe_get acc 1 *. 1.0)
       done
-    end
+    done;
+    x := next fin fixed;
+    j := run_end
   done
 
 (* Unrolled 1-wire body: the 2x2 matrix lives in 8 scalar parameters,
@@ -610,11 +476,14 @@ let kq_chunk ~re ~im ~sorted ~offs ~mre ~mim ~dim ~k ~cmask ~cwant lo hi =
    accumulation (products grouped (er xr - ei xi), summed left to
    right), so results agree to the same reassociation the fusion tests
    budget. *)
-let kq_chunk1 ~re ~im ~sorted ~b0 ~m00r ~m00i ~m01r ~m01i ~m10r ~m10i ~m11r
-    ~m11i ~k ~cmask ~cwant lo hi =
-  for j = lo to hi - 1 do
-    let i0 = kq_expand j sorted k in
-    if i0 land cmask = cwant then begin
+let kq_body1 ~re ~im ~b0 ~m00r ~m00i ~m01r ~m01i ~m10r ~m10i ~m11r ~m11i
+    ~fixed ~cwant lowmask x0 lo hi =
+  let j = ref lo and x = ref x0 in
+  while !j < hi do
+    let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
+    let base = !x lor cwant in
+    let fin = base + (run_end - !j) - 1 in
+    for i0 = base to fin do
       let i1 = i0 lor b0 in
       let x0r = Array.unsafe_get re i0 and x0i = Array.unsafe_get im i0 in
       let x1r = Array.unsafe_get re i1 and x1i = Array.unsafe_get im i1 in
@@ -626,17 +495,22 @@ let kq_chunk1 ~re ~im ~sorted ~b0 ~m00r ~m00i ~m01r ~m01i ~m10r ~m10i ~m11r
         (((m10r *. x0r) -. (m10i *. x0i)) +. ((m11r *. x1r) -. (m11i *. x1i)));
       Array.unsafe_set im i1
         (((m10r *. x0i) +. (m10i *. x0r)) +. ((m11r *. x1i) +. (m11i *. x1r)))
-    end
+    done;
+    x := next fin fixed;
+    j := run_end
   done
 
 (* Unrolled 2-wire body: gather the 4 amplitudes into locals, compute
    each output row as an explicit 4-term complex dot product, write
    back. The 4x4 matrix is read through [unsafe_get] — 32 entries stay
    cache-hot across the whole sweep. *)
-let kq_chunk2 ~re ~im ~sorted ~o1 ~o2 ~o3 ~mre ~mim ~k ~cmask ~cwant lo hi =
-  for j = lo to hi - 1 do
-    let i0 = kq_expand j sorted k in
-    if i0 land cmask = cwant then begin
+let kq_body2 ~re ~im ~o1 ~o2 ~o3 ~mre ~mim ~fixed ~cwant lowmask x0 lo hi =
+  let j = ref lo and x = ref x0 in
+  while !j < hi do
+    let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
+    let base = !x lor cwant in
+    let fin = base + (run_end - !j) - 1 in
+    for i0 = base to fin do
       let i1 = i0 lor o1 and i2 = i0 lor o2 and i3 = i0 lor o3 in
       let x0r = Array.unsafe_get re i0 and x0i = Array.unsafe_get im i0 in
       let x1r = Array.unsafe_get re i1 and x1i = Array.unsafe_get im i1 in
@@ -698,49 +572,60 @@ let kq_chunk2 ~re ~im ~sorted ~o1 ~o2 ~o3 ~mre ~mim ~k ~cmask ~cwant lo hi =
       Array.unsafe_set im i2 y2i;
       Array.unsafe_set re i3 y3r;
       Array.unsafe_set im i3 y3i
-    end
+    done;
+    x := next fin fixed;
+    j := run_end
   done
 
-(** Dense k-qubit matrix application: gather the [2^k] amplitudes of
-    each compressed index, multiply by the row-major [2^k x 2^k] matrix
-    (mre, mim), scatter back. Bit [i] of the matrix's basis index is
-    [bits.(i)] (in any order; sorting for the index expansion is
-    internal). The apply loop reads only the gathered scratch, so each
-    output row can be written as soon as it is computed. Controls are a
-    (mask, want) pair over full-index bits, disjoint from [bits].
-    The common narrow blocks (k = 1, 2) run fully unrolled bodies with
-    no scratch arrays — they are what makes small dense fusions cheaper
-    than replaying their gates. *)
-let kq_generic ~re ~im ~size ~(bits : int array) ~cmask ~cwant ~mre ~mim =
+(* Support bits -> (fixed mask, offset of each basis index). Bit [i] of
+   the matrix's basis index is [bits.(i)]. *)
+let support (bits : int array) =
   let k = Array.length bits in
-  let dim = 1 lsl k in
-  let sorted = Array.copy bits in
-  Array.sort compare sorted;
   let offs =
-    Array.init dim (fun l ->
+    Array.init (1 lsl k) (fun l ->
         let o = ref 0 in
         for b = 0 to k - 1 do
           if l land (1 lsl b) <> 0 then o := !o lor bits.(b)
         done;
         !o)
   in
-  if k = 1 then
-    par_range (size lsr 1)
-      (kq_chunk1 ~re ~im ~sorted ~b0:bits.(0) ~m00r:mre.(0) ~m00i:mim.(0)
-         ~m01r:mre.(1) ~m01i:mim.(1) ~m10r:mre.(2) ~m10i:mim.(2) ~m11r:mre.(3)
-         ~m11i:mim.(3) ~k ~cmask ~cwant)
-  else if k = 2 then
-    par_range (size lsr 2)
-      (kq_chunk2 ~re ~im ~sorted ~o1:offs.(1) ~o2:offs.(2) ~o3:offs.(3) ~mre
-         ~mim ~k ~cmask ~cwant)
-  else
-    par_range (size lsr k)
-      (kq_chunk ~re ~im ~sorted ~offs ~mre ~mim ~dim ~k ~cmask ~cwant)
+  (Array.fold_left ( lor ) 0 bits, offs)
 
-let kq_diag_chunk ~re ~im ~sorted ~offs ~dre ~di ~dim ~k ~cmask ~cwant lo hi =
-  for j = lo to hi - 1 do
-    let base = kq_expand j sorted k in
-    if base land cmask = cwant then
+(** Dense k-qubit matrix application: gather the [2^k] amplitudes of
+    each group, multiply by the row-major [2^k x 2^k] matrix (mre, mim),
+    scatter back. Bit [i] of the matrix's basis index is [bits.(i)] (in
+    any order). The apply loop reads only the gathered scratch, so each
+    output row can be written as soon as it is computed. Controls are a
+    (mask, want) pair over full-index bits, disjoint from [bits]; like
+    the single-gate kernels, only the groups they select are visited.
+    The common narrow blocks (k = 1, 2) run fully unrolled bodies with
+    no scratch arrays — they are what makes small dense fusions cheaper
+    than replaying their gates. *)
+let kq_generic ~re ~im ~size ~(bits : int array) ~cmask ~cwant ~mre ~mim =
+  let k = Array.length bits in
+  let dim = 1 lsl k in
+  let sup, offs = support bits in
+  let fixed = sup lor cmask in
+  if k = 1 then
+    sweep ~touch:dim size fixed
+      (kq_body1 ~re ~im ~b0:bits.(0) ~m00r:mre.(0) ~m00i:mim.(0) ~m01r:mre.(1)
+         ~m01i:mim.(1) ~m10r:mre.(2) ~m10i:mim.(2) ~m11r:mre.(3) ~m11i:mim.(3)
+         ~fixed ~cwant)
+  else if k = 2 then
+    sweep ~touch:dim size fixed
+      (kq_body2 ~re ~im ~o1:offs.(1) ~o2:offs.(2) ~o3:offs.(3) ~mre ~mim ~fixed
+         ~cwant)
+  else
+    sweep ~touch:dim size fixed
+      (kq_body ~re ~im ~offs ~mre ~mim ~dim ~fixed ~cwant)
+
+let kq_diag_body ~re ~im ~offs ~dre ~di ~dim ~fixed ~cwant lowmask x0 lo hi =
+  let j = ref lo and x = ref x0 in
+  while !j < hi do
+    let run_end = let e = (!j lor lowmask) + 1 in if e < hi then e else hi in
+    let first = !x lor cwant in
+    let fin = first + (run_end - !j) - 1 in
+    for base = first to fin do
       for l = 0 to dim - 1 do
         let i = base lor Array.unsafe_get offs l in
         let dr = Array.unsafe_get dre l and dm = Array.unsafe_get di l in
@@ -748,52 +633,21 @@ let kq_diag_chunk ~re ~im ~sorted ~offs ~dre ~di ~dim ~k ~cmask ~cwant lo hi =
         Array.unsafe_set re i ((dr *. xr) -. (dm *. xi));
         Array.unsafe_set im i ((dr *. xi) +. (dm *. xr))
       done
+    done;
+    x := next fin fixed;
+    j := run_end
   done
 
 (** Fused k-qubit diagonal: one sweep multiplying each amplitude by the
     diagonal entry selected by its [k] support bits — the collapsed form
     of a whole run of diagonal gates. Bit [i] of the [2^k]-entry table
-    (dre, di) is [bits.(i)]. Iteration is by compressed base (all
-    support bits deleted) with a precomputed offset per table entry, so
+    (dre, di) is [bits.(i)]. Iteration is by group base (support and
+    control bits fixed) with a precomputed offset per table entry, so
     the per-amplitude work is one table index, not a [k]-step bit
-    extraction. Controls are checked once per group: control bits are
-    disjoint from the support, so they are constant across a group. *)
+    extraction. *)
 let kq_diag ~re ~im ~size ~(bits : int array) ~cmask ~cwant ~dre ~di =
-  let k = Array.length bits in
-  let dim = 1 lsl k in
-  let sorted = Array.copy bits in
-  Array.sort compare sorted;
-  let offs =
-    Array.init dim (fun l ->
-        let o = ref 0 in
-        for b = 0 to k - 1 do
-          if l land (1 lsl b) <> 0 then o := !o lor bits.(b)
-        done;
-        !o)
-  in
-  par_range (size lsr k)
-    (kq_diag_chunk ~re ~im ~sorted ~offs ~dre ~di ~dim ~k ~cmask ~cwant)
-
-(** Generic two-qubit matrix application, basis order |ab> with [ba] the
-    high bit. *)
-let k2_generic ~re ~im ~size ~ba ~bb ~cmask ~cwant (m : Quipper_math.Mat2.t) =
-  let open Quipper_math in
-  par_range size (fun lo hi ->
-      for i = lo to hi - 1 do
-        if i land ba = 0 && i land bb = 0 && i land cmask = cwant then begin
-          let idx = [| i; i lor bb; i lor ba; i lor ba lor bb |] in
-          let xr = Array.map (fun j -> re.(j)) idx in
-          let xi = Array.map (fun j -> im.(j)) idx in
-          for r = 0 to 3 do
-            let acc_re = ref 0.0 and acc_im = ref 0.0 in
-            for c = 0 to 3 do
-              let e = Mat2.get m r c in
-              let er = Cplx.re e and ei = Cplx.im e in
-              acc_re := !acc_re +. (er *. xr.(c)) -. (ei *. xi.(c));
-              acc_im := !acc_im +. (er *. xi.(c)) +. (ei *. xr.(c))
-            done;
-            re.(idx.(r)) <- !acc_re;
-            im.(idx.(r)) <- !acc_im
-          done
-        end
-      done)
+  let dim = 1 lsl Array.length bits in
+  let sup, offs = support bits in
+  let fixed = sup lor cmask in
+  sweep ~touch:dim size fixed
+    (kq_diag_body ~re ~im ~offs ~dre ~di ~dim ~fixed ~cwant)

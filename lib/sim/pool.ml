@@ -47,7 +47,11 @@ let rec worker () =
   claim (Mutex.protect lock take);
   worker ()
 
+let calls = Atomic.make 0
+let runs () = Atomic.get calls
+
 let run ~domains n f =
+  Atomic.incr calls;
   let helpers = min max_workers (min domains n - 1) in
   if helpers <= 0 then
     for i = 0 to n - 1 do

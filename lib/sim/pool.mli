@@ -29,3 +29,8 @@ val run : domains:int -> int -> (int -> unit) -> unit
     (with its backtrace) is re-raised in the caller once no task is
     running; tasks after the failing one may or may not have run. The
     pool stays usable afterwards. *)
+
+val runs : unit -> int
+(** How many times {!run} has been called in this process, whether or
+    not workers took part: the number of fan-outs, which tests read to
+    check when a kernel splits. *)

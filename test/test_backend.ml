@@ -56,6 +56,107 @@ let prop_inplace_matches_reference =
              | Wire.C -> Sv.read_bit st e.Wire.wire = Ref.read_bit rst e.Wire.wire)
            b.Circuit.main.Circuit.outputs)
 
+(* Every kernel kind against the seed engine, one controlled gate at a
+   time: 8-10 qubits in a generic superposition, 0-6 quantum controls of
+   mixed polarity, targets and controls anywhere — bit 0 (runs of length
+   1), the top bit and in between (long runs) — at 1, 2 and 3 domains
+   with the fan-out threshold at 16 amplitudes, so that chunks split the
+   compressed control subspace at arbitrary points. *)
+type kcase = {
+  n : int;
+  kind : int;
+  targets : int list;
+  ctrls : (int * bool) list;
+  angle : float;
+  inv : bool;
+}
+
+let kind_names =
+  [| "X"; "Y"; "H"; "Z"; "S"; "T"; "Rz"; "exp(-i%Z)"; "R"; "V"; "Phase";
+     "swap"; "W" |]
+
+let kcase_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 8 10 in
+  let* kind = int_range 0 (Array.length kind_names - 1) in
+  let arity = if kind = 10 then 0 else if kind >= 11 then 2 else 1 in
+  let* first = oneof [ return 0; return (n - 1); int_range 0 (n - 1) ] in
+  let* rest = shuffle_l (List.filter (( <> ) first) (List.init n Fun.id)) in
+  (* the edge bit goes first: a target, or the only control *)
+  let wires = first :: rest in
+  let* nc = int_range 0 (min 6 (n - max arity 1)) in
+  let* pols = list_repeat nc bool in
+  let* angle = float_range (-3.0) 3.0 in
+  let* inv = bool in
+  let targets = List.filteri (fun i _ -> i < arity) wires in
+  let cwires = List.filteri (fun i _ -> i >= arity && i < arity + nc) wires in
+  return { n; kind; targets; ctrls = List.combine cwires pols; angle; inv }
+
+let print_kcase c =
+  Printf.sprintf "%s n=%d targets=[%s] controls=[%s] angle=%g inv=%b"
+    kind_names.(c.kind) c.n
+    (String.concat ";" (List.map string_of_int c.targets))
+    (String.concat ";"
+       (List.map (fun (w, p) -> (if p then "+" else "-") ^ string_of_int w) c.ctrls))
+    c.angle c.inv
+
+let kcase_gate c =
+  let controls =
+    List.map
+      (fun (w, p) -> if p then Gate.pos_control w else Gate.neg_control w)
+      c.ctrls
+  in
+  let gate name = Gate.Gate { name; inv = c.inv; targets = c.targets; controls } in
+  let rot name =
+    Gate.Rot { name; angle = c.angle; inv = c.inv; targets = c.targets; controls }
+  in
+  match kind_names.(c.kind) with
+  | "X" -> gate "not"
+  | ("Rz" | "exp(-i%Z)" | "R") as r -> rot r
+  | "Phase" -> Gate.Phase { angle = c.angle; controls }
+  | name -> gate name
+
+(* A generic state on wires 0..n-1 (wire w at bit w): H everywhere, then
+   a layer of distinct phases and entanglers so that no two amplitudes
+   agree and no component is zero. *)
+let kprep n =
+  List.init n (fun w -> Gate.Init { ty = Wire.Q; value = false; wire = w })
+  @ List.init n (fun w ->
+        Gate.Gate { name = "H"; inv = false; targets = [ w ]; controls = [] })
+  @ List.init n (fun w ->
+        Gate.Rot
+          { name = "Rz"; angle = 0.1 +. (0.37 *. float_of_int w); inv = false;
+            targets = [ w ]; controls = [] })
+  @ List.init (n - 1) (fun w ->
+        Gate.Gate
+          { name = "V"; inv = false; targets = [ w + 1 ];
+            controls = [ Gate.pos_control w ] })
+
+let prop_kernels_match_reference =
+  QCheck2.Test.make
+    ~name:"kernels: every kind under 0-6 controls, 1-3 domains, = seed engine"
+    ~count:300 ~print:print_kcase kcase_gen
+    (fun c ->
+      let module K = Quipper_sim.Kernel in
+      let gates = kprep c.n @ [ kcase_gate c ] in
+      let rst = Ref.create () in
+      List.iter (Ref.apply_gate rst) gates;
+      let expected = Ref.amplitudes rst in
+      let saved_d = !K.num_domains and saved_t = !K.threshold in
+      Fun.protect
+        ~finally:(fun () ->
+          K.num_domains := saved_d;
+          K.threshold := saved_t)
+        (fun () ->
+          K.threshold := 16;
+          List.for_all
+            (fun d ->
+              K.num_domains := d;
+              let st = Sv.create () in
+              List.iter (Sv.apply_gate st) gates;
+              Sv.amplitudes st = expected)
+            [ 1; 2; 3 ]))
+
 (* ------------------------------------------------------------------ *)
 (* Capacity management                                                 *)
 
@@ -205,6 +306,7 @@ let test_inject_clifford_vs_statevector () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_inplace_matches_reference;
+    QCheck_alcotest.to_alcotest prop_kernels_match_reference;
     Alcotest.test_case "capacity grows geometrically" `Quick test_capacity_growth;
     Alcotest.test_case "capacity survives ancilla churn" `Quick
       test_capacity_retention_under_churn;

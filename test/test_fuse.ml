@@ -243,6 +243,89 @@ let test_sampling_identical () =
       = Backend.run_and_measure (module Backend.Fused) ~seed b inputs)
   done
 
+(* Two boxes, one fusing to a 2-wire dense block and one to a 3-wire
+   diagonal block, called on 9 qubits under controls of mixed polarity,
+   with the bodies on bit 0, the top bit and bits in between: the fused
+   kernels walk the control subspace, which chunks split at 1, 2 and 3
+   domains with the fan-out threshold at 16 amplitudes. The fused state
+   must match the unfused engine, and be bit-identical across domain
+   counts. *)
+let controlled_box_call ql =
+  match ql with
+  | [ q0; q1; q2; q3; q4; q5; q6; q7; q8 ] ->
+      let* () = iterm hadamard_ ql in
+      let shape2 = Qdata.list_of 2 Qdata.qubit in
+      let shape3 = Qdata.list_of 3 Qdata.qubit in
+      let dense xs =
+        match xs with
+        | [ a; b ] ->
+            let rec go n a b =
+              if n = 0 then return [ a; b ]
+              else
+                let* a = hadamard a in
+                let* _ = gate_T a in
+                let* () = cnot ~control:a ~target:b in
+                let* b = hadamard b in
+                go (n - 1) a b
+            in
+            go 4 a b
+        | _ -> assert false
+      in
+      let diag xs =
+        match xs with
+        | [ a; b; c ] ->
+            let* _ = gate_T a in
+            let* _ = gate_S b in
+            let* _ = gate_Z c in
+            let* () = rot_Z 0.3 a in
+            let* _ = with_controls [ ctl a ] (gate_Z c) in
+            let* () = rot_expZt 0.7 b in
+            return xs
+        | _ -> assert false
+      in
+      let* d =
+        with_controls
+          [ ctl q1; ctl_neg q3; ctl q5; ctl_neg q7 ]
+          (box "dense" ~in_:shape2 ~out:shape2 dense [ q0; q8 ])
+      in
+      let* g =
+        with_controls [ ctl_neg q2; ctl q6 ]
+          (box "diag" ~in_:shape3 ~out:shape3 diag
+             [ List.nth d 0; q4; List.nth d 1 ])
+      in
+      return (g @ [ q1; q2; q3; q5; q6; q7 ])
+  | _ -> assert false
+
+let test_controlled_box_call () =
+  let module K = Quipper_sim.Kernel in
+  let shape = Qdata.list_of 9 Qdata.qubit in
+  let b, _ = Circ.generate ~in_:shape controlled_box_call in
+  let inputs = [ false; true; false; false; false; true; false; false; false ] in
+  let reference = Sv.amplitudes (Sv.run_circuit ~seed:1 b inputs) in
+  let saved_d = !K.num_domains and saved_t = !K.threshold in
+  Fun.protect
+    ~finally:(fun () ->
+      K.num_domains := saved_d;
+      K.threshold := saved_t)
+    (fun () ->
+      K.threshold := 16;
+      let runs =
+        List.map
+          (fun d ->
+            K.num_domains := d;
+            let fu = Fuse.run_circuit ~seed:1 b inputs in
+            check
+              (Printf.sprintf "controlled call matches unfused at %d domains" d)
+              true
+              (amp_close 1e-9 reference (Fuse.amplitudes fu));
+            check "the call replays fused blocks" true
+              ((Fuse.stats fu).Fuse.blocks_applied >= 2);
+            Fuse.amplitudes fu)
+          [ 1; 2; 3 ]
+      in
+      check "fused amplitudes identical across domain counts" true
+        (List.for_all (( = ) (List.hd runs)) runs))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_fused_vs_unfused;
@@ -254,4 +337,6 @@ let suite =
     Alcotest.test_case "single-gate fallback" `Quick test_single_gate_fallback;
     Alcotest.test_case "sampling bit-identical across seeds" `Quick
       test_sampling_identical;
+    Alcotest.test_case "controlled box call: fused kernels under controls"
+      `Quick test_controlled_box_call;
   ]

@@ -491,9 +491,99 @@ let test_par_range_edges () =
           Alcotest.(check bool)
             (Printf.sprintf "par_range covers [0, %d) with 8 domains" n)
             true (covered_once n))
-        [ 4; 5; 7 ])
+        [ 4; 5; 7 ];
+      (* the split is judged on amplitudes touched, [n * touch] *)
+      K.num_domains := 2;
+      let calls n touch =
+        let c = ref 0 in
+        K.par_range ~touch n (fun _ _ -> incr c);
+        !c
+      in
+      Alcotest.(check int) "2 indices x 1 amplitude < 4: one call" 1 (calls 2 1);
+      Alcotest.(check int) "2 indices x 2 amplitudes = 4: split" 2 (calls 2 2);
+      Alcotest.(check int) "1 index x 4 amplitudes: split" 2 (calls 1 4))
+
+(* One fan-out rule for every kernel, at the default threshold (2^19
+   amplitudes) and 2 domains on a 20-qubit state: a 9-control X touches
+   2^11 amplitudes and stays sequential; H, W and uncontrolled gates
+   touch at least 2^19 and fan out. Counted through [Pool.runs]. *)
+let test_fan_out_rule () =
+  let module K = Quipper_sim.Kernel in
+  let module Pool = Quipper_sim.Pool in
+  let saved_d = !K.num_domains and saved_t = !K.threshold in
+  Fun.protect
+    ~finally:(fun () ->
+      K.num_domains := saved_d;
+      K.threshold := saved_t)
+    (fun () ->
+      K.num_domains := 2;
+      K.threshold := 1 lsl 19;
+      let size = 1 lsl 20 in
+      let re = Array.make size 0.0 and im = Array.make size 0.0 in
+      re.(0) <- 1.0;
+      let fans what k =
+        let before = Pool.runs () in
+        k ();
+        Alcotest.(check bool) what true (Pool.runs () > before)
+      in
+      let sequential what k =
+        let before = Pool.runs () in
+        k ();
+        Alcotest.(check int) what before (Pool.runs ())
+      in
+      let c9 = 0b1111111110 and bit = 1 lsl 19 in
+      sequential "9-control X stays sequential" (fun () ->
+          K.kx ~re ~im ~size ~bit ~cmask:c9 ~cwant:c9);
+      fans "H fans out" (fun () -> K.kh ~re ~im ~size ~bit:1 ~cmask:0 ~cwant:0);
+      fans "W fans out" (fun () ->
+          K.kw ~re ~im ~size ~ba:bit ~bb:1 ~cmask:0 ~cwant:0);
+      fans "X fans out" (fun () -> K.kx ~re ~im ~size ~bit ~cmask:0 ~cwant:0);
+      fans "T fans out" (fun () ->
+          K.kdiag ~re ~im ~size ~bit ~cmask:0 ~cwant:0 ~d0_re:1.0 ~d0_im:0.0
+            ~d1_re:0.6 ~d1_im:0.8);
+      fans "phase fans out" (fun () ->
+          K.kphase ~re ~im ~size ~cmask:0 ~cwant:0 ~angle:0.5))
+
+(* Junk in a tuning variable stops the program with an error naming the
+   variable, rather than silently running the default. Each variable is
+   set in this process and restored (blank reads as unset). *)
+let test_tuning_variables () =
+  let module K = Quipper_sim.Kernel in
+  let module Engine = Quipper_sim.Engine in
+  let with_env name value f =
+    let saved = Sys.getenv_opt name in
+    Unix.putenv name value;
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv name (Option.value saved ~default:""))
+      f
+  in
+  let raises name value expected f =
+    with_env name value (fun () ->
+        Alcotest.check_raises (name ^ "=" ^ value)
+          (Errors.Error (Errors.Invalid expected))
+          (fun () -> ignore (f ())))
+  in
+  raises "QUIPPER_DOMAINS" "abc"
+    "QUIPPER_DOMAINS=\"abc\": expected a positive integer" (fun () ->
+      K.env "QUIPPER_DOMAINS" K.positive_int);
+  raises "QUIPPER_PAR_THRESHOLD" "-1"
+    "QUIPPER_PAR_THRESHOLD=\"-1\": expected a positive integer" (fun () ->
+      K.env "QUIPPER_PAR_THRESHOLD" K.positive_int);
+  raises "QUIPPER_ENGINE" "bogus"
+    "QUIPPER_ENGINE=\"bogus\": unknown engine \"bogus\" (expected auto, \
+     frame or slow)"
+    Engine.default;
+  with_env "QUIPPER_DOMAINS" " 3 " (fun () ->
+      Alcotest.(check (option int)) "padded value" (Some 3)
+        (K.env "QUIPPER_DOMAINS" K.positive_int));
+  with_env "QUIPPER_ENGINE" "" (fun () ->
+      Alcotest.(check bool) "blank is unset" true (Engine.default () = `Auto))
 
 let suite =
   suite
-  @ [ Alcotest.test_case "par_range edge cases (2 domains)" `Quick
-        test_par_range_edges ]
+  @ [ Alcotest.test_case "tuning variables: junk raises, naming it" `Quick
+        test_tuning_variables;
+      Alcotest.test_case "par_range edge cases (2 domains)" `Quick
+        test_par_range_edges;
+      Alcotest.test_case "one fan-out rule: amplitudes touched" `Quick
+        test_fan_out_rule ]
