@@ -1353,10 +1353,11 @@ let n8 () =
 (* lib/opt/stream_opt recasts the peephole pipeline as a Sink
    transformer: O(window) memory however long the stream. Acceptance:
    identical reduction to the materialized [Passes] fixpoint where both
-   paths exist (asserted before timing anything), then throughput and
-   per-round cost on the template-lifted BWT oracle — the workload whose
-   optimized-at-scale counts motivated the transformer. Every row lands
-   in BENCH_N9.json. *)
+   paths exist (asserted before timing anything), then throughput on
+   the template-lifted BWT oracle — the workload whose optimized-at-scale
+   counts motivated the transformer — with a second stage that must
+   remove nothing, and one stage over the TF paper point, whose wide box
+   calls make insertion cost visible. Every row lands in BENCH_N9.json. *)
 
 let n9 () =
   section "N9: streaming optimizer (lib/opt/stream_opt vs materialized Passes)";
@@ -1393,32 +1394,52 @@ let n9 () =
         \"streamed_seconds\": %.6f, \"gates_before\": %d, \"gates_after\": \
         %d, \"counts_identical\": true}"
        mat_s str_s before.Gatecount.total_logical mat_total);
-  (* 2. per-round cost: stage k re-runs the rules over stage k-1's
-     emission stream; the default stack of 4 reproduces the fixpoint *)
+  (* 2. stage cost: one stage reaches the fixpoint, so a second stage
+     over its emission stream must remove nothing *)
   Fmt.pr "  %-34s %12s %12s %8s %10s %9s@." "" "gates in" "gates out"
     "removed" "seconds" "gates/s";
   let s_scale = if quick then 100 else 500 in
   let p = { Algo_bwt.default_params with Algo_bwt.n = 8; s = s_scale } in
-  List.iter
-    (fun rounds ->
-      let ((before, after), _), s = time (fun () -> streamed ~rounds p) in
-      let name = Fmt.str "template n=8 s=%d rounds=%d" s_scale rounds in
-      let removed = before.Gatecount.total_logical - after.Gatecount.total_logical in
-      Fmt.pr "  %-34s %12d %12d %7.1f%% %10.3f %9.0f@." name
-        before.Gatecount.total_logical after.Gatecount.total_logical
-        (100.0 *. float removed /. float before.Gatecount.total_logical)
-        s
-        (float before.Gatecount.total_logical /. s);
-      record
-        (Fmt.str
-           "  {\"name\": \"template_s%d_rounds%d\", \"gates_before\": %d, \
-            \"gates_after\": %d, \"seconds\": %.6f}"
-           s_scale rounds before.Gatecount.total_logical
-           after.Gatecount.total_logical s))
-    [ 1; 2; 4 ];
+  let record_row json_name before after s =
+    record
+      (Fmt.str
+         "  {\"name\": \"%s\", \"gates_before\": %d, \"gates_after\": %d, \
+          \"seconds\": %.6f}"
+         json_name before after s)
+  in
+  let outs =
+    List.map
+      (fun rounds ->
+        let ((before, after), _), s = time (fun () -> streamed ~rounds p) in
+        let before = before.Gatecount.total_logical
+        and after = after.Gatecount.total_logical in
+        Fmt.pr "  %-34s %12d %12d %7.1f%% %10.3f %9.0f@."
+          (Fmt.str "template n=8 s=%d rounds=%d" s_scale rounds)
+          before after
+          (100.0 *. float (before - after) /. float before)
+          s
+          (float before /. s);
+        record_row (Fmt.str "template_s%d_rounds%d" s_scale rounds) before after s;
+        after)
+      [ 1; 2 ]
+  in
+  if List.length (List.sort_uniq compare outs) <> 1 then
+    failwith "n9: a second stage removed gates the first left";
+  (* 3. the TF paper point: thousands of wires per box call; its counts
+     expand every call, so gates/s would say nothing *)
+  let p_tf = { Algo_tf.Oracle.l = 31; n = 15; r = 6 } in
+  let ((before, after), _), s =
+    time (fun () ->
+        Circ.run_streaming_unit (Algo_tf.Qwtfp.a1_QWTFP ~p:p_tf)
+          (Sink.tee (Sink.gatecount ()) (Stream_opt.sink (Sink.gatecount ()))))
+  in
+  let before = before.Gatecount.total_logical and after = after.Gatecount.total_logical in
+  Fmt.pr "  %-34s %s -> %s gates (calls expanded), %.3f s@."
+    "tf l=31 n=15 r=6 (boxed)" (commas before) (commas after) s;
+  record_row "tf_paper_point" before after s;
   Fmt.pr
-    "  Memory is O(rounds x window) however large s is: CI's streaming-opt@.\
-    \  smoke runs the same pipeline under `ulimit -v 400000` at s far past@.\
+    "  Memory is O(window) however large s is: CI's streaming-opt smoke@.\
+    \  runs the same pipeline under `ulimit -v 400000` at s far past@.\
     \  what the materialized optimizer can buffer.@.";
   let oc = open_out "BENCH_N9.json" in
   let buf = Buffer.create 512 in

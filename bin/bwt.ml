@@ -236,7 +236,7 @@ let optimize_arg =
 let verbose_arg =
   Arg.(
     value & flag
-    & info [ "v"; "verbose" ] ~doc:"With $(b,-O), also print per-round statistics.")
+    & info [ "v"; "verbose" ] ~doc:"With $(b,-O), also print the optimizer's statistics.")
 
 let stream_arg =
   Arg.(

@@ -74,19 +74,28 @@ let estimate_base_arg =
            ($(b,toffoli) or $(b,binary)) by applying the decomposition once \
            per gate kind as a counts transfer function.")
 
+(** The most shots one daemon request may ask for: 2{^24}. A reply keeps
+    one outcome row per shot, at least three words each (its cell in
+    the reply array, a bool array's header, one output), so a reply at
+    the cap already holds 384 MiB. Above it, the count is refused with
+    an error reply rather than left to end in [Out_of_memory]. *)
+let max_shots = 1 lsl 24
+
 (** One request line of the shot daemon, ["SHOTS SEED"], checked before
     anything is submitted or allocated: SHOTS must lie in
-    [0 .. Sys.max_array_length]. Raises [Errors.Error (Invalid _)]
-    otherwise, so the daemon replies with that text. *)
+    [0 .. max_shots]. Raises [Errors.Error (Invalid _)] otherwise, so
+    the daemon replies with that text. *)
 let shot_request line =
   let bad () = Quipper.Errors.invalidf "expected \"SHOTS SEED\", got %S" line in
   match String.split_on_char ' ' (String.trim line) with
   | [ shots; seed ] -> (
       match (int_of_string_opt shots, int_of_string_opt seed) with
       | Some shots, Some seed ->
-          if shots < 0 || shots > Sys.max_array_length then
-            Quipper.Errors.invalidf "SHOTS must be between 0 and %d, got %d"
-              Sys.max_array_length shots;
+          if shots < 0 || shots > max_shots then
+            Quipper.Errors.invalidf
+              "SHOTS must be between 0 and %d (each shot keeps an outcome row \
+               of at least 24 bytes), got %d"
+              max_shots shots;
           (shots, seed)
       | _ -> bad ())
   | _ -> bad ()

@@ -327,7 +327,7 @@ let optimize_arg =
 let verbose_arg =
   Arg.(
     value & flag
-    & info [ "v"; "verbose" ] ~doc:"With $(b,-O), also print per-round statistics.")
+    & info [ "v"; "verbose" ] ~doc:"With $(b,-O), also print the optimizer's statistics.")
 
 let gate_base =
   Arg.(

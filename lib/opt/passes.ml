@@ -10,29 +10,16 @@ type stat = {
   rules : Stream_opt.stats;
 }
 
-(* A round changed the circuit iff some rule fired: cancellation,
-   fusion, flips and constant deletions remove gates, dropped controls
-   rewrite them, and nothing else touches the stream. Each firing
-   removes a gate or a control, so the fixpoint loop terminates. *)
-let fired (st : Stream_opt.stats) =
-  st.cancelled + st.fused + st.flipped + st.const_controls + st.const_deleted
-  > 0
-
 let optimize (b : Circuit.b) =
   let measure b = (Gatecount.total_logical (Gatecount.aggregate b), Depth.depth b) in
-  let rec rounds r b (gates_before, depth_before) stats =
-    let rules = Stream_opt.stats_create () in
-    let t0 = Unix.gettimeofday () in
-    let b' = Stream_opt.optimize_b ~rounds:1 ~window:max_int ~stats:rules b in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let ((gates_after, depth_after) as after) = measure b' in
-    let stats =
-      { round = r; gates_before; gates_after; depth_before; depth_after; seconds; rules }
-      :: stats
-    in
-    if fired rules then rounds (r + 1) b' after stats else (b', List.rev stats)
-  in
-  rounds 1 b (measure b) []
+  let gates_before, depth_before = measure b in
+  let rules = Stream_opt.stats_create () in
+  let t0 = Unix.gettimeofday () in
+  let b' = Stream_opt.optimize_b ~window:max_int ~stats:rules b in
+  let seconds = Unix.gettimeofday () -. t0 in
+  let gates_after, depth_after = measure b' in
+  ( b',
+    [ { round = 1; gates_before; gates_after; depth_before; depth_after; seconds; rules } ] )
 
 let pp_stats ppf stats =
   Format.fprintf ppf "%5s %12s %12s %8s %7s %7s %9s@\n" "round" "gates before"

@@ -1,15 +1,15 @@
 (** The materialized optimizer: {!Stream_opt}'s rules run to a fixpoint
-    over a whole in-memory circuit, with per-round statistics and the
+    over a whole in-memory circuit, with statistics and the
     command-line [-O] report.
 
-    Each round is one {!Stream_opt.optimize_b} stage whose window covers
-    the whole circuit, box bodies included; rounds repeat until one
-    leaves the circuit unchanged. *)
+    It is one {!Stream_opt.optimize_b} stage whose window covers the
+    whole circuit, box bodies included. One stage reaches the fixpoint:
+    a second over its output would change nothing. *)
 
 open Quipper
 
 type stat = {
-  round : int;  (** fixpoint round, starting at 1 *)
+  round : int;  (** stage number: always 1, as there is one stage *)
   gates_before : int;  (** {!Quipper.Gatecount.total_logical} before *)
   gates_after : int;
   depth_before : int;
@@ -19,13 +19,12 @@ type stat = {
 }
 
 val optimize : Circuit.b -> Circuit.b * stat list
-(** Run the rules hierarchically to a fixpoint. Statistics come back one
-    entry per round, in order; the last round is the one that changed
-    nothing. *)
+(** Run the rules hierarchically to a fixpoint. The statistics list
+    holds the one stage's entry. *)
 
 val pp_stats : Format.formatter -> stat list -> unit
-(** A table of per-round statistics: gates and depth before/after, gates
-    removed, wall time, then the round's per-rule counters. *)
+(** A table of per-stage statistics: gates and depth before/after, gates
+    removed, wall time, then the stage's per-rule counters. *)
 
 val optimize_and_report : ?verbose:bool -> Format.formatter -> Circuit.b -> Circuit.b
 (** The command-line [-O] entry point: run {!optimize}, print

@@ -17,7 +17,10 @@
     entry stops (everything beyond is out of reach anyway). Links are
     arrival numbers rather than pointers, so a retired slot is reused
     by a later gate and a stale link is recognised by its number; the
-    ring doubles only when every slot is in the window. The [last] index
+    ring doubles only when every slot is in the window. Only live
+    entries are window pressure — a removed one would otherwise push a
+    partner out before it could pair — and a separate bound of four
+    windows on all held entries keeps memory O(window). The [last] index
     and the constant map are int-keyed open-addressing tables, and the
     walk keeps its per-wire cursors in one reused array, so the window
     allocates nothing per gate beyond what a rewrite builds.
@@ -25,7 +28,12 @@
     Constant propagation runs at arrival, before the walks. Arrival
     order equals emission order, and every rewrite is semantics-exact,
     so the transfer function sees a stream equivalent to what is
-    emitted. *)
+    emitted. A removal can make it see more than it did at arrival —
+    cancel an H·H pair on a known wire and the wire is known again — so
+    each entry records its wires' constants before its gate, and a
+    removal restores the frontier value from them ([restore]). With
+    that, a fused gate re-examined in place and the retrigger worklist,
+    one stage reaches the fixpoint of its rules. *)
 
 open Quipper
 
@@ -299,8 +307,13 @@ type entry = {
       (** the first [nws] cells: the gate's distinct wires, ascending, at
           insertion (rewrites never change them) *)
   mutable prev : int array;
-      (** per wire of [ws]: the newest older entry on it at insertion *)
+      (** per wire of [ws]: the newest older entry on it at insertion
+          ([-1]: none; [removed_and_retired] once that entry, removed,
+          has retired) *)
   mutable next : int array;  (** per wire of [ws]: the direct successor *)
+  mutable before : int array;
+      (** per wire of [ws]: its known constant (0 or 1; [-1]: unknown)
+          just before the gate, for [restore] *)
 }
 
 let fresh_entry () =
@@ -315,10 +328,14 @@ let fresh_entry () =
     ws = Array.make 4 0;
     prev = Array.make 4 (-1);
     next = Array.make 4 (-1);
+    before = Array.make 4 (-1);
   }
 
 type win = {
-  window : int;
+  window : int;  (** how many live entries the window holds *)
+  span : int;
+      (** how many entries, live or removed, it holds: removed entries
+          are not window pressure, but this keeps memory O(window) *)
   lookahead : int;
   st : stats;
   emit : Gate.t -> int -> unit;
@@ -330,13 +347,19 @@ type win = {
       (** oldest entry still in the window: retirement is FIFO, so an
           entry is retired exactly when its [seq < head] *)
   mutable nseq : int;
+  mutable nlive : int;  (** live entries in [head .. nseq - 1] *)
   last : Itbl.t;  (** wire -> newest entry on it *)
   cp : cp;
+  mutable spare_ws : int array;
+  mutable spare_before : int array;
+      (** scratch for [restage]: an arriving gate's wires and their
+          constants, kept while the entry is refilled with the gate
+          that constant propagation left *)
   mutable todo : int array;
-      (** re-examination worklist, a FIFO ring of entries: the streaming
-          stand-in for the materialized fixpoint — a removal may unblock
-          pairs that were separated by the removed gate, so the removed
-          entry's nearest live successors get their walks retried,
+      (** re-examination worklist, a FIFO ring of entries — a removal
+          may unblock pairs that were separated by the removed gate, so
+          the removed entry's live successors get their walks retried,
+          and a gate that absorbed a fusion partner is retried itself,
           cascading *)
   mutable todo_head : int;
   mutable todo_len : int;
@@ -349,16 +372,21 @@ type win = {
 }
 
 let win_create ~window ~lookahead ~st emit =
+  let window = max window 0 in
   {
-    window = max window 0;
+    window;
+    span = (if window > max_int / 4 then max_int else 4 * window);
     lookahead;
     st;
     emit;
     ring = Array.init 16 (fun _ -> fresh_entry ());
     head = 0;
     nseq = 0;
+    nlive = 0;
     last = Itbl.create 64;
     cp = Itbl.create 32;
+    spare_ws = Array.make 4 0;
+    spare_before = Array.make 4 (-1);
     todo = Array.make 16 0;
     todo_head = 0;
     todo_len = 0;
@@ -368,16 +396,20 @@ let win_create ~window ~lookahead ~st emit =
 
 let entry w s = w.ring.(s land (Array.length w.ring - 1))
 
-(* index of wire [wi] in [e.ws]; [e] touches it. A binary search over
-   the ascending prefix: a wide call's neighbours look up their wires in
-   its array, so a linear scan made each such call quadratic. *)
-let wire_index e wi =
-  let lo = ref 0 and hi = ref (e.nws - 1) in
+(* index of wire [wi] in the ascending first [n] cells of [ws], which
+   hold it: a binary search, since a wide call's neighbours look up
+   their wires in its array. The array types here and in the sort below
+   are spelled out: left polymorphic, every comparison would be a call
+   to the runtime's generic compare. *)
+let index_in (ws : Wire.t array) n wi =
+  let lo = ref 0 and hi = ref (n - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if e.ws.(mid) < wi then lo := mid + 1 else hi := mid
+    if ws.(mid) < wi then lo := mid + 1 else hi := mid
   done;
   !lo
+
+let wire_index e wi = index_in e.ws e.nws wi
 
 let grow_ring w =
   let old = w.ring in
@@ -391,59 +423,98 @@ let grow_ring w =
   done;
   w.ring <- ring
 
-(* add [wi] to the ascending distinct prefix of [e.ws] *)
-let add_wire e wi =
+(* append [wi] to [e.ws], unsorted; [set_gate] sorts once at the end *)
+let push_wire e wi =
   let n = e.nws in
-  let i = ref n in
-  while !i > 0 && e.ws.(!i - 1) > wi do decr i done;
-  if !i = 0 || e.ws.(!i - 1) <> wi then begin
-    if n = Array.length e.ws then begin
-      let ws = Array.make (2 * n) 0 in
-      Array.blit e.ws 0 ws 0 n;
-      e.ws <- ws;
-      e.prev <- Array.make (2 * n) (-1);
-      e.next <- Array.make (2 * n) (-1)
-    end;
-    Array.blit e.ws !i e.ws (!i + 1) (n - !i);
-    e.ws.(!i) <- wi;
-    e.nws <- n + 1
-  end
+  if n = Array.length e.ws then begin
+    let ws = Array.make (2 * n) 0 in
+    Array.blit e.ws 0 ws 0 n;
+    e.ws <- ws;
+    e.prev <- Array.make (2 * n) (-1);
+    e.next <- Array.make (2 * n) (-1);
+    e.before <- Array.make (2 * n) (-1)
+  end;
+  e.ws.(n) <- wi;
+  e.nws <- n + 1
 
-let rec add_wires e = function
+let rec push_wires e = function
   | [] -> ()
   | wi :: ws ->
-      add_wire e wi;
-      add_wires e ws
+      push_wire e wi;
+      push_wires e ws
 
-let rec add_controls e = function
+let rec push_controls e = function
   | [] -> ()
   | (c : Gate.control) :: cs ->
-      add_wire e c.cwire;
-      add_controls e cs
+      push_wire e c.cwire;
+      push_controls e cs
+
+(* merge the ascending runs [src.(lo .. mid-1)] and [src.(mid .. hi-1)]
+   into [dst.(lo .. hi-1)] *)
+let merge (src : Wire.t array) dst lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !j >= hi || (!i < mid && src.(!i) <= src.(!j)) then begin
+      dst.(k) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(k) <- src.(!j);
+      incr j
+    end
+  done
+
+(* Sort the first [n] cells of [a] ascending, with [tmp] (as long) as
+   scratch, by bottom-up merge sort: O(n log n) for a wide call's
+   thousands of wires, allocating nothing. *)
+let sort_prefix (a : Wire.t array) tmp n =
+  let src = ref a and dst = ref tmp and width = ref 1 in
+  while !width < n do
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min (!lo + !width) n and hi = min (!lo + (2 * !width)) n in
+      merge !src !dst !lo mid hi;
+      lo := hi
+    done;
+    let s = !src in
+    src := !dst;
+    dst := s;
+    width := 2 * !width
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
 
 (* [e] holds [g]: its diagonality and the wires of [Gate.wires g],
-   except that comments have none — they hold a ring slot so printing
-   order survives, but never obstruct a walk *)
+   distinct and ascending, except that comments have none — they hold a
+   ring slot so printing order survives, but never obstruct a walk *)
 let set_gate e (g : Gate.t) =
   e.g <- g;
   e.diag <- Gate.is_diagonal g;
   e.nws <- 0;
-  match g with
+  (match g with
   | Gate.Comment _ -> ()
   | Gate.Gate { targets; controls; _ } | Gate.Rot { targets; controls; _ } ->
-      add_wires e targets;
-      add_controls e controls
-  | Gate.Phase { controls; _ } -> add_controls e controls
+      push_wires e targets;
+      push_controls e controls
+  | Gate.Phase { controls; _ } -> push_controls e controls
   | Gate.Init { wire; _ } | Gate.Term { wire; _ } | Gate.Discard { wire; _ }
   | Gate.Measure { wire } ->
-      add_wire e wire
+      push_wire e wire
   | Gate.Cgate { out; ins; _ } ->
-      add_wire e out;
-      add_wires e ins
+      push_wire e out;
+      push_wires e ins
   | Gate.Subroutine { inputs; outputs; controls; _ } ->
-      add_wires e inputs;
-      add_wires e outputs;
-      add_controls e controls
+      push_wires e inputs;
+      push_wires e outputs;
+      push_controls e controls);
+  sort_prefix e.ws e.next e.nws;
+  let k = ref (min e.nws 1) in
+  for i = 1 to e.nws - 1 do
+    if e.ws.(i) <> e.ws.(!k - 1) then begin
+      e.ws.(!k) <- e.ws.(i);
+      incr k
+    end
+  done;
+  e.nws <- !k
 
 (* The window's commutation test: the [diag && diag] pre-test, then
    [Gate.commutes_sorted] on the cached wire arrays. *)
@@ -456,26 +527,66 @@ let entry_commutes a b =
   set_gate e b;
   entries_commute x e
 
+(* A [prev] link to an entry that a rewrite removed and that has since
+   retired: like any retired link it is out of a walk's reach, and it
+   tells [restore] that the value recorded after it is not the
+   output's. *)
+let removed_and_retired = -2
+
 let retire_one w =
   let e = entry w w.head in
   if e.live then begin
     w.emit e.g e.site;
+    w.nlive <- w.nlive - 1;
     if not (Gate.is_comment e.g) then w.st.emitted <- w.st.emitted + 1
   end;
   w.head <- w.head + 1;
   for i = 0 to e.nws - 1 do
-    if Itbl.find w.last e.ws.(i) = e.seq then Itbl.remove w.last e.ws.(i)
+    let wi = e.ws.(i) in
+    if Itbl.find w.last wi = e.seq then Itbl.remove w.last wi
+    else if not e.live then begin
+      let n = entry w e.next.(i) in
+      n.prev.(wire_index n wi) <- removed_and_retired
+    end
   done
 
-let insert w ~site (g : Gate.t) =
+(* Fill the next free slot with [g] and record the known constant of
+   each of its wires, before constant propagation runs on [g]; the slot
+   joins the window only at [commit]. *)
+let stage w (g : Gate.t) =
   if w.nseq - w.head = Array.length w.ring then grow_ring w;
+  let e = entry w w.nseq in
+  set_gate e g;
+  for i = 0 to e.nws - 1 do
+    e.before.(i) <- Itbl.find w.cp e.ws.(i)
+  done;
+  e
+
+(* Constant propagation rewrote the staged gate to [g], dropping
+   satisfied controls: refill [e], keeping each remaining wire's
+   recorded constant. *)
+let restage w e (g : Gate.t) =
+  let n = e.nws in
+  if Array.length w.spare_ws < n then begin
+    w.spare_ws <- Array.make (Array.length e.ws) 0;
+    w.spare_before <- Array.make (Array.length e.ws) (-1)
+  end;
+  Array.blit e.ws 0 w.spare_ws 0 n;
+  Array.blit e.before 0 w.spare_before 0 n;
+  set_gate e g;
+  for i = 0 to e.nws - 1 do
+    e.before.(i) <- w.spare_before.(index_in w.spare_ws n e.ws.(i))
+  done
+
+(* Link the staged slot in as the newest entry, then retire the oldest
+   entries while more than [window] are live or more than [span] are
+   held. *)
+let commit w ~site e =
   let s = w.nseq in
-  let e = entry w s in
   e.seq <- s;
   e.live <- true;
   e.site <- site;
   e.queued <- false;
-  set_gate e g;
   for i = 0 to e.nws - 1 do
     let wi = e.ws.(i) in
     let p = Itbl.find w.last wi in
@@ -488,10 +599,10 @@ let insert w ~site (g : Gate.t) =
     Itbl.replace w.last wi s
   done;
   w.nseq <- s + 1;
-  while w.nseq - w.head > w.window do
+  w.nlive <- w.nlive + 1;
+  while w.nlive > w.window || w.nseq - w.head > w.span do
     retire_one w
-  done;
-  e
+  done
 
 let todo_push w s =
   let n = Array.length w.todo in
@@ -505,6 +616,12 @@ let todo_push w s =
   end;
   w.todo.((w.todo_head + w.todo_len) land (Array.length w.todo - 1)) <- s;
   w.todo_len <- w.todo_len + 1
+
+let requeue w e =
+  if not e.queued then begin
+    e.queued <- true;
+    todo_push w e.seq
+  end
 
 (* A removal may unblock walks the removed gate obstructed — and not
    just its immediate neighbour's: a stalled multi-wire walk stops the
@@ -521,20 +638,51 @@ let retrigger w e =
     let s = ref e.next.(i) in
     while !s >= 0 do
       let n = entry w !s in
-      if n.live && not n.queued then begin
-        n.queued <- true;
-        todo_push w !s
-      end;
+      if n.live then requeue w n;
       s := n.next.(wire_index n wi)
     done
   done
 
+(* Constant propagation ran at arrival, so a value the removed gates
+   destroyed (an H·H pair on a known wire) stays lost to later
+   arrivals. Recover it: on each wire of the removed [e] whose newest
+   entry is removed, the frontier value is the one recorded before the
+   oldest removed entry of that newest run — the value after the nearest
+   live entry, or after whatever preceded the wire's first entry in the
+   window. Every removal is semantics-exact, so the value holds for the
+   surviving stream — unless the run continues past the window's edge
+   into removed entries ([removed_and_retired]): then a partner of the
+   run's oldest entry may be among them (an X·X pair whose first X
+   retired), and the recorded value includes a gate the output lacks.
+   Only unknown wires are written: a known value is already the same
+   fact. *)
+let restore w e =
+  for i = 0 to e.nws - 1 do
+    let wi = e.ws.(i) in
+    if Itbl.find w.cp wi < 0 then begin
+      let x = ref (entry w (Itbl.find w.last wi)) in
+      if not !x.live then begin
+        let j = ref (wire_index !x wi) in
+        let p = ref !x.prev.(!j) in
+        while !p >= w.head && not (entry w !p).live do
+          x := entry w !p;
+          j := wire_index !x wi;
+          p := !x.prev.(!j)
+        done;
+        let v = !x.before.(!j) in
+        if v >= 0 && !p <> removed_and_retired then Itbl.replace w.cp wi v
+      end
+    end
+  done
+
 let remove w e =
   e.live <- false;
-  retrigger w e
+  w.nlive <- w.nlive - 1;
+  retrigger w e;
+  restore w e
 
 (* Step every cursor of [e]'s walk that stands on [x] to [x]'s
-   predecessor on that wire ([-1] once the wire has none). *)
+   predecessor on that wire (below [head] once none is in reach). *)
 let advance_past w e x =
   for i = 0 to e.nws - 1 do
     if w.cursors.(i) = x.seq then w.cursors.(i) <- x.prev.(wire_index x e.ws.(i))
@@ -578,6 +726,9 @@ let rec walk w e steps =
             else begin
               x.g <- f;
               x.diag <- Gate.is_diagonal f;
+              (* the fused gate may now pair with an older one
+                 ([T·T = S] meets an [S]) *)
+              requeue w x;
               retrigger w x
             end
         | None ->
@@ -649,12 +800,15 @@ let drain w =
 
 let on_gate ~site w (g : Gate.t) =
   match g with
-  | Gate.Comment _ -> ignore (insert w ~site g)
+  | Gate.Comment _ -> commit w ~site (stage w g)
   | g ->
       w.st.seen <- w.st.seen + 1;
-      let g = cp_step w.cp w.st g in
-      if g != dropped_gate then begin
-        examine w (insert w ~site g);
+      let e = stage w g in
+      let g' = cp_step w.cp w.st g in
+      if g' != dropped_gate then begin
+        if g' != g then restage w e g';
+        commit w ~site e;
+        examine w e;
         drain w
       end
 
@@ -803,17 +957,12 @@ let sink_one ~window ~lookahead ~st ?memo (inner : 'r Sink.t) : 'r Sink.t =
         inner.Sink.finish outs);
   }
 
-let default_rounds = 4
+let default_rounds = 1
 
-(* One window pass interleaves all rules but commits its constant
-   propagation and its greedy matches in arrival order; a later pass
-   sees the earlier pass's removals (cancel an H·H pair, and the next
-   constants pass propagates straight through where the H used to be).
-   Stacking stages recovers exactly that: stage k's arrival stream is
-   stage k-1's emission stream, so its analyses run over the
-   already-rewritten circuit — k rounds of the fixpoint at
-   O(k * window) memory. On the paper's BWT and TF circuits 3 stages
-   reach the full-window fixpoint. *)
+(* Stage k's arrival stream is stage k-1's emission stream. One stage
+   is already a fixpoint of the rules at its window, so a second one
+   only matters at windows too small to hold a cascade: four stages of
+   window 2 hold eight gates between them. *)
 let sink ?(rounds = default_rounds) ?(window = default_window)
     ?(lookahead = default_lookahead) ?stats ?memo (inner : 'r Sink.t) :
     'r Sink.t =

@@ -13,10 +13,16 @@
     ({!Quipper.Gate.commutes}) — looking for an inverse to cancel
     ({!Quipper.Transform.gates_cancel}) or a rotation to fuse
     ({!Quipper.Gate.fusion}). Unmatched gates append; the oldest window
-    entry retires to [inner] when the window overflows (the same
-    pending-block discipline [Fuse]'s scheduler uses), and the window
-    flushes at [finish]. Memory is O(window), independent of circuit
-    size.
+    entry retires to [inner] when the window holds more live gates than
+    its size (the same pending-block discipline [Fuse]'s scheduler
+    uses), and the window flushes at [finish]. Memory is O(window),
+    independent of circuit size.
+
+    One stage reaches the fixpoint of its rules: a removal schedules the
+    gates it may have unblocked for a fresh walk, a fused gate is
+    re-examined itself, and a known constant the removed gates had
+    destroyed (an [H·H] pair on a known wire) is restored for the gates
+    still to arrive.
 
     Every rule is phase-exact, so box bodies are optimized too: each
     [on_subroutine_exit] definition is rewritten once through a private
@@ -57,16 +63,17 @@ val pp_stats : Format.formatter -> stats -> unit
 (** One-line summary of the counters. *)
 
 val default_window : int
-(** Retirement pressure: how many gates the look-behind window holds
-    before the oldest is forced downstream (256). *)
+(** Retirement pressure: how many live gates the look-behind window
+    holds before the oldest is forced downstream (256). Gates a rewrite
+    removed are no pressure, but a window holds at most four times this
+    many entries, live or removed. A very small window (2 or 3) reduces
+    less than four stacked stages of it did, since one stage holds only
+    that many live gates; from 17 up one stage reduces as much or more. *)
 
 val default_rounds : int
-(** How many window stages [sink] stacks (4). One stage commits its
-    analyses in arrival order; each further stage re-runs the rules
-    over the previous stage's emission stream, a bounded-memory
-    stand-in for fixpoint rounds. On the paper's BWT and TF circuits
-    the default stack reproduces the full-window fixpoint counts
-    exactly. *)
+(** How many window stages [sink] stacks (1). A stage already reaches
+    the fixpoint of its rules within its window: over its own output,
+    another stage of the same window changes nothing. *)
 
 type memo
 (** A shareable box-body cache keyed on the {e skeleton} hash
@@ -94,13 +101,13 @@ val sink :
   'r Sink.t ->
   'r Sink.t
 (** [sink inner] optimizes the event stream into [inner]. [rounds]
-    stacks that many window stages ({!default_rounds}; memory is
-    O(rounds * window)); [window] bounds per-stage look-behind
-    ({!default_window}); [lookahead] bounds how many live entries a
-    backward walk visits (32); pass [stats]
-    to read the per-rule counters after [finish] — counters accumulate
-    across all stages and box bodies, so [seen]/[emitted] are per-stage
-    sums, not circuit sizes. *)
+    stacks that many window stages, each fed the previous one's output
+    ({!default_rounds}; memory is O(rounds * window)); [window] bounds
+    how many live gates a stage holds ({!default_window});
+    [lookahead] bounds how many live entries a backward walk visits
+    (32); pass [stats] to read the per-rule counters after [finish] —
+    counters accumulate across all stages and box bodies, so
+    [seen]/[emitted] are per-stage sums, not circuit sizes. *)
 
 val entry_commutes : Gate.t -> Gate.t -> bool
 (** The window's commutation test on two freshly filled entries (cached
@@ -118,5 +125,5 @@ val optimize_b :
 (** Run a materialized circuit through the streaming optimizer:
     [Sink.drive b (sink (Sink.circuit ()))]. The window covers the
     whole circuit only if [window] exceeds its gate count; with the
-    default window this is the streaming result, not the full-window
-    fixpoint. *)
+    default window this is the streaming result, which a wider window
+    may improve on. *)

@@ -1,6 +1,6 @@
 (* Tests for the optimizer subsystem: the T/S/Z fusion kernel, each
    peephole rule on hand-built circuits through [Passes.optimize], its
-   per-round statistics, and property-based translation validation —
+   statistics, and property-based translation validation —
    every optimized random circuit must validate, mean the same thing
    (statevector up to global phase, or bit-for-bit classically), never
    get deeper, and still round-trip through the printer and parser. *)
@@ -231,7 +231,7 @@ let test_dead_renaming_call_kept () =
        b'.Circuit.main.Circuit.gates)
 
 (* ------------------------------------------------------------------ *)
-(* Per-round statistics                                                 *)
+(* Statistics                                                           *)
 
 let test_optimize_reports_stats () =
   let b =
@@ -245,13 +245,12 @@ let test_optimize_reports_stats () =
   let b', stats = Passes.optimize b in
   checki "everything cancelled" 0 (Array.length b'.Circuit.main.Circuit.gates);
   match stats with
-  | [ r1; r2 ] ->
+  | [ r1 ] ->
+      checki "round one" 1 r1.Passes.round;
       checki "round one removed the H pair" 2
         (r1.Passes.gates_before - r1.Passes.gates_after);
-      checki "as one cancellation" 1 r1.Passes.rules.Stream_opt.cancelled;
-      checki "round two found nothing" 0
-        (r2.Passes.gates_before - r2.Passes.gates_after)
-  | _ -> Alcotest.failf "expected 2 rounds, got %d" (List.length stats)
+      checki "as one cancellation" 1 r1.Passes.rules.Stream_opt.cancelled
+  | _ -> Alcotest.failf "expected 1 round, got %d" (List.length stats)
 
 (* ------------------------------------------------------------------ *)
 (* Translation validation on random circuits                           *)

@@ -83,6 +83,98 @@ let test_stream_flip_sandwich () =
   check "still equivalent" true (Equiv.equivalent (Equiv.check b b'))
 
 (* ------------------------------------------------------------------ *)
+(* One stage reaches the fixpoint: three cascades it needs              *)
+
+let gate_names (b : Circuit.b) =
+  Array.to_list b.Circuit.main.Circuit.gates
+  |> List.filter_map (function
+       | Gate.Gate { name; controls; _ } -> Some (name, List.length controls)
+       | _ -> None)
+
+let test_stage_restores_constants () =
+  (* the H pair destroys the ancilla's known 0 at arrival; cancelling
+     the pair restores it, so the CNOT it controls is deleted in the same
+     stage *)
+  let b =
+    gen_shape 1 (function
+      | [ q ] ->
+          let* () =
+            with_ancilla (fun anc ->
+                let* () = hadamard_ anc in
+                let* () = hadamard_ anc in
+                cnot ~control:anc ~target:q)
+          in
+          return [ q ]
+      | _ -> assert false)
+  in
+  let st = Stream_opt.stats_create () in
+  let b' = Stream_opt.optimize_b ~rounds:1 ~stats:st b in
+  check "H pair and CNOT gone" true (gate_names b' = []);
+  checki "the H pair, then the ancilla's init/term pair" 2 st.Stream_opt.cancelled;
+  checki "one constant deletion" 1 st.Stream_opt.const_deleted;
+  check "still equivalent" true (Equiv.equivalent (Equiv.check b b'))
+
+let test_stage_restores_only_inside_window () =
+  (* window 3: the ancilla's X pair cancels, then its first X retires
+     while the second is still held; the H pair that follows must not
+     restore the value recorded before the second X (1, counting the
+     retired X the output lacks), or the CNOT would flip q *)
+  let b =
+    gen_shape 2 (function
+      | [ q; r ] ->
+          let* () =
+            with_ancilla (fun anc ->
+                let* () = qnot_ anc in
+                let* _ = gate_T r in
+                let* () = qnot_ anc in
+                let* () = hadamard_ r in
+                let* () = hadamard_ anc in
+                let* () = hadamard_ anc in
+                cnot ~control:anc ~target:q)
+          in
+          return [ q; r ]
+      | _ -> assert false)
+  in
+  let b' = Stream_opt.optimize_b ~rounds:1 ~window:3 b in
+  check "still equivalent" true (Equiv.equivalent (Equiv.check b b'))
+
+let test_stage_reexamines_fused_entry () =
+  (* corpus seed 126's cascade: [T·T] fuses to [S] at the first T's
+     position, and that [S] must be re-examined to meet the older [S]
+     ([S·S = Z]) across a CNOT it controls *)
+  let b =
+    gen_shape 2 (function
+      | [ q; r ] ->
+          let* q = gate_S q in
+          let* q = gate_T q in
+          let* () = cnot ~control:q ~target:r in
+          let* q = gate_T q in
+          return [ q; r ]
+      | _ -> assert false)
+  in
+  let st = Stream_opt.stats_create () in
+  let b' = Stream_opt.optimize_b ~rounds:1 ~stats:st b in
+  check "S T . T -> Z ." true (gate_names b' = [ ("Z", 0); ("not", 1) ]);
+  checki "two fusions" 2 st.Stream_opt.fused;
+  check "still equivalent" true (Equiv.equivalent (Equiv.check b b'))
+
+let test_stage_counts_live_entries () =
+  (* window 3: the cancelled H pair holds two slots but no pressure, so
+     T* arrives while T is still in the window *)
+  let b =
+    gen_shape 2 (function
+      | [ a; b ] ->
+          let* a = gate_T a in
+          let* () = hadamard_ b in
+          let* () = hadamard_ b in
+          let* () = gate_T_inv a in
+          return [ a; b ]
+      | _ -> assert false)
+  in
+  checki "everything cancelled at window 3" 0
+    (logical (Stream_opt.optimize_b ~rounds:1 ~window:3 b))
+
+(* ------------------------------------------------------------------ *)
 (* Retirement boundaries: [Gate.commutes] soundness regressions         *)
 
 (* T and T* sandwich a CNOT *controlled* on the same wire: the control
@@ -199,12 +291,45 @@ let test_corpus_classical () =
           Alcotest.failf "seed %d: not bit-for-bit classical: %a" seed Equiv.pp v)
     corpus_seeds
 
+(* The corpus circuits take unknown inputs, so constant propagation
+   sees only its ancillas. Here every wire starts from known basis
+   values (bits of the seed), so dropped controls, deleted gates and
+   constants restored after a removal all fire; the output must still
+   mean the same, at a window that retires mid-cascade and at the
+   default. *)
+let test_corpus_known_inputs () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun ops ->
+          let b =
+            fst
+              (Circ.generate ~in_:(Qdata.list_of 0 Qdata.qubit) (fun _ ->
+                   let* ql =
+                     qinit (Qdata.list_of 4 Qdata.qubit)
+                       (List.init 4 (fun i -> (seed lsr i) land 1 = 1))
+                   in
+                   Gen.program_fun ops ql))
+          in
+          List.iter
+            (fun window ->
+              let b' = Stream_opt.optimize_b ~window b in
+              Circuit.validate_b b';
+              if not (Equiv.equivalent (Equiv.check b b')) then
+                Alcotest.failf "seed %d, window %d: not equivalent" seed window)
+            [ 3; 256 ])
+        [
+          Gen.sample ~seed (Gen.program_gen ~n:4 ());
+          Gen.sample ~seed (Gen.classical_program_gen ~n:4 ());
+        ])
+    corpus_seeds
+
 (* [Passes.optimize]'s logical gate count on corpus seed [i], recorded
    from the materialized optimizer (per-wire DAG walkers, constants /
    flip-controls / cancel / fuse pipeline to a fixpoint) before it was
-   replaced by the full-window [Stream_opt] fixpoint. The fixpoint may
-   not do worse on any seed, and the default 4-stage stream at a
-   corpus-covering window must reach the fixpoint exactly. *)
+   replaced by the full-window [Stream_opt] stage. That stage may not
+   do worse on any seed, and the default stream at a corpus-covering
+   window must reach it exactly. *)
 let pinned_corpus = [|
     14; 2; 13; 9; 7; 7; 8; 3; 1; 1; 6; 1; 2; 2; 8; 8; 13; 4; 4; 2;
     14; 4; 17; 13; 3; 6; 2; 14; 13; 13; 7; 7; 5; 10; 10; 18; 15; 15; 9; 1;
@@ -366,28 +491,53 @@ let test_pinned_n3 () =
 (* ------------------------------------------------------------------ *)
 (* One commutation rule                                                 *)
 
+(* Wide calls (inputs and outputs overlapping, listed out of order,
+   ~32 distinct wires) beside narrow gates on the same wires, so the
+   window's sort and dedup of a long wire list are checked too. *)
+let wide_gates seed =
+  let rng = Random.State.make [| seed |] in
+  let shuffled_subset () =
+    List.init 48 Fun.id
+    |> List.filter (fun _ -> Random.State.int rng 3 > 0)
+    |> List.map (fun w -> (Random.State.bits rng, w))
+    |> List.sort compare |> List.map snd
+  in
+  Array.init 8 (fun i ->
+      if i mod 2 = 0 then
+        Gate.Subroutine
+          { name = "wide"; inv = false; inputs = shuffled_subset ();
+            outputs = shuffled_subset (); controls = [] }
+      else
+        let w = Random.State.int rng 64 in
+        Gate.Gate
+          { name = "not"; inv = false; targets = [ w ];
+            controls = [ Gate.pos_control ((w + 1) mod 64) ] })
+
 (* The window tests commutation on entries (cached sorted wire arrays
    and diagonality); it must be [Gate.commutes] exactly. Every ordered
    pair of gates of a corpus circuit, from the general, rotation and
-   classical generators. *)
+   classical generators, and of [wide_gates]. *)
 let prop_entry_commutes =
   QCheck2.Test.make ~name:"window commutation = Gate.commutes on corpus pairs"
     ~count:200 ~print:string_of_int (QCheck2.Gen.int_range 0 199) (fun seed ->
       List.for_all
-        (fun (b : Circuit.b) ->
-          let gs = b.Circuit.main.Circuit.gates in
+        (fun gs ->
           Array.for_all
             (fun a ->
               Array.for_all
                 (fun g -> Stream_opt.entry_commutes a g = Gate.commutes a g)
                 gs)
             gs)
-        [
-          corpus_circuit seed;
-          Gen.circuit_of_program ~n:4 (Gen.sample ~seed (Gen.rot_program_gen ~n:4 ()));
-          Gen.circuit_of_program ~n:5
-            (Gen.sample ~seed (Gen.classical_program_gen ~n:5 ()));
-        ])
+        (wide_gates seed
+        :: List.map
+             (fun (b : Circuit.b) -> b.Circuit.main.Circuit.gates)
+             [
+               corpus_circuit seed;
+               Gen.circuit_of_program ~n:4
+                 (Gen.sample ~seed (Gen.rot_program_gen ~n:4 ()));
+               Gen.circuit_of_program ~n:5
+                 (Gen.sample ~seed (Gen.classical_program_gen ~n:5 ()));
+             ]))
 
 (* ------------------------------------------------------------------ *)
 (* Box redefinition                                                     *)
@@ -426,10 +576,9 @@ let test_redefinition_flushes_window () =
 (* Printed output per window, pinned                                    *)
 
 (* MD5 of the printed [optimize_b ~window] output, concatenated over a
-   circuit list, recorded from the list-linked window this engine
-   replaced. Window 1 retires every entry at the next arrival; 2, 3 and
-   17 wrap the ring many times; 256 is the default; [max_int] grows it
-   to the whole circuit. *)
+   circuit list. Window 1 retires every entry at the next arrival; 2, 3
+   and 17 wrap the ring many times; 256 is the default; [max_int] grows
+   it to the whole circuit. *)
 let window_digest window bs =
   let buf = Buffer.create 4096 in
   List.iter
@@ -442,8 +591,8 @@ let pinned_windows =
     ( "corpus", lazy (List.map corpus_circuit corpus_seeds),
       [
         (1, "0ffd85dc9d5a9632470e936e7c3a2b4f");
-        (2, "b2caeac9865ed951c6efa0625d6d2652");
-        (3, "c5fac120fda32f98b8efd1bb07a9d36e");
+        (2, "df3b9011a4830fbb570f895b521b83a1");
+        (3, "0a3e3938acda15e11c4ffd5b4f7e9859");
         (17, "b47fcdb8c92fa81bdbe4eec1b18d17ea");
         (256, "b47fcdb8c92fa81bdbe4eec1b18d17ea");
         (max_int, "b47fcdb8c92fa81bdbe4eec1b18d17ea");
@@ -456,9 +605,9 @@ let pinned_windows =
         (1, "33dc932fd734a2785e7737154dad5389");
         (2, "55134e35725ccb239f3a9a85e5559d2f");
         (3, "55134e35725ccb239f3a9a85e5559d2f");
-        (17, "21cfdbe80914bf29b4c74e894aaae181");
-        (256, "082d02d37df293447b323c92856e2ba2");
-        (max_int, "082d02d37df293447b323c92856e2ba2");
+        (17, "877535507f2da04a83bad3d6b3ad932e");
+        (256, "4e3553d9aad5937f278a48f626b4f9a8");
+        (max_int, "4e3553d9aad5937f278a48f626b4f9a8");
       ] );
     ( "tf",
       lazy
@@ -467,8 +616,8 @@ let pinned_windows =
       [
         (1, "22994873b99537ff84a2c2a8bd2e1ee6");
         (2, "22994873b99537ff84a2c2a8bd2e1ee6");
-        (3, "06edb3acdd5f9fb4b472a97ce6aca255");
-        (17, "9ffdc09a7a8e1348501a4685cad16811");
+        (3, "1ebfde2472f6d71728725d2ecfda1694");
+        (17, "2a720634eb4d70aacaa7227308e7178d");
         (256, "6bab8904562242abaaf0701e124259c3");
         (max_int, "6bab8904562242abaaf0701e124259c3");
       ] );
@@ -486,6 +635,64 @@ let test_pinned_window_digests () =
         pins)
     pinned_windows
 
+(* Logical gates left per window, summed over each circuit list: a
+   change may lower these, never raise them. One stage at window 2 or 3
+   holds 2 or 3 live gates, so it reduces less than four stacked stages
+   of that window did (corpus 1,573 at window 2 and 1,540 at 3, TF 1,747
+   at 3); from window 17 up it reduces as much or more. *)
+let pinned_counts =
+  [
+    ("corpus", [ (1, 2274); (2, 2001); (3, 1752); (17, 1450); (256, 1450) ]);
+    ("bwt", [ (1, 1354); (2, 1020); (3, 1020); (17, 835); (256, 813) ]);
+    ("tf", [ (1, 1749); (2, 1749); (3, 1749); (17, 1743); (256, 1731) ]);
+  ]
+
+let test_pinned_window_counts () =
+  List.iter
+    (fun (name, bs, _) ->
+      List.iter
+        (fun (window, most) ->
+          let n =
+            List.fold_left
+              (fun acc b -> acc + logical (Stream_opt.optimize_b ~window b))
+              0 (Lazy.force bs)
+          in
+          if n > most then
+            Alcotest.failf "%s at window %d keeps %d logical gates, pinned at most %d"
+              name window n most)
+        (List.assoc name pinned_counts))
+    pinned_windows
+
+(* One stage is a fixpoint: a second stage over its output prints the
+   same, at the default window, a corpus-covering one and an unbounded
+   one — on the corpus, the BWT/TF circuits pinned above and random
+   programs. *)
+let fixpoint_windows = [ 256; 4096; max_int ]
+
+let stage_again window b =
+  let once = Stream_opt.optimize_b ~window b in
+  Printer.to_string once = Printer.to_string (Stream_opt.optimize_b ~window once)
+
+let test_one_stage_is_fixpoint () =
+  List.iter
+    (fun (name, bs, _) ->
+      List.iteri
+        (fun i b ->
+          List.iter
+            (fun window ->
+              if not (stage_again window b) then
+                Alcotest.failf "%s[%d]: a second stage at window %d changed the output"
+                  name i window)
+            fixpoint_windows)
+        (Lazy.force bs))
+    pinned_windows
+
+let prop_one_stage_is_fixpoint =
+  QCheck2.Test.make ~name:"one stage is a fixpoint on random programs" ~count:300
+    (Gen.program_gen ~n:4 ()) (fun ops ->
+      let b = Gen.circuit_of_program ~n:4 ops in
+      List.for_all (fun window -> stage_again window b) fixpoint_windows)
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -495,6 +702,14 @@ let suite =
       test_stream_const_control;
     Alcotest.test_case "stream: X sandwich flips controls" `Quick
       test_stream_flip_sandwich;
+    Alcotest.test_case "stage: constants restored after a removal" `Quick
+      test_stage_restores_constants;
+    Alcotest.test_case "stage: no constant restored past the window" `Quick
+      test_stage_restores_only_inside_window;
+    Alcotest.test_case "stage: fused entry re-examined" `Quick
+      test_stage_reexamines_fused_entry;
+    Alcotest.test_case "stage: only live entries fill the window" `Quick
+      test_stage_counts_live_entries;
     Alcotest.test_case "retirement: cancel across diagonal control" `Quick
       test_retire_cancel_across_control;
     Alcotest.test_case "retirement: blocked across CNOT target" `Quick
@@ -509,6 +724,8 @@ let suite =
       test_corpus_statevector;
     Alcotest.test_case "corpus: classical bit-for-bit (200)" `Quick
       test_corpus_classical;
+    Alcotest.test_case "corpus: known inputs stay equivalent (200)" `Quick
+      test_corpus_known_inputs;
     Alcotest.test_case "corpus: parity with Passes at full window" `Quick
       test_corpus_passes_parity;
     Alcotest.test_case "corpus: never deepens" `Quick test_corpus_never_deepens;
@@ -527,4 +744,9 @@ let suite =
       test_redefinition_flushes_window;
     Alcotest.test_case "pinned: printed output per window" `Quick
       test_pinned_window_digests;
+    Alcotest.test_case "pinned: gate counts per window" `Quick
+      test_pinned_window_counts;
+    Alcotest.test_case "one stage is a fixpoint: corpus, BWT, TF" `Quick
+      test_one_stage_is_fixpoint;
+    QCheck_alcotest.to_alcotest prop_one_stage_is_fixpoint;
   ]
