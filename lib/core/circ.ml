@@ -854,12 +854,12 @@ let generate_unit ?(boxing = true) (m : 'r t) : Circuit.b * 'r =
     usual (they are the namespace, not the stream). The sink sees exactly
     the gate sequence {!generate} would record in the main circuit, with
     subroutine definitions delivered before their first call gate. *)
-let run_streaming ?(boxing = true) ~(in_ : ('b, 'q, 'c) Qdata.t)
+let run_streaming ?(boxing = true) ?lift ~(in_ : ('b, 'q, 'c) Qdata.t)
     (f : 'q -> 'r t) (sink : 'sr Sink.t) : 'sr * 'r =
   let c =
     create_ctx ~boxing ~materialize:false ~on_emit:sink.Sink.on_gate
       ~on_sub_enter:sink.Sink.on_subroutine_enter
-      ~on_sub_exit:sink.Sink.on_subroutine_exit ()
+      ~on_sub_exit:sink.Sink.on_subroutine_exit ?lift ()
   in
   let ins =
     List.map (fun ty -> { Wire.wire = alloc_input c ty; ty }) in_.Qdata.tys

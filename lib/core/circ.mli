@@ -260,6 +260,7 @@ val generate_unit : ?boxing:bool -> 'r t -> Circuit.b * 'r
 
 val run_streaming :
   ?boxing:bool ->
+  ?lift:(ctx -> Wire.t -> bool) ->
   in_:('b, 'q, 'c) Qdata.t ->
   ('q -> 'r t) ->
   'sr Sink.t ->
@@ -276,7 +277,11 @@ val run_streaming :
     the first call gate naming them. Memory caveats: a {!with_computed}
     sandwich stays buffered until its uncompute half has been emitted
     (the bound becomes the largest open sandwich), and box bodies are
-    captured as usual — they are the namespace, not the stream. *)
+    captured as usual — they are the namespace, not the stream.
+
+    [lift] supplies {!dynamic_lift}, as for {!create_ctx}: the
+    simulators' run functions execute each gate as it streams past, so
+    they can answer it. *)
 
 val run_streaming_unit : ?boxing:bool -> 'r t -> 'sr Sink.t -> 'sr * 'r
 (** {!run_streaming} for a closed computation (no declared inputs). *)

@@ -210,14 +210,15 @@ let wire_action g w =
 
 (* Merge walks over two ascending distinct-wire prefixes [wa.(0..na)]
    and [wb.(0..nb)]; top-level rather than local so they allocate no
-   closure. *)
-let rec share wa na i wb nb j =
+   closure, and typed as wire arrays so every comparison is an inline
+   integer one rather than a call into the polymorphic compare. *)
+let rec share (wa : Wire.t array) na i (wb : Wire.t array) nb j =
   i < na && j < nb
   &&
   let x = wa.(i) and y = wb.(j) in
   x = y || if x < y then share wa na (i + 1) wb nb j else share wa na i wb nb (j + 1)
 
-let rec shared_factors_commute a wa na i b wb nb j =
+let rec shared_factors_commute a (wa : Wire.t array) na i b (wb : Wire.t array) nb j =
   i >= na || j >= nb
   ||
   let x = wa.(i) and y = wb.(j) in
@@ -259,6 +260,17 @@ let commutes a b =
   in
   let wa = sorted a and wb = sorted b in
   commutes_sorted a wa (Array.length wa) b wb (Array.length wb)
+
+(** The value of classical gate [name] on its input values, or [None]
+    for a name or arity with no meaning: [not] takes one input; [and],
+    [or] and [xor] take any number. *)
+let eval_cgate name (ins : bool list) =
+  match (name, ins) with
+  | "not", [ a ] -> Some (not a)
+  | "and", _ -> Some (List.for_all Fun.id ins)
+  | "or", _ -> Some (List.exists Fun.id ins)
+  | "xor", _ -> Some (List.fold_left ( <> ) false ins)
+  | _ -> None
 
 let control_equal a b = a.cwire = b.cwire && a.cty = b.cty && a.positive = b.positive
 

@@ -124,6 +124,12 @@ val commutes_sorted : t -> Wire.t array -> int -> t -> Wire.t array -> int -> bo
     [nb]) cells of [wa] ([wb]). Allocates nothing: the streaming
     optimizer's window calls it on wire arrays cached per entry. *)
 
+val eval_cgate : string -> bool list -> bool option
+(** The value of a [Cgate] with this name on these input values: [not]
+    of one input, [and]/[or]/[xor] of any number; [None] for any other
+    name or arity. The simulators and the optimizer's constant folding
+    all evaluate classical gates through this one function. *)
+
 val control_equal : control -> control -> bool
 (** Same wire, type and polarity. *)
 

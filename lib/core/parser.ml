@@ -308,7 +308,11 @@ let parse (text : string) : Circuit.b =
         Circuit.check_acyclic b;
         b
     | line :: rest when is_prefix ~prefix:"Subroutine:" line ->
-        let name, _ = parse_quoted line (String.index line '"') in
+        let name, _ =
+          match String.index_opt line '"' with
+          | Some i -> parse_quoted line i
+          | None -> fail "expected a quoted name in %S" line
+        in
         let controllable, rest =
           match rest with
           | c :: rest when is_prefix ~prefix:"Controllable:" c ->

@@ -113,14 +113,6 @@ let flip_control_on w g =
   in
   with_controls g (List.map flip (Gate.controls g))
 
-let eval_cgate name (ins : bool list) =
-  match (name, ins) with
-  | "not", [ a ] -> Some (not a)
-  | "and", _ -> Some (List.for_all Fun.id ins)
-  | "or", _ -> Some (List.exists Fun.id ins)
-  | "xor", _ -> Some (List.fold_left ( <> ) false ins)
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Int-keyed tables                                                    *)
 
@@ -246,7 +238,8 @@ let cp_step (known : cp) (st : stats) (g : Gate.t) : Gate.t =
   | Gate.Cgate { name; out; ins } ->
       let vals = List.map (Itbl.find known) ins in
       (match
-         if List.mem (-1) vals then None else eval_cgate name (List.map (( = ) 1) vals)
+         if List.mem (-1) vals then None
+         else Gate.eval_cgate name (List.map (( = ) 1) vals)
        with
       | Some v -> Itbl.replace known out (Bool.to_int v)
       | None -> Itbl.remove known out);

@@ -179,12 +179,8 @@ let prepare_clifford req outputs =
 
 let measure_fused st outputs =
   Array.of_list
-    (List.map
-       (fun (e : Wire.endpoint) ->
-         match e.Wire.ty with
-         | Wire.Q -> Fuse.measure st e.Wire.wire
-         | Wire.C -> Fuse.read_bit st e.Wire.wire)
-       outputs)
+    (Quipper_sim.Drive.readout ~measure:(Fuse.measure st)
+       ~read_bit:(Fuse.read_bit st) outputs)
 
 (* [run seed] is one fused run of the prepared circuit: a full circuit
    or a re-specialized template *)

@@ -5,10 +5,12 @@
     that share a shape: build a state, feed it gates, measure, read.
     This module makes that shape a first-class contract: {!S} is the
     module type every simulator implements, and {!Classical},
-    {!Statevector} and {!Clifford} are its instances as first-class
-    modules, so differential tests, noise channels and fault-injection
-    campaigns can be written once and pointed at any backend whose gate
-    set permits.
+    {!Clifford}, {!Statevector} and {!Fused} are its instances as
+    first-class modules, so differential tests, noise channels and
+    fault-injection campaigns can be written once and pointed at any
+    backend whose gate set permits. The shape itself — run functions,
+    input loading, output readout, classical wires — is written once in
+    {!Drive}.
 
     Backends differ in what a final state {e is} — a boolean per wire, a
     stabilizer tableau, an amplitude vector — so cross-run comparison goes
@@ -58,12 +60,13 @@ let equal_observation ?eps (a : observation) (b : observation) =
   | Obs_amplitudes x, Obs_amplitudes y -> equal_up_to_phase ?eps x y
   | _ -> false
 
-(** The simulator contract. [run_fun] executes a circuit-producing
-    function gate by gate as emitted (the QRAM picture, dynamic lifting
-    included); [run_circuit] walks an already-generated circuit. Backends
-    raise [Errors.Error (Simulation _)] on gates outside their gate set
-    and [Termination_assertion _] on violated assertive terminations. *)
-module type S = sig
+(** What a simulator provides before the sampling surface. [run_fun]
+    executes a circuit-producing function gate by gate as emitted (the
+    QRAM picture, dynamic lifting included); [run_circuit] walks an
+    already-generated circuit. Backends raise
+    [Errors.Error (Simulation _)] on gates outside their gate set and
+    [Termination_assertion _] on violated assertive terminations. *)
+module type BASE = sig
   val name : string
 
   type state
@@ -86,6 +89,11 @@ module type S = sig
     ?seed:int -> in_:('b, 'q, 'c) Qdata.t -> 'b -> ('q -> 'r Circ.t) -> state * 'r
 
   val run_circuit : ?seed:int -> Circuit.b -> bool list -> state
+end
+
+(** The simulator contract. *)
+module type S = sig
+  include BASE
 
   (** {2 Sampling surface}
 
@@ -125,120 +133,48 @@ end
 
 module Statevector :
   S with type state = Statevector.state and type snapshot = Statevector.snapshot = struct
+  include Statevector
+
   let name = "statevector"
-
-  type state = Statevector.state
-
-  let create = Statevector.create
-  let apply_gate = Statevector.apply_gate
-  let measure = Statevector.measure
-  let read_bit = Statevector.read_bit
-  let set_bit = Statevector.set_bit
-  let observe st = Obs_amplitudes (Statevector.amplitudes st)
-  let run_fun = Statevector.run_fun
-  let run_circuit = Statevector.run_circuit
-
-  type snapshot = Statevector.snapshot
-
-  let snapshot = Statevector.snapshot
-  let sample_from = Statevector.sample_from
+  let observe st = Obs_amplitudes (amplitudes st)
 end
 
 module Clifford :
   S with type state = Clifford.state and type snapshot = Clifford.snapshot = struct
+  include Clifford
+
   let name = "clifford"
-
-  type state = Clifford.state
-
-  let create = Clifford.create
-  let apply_gate = Clifford.apply_gate
-  let measure = Clifford.measure
-  let read_bit = Clifford.read_bit
-  let set_bit = Clifford.set_bit
-  let observe st = Obs_tableau (Clifford.canonical st)
-  let run_fun = Clifford.run_fun
-  let run_circuit = Clifford.run_circuit
-
-  type snapshot = Clifford.snapshot
-
-  let snapshot = Clifford.snapshot
-  let sample_from = Clifford.sample_from
+  let observe st = Obs_tableau (canonical st)
 end
 
 module Classical : S with type state = Classical.state = struct
+  include Classical
+
   let name = "classical"
-
-  type state = Classical.state
-
-  let create ?seed:_ () = Classical.create ()
-  let apply_gate = Classical.apply_gate
 
   (* classically, measurement just reads the basis-state value; the wire
      keeps it as its classical value *)
-  let measure = Classical.read
-  let read_bit = Classical.read
-  let set_bit = Classical.write
-  let observe st = Obs_bits (Classical.bindings st)
-
-  let run_fun ?seed:_ ~(in_ : ('b, 'q, 'c) Qdata.t) (input : 'b)
-      (f : 'q -> 'r Circ.t) : state * 'r =
-    let st = Classical.create () in
-    let ctx =
-      Circ.create_ctx ~boxing:false ~on_emit:(Classical.apply_gate st)
-        ~lift:(fun _ w -> Classical.read st w)
-        ()
-    in
-    let ins =
-      List.map (fun ty -> { Wire.wire = Circ.alloc_input ctx ty; ty }) in_.Qdata.tys
-    in
-    List.iter2
-      (fun (e : Wire.endpoint) v -> Classical.write st e.Wire.wire v)
-      ins (in_.Qdata.bleaves input);
-    let x = in_.Qdata.qbuild ins in
-    let r = f x ctx in
-    (st, r)
-
-  let run_circuit ?seed:_ (b : Circuit.b) (inputs : bool list) : state =
-    let flat = Circuit.inline b in
-    let st = Classical.create () in
-    (if List.length inputs <> List.length flat.Circuit.inputs then
-       Errors.raise_ (Shape_mismatch "classical run: input arity"));
-    List.iter2
-      (fun (e : Wire.endpoint) v -> Classical.write st e.Wire.wire v)
-      flat.Circuit.inputs inputs;
-    Array.iter (Classical.apply_gate st) flat.Circuit.gates;
-    st
+  let measure = read
+  let read_bit = read
+  let set_bit = write
+  let observe st = Obs_bits (bindings st)
 
   (* deterministic backend: every state snapshots, no randomness ever *)
-  type snapshot = (Wire.t * bool) list
+  type snapshot = state
 
-  let snapshot st = Some (Classical.bindings st)
-
-  let sample_from snap ~rng:_ (outs : Wire.endpoint list) =
-    List.map
-      (fun (e : Wire.endpoint) ->
-        match List.assoc_opt e.Wire.wire snap with
-        | Some v -> v
-        | None ->
-            Errors.raise_
-              (Simulation (Fmt.str "classical: wire %d has no value" e.Wire.wire)))
-      outs
+  let snapshot st = Some (Drive.Cenv.copy st)
+  let sample_from snap ~rng:_ outs =
+    Drive.readout ~measure:(read snap) ~read_bit:(read snap) outs
 end
 
 module Fused :
   S with type state = Fuse.state and type snapshot = Statevector.snapshot = struct
+  include Fuse
+
   let name = "fused"
-
-  type state = Fuse.state
-
-  let create ?seed () = Fuse.create ?seed ()
-  let apply_gate = Fuse.apply_gate
-  let measure = Fuse.measure
-  let read_bit = Fuse.read_bit
-  let set_bit = Fuse.set_bit
-  let observe st = Obs_amplitudes (Fuse.amplitudes st)
-  let run_fun ?seed ~in_ input f = Fuse.run_fun ?seed ~in_ input f
-  let run_circuit ?seed b inputs = Fuse.run_circuit ?seed b inputs
+  let create ?seed () = create ?seed ()
+  let observe st = Obs_amplitudes (amplitudes st)
+  let run_circuit ?seed b inputs = run_circuit ?seed b inputs
 
   (* flush, then snapshot the underlying statevector: fused execution
      reassociates floats, but sampling happens on the flushed state with
@@ -246,30 +182,7 @@ module Fused :
      statevector one on the fused amplitudes *)
   type snapshot = Statevector.snapshot
 
-  let snapshot = Fuse.snapshot
   let sample_from = Statevector.sample_from
-end
-
-(* ------------------------------------------------------------------ *)
-(* Default sampling derivation                                         *)
-
-(** What a simulator provides before the sampling surface. *)
-module type BASE = sig
-  val name : string
-
-  type state
-
-  val create : ?seed:int -> unit -> state
-  val apply_gate : state -> Gate.t -> unit
-  val measure : state -> Wire.t -> bool
-  val read_bit : state -> Wire.t -> bool
-  val set_bit : state -> Wire.t -> bool -> unit
-  val observe : state -> observation
-
-  val run_fun :
-    ?seed:int -> in_:('b, 'q, 'c) Qdata.t -> 'b -> ('q -> 'r Circ.t) -> state * 'r
-
-  val run_circuit : ?seed:int -> Circuit.b -> bool list -> state
 end
 
 (** The law-checked default derivation for backends that cannot
@@ -316,14 +229,7 @@ let sink (module B : S) ?seed ~(inputs : bool list) () : observation Sink.t =
   let st = B.create ?seed () in
   Sink.unbox
     (Sink.make
-       ~on_inputs:(fun es ->
-         (if List.length inputs <> List.length es then
-            Errors.raise_ (Shape_mismatch "streaming run: input arity"));
-         List.iter2
-           (fun (e : Wire.endpoint) v ->
-             B.apply_gate st
-               (Gate.Init { ty = e.Wire.ty; value = v; wire = e.Wire.wire }))
-           es inputs)
+       ~on_inputs:(fun es -> Drive.load B.name (B.apply_gate st) es inputs)
        ~on_gate:(fun g -> B.apply_gate st g)
        ~finish:(fun _ -> B.observe st)
        ())
@@ -336,14 +242,7 @@ let sink (module B : S) ?seed ~(inputs : bool list) () : observation Sink.t =
 let fused_sink ?config ?seed ~(inputs : bool list) () : observation Sink.t =
   let st = Fuse.create ?config ?seed () in
   Sink.make
-    ~on_inputs:(fun es ->
-      (if List.length inputs <> List.length es then
-         Errors.raise_ (Shape_mismatch "streaming run: input arity"));
-      List.iter2
-        (fun (e : Wire.endpoint) v ->
-          Fuse.apply_gate st
-            (Gate.Init { ty = e.Wire.ty; value = v; wire = e.Wire.wire }))
-        es inputs)
+    ~on_inputs:(fun es -> Drive.load "fused" (Fuse.apply_gate st) es inputs)
     ~on_gate:(fun g -> Fuse.apply_gate st g)
     ~on_subroutine_exit:(fun name sub -> Fuse.define st name sub)
     ~finish:(fun _ -> Obs_amplitudes (Fuse.amplitudes st))
@@ -356,9 +255,5 @@ let run_and_measure (module B : S) ?seed (b : Circuit.b) (inputs : bool list) :
     bool list =
   let st = B.run_circuit ?seed b inputs in
   (* inlining keeps main's outputs, so they need no flat circuit *)
-  List.map
-    (fun (e : Wire.endpoint) ->
-      match e.Wire.ty with
-      | Wire.Q -> B.measure st e.Wire.wire
-      | Wire.C -> B.read_bit st e.Wire.wire)
+  Drive.readout ~measure:(B.measure st) ~read_bit:(B.read_bit st)
     b.Circuit.main.Circuit.outputs

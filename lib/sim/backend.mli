@@ -2,7 +2,8 @@
     [run_*_generic] functions (§4.4.5) as one first-class contract.
 
     {!S} is the module type every simulator implements; {!Classical},
-    {!Clifford} and {!Statevector} are its instances. Code that runs
+    {!Clifford}, {!Statevector} and {!Fused} are its instances, each
+    driven by {!Drive}. Code that runs
     circuits and compares outcomes — differential tests, noise channels,
     fault-injection campaigns — takes a [(module S)] and works on any
     backend whose gate set permits the circuit.
@@ -31,10 +32,10 @@ val equal_observation : ?eps:float -> observation -> observation -> bool
     backend; observations of different kinds are never equal. [eps] only
     affects amplitude comparison. *)
 
-(** The simulator contract. Backends raise
-    [Errors.Error (Simulation _)] on gates outside their gate set and
-    [Termination_assertion _] on violated assertive terminations. *)
-module type S = sig
+(** What a simulator provides before the sampling surface. Backends
+    raise [Errors.Error (Simulation _)] on gates outside their gate set
+    and [Termination_assertion _] on violated assertive terminations. *)
+module type BASE = sig
   val name : string
 
   type state
@@ -61,6 +62,11 @@ module type S = sig
   val run_circuit : ?seed:int -> Circuit.b -> bool list -> state
   (** Walk an already-generated (hierarchical) circuit on basis-state
       inputs. *)
+end
+
+(** The simulator contract: {!BASE} plus the sampling surface. *)
+module type S = sig
+  include BASE
 
   (** {2 Sampling surface}
 
@@ -113,26 +119,6 @@ module Fused :
     boxed subroutines are compiled once and replayed per call.
     Amplitudes agree with {!Statevector} up to float reassociation;
     classical observations are bit-identical at equal seeds. *)
-
-(** What a simulator provides before the sampling surface — {!S} minus
-    [snapshot]/[sample_from]. *)
-module type BASE = sig
-  val name : string
-
-  type state
-
-  val create : ?seed:int -> unit -> state
-  val apply_gate : state -> Gate.t -> unit
-  val measure : state -> Wire.t -> bool
-  val read_bit : state -> Wire.t -> bool
-  val set_bit : state -> Wire.t -> bool -> unit
-  val observe : state -> observation
-
-  val run_fun :
-    ?seed:int -> in_:('b, 'q, 'c) Qdata.t -> 'b -> ('q -> 'r Circ.t) -> state * 'r
-
-  val run_circuit : ?seed:int -> Circuit.b -> bool list -> state
-end
 
 module Without_snapshot (B : BASE) : S with type state = B.state
 (** The default sampling derivation for backends that cannot snapshot:

@@ -17,121 +17,43 @@
 
 open Quipper
 
-type state = { values : (Wire.t, bool) Hashtbl.t }
+type state = Drive.Cenv.t
 
-let create () = { values = Hashtbl.create 64 }
-
-let read st w =
-  match Hashtbl.find_opt st.values w with
-  | Some v -> v
-  | None -> Errors.raise_ (Simulation (Fmt.str "classical: wire %d has no value" w))
-
-let write st w v = Hashtbl.replace st.values w v
-
-let bindings st =
-  List.sort compare (Hashtbl.fold (fun w v acc -> (w, v) :: acc) st.values [])
-
-let controls_sat st (cs : Gate.control list) =
-  List.for_all (fun (c : Gate.control) -> read st c.cwire = c.positive) cs
+let create ?seed:_ () = Drive.Cenv.create "classical"
+let read = Drive.Cenv.read
+let write = Drive.Cenv.write
+let bindings = Drive.Cenv.bindings
 
 (** Execute one gate against the boolean state. Raises on gates with no
     classical action (H, W, rotations, …). *)
 let apply_gate st (g : Gate.t) =
   match g with
   | Gate.Gate { name = "not" | "X"; targets = [ t ]; controls; _ } ->
-      if controls_sat st controls then write st t (not (read st t))
+      if List.for_all (Drive.Cenv.sat st) controls then write st t (not (read st t))
   | Gate.Gate { name = "swap"; targets = [ a; b ]; controls; _ } ->
-      if controls_sat st controls then begin
+      if List.for_all (Drive.Cenv.sat st) controls then begin
         let va = read st a and vb = read st b in
         write st a vb;
         write st b va
       end
-  | Gate.Gate { name; _ } ->
-      Errors.raise_ (Simulation (Fmt.str "classical: gate %s is not classical" name))
-  | Gate.Rot { name; _ } ->
-      Errors.raise_ (Simulation (Fmt.str "classical: rotation %s is not classical" name))
-  | Gate.Phase _ -> () (* global phase is invisible classically *)
-  | Gate.Init { value; wire; _ } -> write st wire value
-  | Gate.Term { value; wire; _ } ->
-      let v = read st wire in
-      if v <> value then
-        Errors.raise_ (Termination_assertion { wire; expected = value });
-      Hashtbl.remove st.values wire
-  | Gate.Discard { wire; _ } -> Hashtbl.remove st.values wire
-  | Gate.Measure _ -> () (* value unchanged; the wire just becomes classical *)
-  | Gate.Cgate { name; out; ins } ->
-      let vs = List.map (read st) ins in
-      let v =
-        match (name, vs) with
-        | "not", [ a ] -> not a
-        | "xor", vs -> List.fold_left ( <> ) false vs
-        | "and", vs -> List.for_all Fun.id vs
-        | "or", vs -> List.exists Fun.id vs
-        | _ ->
-            Errors.raise_
-              (Simulation (Fmt.str "classical: unknown classical gate %s" name))
-      in
-      write st out v
-  | Gate.Subroutine { name; _ } ->
-      Errors.raise_
-        (Simulation
-           (Fmt.str "classical: subroutine call %s (inline the circuit first)" name))
-  | Gate.Comment _ -> ()
+  | g -> Drive.Cenv.apply st g
 
-(* ------------------------------------------------------------------ *)
+(* measurement just reads the basis-state value; the wire keeps it as
+   its classical value *)
+include Drive.Make (struct
+  let name = "classical"
 
-(** Polymorphic readout of live wire values after a [run_fun]. *)
-type readout = { read : 'b 'q 'c. ('b, 'q, 'c) Qdata.t -> 'q -> 'b }
+  type nonrec state = state
 
-(** Run a circuit-producing function on boolean inputs of shape [in_],
-    evaluating every gate as it is emitted. Returns the wire-level result
-    plus a [readout] for extracting boolean values of live wires.
-    Dynamic lifting works: classical values are always available. *)
-let run_fun ~(in_ : ('b, 'q, 'c) Qdata.t) (input : 'b) (f : 'q -> 'r Circ.t) :
-    'r * readout =
-  let st = create () in
-  let ctx =
-    Circ.create_ctx ~boxing:false ~on_emit:(apply_gate st)
-      ~lift:(fun _ w -> read st w)
-      ()
-  in
-  let ins =
-    List.map (fun ty -> { Wire.wire = Circ.alloc_input ctx ty; ty }) in_.Qdata.tys
-  in
-  List.iter2
-    (fun (e : Wire.endpoint) v -> write st e.Wire.wire v)
-    ins (in_.Qdata.bleaves input);
-  let x = in_.Qdata.qbuild ins in
-  let r = f x ctx in
-  let readout =
-    {
-      read =
-        (fun (type b2 q2 c2) (w : (b2, q2, c2) Qdata.t) (q : q2) : b2 ->
-          w.Qdata.bbuild
-            (List.map
-               (fun (e : Wire.endpoint) -> read st e.Wire.wire)
-               (w.Qdata.qleaves q)));
-    }
-  in
-  (r, readout)
+  let create = create
+  let apply_gate = apply_gate
+  let read_bit = read
+  let measure = read
+end)
 
 (** Run a classical circuit-producing function as a boolean function: the
     one-liner used all over the oracle tests. *)
 let run_oracle ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
     (input : 'b) (f : 'q -> 'q2 Circ.t) : 'b2 =
-  let r, ro = run_fun ~in_ input f in
-  ro.read out r
-
-(** Walk an already-generated hierarchical circuit on given input booleans
-    (in input-arity order); returns the output booleans (in output-arity
-    order). *)
-let run_circuit (b : Circuit.b) (inputs : bool list) : bool list =
-  let flat = Circuit.inline b in
-  let st = create () in
-  (if List.length inputs <> List.length flat.Circuit.inputs then
-     Errors.raise_ (Shape_mismatch "classical run: input arity"));
-  List.iter2
-    (fun (e : Wire.endpoint) v -> write st e.Wire.wire v)
-    flat.Circuit.inputs inputs;
-  Array.iter (apply_gate st) flat.Circuit.gates;
-  List.map (fun (e : Wire.endpoint) -> read st e.Wire.wire) flat.Circuit.outputs
+  let st, r = run_fun ~in_ input f in
+  measure_and_read st out r

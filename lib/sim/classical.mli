@@ -8,9 +8,12 @@
 
 open Quipper
 
-type state
+type state = Drive.Cenv.t
+(** One boolean per live wire, quantum or classical. *)
 
-val create : unit -> state
+val create : ?seed:int -> unit -> state
+(** A fresh empty state; the seed is ignored (nothing here is random). *)
+
 val read : state -> Wire.t -> bool
 val write : state -> Wire.t -> bool -> unit
 
@@ -22,14 +25,14 @@ val apply_gate : state -> Gate.t -> unit
 (** Raises [Simulation _] on gates with no classical action (H, W,
     rotations) and on subroutine calls (inline first). *)
 
-type readout = { read : 'b 'q 'c. ('b, 'q, 'c) Qdata.t -> 'q -> 'b }
-(** Polymorphic readout of live wire values after a {!run_fun}. *)
-
 val run_fun :
-  in_:('b, 'q, 'c) Qdata.t -> 'b -> ('q -> 'r Circ.t) -> 'r * readout
+  ?seed:int -> in_:('b, 'q, 'c) Qdata.t -> 'b -> ('q -> 'r Circ.t) -> state * 'r
 (** Run a circuit-producing function on boolean inputs, evaluating every
     gate as it is emitted. Dynamic lifting works: classical values are
     always available. *)
+
+val measure_and_read : state -> ('b, 'q, 'c) Qdata.t -> 'q -> 'b
+(** Read the boolean value of every leaf. *)
 
 val run_oracle :
   in_:('b, 'q, 'c) Qdata.t ->
@@ -39,6 +42,6 @@ val run_oracle :
   'b2
 (** Run a classical circuit-producing function as a boolean function. *)
 
-val run_circuit : Circuit.b -> bool list -> bool list
+val run_circuit : ?seed:int -> Circuit.b -> bool list -> state
 (** Walk an already-generated (hierarchical) circuit on given input
-    booleans; returns the outputs in output-arity order. *)
+    booleans. *)

@@ -23,7 +23,7 @@ type state = {
   mutable r : Bytes.t; (* sign bit per row, length 2*cap *)
   mutable n : int; (* live columns (monotone; retired columns stay) *)
   mutable col : (Wire.t * int) list; (* wire -> column *)
-  cenv : (Wire.t, bool) Hashtbl.t;
+  cenv : Drive.Cenv.t;
   rng : Quipper_math.Rng.t;
   mutable rng_touched : bool;
       (* has a random-outcome measurement consumed from [rng]? While
@@ -42,7 +42,7 @@ let create ?(seed = 1) () =
     r = Bytes.create 0;
     n = 0;
     col = [];
-    cenv = Hashtbl.create 16;
+    cenv = Drive.Cenv.create "clifford";
     rng = Quipper_math.Rng.create seed;
     rng_touched = false;
   }
@@ -53,11 +53,7 @@ let column st w =
   | None ->
       Errors.raise_ (Simulation (Fmt.str "clifford: wire %d is not a live qubit" w))
 
-let read_bit st w =
-  match Hashtbl.find_opt st.cenv w with
-  | Some v -> v
-  | None ->
-      Errors.raise_ (Simulation (Fmt.str "clifford: wire %d has no classical value" w))
+let read_bit st w = Drive.Cenv.read st.cenv w
 
 (** Grow capacity to at least [cap'] columns, preserving contents. *)
 let grow st cap' =
@@ -289,7 +285,7 @@ let frame_commutes st (frames : (int * bool * bool) list) : bool =
 let retire st w =
   st.col <- List.filter (fun (w', _) -> w' <> w) st.col
 
-let set_bit st w v = Hashtbl.replace st.cenv w v
+let set_bit st w v = Drive.Cenv.write st.cenv w v
 
 (** Measure wire [w]: sample (or read off the deterministic outcome),
     retire the column, move the wire to the classical environment. *)
@@ -297,7 +293,7 @@ let measure st (w : Wire.t) : bool =
   let q = column st w in
   let outcome, _ = measure_col st q in
   retire st w;
-  Hashtbl.replace st.cenv w outcome;
+  set_bit st w outcome;
   outcome
 
 (** Canonical form of the stabilizer group, over all allocated columns
@@ -379,7 +375,7 @@ let resolve_classical_controls st (cs : Gate.control list) =
       (fun (c : Gate.control) ->
         match c.cty with
         | Wire.C ->
-            if read_bit st c.cwire <> c.positive then sat := false;
+            if not (Drive.Cenv.sat st.cenv c) then sat := false;
             false
         | Wire.Q -> true)
       cs
@@ -430,7 +426,6 @@ let apply_gate st (g : Gate.t) =
   | Gate.Rot { name; targets; _ } -> not_clifford ~wires:targets name
   | Gate.Phase _ -> () (* global phase: stabilizer state unchanged *)
   | Gate.Init { ty = Wire.Q; value; wire } -> add_qubit st wire value
-  | Gate.Init { ty = Wire.C; value; wire } -> Hashtbl.replace st.cenv wire value
   | Gate.Term { ty = Wire.Q; value; wire } ->
       let q = column st wire in
       let outcome, deterministic = measure_col st q in
@@ -439,81 +434,25 @@ let apply_gate st (g : Gate.t) =
       else if outcome <> value then
         Errors.raise_ (Termination_assertion { wire; expected = value })
       else retire st wire
-  | Gate.Term { ty = Wire.C; value; wire } ->
-      if read_bit st wire <> value then
-        Errors.raise_ (Termination_assertion { wire; expected = value });
-      Hashtbl.remove st.cenv wire
   | Gate.Discard { ty = Wire.Q; wire } ->
       let q = column st wire in
       ignore (measure_col st q);
       retire st wire
-  | Gate.Discard { ty = Wire.C; wire } -> Hashtbl.remove st.cenv wire
   | Gate.Measure { wire } -> ignore (measure st wire)
-  | Gate.Cgate { name; out; ins } ->
-      let vs = List.map (read_bit st) ins in
-      let v =
-        match (name, vs) with
-        | "not", [ a ] -> not a
-        | "xor", vs -> List.fold_left ( <> ) false vs
-        | "and", vs -> List.for_all Fun.id vs
-        | "or", vs -> List.exists Fun.id vs
-        | _ -> Errors.raise_ (Simulation (Fmt.str "unknown classical gate %s" name))
-      in
-      Hashtbl.replace st.cenv out v
-  | Gate.Subroutine { name; _ } ->
-      Errors.raise_ (Simulation (Fmt.str "clifford: subroutine call %s (inline first)" name))
-  | Gate.Comment _ -> ()
+  | g -> Drive.Cenv.apply st.cenv g
 
 (* ------------------------------------------------------------------ *)
 
-(** Execute a circuit-producing function under stabilizer semantics, gate
-    by gate, with dynamic lifting available. *)
-let run_fun ?seed ~(in_ : ('b, 'q, 'c) Qdata.t) (input : 'b)
-    (f : 'q -> 'r Circ.t) : state * 'r =
-  let st = create ?seed () in
-  let ctx =
-    Circ.create_ctx ~boxing:false ~on_emit:(apply_gate st)
-      ~lift:(fun _ w -> read_bit st w)
-      ()
-  in
-  let ins =
-    List.map (fun ty -> { Wire.wire = Circ.alloc_input ctx ty; ty }) in_.Qdata.tys
-  in
-  List.iter2
-    (fun (e : Wire.endpoint) v ->
-      match e.Wire.ty with
-      | Wire.Q -> add_qubit st e.Wire.wire v
-      | Wire.C -> Hashtbl.replace st.cenv e.Wire.wire v)
-    ins (in_.Qdata.bleaves input);
-  let x = in_.Qdata.qbuild ins in
-  let r = f x ctx in
-  (st, r)
+include Drive.Make (struct
+  let name = "clifford"
 
-(** Measure every leaf of [q] and read the boolean result. *)
-let measure_and_read st (w : ('b, 'q, 'c) Qdata.t) (q : 'q) : 'b =
-  let bools =
-    List.map
-      (fun (e : Wire.endpoint) ->
-        match e.Wire.ty with
-        | Wire.Q -> measure st e.Wire.wire
-        | Wire.C -> read_bit st e.Wire.wire)
-      (w.Qdata.qleaves q)
-  in
-  w.Qdata.bbuild bools
+  type nonrec state = state
 
-let run_circuit ?seed (b : Circuit.b) (inputs : bool list) : state =
-  let flat = Circuit.inline b in
-  let st = create ?seed () in
-  (if List.length inputs <> List.length flat.Circuit.inputs then
-     Errors.raise_ (Shape_mismatch "clifford run: input arity"));
-  List.iter2
-    (fun (e : Wire.endpoint) v ->
-      match e.Wire.ty with
-      | Wire.Q -> add_qubit st e.Wire.wire v
-      | Wire.C -> Hashtbl.replace st.cenv e.Wire.wire v)
-    flat.Circuit.inputs inputs;
-  Array.iter (apply_gate st) flat.Circuit.gates;
-  st
+  let create = create
+  let apply_gate = apply_gate
+  let read_bit = read_bit
+  let measure = measure
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: frozen pre-measurement tableaux for many-shot sampling   *)
@@ -528,7 +467,7 @@ type snapshot = {
   s_r : Bytes.t;
   s_n : int;
   s_col : (Wire.t * int) list;
-  s_cenv : (Wire.t, bool) Hashtbl.t;
+  s_cenv : Drive.Cenv.t;
 }
 
 let snapshot st : snapshot option =
@@ -542,7 +481,7 @@ let snapshot st : snapshot option =
         s_r = Bytes.copy st.r;
         s_n = st.n;
         s_col = st.col;
-        s_cenv = Hashtbl.copy st.cenv;
+        s_cenv = Drive.Cenv.copy st.cenv;
       }
 
 let sample_from (snap : snapshot) ~(rng : Quipper_math.Rng.t)
@@ -561,14 +500,9 @@ let sample_from (snap : snapshot) ~(rng : Quipper_math.Rng.t)
       r = Bytes.copy snap.s_r;
       n = snap.s_n;
       col = snap.s_col;
-      cenv = Hashtbl.copy snap.s_cenv;
+      cenv = Drive.Cenv.copy snap.s_cenv;
       rng;
       rng_touched = false;
     }
   in
-  List.map
-    (fun (e : Wire.endpoint) ->
-      match e.Wire.ty with
-      | Wire.Q -> measure st e.Wire.wire
-      | Wire.C -> read_bit st e.Wire.wire)
-    outputs
+  readout st outputs

@@ -507,15 +507,13 @@ let on_gate (p : pass) (g : Gate.t) =
   p.gate_ix <- p.gate_ix + 1
 
 let on_inputs (p : pass) (inputs : bool list) (es : Wire.endpoint list) =
-  if List.length inputs <> List.length es then
-    Errors.raise_ (Errors.Shape_mismatch "frame run: input arity");
-  List.iter2
-    (fun (e : Wire.endpoint) v ->
-      if ref_apply p (Gate.Init { ty = e.Wire.ty; value = v; wire = e.Wire.wire })
-      then
-        match e.Wire.ty with
-        | Wire.Q -> ignore (alloc_q p e.Wire.wire)
-        | Wire.C -> ignore (alloc_c p e.Wire.wire))
+  Drive.load "frame"
+    (fun g ->
+      if ref_apply p g then
+        match g with
+        | Gate.Init { ty = Wire.Q; wire; _ } -> ignore (alloc_q p wire)
+        | Gate.Init { ty = Wire.C; wire; _ } -> ignore (alloc_c p wire)
+        | _ -> ())
     es inputs;
   (* input fault sites: index -1, before the first gate *)
   p.gate_ix <- -1;

@@ -733,7 +733,7 @@ let create ?(config = default_config) ?boxes ?seed () =
   in
   let rec st =
     {
-      sv = Statevector.create ?seed ();
+      sv = Statevector.create_as "fused" ?seed ();
       cfg = config;
       st_stats = stats;
       defs = Circuit.Boxdefs.create ();
@@ -930,47 +930,34 @@ let snapshot st =
 
 let stats st = st.st_stats
 
-let run_fun ?config ?seed ~(in_ : ('b, 'q, 'c) Qdata.t) (input : 'b)
-    (f : 'q -> 'r Circ.t) : state * 'r =
-  let st = create ?config ?seed () in
-  let ctx =
-    Circ.create_ctx ~boxing:false ~on_emit:(apply_gate st)
-      ~lift:(fun _ w -> read_bit st w)
-      ()
-  in
-  let ins =
-    List.map (fun ty -> { Wire.wire = Circ.alloc_input ctx ty; ty }) in_.Qdata.tys
-  in
-  List.iter2
-    (fun (e : Wire.endpoint) v ->
-      apply_gate st (Gate.Init { ty = e.Wire.ty; value = v; wire = e.Wire.wire }))
-    ins (in_.Qdata.bleaves input);
-  let x = in_.Qdata.qbuild ins in
-  let r = f x ctx in
-  flush st.fz;
-  (st, r)
+include Drive.Make (struct
+  let name = "fused"
 
-let measure_and_read st (w : ('b, 'q, 'c) Qdata.t) (q : 'q) : 'b =
-  flush st.fz;
-  Statevector.measure_and_read st.sv w q
+  type nonrec state = state
 
-(* A state holding [b]'s definitions, once its input arity checks out. *)
-let load ?config ?boxes ?seed what (b : Circuit.b) (inputs : bool list) =
+  let create ?seed () = create ?seed ()
+  let apply_gate = apply_gate
+  let read_bit = read_bit
+  let measure = measure
+end)
+
+let run_fun ?seed ~in_ input f =
+  let ((st, _) as r) = run_fun ?seed ~in_ input f in
+  flush st.fz;
+  r
+
+(* A state holding [b]'s definitions. *)
+let with_boxes ?config ?boxes ?seed (b : Circuit.b) =
   let st = create ?config ?boxes ?seed () in
   List.iter
     (fun name -> define st name (Circuit.Namespace.find name b.Circuit.subs))
     b.Circuit.sub_order;
-  (if List.length inputs <> List.length b.Circuit.main.Circuit.inputs then
-     Errors.raise_ (Shape_mismatch (what ^ ": input arity")));
   st
 
 let run_circuit ?config ?boxes ?seed (b : Circuit.b) (inputs : bool list) :
     state =
-  let st = load ?config ?boxes ?seed "fused run" b inputs in
-  List.iter2
-    (fun (e : Wire.endpoint) v ->
-      apply_gate st (Gate.Init { ty = e.Wire.ty; value = v; wire = e.Wire.wire }))
-    b.Circuit.main.Circuit.inputs inputs;
+  let st = with_boxes ?config ?boxes ?seed b in
+  load st b.Circuit.main.Circuit.inputs inputs;
   Array.iter (apply_gate st) b.Circuit.main.Circuit.gates;
   flush st.fz;
   st
@@ -1000,7 +987,7 @@ let compile_template ?(config = default_config) (b : Circuit.b)
   (* The compilation cache is private to this template: its programs
      carry this circuit's site numbering and must not leak into shared
      caches. *)
-  let st = load ~config "template" b inputs in
+  let st = with_boxes ~config b in
   (* whole-circuit angle-site numbering, in [Circuit.angles] order:
      main gates first, then each box body in [sub_order] *)
   let ctr = ref 0 in
@@ -1030,11 +1017,7 @@ let compile_template ?(config = default_config) (b : Circuit.b)
       pending = None;
     }
   in
-  List.iter2
-    (fun (e : Wire.endpoint) v ->
-      feed_site st cfz None
-        (Gate.Init { ty = e.Wire.ty; value = v; wire = e.Wire.wire }))
-    b.Circuit.main.Circuit.inputs inputs;
+  Drive.load "fused" (feed_site st cfz None) b.Circuit.main.Circuit.inputs inputs;
   Array.iteri
     (fun i g -> feed_site st cfz main_sites.(i) g)
     b.Circuit.main.Circuit.gates;

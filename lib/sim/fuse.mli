@@ -113,7 +113,6 @@ val snapshot : state -> Statevector.snapshot option
 val stats : state -> stats
 
 val run_fun :
-  ?config:config ->
   ?seed:int ->
   in_:('b, 'q, 'c) Qdata.t ->
   'b ->

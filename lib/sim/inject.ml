@@ -73,12 +73,7 @@ let execute_on (type s) (module B : Backend.S with type state = s) ~seed
     (flat : Circuit.t) (inputs : bool list)
     ~(inject : (int * Wire.t * pauli) option) : s =
   let st = B.create ~seed () in
-  (if List.length inputs <> List.length flat.Circuit.inputs then
-     Errors.raise_ (Shape_mismatch "fault injection: input arity"));
-  List.iter2
-    (fun (e : Wire.endpoint) v ->
-      B.apply_gate st (Gate.Init { ty = e.Wire.ty; value = v; wire = e.Wire.wire }))
-    flat.Circuit.inputs inputs;
+  Drive.load B.name (B.apply_gate st) flat.Circuit.inputs inputs;
   (match inject with Some (-1, w, p) -> apply_pauli (module B) st p w | _ -> ());
   Array.iteri
     (fun i g ->

@@ -89,12 +89,7 @@ let exec_on (type s) (module B : Backend.S with type state = s) ~seed cfg
     (flat : Circuit.t) (inputs : bool list) : s * Rng.t =
   let st = B.create ~seed () in
   let rng = Rng.create (Rng.derive seed 1) in
-  (if List.length inputs <> List.length flat.Circuit.inputs then
-     Errors.raise_ (Shape_mismatch "noisy run: input arity"));
-  List.iter2
-    (fun (e : Wire.endpoint) v ->
-      B.apply_gate st (Gate.Init { ty = e.Wire.ty; value = v; wire = e.Wire.wire }))
-    flat.Circuit.inputs inputs;
+  Drive.load B.name (B.apply_gate st) flat.Circuit.inputs inputs;
   Array.iter (step (module B) rng cfg st) flat.Circuit.gates;
   (st, rng)
 
@@ -104,14 +99,11 @@ let run_circuit_on (type s) (module B : Backend.S with type state = s) ?(seed = 
 
 let measure_outputs (type s) (module B : Backend.S with type state = s) rng cfg
     (st : s) (flat : Circuit.t) : bool list =
-  List.map
-    (fun (e : Wire.endpoint) ->
-      match e.Wire.ty with
-      | Wire.Q ->
-          let v = B.measure st e.Wire.wire in
-          if cfg.readout > 0.0 && Rng.float rng < cfg.readout then not v else v
-      | Wire.C -> B.read_bit st e.Wire.wire)
-    flat.Circuit.outputs
+  Drive.readout
+    ~measure:(fun w ->
+      let v = B.measure st w in
+      if cfg.readout > 0.0 && Rng.float rng < cfg.readout then not v else v)
+    ~read_bit:(B.read_bit st) flat.Circuit.outputs
 
 let run_and_measure_on (module B : Backend.S) ?(seed = 1) cfg (b : Circuit.b)
     (inputs : bool list) : bool list =

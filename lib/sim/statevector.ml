@@ -45,7 +45,7 @@ type state = {
          scan returns) — so a clean Init/Term ancilla cycle that never
          touches the ancilla costs O(1). *)
   mutable pos : (Wire.t * int) list; (* wire -> bit position, assoc list *)
-  cenv : (Wire.t, bool) Hashtbl.t; (* classical wires *)
+  cenv : Drive.Cenv.t; (* classical wires *)
   rng : Quipper_math.Rng.t;
   mutable rng_touched : bool;
       (* has any measurement consumed from [rng]? While false, the
@@ -56,7 +56,7 @@ type state = {
 
 let initial_capacity = 16
 
-let create ?(seed = 1) () =
+let create_as name ?(seed = 1) () =
   let re = Array.make initial_capacity 0.0 in
   re.(0) <- 1.0;
   {
@@ -66,11 +66,12 @@ let create ?(seed = 1) () =
     size = 1;
     zeros_from = 1;
     pos = [];
-    cenv = Hashtbl.create 16;
+    cenv = Drive.Cenv.create name;
     rng = Quipper_math.Rng.create seed;
     rng_touched = false;
   }
 
+let create = create_as "statevector"
 let num_qubits st = st.n
 let capacity st = Array.length st.re
 
@@ -81,12 +82,8 @@ let position st w =
 
 let qubit_index = position
 
-let read_bit st w =
-  match Hashtbl.find_opt st.cenv w with
-  | Some v -> v
-  | None -> Errors.raise_ (Simulation (Fmt.str "statevector: wire %d has no classical value" w))
-
-let set_bit st w v = Hashtbl.replace st.cenv w v
+let read_bit st w = Drive.Cenv.read st.cenv w
+let set_bit st w v = Drive.Cenv.write st.cenv w v
 
 (* Gates are about to write somewhere in [0, size): the zero watermark
    can no longer vouch for anything below [size]. *)
@@ -221,8 +218,7 @@ let resolve_controls st (cs : Gate.control list) : (int * int) option =
     | [] -> Some (mask, want)
     | (c : Gate.control) :: tl -> (
         match c.cty with
-        | Wire.C ->
-            if read_bit st c.cwire = c.positive then go mask want tl else None
+        | Wire.C -> if Drive.Cenv.sat st.cenv c then go mask want tl else None
         | Wire.Q ->
             let p = position st c.cwire in
             let bit = 1 lsl p in
@@ -376,7 +372,7 @@ let measure st (w : Wire.t) : bool =
         end
       done);
   remove_qubit st w outcome;
-  Hashtbl.replace st.cenv w outcome;
+  set_bit st w outcome;
   outcome
 
 (** Probability that qubit [w] would measure 1 (no collapse). *)
@@ -419,89 +415,27 @@ let apply_gate st (g : Gate.t) =
       Errors.raise_ (Simulation (Fmt.str "statevector: unsupported rotation %s" name))
   | Gate.Phase { angle; controls } -> apply_phase st angle controls
   | Gate.Init { ty = Wire.Q; value; wire } -> add_qubit st wire value
-  | Gate.Init { ty = Wire.C; value; wire } -> Hashtbl.replace st.cenv wire value
   | Gate.Term { ty = Wire.Q; value; wire } -> remove_qubit st wire value
-  | Gate.Term { ty = Wire.C; value; wire } ->
-      let v = read_bit st wire in
-      if v <> value then Errors.raise_ (Termination_assertion { wire; expected = value });
-      Hashtbl.remove st.cenv wire
   | Gate.Discard { ty = Wire.Q; wire } ->
-      (* measure and forget *)
+      (* measure, then forget the outcome as a classical discard does *)
       ignore (measure st wire);
-      Hashtbl.remove st.cenv wire
-  | Gate.Discard { ty = Wire.C; wire } -> Hashtbl.remove st.cenv wire
+      Drive.Cenv.apply st.cenv g
   | Gate.Measure { wire } -> ignore (measure st wire)
-  | Gate.Cgate { name; out; ins } ->
-      let vs = List.map (read_bit st) ins in
-      let v =
-        match (name, vs) with
-        | "not", [ a ] -> not a
-        | "xor", vs -> List.fold_left ( <> ) false vs
-        | "and", vs -> List.for_all Fun.id vs
-        | "or", vs -> List.exists Fun.id vs
-        | _ -> Errors.raise_ (Simulation (Fmt.str "unknown classical gate %s" name))
-      in
-      Hashtbl.replace st.cenv out v
-  | Gate.Subroutine { name; _ } ->
-      Errors.raise_
-        (Simulation (Fmt.str "statevector: subroutine call %s (inline first)" name))
-  | Gate.Comment _ -> ()
+  | g -> Drive.Cenv.apply st.cenv g
 
 (* ------------------------------------------------------------------ *)
 (* Run functions                                                       *)
 
-(** Execute a circuit-producing function with quantum semantics, gate by
-    gate as emitted — Knill's QRAM model (§2.1), including dynamic lifting
-    (measurement results can steer circuit generation, §4.3.1). Returns
-    the final simulator state and the function's result. *)
-let run_fun ?seed ~(in_ : ('b, 'q, 'c) Qdata.t) (input : 'b)
-    (f : 'q -> 'r Circ.t) : state * 'r =
-  let st = create ?seed () in
-  let ctx =
-    Circ.create_ctx ~boxing:false ~on_emit:(apply_gate st)
-      ~lift:(fun _ w -> read_bit st w)
-      ()
-  in
-  let ins =
-    List.map (fun ty -> { Wire.wire = Circ.alloc_input ctx ty; ty }) in_.Qdata.tys
-  in
-  List.iter2
-    (fun (e : Wire.endpoint) v ->
-      match e.Wire.ty with
-      | Wire.Q -> add_qubit st e.Wire.wire v
-      | Wire.C -> Hashtbl.replace st.cenv e.Wire.wire v)
-    ins (in_.Qdata.bleaves input);
-  let x = in_.Qdata.qbuild ins in
-  let r = f x ctx in
-  (st, r)
+include Drive.Make (struct
+  let name = "statevector"
 
-(** Measure every qubit leaf of [q] and read the boolean result. *)
-let measure_and_read st (w : ('b, 'q, 'c) Qdata.t) (q : 'q) : 'b =
-  let bools =
-    List.map
-      (fun (e : Wire.endpoint) ->
-        match e.Wire.ty with
-        | Wire.Q -> measure st e.Wire.wire
-        | Wire.C -> read_bit st e.Wire.wire)
-      (w.Qdata.qleaves q)
-  in
-  w.Qdata.bbuild bools
+  type nonrec state = state
 
-(** Run a generated (hierarchical) circuit on basis-state inputs; returns
-    the state with outputs still live. *)
-let run_circuit ?seed (b : Circuit.b) (inputs : bool list) : state =
-  let flat = Circuit.inline b in
-  let st = create ?seed () in
-  (if List.length inputs <> List.length flat.Circuit.inputs then
-     Errors.raise_ (Shape_mismatch "statevector run: input arity"));
-  List.iter2
-    (fun (e : Wire.endpoint) v ->
-      match e.Wire.ty with
-      | Wire.Q -> add_qubit st e.Wire.wire v
-      | Wire.C -> Hashtbl.replace st.cenv e.Wire.wire v)
-    flat.Circuit.inputs inputs;
-  Array.iter (apply_gate st) flat.Circuit.gates;
-  st
+  let create = create
+  let apply_gate = apply_gate
+  let read_bit = read_bit
+  let measure = measure
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: frozen pre-measurement states for many-shot sampling     *)
@@ -515,7 +449,7 @@ type snapshot = {
   s_im : float array;
   s_n : int;
   s_pos : (Wire.t * int) list;
-  s_cenv : (Wire.t, bool) Hashtbl.t;
+  s_cenv : Drive.Cenv.t;
 }
 
 let snapshot st : snapshot option =
@@ -527,7 +461,7 @@ let snapshot st : snapshot option =
         s_im = Array.sub st.im 0 st.size;
         s_n = st.n;
         s_pos = st.pos;
-        s_cenv = Hashtbl.copy st.cenv;
+        s_cenv = Drive.Cenv.copy st.cenv;
       }
 
 let sample_from (snap : snapshot) ~(rng : Quipper_math.Rng.t)
@@ -549,17 +483,12 @@ let sample_from (snap : snapshot) ~(rng : Quipper_math.Rng.t)
       size = Array.length snap.s_re;
       zeros_from = Array.length snap.s_re;
       pos = snap.s_pos;
-      cenv = Hashtbl.copy snap.s_cenv;
+      cenv = Drive.Cenv.copy snap.s_cenv;
       rng;
       rng_touched = false;
     }
   in
-  List.map
-    (fun (e : Wire.endpoint) ->
-      match e.Wire.ty with
-      | Wire.Q -> measure st e.Wire.wire
-      | Wire.C -> read_bit st e.Wire.wire)
-    outputs
+  readout st outputs
 
 (** The amplitude of basis state [bits] (little-endian over [wires], which
     must be the live qubits in the order given). *)

@@ -38,6 +38,11 @@ val max_qubits : int
 type state
 
 val create : ?seed:int -> unit -> state
+
+val create_as : string -> ?seed:int -> unit -> state
+(** [create] for an engine built on this one ({!Fuse}): its
+    classical-wire errors name the given backend. *)
+
 val num_qubits : state -> int
 
 val capacity : state -> int

@@ -259,7 +259,7 @@ let test_backend_all_agree () =
         | _ -> assert false)
   in
   let inputs = [ false; true; false ] in
-  let expected = Cs.run_circuit b inputs in
+  let expected = Backend.run_and_measure (module Backend.Classical) b inputs in
   List.iter
     (fun (module B : Backend.S) ->
       check (B.name ^ " agrees with the boolean run") true
@@ -302,6 +302,100 @@ let test_inject_clifford_vs_statevector () =
        rs.Inject.findings rc.Inject.findings)
 
 (* ------------------------------------------------------------------ *)
+(* The one driver                                                      *)
+
+(* Each backend's corpus: the testgen programs inside its gate set *)
+let corpus_of name ~n =
+  match name with
+  | "classical" -> Gen.classical_program_gen ~n ()
+  | "clifford" -> Gen.clifford_program_gen ~n ()
+  | _ -> Gen.program_gen ~n ()
+
+(* Three ways to run one program: as a function executed gate by gate,
+   as its generated circuit, and streamed into [Backend.sink]. At equal
+   seeds they give the same observation, bit for bit, and measuring the
+   outputs gives the same outcomes. *)
+let prop_driver_law (module B : Backend.S) =
+  let n = 4 in
+  let shape = Qdata.list_of n Qdata.qubit in
+  QCheck2.Test.make ~count:40
+    ~name:(B.name ^ ": driver law, run_fun = run_circuit = streamed sink")
+    QCheck2.Gen.(triple (corpus_of B.name ~n) (list_repeat n bool) (int_range 1 1000))
+    (fun (ops, inputs, seed) ->
+      let f = Gen.program_fun ops in
+      let b = Gen.circuit_of_program ~n ops in
+      let st, r = B.run_fun ~seed ~in_:shape inputs f in
+      let obs_fun = B.observe st in
+      let obs_circ = B.observe (B.run_circuit ~seed b inputs) in
+      let obs_sink, _ =
+        Circ.run_streaming ~in_:shape f (Backend.sink (module B) ~seed ~inputs ())
+      in
+      let outcomes =
+        Quipper_sim.Drive.readout ~measure:(B.measure st) ~read_bit:(B.read_bit st)
+          (shape.Qdata.qleaves r)
+      in
+      obs_fun = obs_circ && obs_fun = obs_sink
+      && outcomes = Backend.run_and_measure (module B) ~seed b inputs)
+
+(* A run function keeps no gate once it has applied it: between the
+   first and the last of 2*10^5 gates on one qubit, the live heap grows
+   by less than one word per gate. *)
+let test_run_fun_retains_no_gates () =
+  let gates = 200_000 in
+  let live () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  let first = ref 0 and last = ref 0 in
+  let probe r = Circ.map (return ()) (fun () -> r := live ()) in
+  let prog q =
+    let* () = qnot_ q in
+    let* () = probe first in
+    let* () = for_ 2 gates (fun _ -> qnot_ q) in
+    let* () = probe last in
+    return q
+  in
+  let _ = Sv.run_fun ~in_:Qdata.qubit false prog in
+  check
+    (Fmt.str "live words grew by %d over %d gates" (!last - !first) gates)
+    true
+    (!last - !first < gates)
+
+(* Classical wires have one semantics, so hostile text reaching the
+   simulators fails the same way on each: a [Simulation] error that
+   names the backend. The optimizer's constant folding shares the
+   evaluator and leaves what it cannot evaluate alone. *)
+let test_hostile_classical_input () =
+  (* a bit the optimizer must not take for a constant controls a gate *)
+  let use = "\nQInit0(3)\nQGate[\"not\"](3) with controls=[+2c]" in
+  let cases =
+    [
+      ("unknown classical gate", "CInit1(0)\nCInit0(1)\nCGate[\"nand\"](2;0,1)" ^ use);
+      ("not with two inputs", "CInit1(0)\nCInit0(1)\nCGate[\"not\"](2;0,1)" ^ use);
+      ("read of an unset wire", "CInit1(0)\nCGate[\"xor\"](2;0,5)" ^ use);
+      ("unset classical control", "QInit0(0)\nQGate[\"not\"](0) with controls=[+5c]");
+    ]
+  in
+  List.iter
+    (fun (what, body) ->
+      let b = Parser.parse ("Inputs: none\n" ^ body ^ "\nOutputs: none\n") in
+      List.iter
+        (fun (module B : Backend.S) ->
+          match B.run_circuit b [] with
+          | exception Errors.Error (Errors.Simulation msg) ->
+              check
+                (Fmt.str "%s: %s names the backend (%s)" what B.name msg)
+                true
+                (Astring_contains.contains msg (B.name ^ ":"))
+          | _ -> Alcotest.failf "%s: %s accepted the circuit" what B.name)
+        Backend.all;
+      let b' = Quipper_opt.Stream_opt.optimize_b b in
+      check (what ^ ": the optimizer keeps every gate") true
+        (Array.length b'.Circuit.main.Circuit.gates
+        = Array.length b.Circuit.main.Circuit.gates))
+    cases
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -318,4 +412,11 @@ let suite =
       test_backend_all_agree;
     Alcotest.test_case "fault campaign: clifford matches statevector" `Quick
       test_inject_clifford_vs_statevector;
+    Alcotest.test_case "run_fun retains no applied gate" `Quick
+      test_run_fun_retains_no_gates;
+    Alcotest.test_case "hostile classical input fails alike on every backend" `Quick
+      test_hostile_classical_input;
   ]
+  @ List.map
+      (fun b -> QCheck_alcotest.to_alcotest (prop_driver_law b))
+      Backend.all

@@ -32,7 +32,7 @@ let prop_classical_vs_statevector =
     QCheck2.Gen.(pair (Gen.classical_program_gen ~n ()) (inputs_gen n))
     (fun (ops, inputs) ->
       let b = Gen.circuit_of_program ~n ops in
-      let expected = Cs.run_circuit b inputs in
+      let expected = Backend.run_and_measure (module Backend.Classical) b inputs in
       agree ~seed:7
         [ (module Backend.Classical); (module Backend.Statevector) ]
         b inputs expected)
@@ -45,7 +45,7 @@ let prop_classical_vs_clifford =
     QCheck2.Gen.(pair (Gen.permutation_program_gen ~n ()) (inputs_gen n))
     (fun (ops, inputs) ->
       let b = Gen.circuit_of_program ~n ops in
-      let expected = Cs.run_circuit b inputs in
+      let expected = Backend.run_and_measure (module Backend.Classical) b inputs in
       agree ~seed:5 Backend.all b inputs expected)
 
 (* random Clifford programs followed by their library-generated reverse

@@ -96,6 +96,7 @@ let test_parse_errors () =
   expect_fail "garbage";
   expect_fail "Inputs: 0:Qubit\nQGate[oops](0)\nOutputs: 0:Qubit";
   expect_fail "Inputs: 0:Qubit\nQGate[\"H\"](0)";
+  expect_fail "Inputs: none\nOutputs: none\nSubroutine: f";
   (* a box that calls itself, directly or through another box, parses
      as text but has no finite expansion: rejected, naming the cycle *)
   let sub name callee =
@@ -137,6 +138,89 @@ let prop_roundtrip_random =
       let b' = Parser.parse s in
       s = Printer.to_string b')
 
+(* ------------------------------------------------------------------ *)
+(* The corpus with every line kind, and hostile mutations of it        *)
+
+(* A testgen program boxed and called three ways (plain, under classical
+   controls, inverted), around a measurement, classical logic and a
+   discard: every line kind the printer writes. *)
+let rich_circuit ops =
+  let shape = Qdata.list_of 3 Qdata.qubit in
+  let body = Circ.box "body" ~in_:shape ~out:shape (Gen.program_fun ops) in
+  let b, _ =
+    Circ.generate ~in_:shape (fun ql ->
+        let* ql = body ql in
+        let* a = qinit_bit false in
+        let* a = hadamard a in
+        let* m = measure_qubit a in
+        let* k = cgate_not m in
+        let* ql = body ql |> controlled [ ctl_bit m; ctl_bit_neg k ] in
+        let* ql = reverse_simple shape body ql in
+        let* () = cdiscard k in
+        return (ql, m))
+  in
+  b
+
+let prop_roundtrip_rich =
+  QCheck2.Test.make
+    ~name:"print-parse-print idempotent with boxes and classical controls"
+    ~count:40 (Gen.rot_program_gen ~n:3 ())
+    (fun ops ->
+      let s = Printer.to_string (rich_circuit ops) in
+      s = Printer.to_string (Parser.parse s))
+
+type mutation = Flip of int * char | Truncate of int | Swap_tokens of int * int
+
+let mutation_gen =
+  let open QCheck2.Gen in
+  let pos = int_bound 10_000 in
+  let byte =
+    oneof [ oneofl (List.of_seq (String.to_seq "()[]{},;:*+-c\"\\ \n0123456789.eQCx")); char ]
+  in
+  frequency
+    [
+      (3, pair pos byte >|= fun (i, c) -> Flip (i, c));
+      (1, pos >|= fun i -> Truncate i);
+      (2, pair pos pos >|= fun (i, j) -> Swap_tokens (i, j));
+    ]
+
+(* Tokens: runs of letters and digits, or single other characters *)
+let tokens s =
+  let word c = match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> true | _ -> false in
+  let rec go i acc =
+    if i >= String.length s then List.rev acc
+    else
+      let j = ref (i + 1) in
+      if word s.[i] then while !j < String.length s && word s.[!j] do incr j done;
+      go !j (String.sub s i (!j - i) :: acc)
+  in
+  Array.of_list (go 0 [])
+
+let mutate s = function
+  | _ when s = "" -> s
+  | Flip (i, c) -> String.mapi (fun k x -> if k = i mod String.length s then c else x) s
+  | Truncate i -> String.sub s 0 (i mod String.length s)
+  | Swap_tokens (i, j) ->
+      let t = tokens s in
+      let i = i mod Array.length t and j = j mod Array.length t in
+      let x = t.(i) in
+      t.(i) <- t.(j);
+      t.(j) <- x;
+      String.concat "" (Array.to_list t)
+
+let prop_parser_fuzz =
+  QCheck2.Test.make
+    ~name:"parser fuzz: mutated text parses or raises Invalid" ~count:2000
+    ~print:(fun (ops, ms) ->
+      String.escaped (List.fold_left mutate (Printer.to_string (rich_circuit ops)) ms))
+    QCheck2.Gen.(
+      pair (Gen.rot_program_gen ~max_ops:6 ~n:3 ()) (list_size (int_range 1 3) mutation_gen))
+    (fun (ops, ms) ->
+      let text = List.fold_left mutate (Printer.to_string (rich_circuit ops)) ms in
+      match Parser.parse text with
+      | _ -> true
+      | exception Errors.Error (Errors.Invalid _) -> true)
+
 let suite =
   [
     Alcotest.test_case "simple roundtrip" `Quick test_simple_roundtrip;
@@ -146,4 +230,6 @@ let suite =
     Alcotest.test_case "file roundtrip" `Quick test_parse_file;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
+    QCheck_alcotest.to_alcotest prop_roundtrip_rich;
+    QCheck_alcotest.to_alcotest prop_parser_fuzz;
   ]

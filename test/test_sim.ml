@@ -182,7 +182,7 @@ let test_classical_swap () =
   check "swapped" true (a' = false && b' = true)
 
 let test_classical_cgates () =
-  let _r, ro =
+  let st, r =
     Cs.run_fun ~in_:Qdata.unit () (fun () ->
         let* a = cinit_bit true in
         let* b = cinit_bit false in
@@ -192,9 +192,9 @@ let test_classical_cgates () =
         let* n = cgate_not b in
         return (x, (y, (o, n))))
   in
-  let r, _ = _r, () in
   let x, (y, (o, n)) =
-    ro.Cs.read (Qdata.pair Qdata.bit (Qdata.pair Qdata.bit (Qdata.pair Qdata.bit Qdata.bit))) r
+    Cs.measure_and_read st
+      (Qdata.pair Qdata.bit (Qdata.pair Qdata.bit (Qdata.pair Qdata.bit Qdata.bit))) r
   in
   check "xor" true x;
   check "and" false y;
