@@ -172,6 +172,10 @@ let run_fuse which p seed =
 
 let run which format n s optimize verbose stream fuse estimate estimate_base
     seed domains =
+  Quipper_cli.guard "bwt" @@ fun () ->
+  Quipper_cli.check Quipper_cli.bwt_n n;
+  Quipper_cli.check Quipper_cli.timesteps s;
+  Quipper_cli.check Quipper_cli.domains domains;
   Quipper_cli.set_domains domains;
   let p = { Algo_bwt.n; s; dt = Algo_bwt.default_params.Algo_bwt.dt } in
   if estimate then begin

@@ -99,3 +99,92 @@ let shot_request line =
           (shots, seed)
       | _ -> bad ())
   | _ -> bad ()
+
+(** {1 Numeric flags}
+
+    Every numeric flag of [bwt], [tf], [repcode] and [shotd] has a range
+    and a reason, checked here before the command does any work (and
+    before {!set_domains} sizes a domain count). A value outside raises
+    [Errors.Error (Invalid _)]; {!guard} prints its text and exits 2. *)
+
+type bound = { flag : string; lo : int; hi : int; why : string }
+
+let check (b : bound) v =
+  if v < b.lo || v > b.hi then
+    Quipper.Errors.invalidf "%s must be between %d and %d (%s), got %d" b.flag b.lo
+      b.hi b.why v
+
+(* a probability, or any finite number *)
+let check_prob flag v =
+  if not (v >= 0.0 && v <= 1.0) then
+    Quipper.Errors.invalidf "%s must be a probability between 0 and 1, got %g" flag v
+
+let check_finite flag v =
+  if not (Float.is_finite v) then
+    Quipper.Errors.invalidf "%s must be a finite number, got %g" flag v
+
+let check_odd flag v =
+  if v mod 2 = 0 then Quipper.Errors.invalidf "%s must be odd, got %d" flag v
+
+let domains =
+  { flag = "--domains"; lo = 0; hi = 1024;
+    why = "parallel chunks, 0 keeps the default; more only adds per-chunk overhead" }
+
+let bwt_n = { flag = "-n"; lo = 1; hi = 31; why = "labels are 2n bits of one OCaml int" }
+
+let timesteps =
+  { flag = "-s"; lo = 0; hi = 1_000_000_000;
+    why = "timesteps; 10^9 of them already stream about 2*10^12 gates" }
+
+let tf_l =
+  { flag = "-l"; lo = 1; hi = 62; why = "oracle integers are l-bit values of one OCaml int" }
+
+let tf_n =
+  { flag = "-n"; lo = 0; hi = 62; why = "the graph's 2^n nodes are indexed by one OCaml int" }
+
+let tf_r =
+  { flag = "-r"; lo = 0; hi = 12;
+    why = "a tuple holds 2^r node registers and generation grows about 7x per step of r" }
+
+let distance =
+  { flag = "-d"; lo = 1; hi = 1001; why = "odd code distances; the stabilizer tableau grows as d^2" }
+
+let rounds =
+  { flag = "-r"; lo = 0; hi = 100_000; why = "syndrome rounds, 0 meaning one per unit of distance" }
+
+let trials =
+  { flag = "-t"; lo = 1; hi = 1_000_000_000; why = "trials, about a million of them a second" }
+
+let shotd_n =
+  { flag = "-n"; lo = 0; hi = 23; why = "labels are n+2 qubits and the statevector holds at most 25" }
+
+let shots = { flag = "--shots"; lo = 0; hi = max_shots; why = "each shot keeps an outcome row" }
+
+let requests =
+  { flag = "--requests"; lo = 0; hi = 1_000_000; why = "every reply is kept until the batch ends" }
+
+let clients =
+  { domains with flag = "--clients"; why = "request chunks, 0 keeps the domain default" }
+
+let points =
+  { flag = "--points"; lo = 0; hi = 1_000_000; why = "every point's reply is kept until the sweep ends" }
+
+let repeat = { flag = "--repeat"; lo = 1; hi = 10_000; why = "sweeps served by one service" }
+
+(** Each command's integer flags, for the table-driven test. *)
+let int_flags =
+  [
+    ("bwt", [ bwt_n; timesteps; domains ]);
+    ("tf", [ tf_l; tf_n; tf_r; domains ]);
+    ("repcode", [ distance; rounds; trials; domains ]);
+    ("shotd", [ shotd_n; timesteps; distance; rounds; shots; requests; clients; points; repeat; domains ]);
+  ]
+
+(** Run a command's body; an [Errors.Error] it raises is printed as
+    ["NAME: text"] on stderr, with exit code 2. *)
+let guard name (f : unit -> int) =
+  match f () with
+  | code -> code
+  | exception Quipper.Errors.Error r ->
+      Fmt.epr "%s: %s@." name (Quipper.Errors.to_string r);
+      2

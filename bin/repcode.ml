@@ -7,15 +7,17 @@ open Cmdliner
 module Noise = Quipper_sim.Noise
 module R = Algo_repcode
 
-let parse_floats s =
+(* a comma-separated list of the flag's numbers *)
+let parse_list of_string what flag s =
   String.split_on_char ',' s |> List.map String.trim
   |> List.filter (fun x -> x <> "")
-  |> List.map float_of_string
+  |> List.map (fun x ->
+         match of_string x with
+         | Some v -> v
+         | None -> Quipper.Errors.invalidf "%s takes %s, got %S" flag what x)
 
-let parse_ints s =
-  String.split_on_char ',' s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
-  |> List.map int_of_string
+let parse_floats = parse_list float_of_string_opt "numbers"
+let parse_ints = parse_list int_of_string_opt "integers"
 
 (* Frame-vs-slow validation: sample a modest campaign through both
    engines at the same master seed and insist every trial's outcome is
@@ -47,9 +49,19 @@ let validate_point ~p ~physical ~trials ~seed =
     fs.Noise.slow_sampled
 
 let run distances rounds physicals trials engine seed validate domains =
+  Quipper_cli.guard "repcode" @@ fun () ->
+  let distances = parse_ints "-d" distances in
+  let physicals = parse_floats "-p" physicals in
+  List.iter
+    (fun d ->
+      Quipper_cli.check Quipper_cli.distance d;
+      Quipper_cli.check_odd "-d" d)
+    distances;
+  List.iter (Quipper_cli.check_prob "-p") physicals;
+  Quipper_cli.check Quipper_cli.rounds rounds;
+  Quipper_cli.check Quipper_cli.trials trials;
+  Quipper_cli.check Quipper_cli.domains domains;
   Quipper_cli.set_domains domains;
-  let distances = parse_ints distances in
-  let physicals = parse_floats physicals in
   List.iter
     (fun d ->
       let p = { R.distance = d; rounds = (if rounds > 0 then rounds else d) } in

@@ -76,8 +76,24 @@ let digest (replies : (Serve.reply, string) result list) : int64 =
 (* ------------------------------------------------------------------ *)
 (* Batch mode                                                          *)
 
+(* the flags every subcommand shares *)
+let check_workload ~n ~s ~dt ~distance ~rounds ~domains =
+  let module C = Quipper_cli in
+  C.check C.shotd_n n;
+  C.check C.timesteps s;
+  C.check_finite "--dt" dt;
+  C.check C.distance distance;
+  C.check_odd "-d" distance;
+  C.check C.rounds rounds;
+  C.check C.domains domains
+
 let run_batch wl n s dt distance rounds shots requests clients seed backend check
     optimize domains =
+  Quipper_cli.guard "shotd" @@ fun () ->
+  check_workload ~n ~s ~dt ~distance ~rounds ~domains;
+  Quipper_cli.check Quipper_cli.shots shots;
+  Quipper_cli.check Quipper_cli.requests requests;
+  Quipper_cli.check Quipper_cli.clients clients;
   Quipper_cli.set_domains domains;
   let circuit, inputs = workload wl ~n ~s ~dt ~distance ~rounds in
   let svc = Serve.create ~backend:(parse_backend backend) ~optimize () in
@@ -150,6 +166,13 @@ let sweep_points ~base ~dt ~points ~lo ~hi =
 
 let run_sweep wl n s dt distance rounds shots points lo hi repeat seed backend
     check optimize domains =
+  Quipper_cli.guard "shotd" @@ fun () ->
+  check_workload ~n ~s ~dt ~distance ~rounds ~domains;
+  Quipper_cli.check Quipper_cli.shots shots;
+  Quipper_cli.check Quipper_cli.points points;
+  Quipper_cli.check_finite "--dt-min" lo;
+  Quipper_cli.check_finite "--dt-max" hi;
+  Quipper_cli.check Quipper_cli.repeat repeat;
   Quipper_cli.set_domains domains;
   let circuit, inputs = workload wl ~n ~s ~dt ~distance ~rounds in
   let base = Quipper.Circuit.angles circuit in
@@ -215,6 +238,8 @@ let submit_line svc circuit inputs ~shots ~seed =
   | exception e -> Fmt.pr "error: %s@." (Printexc.to_string e)
 
 let run_daemon wl n s dt distance rounds backend optimize domains =
+  Quipper_cli.guard "shotd" @@ fun () ->
+  check_workload ~n ~s ~dt ~distance ~rounds ~domains;
   Quipper_cli.set_domains domains;
   let circuit, inputs = workload wl ~n ~s ~dt ~distance ~rounds in
   let svc = Serve.create ~backend:(parse_backend backend) ~optimize () in

@@ -224,6 +224,11 @@ let run_fuse ~(p : Algo_tf.Oracle.params) =
 
 let run format subroutine oracle_only gate_base simulate optimize verbose l n r
     stream fuse estimate estimate_base domains =
+  Quipper_cli.guard "tf" @@ fun () ->
+  Quipper_cli.check Quipper_cli.tf_l l;
+  Quipper_cli.check Quipper_cli.tf_n n;
+  Quipper_cli.check Quipper_cli.tf_r r;
+  Quipper_cli.check Quipper_cli.domains domains;
   Quipper_cli.set_domains domains;
   let p = { Algo_tf.Oracle.l; n; r } in
   if estimate then begin

@@ -11,15 +11,38 @@
     OCaml's strict evaluation makes the order of gate emission the order of
     evaluation, which is the semantics Quipper obtains from its lazy state
     monad. The context carries the gate sink, the ambient control context
-    ([with_controls], §4.4.2), the live-wire table used for the run-time
+    ([with_controls], §4.4.2), the live-wire map used for the run-time
     physicality checks the paper describes in §4.1 (no-cloning, no use of
-    dead wires), and the namespace of boxed subcircuits (§4.4.4). *)
+    dead wires), and the namespace of boxed subcircuits (§4.4.4).
+
+    The live map is one {!Wire.Itbl} for every scope. A capture (the body
+    of a box or of a reversal) sees only the wires it allocated: they are
+    the ids from [c.fresh] at its entry ([floor]) upward, since ids are
+    handed out in order and a body cannot reach its caller's wires.
+    Entering a capture therefore copies nothing, and leaving it unbinds
+    only the body's own wires. {!reverse_fun} walks the captured gates
+    backwards once, inverting each and renaming it through a dense array
+    indexed from [floor], then sends it through {!emit}; fresh ids are
+    handed out in the order a renaming table would. *)
 
 open Wire
 
 type ctx = {
   mutable fresh : Wire.t;
-  live : Wire.ty Wire.Tbl.t;
+  live : Wire.Itbl.t;
+      (* live wire -> (insertion stamp lsl 1) lor (0 for Q, 1 for C) *)
+  mutable stamp : int; (* the next insertion stamp *)
+  mutable floor : Wire.t;
+      (* the innermost capture's first wire id (min_int at top level): the
+         wires in scope are the live ones from here up *)
+  mutable base : int; (* live wires of the enclosing scopes *)
+  mutable peak : int;
+      (* most live wires since the innermost scope began or was restored *)
+  mutable restores : (int * int) list;
+      (* exits of captures nested in the innermost capture, newest first:
+         the stamp at the nested entry and this scope's [peak - base] then.
+         Only read to name a leaked wire, see [leaked_wire]. *)
+  declared : Wire.Marks.t; (* [capture]'s scratch: the declared outputs *)
   mutable controls : Gate.control list;
   mutable buf : Gate.t Vec.t;
   subs : (string, Circuit.subroutine) Hashtbl.t;
@@ -37,7 +60,8 @@ type ctx = {
          drops to zero the buffer is cleared, bounding streaming memory
          by the largest sandwich instead of the whole circuit. *)
   mutable remap : Wire.t array;
-      (* [box]'s scratch: the actual wire of each body input, by position *)
+      (* [box]'s scratch: the actual wire of each body input, by position;
+         [reverse_fun]'s: the actual wire of each body wire, by id - floor *)
   on_emit : (Gate.t -> unit) option;
   on_sub_enter : (string -> unit) option;
   on_sub_exit : (string -> Circuit.subroutine -> unit) option;
@@ -108,7 +132,13 @@ let create_ctx ?(boxing = true) ?(materialize = true) ?on_emit ?on_sub_enter
     ?on_sub_exit ?lift () =
   {
     fresh = 0;
-    live = Wire.Tbl.create 64;
+    live = Wire.Itbl.create 64;
+    stamp = 0;
+    floor = min_int;
+    base = 0;
+    peak = 0;
+    restores = [];
+    declared = Wire.Marks.create ();
     controls = [];
     buf = Vec.create ();
     subs = Hashtbl.create 16;
@@ -125,10 +155,20 @@ let create_ctx ?(boxing = true) ?(materialize = true) ?on_emit ?on_sub_enter
     lift;
   }
 
+let ty_bit : Wire.ty -> int = function Q -> 0 | C -> 1
+let bit_ty v : Wire.ty = if v land 1 = 0 then Q else C
+
+(* bind a wire that is not live *)
+let add_live c w ty =
+  Wire.Itbl.replace c.live w ((c.stamp lsl 1) lor ty_bit ty);
+  c.stamp <- c.stamp + 1;
+  let n = Wire.Itbl.length c.live in
+  if n > c.peak then c.peak <- n
+
 let fresh_wire c ty =
   let w = c.fresh in
   c.fresh <- c.fresh + 1;
-  Wire.Tbl.replace c.live w ty;
+  add_live c w ty;
   w
 
 (** Allocate a wire id without registering it as live: the [Init] (or
@@ -149,18 +189,43 @@ let alloc_input c ty =
   w
 
 let live_outputs c =
-  Wire.Tbl.fold (fun w ty acc -> { Wire.wire = w; ty } :: acc) c.live []
+  Wire.Itbl.fold (fun w v acc -> { Wire.wire = w; ty = bit_ty v } :: acc) c.live []
   |> List.sort (fun (a : Wire.endpoint) b -> Int.compare a.wire b.wire)
 
 (* ------------------------------------------------------------------ *)
 (* The gate emitter: the single point through which every gate passes   *)
 
 let check_live c w ty =
-  match Wire.Tbl.find_opt c.live w with
-  | None -> Errors.raise_ (Dead_wire w)
-  | Some ty' ->
-      if ty <> ty' then
-        Errors.raise_ (Wire_type { wire = w; expected = ty; got = ty' })
+  let v = Wire.Itbl.find c.live w in
+  if v < 0 || w < c.floor then Errors.raise_ (Dead_wire w)
+  else if v land 1 <> ty_bit ty then
+    Errors.raise_ (Wire_type { wire = w; expected = ty; got = bit_ty v })
+
+let rec check_wires c ty = function
+  | [] -> ()
+  | w :: ws ->
+      check_live c w ty;
+      check_wires c ty ws
+
+let rec check_controls c = function
+  | [] -> ()
+  | (k : Gate.control) :: ks ->
+      check_live c k.cwire k.cty;
+      check_controls c ks
+
+(* a wire comes to life only under an id allocated in its own scope *)
+let check_born c w =
+  if w < c.floor || w >= c.fresh then
+    Errors.invalidf "wire %d was not allocated in this scope" w
+
+(* a call output: a wire still live keeps its stamp *)
+let set_live c w ty =
+  let v = Wire.Itbl.find c.live w in
+  if v >= 0 && w >= c.floor then Wire.Itbl.replace c.live w ((v land lnot 1) lor ty_bit ty)
+  else begin
+    check_born c w;
+    add_live c w ty
+  end
 
 (** Emit one gate: apply ambient controls, run the physicality checks,
     update the live table, append to the sink, notify the executor. The
@@ -181,30 +246,32 @@ let emit c (g : Gate.t) =
       | Some n when n <> List.length targets ->
           Errors.invalidf "gate %s expects %d targets" name n
       | _ -> ());
-      List.iter (fun w -> check_live c w Wire.Q) targets;
-      List.iter (fun (k : Gate.control) -> check_live c k.cwire k.cty) controls
+      check_wires c Wire.Q targets;
+      check_controls c controls
   | Gate.Rot { targets; controls; _ } ->
-      List.iter (fun w -> check_live c w Wire.Q) targets;
-      List.iter (fun (k : Gate.control) -> check_live c k.cwire k.cty) controls
+      check_wires c Wire.Q targets;
+      check_controls c controls
   | Gate.Phase { controls; _ } ->
-      List.iter (fun (k : Gate.control) -> check_live c k.cwire k.cty) controls
+      check_controls c controls
   | Gate.Init { ty; wire; _ } ->
-      if Wire.Tbl.mem c.live wire then
+      check_born c wire;
+      if Wire.Itbl.mem c.live wire then
         Errors.invalidf "init of already-live wire %d" wire
-      else Wire.Tbl.add c.live wire ty
+      else add_live c wire ty
   | Gate.Term { ty; wire; _ } | Gate.Discard { ty; wire } ->
       check_live c wire ty;
-      Wire.Tbl.remove c.live wire
+      Wire.Itbl.remove c.live wire
   | Gate.Measure { wire } ->
       check_live c wire Wire.Q;
-      Wire.Tbl.replace c.live wire Wire.C
+      set_live c wire Wire.C
   | Gate.Cgate { out; ins; _ } ->
-      List.iter (fun w -> check_live c w Wire.C) ins;
-      if Wire.Tbl.mem c.live out then
+      check_wires c Wire.C ins;
+      check_born c out;
+      if Wire.Itbl.mem c.live out then
         Errors.invalidf "cgate output wire %d already live" out
-      else Wire.Tbl.add c.live out Wire.C
+      else add_live c out Wire.C
   | Gate.Subroutine { name; inv; inputs; outputs; controls } ->
-      List.iter (fun (k : Gate.control) -> check_live c k.cwire k.cty) controls;
+      check_controls c controls;
       let sub =
         match Hashtbl.find_opt c.subs name with
         | Some s -> s
@@ -215,10 +282,8 @@ let emit c (g : Gate.t) =
       let d_in = if inv then sub.circ.outputs else sub.circ.inputs in
       let d_out = if inv then sub.circ.inputs else sub.circ.outputs in
       List.iter2 (fun w (e : Wire.endpoint) -> check_live c w e.ty) inputs d_in;
-      List.iter (fun w -> Wire.Tbl.remove c.live w) inputs;
-      List.iter2
-        (fun w (e : Wire.endpoint) -> Wire.Tbl.replace c.live w e.ty)
-        outputs d_out
+      List.iter (fun w -> Wire.Itbl.remove c.live w) inputs;
+      List.iter2 (fun w (e : Wire.endpoint) -> set_live c w e.ty) outputs d_out
   | Gate.Comment _ -> ());
   (* a capture in progress ([extraction_depth > 0]) records into its own
      buffer unconditionally; at top level a non-materializing run keeps
@@ -573,131 +638,218 @@ let qinit_of (w : ('b, 'q, 'c) Qdata.t) (src : 'q) : 'q t =
 (* ------------------------------------------------------------------ *)
 (* Subcircuit capture: the engine behind box / reverse / with_computed  *)
 
+(* The chained hash table that once held the live wires had [buckets n]
+   buckets after holding at most [n] of them since it was last reset. *)
+let buckets n =
+  let b = ref 64 in
+  while n > 2 * !b do
+    b := 2 * !b
+  done;
+  !b
+
+(* The wire a leaky capture names: the first undeclared one in the
+   order the chained table visited this scope's wires (see {!Wire.Itbl}).
+   Each nested capture's exit re-inserted the scope's wires in that
+   order, so those exits are replayed on the ranks first. Cold path. *)
+let leaked_wire c =
+  let ws = ref [] in
+  for w = c.fresh - 1 downto c.floor do
+    let v = Wire.Itbl.find c.live w in
+    if v >= 0 then ws := (w, v lsr 1) :: !ws
+  done;
+  let wires = Array.of_list (List.map fst !ws) in
+  let stamps = Array.of_list (List.map snd !ws) in
+  let ranks = Array.copy stamps in
+  (* visiting order with [b] buckets: ascending bucket, newest first *)
+  let visit b i j =
+    let bucket k = Hashtbl.hash wires.(k) land (b - 1) in
+    compare (bucket i, ranks.(j)) (bucket j, ranks.(i))
+  in
+  List.iter
+    (fun (entry, n) ->
+      let older =
+        List.filter (fun i -> stamps.(i) < entry) (List.init (Array.length wires) Fun.id)
+      in
+      let k = List.length older in
+      List.iteri
+        (fun pos i -> ranks.(i) <- entry - k + pos)
+        (List.stable_sort (visit (buckets n)) older))
+    (List.rev c.restores);
+  let order =
+    List.stable_sort (visit (buckets (c.peak - c.base))) (List.init (Array.length wires) Fun.id)
+  in
+  wires.(List.find (fun i -> Wire.Marks.find c.declared wires.(i) = 0) order)
+
+(* End a capture's scope: every wire still live in it must be declared
+   among the outputs (the same error Quipper gives); then unbind them. *)
+let close_scope c (outs : Wire.endpoint list) =
+  Wire.Marks.clear c.declared;
+  let n = ref 0 in
+  List.iter
+    (fun (e : Wire.endpoint) ->
+      let w = e.Wire.wire in
+      if Wire.Marks.find c.declared w = 0 then begin
+        Wire.Marks.set c.declared w 1;
+        if w >= c.floor && Wire.Itbl.mem c.live w then incr n
+      end)
+    outs;
+  if !n <> Wire.Itbl.length c.live - c.base then
+    Errors.raise_
+      (Shape_mismatch
+         (Fmt.str "captured function leaks wire %d (not in output shape)" (leaked_wire c)));
+  List.iter
+    (fun (e : Wire.endpoint) -> if e.Wire.wire >= c.floor then Wire.Itbl.remove c.live e.Wire.wire)
+    outs
+
 (** Run [f] on freshly-allocated dummy wires of the given shape, capturing
-    its gates into a standalone circuit. The body runs in a sandboxed live
-    scope (it cannot touch outer wires), with no ambient controls, and with
-    execution suppressed. Returns the captured circuit and the result
-    endpoints. *)
+    its gates. The body runs in its own live scope (it cannot touch outer
+    wires), with no ambient controls, and with execution suppressed.
+    Returns the body's inputs, its gates and its output endpoints. *)
 let capture (c : ctx) (in_w : ('b, 'q, 'cc) Qdata.t)
     (out_w : ('b2, 'q2, 'c2) Qdata.t) (f : 'q -> 'q2 t) :
-    Circuit.t =
+    Wire.endpoint list * Gate.t Vec.t * Wire.endpoint list =
   let saved_buf = c.buf
   and saved_controls = c.controls
-  and saved_live = Wire.Tbl.copy c.live in
+  and floor = c.floor
+  and base = c.base
+  and peak = c.peak
+  and restores = c.restores
+  and entry = c.stamp in
   c.buf <- Vec.create ();
   c.controls <- [];
-  Wire.Tbl.reset c.live;
+  c.floor <- c.fresh;
+  c.base <- Wire.Itbl.length c.live;
+  c.peak <- c.base;
+  c.restores <- [];
   c.extraction_depth <- c.extraction_depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      c.extraction_depth <- c.extraction_depth - 1;
-      c.buf <- saved_buf;
-      c.controls <- saved_controls;
-      Wire.Tbl.reset c.live;
-      Wire.Tbl.iter (fun k v -> Wire.Tbl.replace c.live k v) saved_live)
-    (fun () ->
-      let ins =
-        List.map (fun ty -> { Wire.wire = fresh_wire c ty; ty }) in_w.Qdata.tys
-      in
-      let x = in_w.Qdata.qbuild ins in
-      let y = f x c in
-      let outs = out_w.Qdata.qleaves y in
-      (* every remaining live wire must be accounted for in the outputs;
-         otherwise the function leaks wires (same error Quipper gives) *)
-      let declared = Wire.Marks.create () in
-      List.iter (fun (e : Wire.endpoint) -> Wire.Marks.set declared e.Wire.wire 1) outs;
-      Wire.Tbl.iter
-        (fun w _ ->
-          if Wire.Marks.find declared w = 0 then
-            Errors.raise_
-              (Shape_mismatch
-                 (Fmt.str "captured function leaks wire %d (not in output shape)" w)))
-        c.live;
-      { Circuit.inputs = ins; gates = Vec.to_array c.buf; outputs = outs })
-
-(** Replay a captured circuit onto actual input wires: rename, emit through
-    the normal gate path (so ambient controls and execution apply), return
-    the actual output endpoints. *)
-let replay (c : ctx) (circ : Circuit.t) (actual_ins : Wire.endpoint list) :
-    Wire.endpoint list =
-  let map = Wire.Tbl.create 32 in
-  (if List.length circ.Circuit.inputs <> List.length actual_ins then
-     Errors.raise_ (Shape_mismatch "replay: input arity"));
-  List.iter2
-    (fun (d : Wire.endpoint) (a : Wire.endpoint) ->
-      if d.Wire.ty <> a.Wire.ty then
-        Errors.raise_ (Shape_mismatch "replay: input wire type");
-      Wire.Tbl.replace map d.Wire.wire a.Wire.wire)
-    circ.Circuit.inputs actual_ins;
-  let rename_init w ty =
-    (* wires born inside the circuit get fresh actual ids *)
-    match Wire.Tbl.find_opt map w with
-    | Some w' -> w'
-    | None ->
-        ignore ty;
-        let w' = alloc_id c in
-        Wire.Tbl.replace map w w';
-        w'
+  let leave () =
+    c.extraction_depth <- c.extraction_depth - 1;
+    c.buf <- saved_buf;
+    c.controls <- saved_controls;
+    c.floor <- floor;
+    c.base <- base;
+    c.peak <- Wire.Itbl.length c.live;
+    c.restores <-
+      (if c.extraction_depth > 0 then (entry, peak - base) :: restores else [])
   in
-  let rename w =
-    match Wire.Tbl.find_opt map w with
-    | Some w' -> w'
-    | None -> Errors.raise_ (Dead_wire w)
-  in
-  Array.iter
-    (fun g ->
-      let g' =
-        match g with
-        | Gate.Init { ty; value; wire } ->
-            Gate.Init { ty; value; wire = rename_init wire ty }
-        | Gate.Cgate { name; out; ins } ->
-            let ins = List.map rename ins in
-            Gate.Cgate { name; out = rename_init out Wire.C; ins }
-        | Gate.Subroutine s ->
-            (* outputs not among inputs are born here *)
-            let inputs = List.map rename s.inputs in
-            let sub =
-              match Hashtbl.find_opt c.subs s.name with
-              | Some sub -> sub
-              | None -> Errors.raise_ (Unknown_subroutine s.name)
-            in
-            let d_out =
-              if s.inv then sub.circ.Circuit.inputs else sub.circ.Circuit.outputs
-            in
-            let outputs =
-              List.map2
-                (fun w (e : Wire.endpoint) ->
-                  match Wire.Tbl.find_opt map w with
-                  | Some w' -> w'
-                  | None -> rename_init w e.Wire.ty)
-                s.outputs d_out
-            in
-            Gate.Subroutine
-              { s with
-                inputs;
-                outputs;
-                controls = List.map (Gate.rename_control rename) s.controls }
-        | g -> Gate.rename rename g
-      in
-      emit c g')
-    circ.Circuit.gates;
-  List.map
-    (fun (e : Wire.endpoint) -> { e with Wire.wire = rename e.Wire.wire })
-    circ.Circuit.outputs
+  match
+    let ins =
+      List.map (fun ty -> { Wire.wire = fresh_wire c ty; ty }) in_w.Qdata.tys
+    in
+    let outs = out_w.Qdata.qleaves (f (in_w.Qdata.qbuild ins) c) in
+    close_scope c outs;
+    (ins, c.buf, outs)
+  with
+  | r ->
+      leave ();
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      for w = c.floor to c.fresh - 1 do
+        Wire.Itbl.remove c.live w
+      done;
+      leave ();
+      Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Whole-circuit operators (§4.4.3)                                    *)
 
+(* [reverse_fun]'s renaming of the [n] wire ids from [first] up:
+   [c.remap.(w - first)] is the actual wire of body wire [w], or
+   [unmapped] *)
+let unmapped = min_int
+
+let rename c first n w =
+  let i = w - first in
+  if i >= 0 && i < n && c.remap.(i) <> unmapped then c.remap.(i)
+  else Errors.raise_ (Dead_wire w)
+
+(* a wire born in the reversed body gets the next fresh id *)
+let rename_born c first w =
+  let i = w - first in
+  if c.remap.(i) = unmapped then c.remap.(i) <- alloc_id c;
+  c.remap.(i)
+
+let rec rename_wires c first n = function
+  | [] -> []
+  | w :: ws ->
+      let w = rename c first n w in
+      w :: rename_wires c first n ws
+
+let rec rename_born_wires c first = function
+  | [] -> []
+  | w :: ws ->
+      let w = rename_born c first w in
+      w :: rename_born_wires c first ws
+
+let rec rename_controls c first n = function
+  | [] -> []
+  | (k : Gate.control) :: ks ->
+      let k = { k with cwire = rename c first n k.cwire } in
+      k :: rename_controls c first n ks
+
+(* [Gate.inverse], renamed *)
+let inverse_renamed c first n (g : Gate.t) : Gate.t =
+  match g with
+  | Gate.Gate r ->
+      Gate.Gate
+        { r with
+          inv = (if Gate.self_inverse r.name then r.inv else not r.inv);
+          targets = rename_wires c first n r.targets;
+          controls = rename_controls c first n r.controls }
+  | Gate.Rot r ->
+      Gate.Rot
+        { r with
+          inv = not r.inv;
+          targets = rename_wires c first n r.targets;
+          controls = rename_controls c first n r.controls }
+  | Gate.Phase { angle; controls } ->
+      Gate.Phase { angle = -.angle; controls = rename_controls c first n controls }
+  | Gate.Init { ty; value; wire } -> Gate.Term { ty; value; wire = rename c first n wire }
+  | Gate.Term { ty; value; wire } -> Gate.Init { ty; value; wire = rename_born c first wire }
+  | Gate.Subroutine s ->
+      let inputs = rename_wires c first n s.outputs in
+      let outputs = rename_born_wires c first s.inputs in
+      Gate.Subroutine
+        { s with inv = not s.inv; inputs; outputs; controls = rename_controls c first n s.controls }
+  | g -> Gate.inverse g
+
 (** Reverse of a circuit-producing function. [reverse_fun ~in_ ~out f] is a
     function of the *output* shape computing the inverse circuit of [f].
     Circuits containing initialisations and assertive terminations reverse
-    without complaint (§4.2.2). *)
+    without complaint (§4.2.2). The captured gates are inverted, renamed
+    onto the actual wires and emitted in one backward pass. *)
 let reverse_fun ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
     (f : 'q -> 'q2 t) : 'q2 -> 'q t =
  fun y c ->
-  let rev_circ = Circuit.reverse (capture c in_ out f) in
-  let actual_outs = replay c rev_circ (out.Qdata.qleaves y) in
-  in_.Qdata.qbuild actual_outs
+  let first = c.fresh in
+  let ins, gates, outs = capture c in_ out f in
+  (* the first gate without an inverse is refused before anything runs *)
+  Vec.iter
+    (function
+      | (Gate.Discard _ | Gate.Measure _ | Gate.Cgate _) as g -> ignore (Gate.inverse g)
+      | _ -> ())
+    gates;
+  let actual = out.Qdata.qleaves y in
+  if List.length outs <> List.length actual then
+    Errors.raise_ (Shape_mismatch "replay: input arity");
+  let n = c.fresh - first in
+  if Array.length c.remap < n then c.remap <- Array.make (max n (2 * Array.length c.remap)) 0;
+  Array.fill c.remap 0 n unmapped;
+  List.iter2
+    (fun (d : Wire.endpoint) (a : Wire.endpoint) ->
+      if d.Wire.ty <> a.Wire.ty then
+        Errors.raise_ (Shape_mismatch "replay: input wire type");
+      let i = d.Wire.wire - first in
+      if i >= 0 && i < n then c.remap.(i) <- a.Wire.wire)
+    outs actual;
+  for i = Vec.length gates - 1 downto 0 do
+    match Vec.get gates i with
+    | Gate.Comment _ -> ()
+    | g -> emit c (inverse_renamed c first n g)
+  done;
+  in_.Qdata.qbuild
+    (List.map (fun (e : Wire.endpoint) -> { e with Wire.wire = rename c first n e.Wire.wire }) ins)
 
 (** [reverse_simple w f]: reverse an in-place function (input and output
     shapes coincide), as used throughout the paper's examples. *)
@@ -779,7 +931,8 @@ let box name ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
           Errors.raise_ (Subroutine_redefined name)
     | None ->
         (match c.on_sub_enter with Some f -> f name | None -> ());
-        let circ = capture c in_ out f in
+        let inputs, gates, outputs = capture c in_ out f in
+        let circ = { Circuit.inputs; gates = Vec.to_array gates; outputs } in
         let controllable = subroutine_controllable circ in
         let sub = { Circuit.circ; controllable } in
         Hashtbl.replace c.subs name sub;

@@ -72,7 +72,10 @@ val fresh_wire : ctx -> Wire.ty -> Wire.t
 val emit : ctx -> Gate.t -> unit
 (** The single point every gate passes through: applies the ambient
     controls, runs the physicality checks, updates liveness, appends to
-    the circuit, notifies the executor. *)
+    the circuit, notifies the executor. A wire an [Init], a [Cgate] or a
+    call brings to life must carry an id from {!alloc_id} (or
+    {!fresh_wire}) allocated in the current scope: inside a box or
+    reversal body, one allocated in that body. *)
 
 (** {1 Basic gates} *)
 
@@ -222,7 +225,10 @@ val reverse_fun :
   'q t
 (** The inverse of a circuit-producing function, applicable mid-circuit.
     Circuits containing initialisations and assertive terminations reverse
-    without complaint (§4.2.2). *)
+    without complaint (§4.2.2). The body is captured once, then its gates
+    are inverted, renamed onto the actual wires and emitted in one
+    backward pass; wires born in the inverse get fresh ids in the order
+    they first appear. *)
 
 val reverse_simple : ('b, 'q, 'c) Qdata.t -> ('q -> 'q t) -> 'q -> 'q t
 

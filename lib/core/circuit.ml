@@ -48,17 +48,20 @@ let gate_count_shallow (c : t) =
     matches the declared outputs. Raises [Errors.Error] otherwise. Used by
     tests and after transformation passes. *)
 let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
-  let live : Wire.ty Wire.Tbl.t = Wire.Tbl.create 64 in
+  (* wire -> 0 for a qubit, 1 for a bit *)
+  let live = Wire.Itbl.create 64 in
+  let add w (ty : Wire.ty) = Wire.Itbl.replace live w (match ty with Q -> 0 | C -> 1) in
   List.iter
     (fun (e : Wire.endpoint) ->
-      if Wire.Tbl.mem live e.wire then
+      if Wire.Itbl.mem live e.wire then
         Errors.invalidf "duplicate input wire %d" e.wire;
-      Wire.Tbl.add live e.wire e.ty)
+      add e.wire e.ty)
     c.inputs;
   let check_live w ty =
-    match Wire.Tbl.find_opt live w with
-    | None -> Errors.raise_ (Dead_wire w)
-    | Some ty' ->
+    match Wire.Itbl.find live w with
+    | -1 -> Errors.raise_ (Dead_wire w)
+    | v ->
+        let ty' : Wire.ty = if v = 0 then Q else C in
         if ty <> ty' then
           Errors.raise_ (Wire_type { wire = w; expected = ty; got = ty' })
   in
@@ -78,20 +81,20 @@ let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
     | Gate.Phase { controls; _ } ->
         List.iter (fun (c : Gate.control) -> check_live c.cwire c.cty) controls
     | Gate.Init { ty; wire; _ } ->
-        if Wire.Tbl.mem live wire then
+        if Wire.Itbl.mem live wire then
           Errors.invalidf "init of already-live wire %d" wire;
-        Wire.Tbl.add live wire ty
+        add wire ty
     | Gate.Term { ty; wire; _ } | Gate.Discard { ty; wire } ->
         check_live wire ty;
-        Wire.Tbl.remove live wire
+        Wire.Itbl.remove live wire
     | Gate.Measure { wire } ->
         check_live wire Wire.Q;
-        Wire.Tbl.replace live wire Wire.C
+        add wire Wire.C
     | Gate.Cgate { out; ins; _ } ->
         List.iter (fun w -> check_live w Wire.C) ins;
-        if Wire.Tbl.mem live out then
+        if Wire.Itbl.mem live out then
           Errors.invalidf "cgate output wire %d already live" out;
-        Wire.Tbl.add live out Wire.C
+        add out Wire.C
     | Gate.Subroutine { name; inv; inputs; outputs; controls } -> (
         List.iter (fun (c : Gate.control) -> check_live c.cwire c.cty) controls;
         match Namespace.find_opt name subs with
@@ -99,7 +102,7 @@ let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
             (* unknown subroutine: treat as opaque, inputs stay live *)
             List.iter (fun w -> check_live w Wire.Q) inputs;
             List.iter
-              (fun w -> if not (Wire.Tbl.mem live w) then Wire.Tbl.add live w Wire.Q)
+              (fun w -> if not (Wire.Itbl.mem live w) then add w Wire.Q)
               outputs
         | Some { circ; controllable } ->
             if controls <> [] && not controllable then
@@ -116,19 +119,19 @@ let validate ?(subs : subroutine Namespace.t = Namespace.empty) (c : t) =
               (fun w (e : Wire.endpoint) -> check_live w e.ty)
               inputs d_in;
             (* inputs not among outputs die; outputs not among inputs appear *)
-            List.iter (fun w -> Wire.Tbl.remove live w) inputs;
+            List.iter (fun w -> Wire.Itbl.remove live w) inputs;
             List.iter2
               (fun w (e : Wire.endpoint) ->
-                if Wire.Tbl.mem live w then Errors.raise_ (No_cloning w);
-                Wire.Tbl.add live w e.ty)
+                if Wire.Itbl.mem live w then Errors.raise_ (No_cloning w);
+                add w e.ty)
               outputs d_out)
     | Gate.Comment _ -> ()
   in
   Array.iter apply_gate c.gates;
   List.iter (fun (e : Wire.endpoint) -> check_live e.wire e.ty) c.outputs;
-  if Wire.Tbl.length live <> List.length c.outputs then
+  if Wire.Itbl.length live <> List.length c.outputs then
     Errors.invalidf "circuit leaves %d wires live but declares %d outputs"
-      (Wire.Tbl.length live) (List.length c.outputs)
+      (Wire.Itbl.length live) (List.length c.outputs)
 
 (** Reject a box call graph with a cycle: a box that calls itself,
     directly or through other boxes, has no finite expansion, and every

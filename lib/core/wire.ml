@@ -38,14 +38,69 @@ let pp_bit ppf (Bit w) = Fmt.pf ppf "c%d" w
 
 let rec mem (w : t) = function [] -> false | w' :: ws -> w = w' || mem w ws
 
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
+(* Wire-keyed maps to non-negative ints: open addressing with linear
+   probing over two int arrays, [-1] marking a free cell. Nothing is
+   allocated per operation (the arrays double at half load), and removal
+   shifts the rest of the probe run back instead of leaving tombstones. *)
+module Itbl = struct
+  type nonrec t = { mutable keys : t array; mutable vals : int array; mutable size : int }
 
-  let equal = Int.equal
+  let create n = { keys = Array.make n 0; vals = Array.make n (-1); size = 0 }
 
-  (* the polymorphic table's hash, so iteration order is the same too *)
-  let hash = Hashtbl.hash
-end)
+  let length t = t.size
+  let home keys k = (k * 0x2545F4914F6CDD1D) lsr 17 land (Array.length keys - 1)
+
+  (* the cell holding [k], or the free cell ending its probe run *)
+  let rec probe t k i =
+    if t.vals.(i) < 0 || t.keys.(i) = k then i
+    else probe t k ((i + 1) land (Array.length t.keys - 1))
+
+  let find t k = t.vals.(probe t k (home t.keys k))
+  let mem t k = find t k >= 0
+
+  let rec replace t k v =
+    let i = probe t k (home t.keys k) in
+    if t.vals.(i) >= 0 then t.vals.(i) <- v
+    else if 2 * (t.size + 1) > Array.length t.keys then begin
+      let keys = t.keys and vals = t.vals in
+      t.keys <- Array.make (2 * Array.length keys) 0;
+      t.vals <- Array.make (2 * Array.length keys) (-1);
+      t.size <- 0;
+      Array.iteri (fun j v' -> if v' >= 0 then replace t keys.(j) v') vals;
+      replace t k v
+    end
+    else begin
+      t.keys.(i) <- k;
+      t.vals.(i) <- v;
+      t.size <- t.size + 1
+    end
+
+  (* fill the hole at [i] from later cells of its probe run *)
+  let rec shift t hole j =
+    let mask = Array.length t.keys - 1 in
+    let j = (j + 1) land mask in
+    if t.vals.(j) < 0 then t.vals.(hole) <- -1
+    else if (j - home t.keys t.keys.(j)) land mask >= (j - hole) land mask then begin
+      t.keys.(hole) <- t.keys.(j);
+      t.vals.(hole) <- t.vals.(j);
+      shift t j j
+    end
+    else shift t hole j
+
+  let remove t k =
+    let i = probe t k (home t.keys k) in
+    if t.vals.(i) >= 0 then begin
+      t.size <- t.size - 1;
+      shift t i i
+    end
+
+  let copy t = { keys = Array.copy t.keys; vals = Array.copy t.vals; size = t.size }
+
+  let fold f t acc =
+    let acc = ref acc in
+    Array.iteri (fun i v -> if v >= 0 then acc := f t.keys.(i) v !acc) t.vals;
+    !acc
+end
 
 (* Open addressing with linear probing over power-of-two arrays. A slot
    is occupied iff its tag exceeds [base]; [clear] raises [base] past

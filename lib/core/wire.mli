@@ -46,10 +46,47 @@ val pp_bit : Format.formatter -> bit -> unit
 val mem : t -> t list -> bool
 (** [List.mem] on wire ids, with integer equality. *)
 
-(** Hash tables keyed by wire id. They hash with {!Hashtbl.hash}, so
-    they iterate in the same order as a polymorphic [Hashtbl] fed the
-    same operations. *)
-module Tbl : Hashtbl.S with type key = t
+(** Maps from wire ids (any int, negative ones too) to non-negative
+    ints, for the per-gate bookkeeping of the circuit builder, the
+    optimizer stage, {!Circuit.validate} and the simulators' classical
+    wires. Open addressing with linear probing: {!Itbl.find},
+    {!Itbl.replace} and {!Itbl.remove} cost O(1) expected and allocate
+    nothing once the arrays are large enough (they double at half load).
+    Iteration order is unspecified, so users count or sort.
+
+    The builder's live map stores each wire's type and an insertion
+    stamp. When a captured body leaks several wires, the one the error
+    names is the first in the order the earlier chained table visited
+    them. That table's bucket count [B] was 64 after a reset and doubled
+    whenever its size exceeded [2B]. It visited buckets in ascending
+    [Hashtbl.hash w land (B - 1)], and inside a bucket the most recently
+    inserted wire came first. Updating a present wire kept its place. A
+    nested capture's exit re-inserted the enclosing scope's wires in
+    that visiting order, which both re-stamped them and reset [B]. *)
+module Itbl : sig
+  type wire := t
+  type t
+
+  val create : int -> t
+  (** An empty map with room for half the given number of keys, which
+      must be a power of two. *)
+
+  val length : t -> int
+
+  val find : t -> wire -> int
+  (** The value bound to the wire, or [-1] if there is none. *)
+
+  val mem : t -> wire -> bool
+
+  val replace : t -> wire -> int -> unit
+  (** Bind the wire to a value, which must be [>= 0]. *)
+
+  val remove : t -> wire -> unit
+  (** Unbind the wire, if it is bound. *)
+
+  val copy : t -> t
+  val fold : (wire -> int -> 'a -> 'a) -> t -> 'a -> 'a
+end
 
 (** Reusable scratch sets of wire ids for the per-call checks on wide
     gates: {!Marks.clear} costs O(1), {!Marks.find} and {!Marks.set}

@@ -113,64 +113,6 @@ let flip_control_on w g =
   in
   with_controls g (List.map flip (Gate.controls g))
 
-(* ------------------------------------------------------------------ *)
-(* Int-keyed tables                                                    *)
-
-(* Wire-keyed maps to non-negative ints (the [last] index, the constant
-   map): open addressing with linear probing over two int arrays, [-1]
-   marking a free cell. Nothing is allocated per operation — the arrays
-   double at half load — and removal shifts the rest of the probe run
-   back instead of leaving tombstones. *)
-module Itbl = struct
-  type t = { mutable keys : int array; mutable vals : int array; mutable size : int }
-
-  let create n = { keys = Array.make n 0; vals = Array.make n (-1); size = 0 }
-  let home keys k = (k * 0x2545F4914F6CDD1D) lsr 17 land (Array.length keys - 1)
-
-  (* the cell holding [k], or the free cell ending its probe run *)
-  let rec probe t k i =
-    if t.vals.(i) < 0 || t.keys.(i) = k then i
-    else probe t k ((i + 1) land (Array.length t.keys - 1))
-
-  let find t k = t.vals.(probe t k (home t.keys k))
-
-  let rec replace t k v =
-    let i = probe t k (home t.keys k) in
-    if t.vals.(i) >= 0 then t.vals.(i) <- v
-    else if 2 * (t.size + 1) > Array.length t.keys then begin
-      let keys = t.keys and vals = t.vals in
-      t.keys <- Array.make (2 * Array.length keys) 0;
-      t.vals <- Array.make (2 * Array.length keys) (-1);
-      t.size <- 0;
-      Array.iteri (fun j v' -> if v' >= 0 then replace t keys.(j) v') vals;
-      replace t k v
-    end
-    else begin
-      t.keys.(i) <- k;
-      t.vals.(i) <- v;
-      t.size <- t.size + 1
-    end
-
-  (* fill the hole at [i] from later cells of its probe run *)
-  let rec shift t hole j =
-    let mask = Array.length t.keys - 1 in
-    let j = (j + 1) land mask in
-    if t.vals.(j) < 0 then t.vals.(hole) <- -1
-    else if (j - home t.keys t.keys.(j)) land mask >= (j - hole) land mask then begin
-      t.keys.(hole) <- t.keys.(j);
-      t.vals.(hole) <- t.vals.(j);
-      shift t j j
-    end
-    else shift t hole j
-
-  let remove t k =
-    let i = probe t k (home t.keys k) in
-    if t.vals.(i) >= 0 then begin
-      t.size <- t.size - 1;
-      shift t i i
-    end
-end
-
 (* Classical constant propagation from [Init0]/[Init1] and classical
    [Cgate] evaluation, one gate at a time: [cp] maps wires to their known
    basis values (0 or 1), [cp_step] processes one gate and returns what
@@ -179,37 +121,37 @@ end
    its provably-satisfied controls removed, counted in [st]. Known
    values flow through X/Y flips, diagonal gates, measurements and
    classical logic, and die at H-like gates and subroutine calls. *)
-type cp = Itbl.t
+type cp = Wire.Itbl.t
 
 let dropped_gate = Gate.Comment { text = "dropped"; labels = [] }
 
 let rec forget_all known = function
   | [] -> ()
   | w :: ws ->
-      Itbl.remove known w;
+      Wire.Itbl.remove known w;
       forget_all known ws
 
 let rec controls_known known = function
   | [] -> false
-  | (c : Gate.control) :: cs -> Itbl.find known c.cwire >= 0 || controls_known known cs
+  | (c : Gate.control) :: cs -> Wire.Itbl.find known c.cwire >= 0 || controls_known known cs
 
 (* what a unitary gate does to the known values: [g], or
    [dropped_gate] for a swap of known-equal wires (the identity) *)
 let cp_unitary known st g =
   match g with
   | Gate.Gate { name = "not" | "X" | "Y"; targets = [ w ]; controls = []; _ } ->
-      let v = Itbl.find known w in
-      if v >= 0 then Itbl.replace known w (1 - v);
+      let v = Wire.Itbl.find known w in
+      if v >= 0 then Wire.Itbl.replace known w (1 - v);
       g
   | Gate.Gate { name = "swap"; targets = [ a; b ]; controls = []; _ } ->
-      let va = Itbl.find known a and vb = Itbl.find known b in
+      let va = Wire.Itbl.find known a and vb = Wire.Itbl.find known b in
       if va >= 0 && va = vb then begin
         st.const_deleted <- st.const_deleted + 1;
         dropped_gate
       end
       else begin
-        if va >= 0 then Itbl.replace known b va else Itbl.remove known b;
-        if vb >= 0 then Itbl.replace known a vb else Itbl.remove known a;
+        if va >= 0 then Wire.Itbl.replace known b va else Wire.Itbl.remove known b;
+        if vb >= 0 then Wire.Itbl.replace known a vb else Wire.Itbl.remove known a;
         g
       end
   | Gate.Subroutine { inputs; outputs; _ } ->
@@ -226,23 +168,23 @@ let cp_unitary known st g =
 let cp_step (known : cp) (st : stats) (g : Gate.t) : Gate.t =
   match g with
   | Gate.Init { value; wire; _ } ->
-      Itbl.replace known wire (Bool.to_int value);
+      Wire.Itbl.replace known wire (Bool.to_int value);
       g
   | Gate.Term { wire; _ } | Gate.Discard { wire; _ } ->
-      Itbl.remove known wire;
+      Wire.Itbl.remove known wire;
       g
   | Gate.Measure _ ->
       (* a known wire is in a basis state: measuring preserves the
          value, the wire merely turns classical *)
       g
   | Gate.Cgate { name; out; ins } ->
-      let vals = List.map (Itbl.find known) ins in
+      let vals = List.map (Wire.Itbl.find known) ins in
       (match
          if List.mem (-1) vals then None
          else Gate.eval_cgate name (List.map (( = ) 1) vals)
        with
-      | Some v -> Itbl.replace known out (Bool.to_int v)
-      | None -> Itbl.remove known out);
+      | Some v -> Wire.Itbl.replace known out (Bool.to_int v)
+      | None -> Wire.Itbl.remove known out);
       g
   | Gate.Comment _ -> g
   | Gate.Gate _ | Gate.Rot _ | Gate.Phase _ | Gate.Subroutine _ -> (
@@ -251,7 +193,7 @@ let cp_step (known : cp) (st : stats) (g : Gate.t) : Gate.t =
          passes as is, allocating nothing *)
       if not (controls_known known cs) then cp_unitary known st g
       else
-        let value (c : Gate.control) = Itbl.find known c.cwire in
+        let value (c : Gate.control) = Wire.Itbl.find known c.cwire in
         let contradicts c =
           let v = value c in
           v >= 0 && (v = 1) <> c.Gate.positive
@@ -341,7 +283,7 @@ type win = {
           entry is retired exactly when its [seq < head] *)
   mutable nseq : int;
   mutable nlive : int;  (** live entries in [head .. nseq - 1] *)
-  last : Itbl.t;  (** wire -> newest entry on it *)
+  last : Wire.Itbl.t;  (** wire -> newest entry on it *)
   cp : cp;
   mutable spare_ws : int array;
   mutable spare_before : int array;
@@ -376,8 +318,8 @@ let win_create ~window ~lookahead ~st emit =
     head = 0;
     nseq = 0;
     nlive = 0;
-    last = Itbl.create 64;
-    cp = Itbl.create 32;
+    last = Wire.Itbl.create 64;
+    cp = Wire.Itbl.create 32;
     spare_ws = Array.make 4 0;
     spare_before = Array.make 4 (-1);
     todo = Array.make 16 0;
@@ -536,7 +478,7 @@ let retire_one w =
   w.head <- w.head + 1;
   for i = 0 to e.nws - 1 do
     let wi = e.ws.(i) in
-    if Itbl.find w.last wi = e.seq then Itbl.remove w.last wi
+    if Wire.Itbl.find w.last wi = e.seq then Wire.Itbl.remove w.last wi
     else if not e.live then begin
       let n = entry w e.next.(i) in
       n.prev.(wire_index n wi) <- removed_and_retired
@@ -551,7 +493,7 @@ let stage w (g : Gate.t) =
   let e = entry w w.nseq in
   set_gate e g;
   for i = 0 to e.nws - 1 do
-    e.before.(i) <- Itbl.find w.cp e.ws.(i)
+    e.before.(i) <- Wire.Itbl.find w.cp e.ws.(i)
   done;
   e
 
@@ -582,14 +524,14 @@ let commit w ~site e =
   e.queued <- false;
   for i = 0 to e.nws - 1 do
     let wi = e.ws.(i) in
-    let p = Itbl.find w.last wi in
+    let p = Wire.Itbl.find w.last wi in
     e.prev.(i) <- p;
     e.next.(i) <- -1;
     if p >= 0 then begin
       let pe = entry w p in
       pe.next.(wire_index pe wi) <- s
     end;
-    Itbl.replace w.last wi s
+    Wire.Itbl.replace w.last wi s
   done;
   w.nseq <- s + 1;
   w.nlive <- w.nlive + 1;
@@ -652,8 +594,8 @@ let retrigger w e =
 let restore w e =
   for i = 0 to e.nws - 1 do
     let wi = e.ws.(i) in
-    if Itbl.find w.cp wi < 0 then begin
-      let x = ref (entry w (Itbl.find w.last wi)) in
+    if Wire.Itbl.find w.cp wi < 0 then begin
+      let x = ref (entry w (Wire.Itbl.find w.last wi)) in
       if not !x.live then begin
         let j = ref (wire_index !x wi) in
         let p = ref !x.prev.(!j) in
@@ -663,7 +605,7 @@ let restore w e =
           p := !x.prev.(!j)
         done;
         let v = !x.before.(!j) in
-        if v >= 0 && !p <> removed_and_retired then Itbl.replace w.cp wi v
+        if v >= 0 && !p <> removed_and_retired then Wire.Itbl.replace w.cp wi v
       end
     end
   done

@@ -133,6 +133,15 @@ let gate_v st q = hadamard st q; phase_s st q; hadamard st q (* up to phase *)
 let gate_v_inv st q = hadamard st q; gate_s_inv st q; hadamard st q
 let swap st a b = cnot st a b; cnot st b a; cnot st a b
 
+(* The exponent of i contributed to a Pauli product by one qubit: the
+   factor (x1, z1) times (x2, z2). *)
+let pauli_phase x1 z1 x2 z2 =
+  match (x1, z1) with
+  | false, false -> 0
+  | true, true -> (if z2 then 1 else 0) - if x2 then 1 else 0
+  | true, false -> if z2 && x2 then 1 else if z2 then -1 else 0
+  | false, true -> if x2 && z2 then -1 else if x2 then 1 else 0
+
 (* rowsum (Aaronson-Gottesman): row h += row i, tracking the sign.
    [tracked = false] is for destabilizer targets: a destabilizer times
    its partner stabilizer anticommutes, so the product legitimately
@@ -140,17 +149,10 @@ let swap st a b = cnot st a b; cnot st b a; cnot st a b
    stores an arbitrary bit there), so the sign is recorded as whatever
    the mod-4 exponent rounds to instead of raising. *)
 let rowsum ?(tracked = true) st h i =
-  let g x1 z1 x2 z2 =
-    (* exponent of i contributed when multiplying Paulis *)
-    match (x1, z1) with
-    | false, false -> 0
-    | true, true -> (if z2 then 1 else 0) - if x2 then 1 else 0
-    | true, false -> if z2 && x2 then 1 else if z2 then -1 else 0
-    | false, true -> if x2 && z2 then -1 else if x2 then 1 else 0
-  in
   let acc = ref ((if getb st.r h then 2 else 0) + if getb st.r i then 2 else 0) in
   for j = 0 to st.n - 1 do
-    acc := !acc + g (getb st.x.(i) j) (getb st.z.(i) j) (getb st.x.(h) j) (getb st.z.(h) j);
+    acc :=
+      !acc + pauli_phase (getb st.x.(i) j) (getb st.z.(i) j) (getb st.x.(h) j) (getb st.z.(h) j);
     setb st.x.(h) j (getb st.x.(h) j <> getb st.x.(i) j);
     setb st.z.(h) j (getb st.z.(h) j <> getb st.z.(i) j)
   done;
@@ -160,16 +162,41 @@ let rowsum ?(tracked = true) st h i =
   else if not tracked then setb st.r h false
   else Errors.raise_ (Simulation "clifford: rowsum produced imaginary sign")
 
+(* The first stabilizer row with its x bit set at column [q], or -1: a
+   measurement of [q] is random iff there is one. *)
+let random_pivot st q =
+  let rec go i = if i >= st.n then -1 else if getb st.x.(srow st i) q then i else go (i + 1) in
+  go 0
+
+(* The outcome of measuring column [q] when it is deterministic: the
+   sign of the product of the stabilizers whose destabilizer partners
+   have their x bit at [q], accumulated in a scratch row. *)
+let determined_outcome st q =
+  let scratch_x = Bytes.make st.cap '\000' in
+  let scratch_z = Bytes.make st.cap '\000' in
+  let scratch_r = ref false in
+  let addrow i =
+    let acc = ref ((if !scratch_r then 2 else 0) + if getb st.r i then 2 else 0) in
+    for j = 0 to st.n - 1 do
+      acc :=
+        !acc
+        + pauli_phase (getb st.x.(i) j) (getb st.z.(i) j) (getb scratch_x j) (getb scratch_z j);
+      setb scratch_x j (getb scratch_x j <> getb st.x.(i) j);
+      setb scratch_z j (getb scratch_z j <> getb st.z.(i) j)
+    done;
+    let m = ((!acc mod 4) + 4) mod 4 in
+    scratch_r := m = 2
+  in
+  for i = 0 to st.n - 1 do
+    if getb st.x.(drow st i) q then addrow (srow st i)
+  done;
+  !scratch_r
+
 (** Measure column [q]. Returns (outcome, was_deterministic). *)
 let measure_col st q : bool * bool =
-  (* is some stabilizer row's x bit set at q? *)
-  let p = ref (-1) in
-  for i = 0 to st.n - 1 do
-    if !p < 0 && getb st.x.(srow st i) q then p := i
-  done;
-  if !p >= 0 then begin
-    (* random outcome *)
-    let p = !p in
+  let p = random_pivot st q in
+  if p < 0 then (determined_outcome st q, true)
+  else begin
     let sp = srow st p in
     (* every other row with x bit at q gets row p multiplied in *)
     for i = 0 to st.n - 1 do
@@ -191,73 +218,12 @@ let measure_col st q : bool * bool =
     setb st.r sp outcome;
     (outcome, false)
   end
-  else begin
-    (* deterministic: accumulate into a scratch row *)
-    let scratch_x = Bytes.make st.cap '\000' in
-    let scratch_z = Bytes.make st.cap '\000' in
-    let scratch_r = ref false in
-    (* emulate rowsum into scratch *)
-    let g x1 z1 x2 z2 =
-      match (x1, z1) with
-      | false, false -> 0
-      | true, true -> (if z2 then 1 else 0) - if x2 then 1 else 0
-      | true, false -> if z2 && x2 then 1 else if z2 then -1 else 0
-      | false, true -> if x2 && z2 then -1 else if x2 then 1 else 0
-    in
-    let addrow i =
-      let acc = ref ((if !scratch_r then 2 else 0) + if getb st.r i then 2 else 0) in
-      for j = 0 to st.n - 1 do
-        acc :=
-          !acc + g (getb st.x.(i) j) (getb st.z.(i) j) (getb scratch_x j) (getb scratch_z j);
-        setb scratch_x j (getb scratch_x j <> getb st.x.(i) j);
-        setb scratch_z j (getb scratch_z j <> getb st.z.(i) j)
-      done;
-      let m = ((!acc mod 4) + 4) mod 4 in
-      scratch_r := m = 2
-    in
-    for i = 0 to st.n - 1 do
-      if getb st.x.(drow st i) q then addrow (srow st i)
-    done;
-    (!scratch_r, true)
-  end
 
 (** Whether measuring column [q] would be deterministic, and if so what
     the outcome is — {e without} mutating the tableau or consuming
-    randomness. This is [measure_col]'s deterministic branch, factored
-    out so the frame engine can probe eligibility non-destructively. *)
+    randomness, so the frame engine can probe eligibility. *)
 let deterministic_outcome_col st q : bool option =
-  let p = ref (-1) in
-  for i = 0 to st.n - 1 do
-    if !p < 0 && getb st.x.(srow st i) q then p := i
-  done;
-  if !p >= 0 then None
-  else begin
-    let scratch_x = Bytes.make st.cap '\000' in
-    let scratch_z = Bytes.make st.cap '\000' in
-    let scratch_r = ref false in
-    let g x1 z1 x2 z2 =
-      match (x1, z1) with
-      | false, false -> 0
-      | true, true -> (if z2 then 1 else 0) - if x2 then 1 else 0
-      | true, false -> if z2 && x2 then 1 else if z2 then -1 else 0
-      | false, true -> if x2 && z2 then -1 else if x2 then 1 else 0
-    in
-    let addrow i =
-      let acc = ref ((if !scratch_r then 2 else 0) + if getb st.r i then 2 else 0) in
-      for j = 0 to st.n - 1 do
-        acc :=
-          !acc + g (getb st.x.(i) j) (getb st.z.(i) j) (getb scratch_x j) (getb scratch_z j);
-        setb scratch_x j (getb scratch_x j <> getb st.x.(i) j);
-        setb scratch_z j (getb scratch_z j <> getb st.z.(i) j)
-      done;
-      let m = ((!acc mod 4) + 4) mod 4 in
-      scratch_r := m = 2
-    in
-    for i = 0 to st.n - 1 do
-      if getb st.x.(drow st i) q then addrow (srow st i)
-    done;
-    Some !scratch_r
-  end
+  if random_pivot st q >= 0 then None else Some (determined_outcome st q)
 
 let deterministic_outcome st w = deterministic_outcome_col st (column st w)
 let column_of = column
@@ -308,18 +274,11 @@ let canonical st : string =
   let xs = Array.init n (fun i -> Array.init n (fun j -> getb st.x.(srow st i) j)) in
   let zs = Array.init n (fun i -> Array.init n (fun j -> getb st.z.(srow st i) j)) in
   let rs = Array.init n (fun i -> getb st.r (srow st i)) in
-  let g x1 z1 x2 z2 =
-    match (x1, z1) with
-    | false, false -> 0
-    | true, true -> (if z2 then 1 else 0) - if x2 then 1 else 0
-    | true, false -> if z2 && x2 then 1 else if z2 then -1 else 0
-    | false, true -> if x2 && z2 then -1 else if x2 then 1 else 0
-  in
   (* dst := dst * src, in the copied row set *)
   let rowmul dst src =
     let acc = ref ((if rs.(dst) then 2 else 0) + if rs.(src) then 2 else 0) in
     for j = 0 to n - 1 do
-      acc := !acc + g xs.(src).(j) zs.(src).(j) xs.(dst).(j) zs.(dst).(j);
+      acc := !acc + pauli_phase xs.(src).(j) zs.(src).(j) xs.(dst).(j) zs.(dst).(j);
       xs.(dst).(j) <- xs.(dst).(j) <> xs.(src).(j);
       zs.(dst).(j) <- zs.(dst).(j) <> zs.(src).(j)
     done;

@@ -7,22 +7,24 @@
 open Quipper
 
 module Cenv = struct
-  type t = { name : string; values : bool Wire.Tbl.t }
+  (* wire -> 0 or 1 *)
+  type t = { name : string; values : Wire.Itbl.t }
 
-  let create name = { name; values = Wire.Tbl.create 16 }
-  let copy e = { e with values = Wire.Tbl.copy e.values }
+  let create name = { name; values = Wire.Itbl.create 16 }
+  let copy e = { e with values = Wire.Itbl.copy e.values }
 
   let read e w =
-    match Wire.Tbl.find_opt e.values w with
-    | Some v -> v
-    | None ->
+    match Wire.Itbl.find e.values w with
+    | -1 ->
         Errors.raise_
           (Simulation (Fmt.str "%s: wire %d has no classical value" e.name w))
+    | v -> v = 1
 
-  let write e w v = Wire.Tbl.replace e.values w v
+  let write e w v = Wire.Itbl.replace e.values w (Bool.to_int v)
 
   let bindings e =
-    List.sort compare (Wire.Tbl.fold (fun w v acc -> (w, v) :: acc) e.values [])
+    List.sort compare
+      (Wire.Itbl.fold (fun w v acc -> (w, v = 1) :: acc) e.values [])
 
   let sat e (c : Gate.control) = read e c.cwire = c.positive
 
@@ -33,8 +35,8 @@ module Cenv = struct
     | Gate.Term { value; wire; _ } ->
         if read e wire <> value then
           Errors.raise_ (Termination_assertion { wire; expected = value });
-        Wire.Tbl.remove e.values wire
-    | Gate.Discard { wire; _ } -> Wire.Tbl.remove e.values wire
+        Wire.Itbl.remove e.values wire
+    | Gate.Discard { wire; _ } -> Wire.Itbl.remove e.values wire
     | Gate.Cgate { name; out; ins } -> (
         match Gate.eval_cgate name (List.map (read e) ins) with
         | Some v -> write e out v

@@ -507,13 +507,12 @@ let amplitude st (wires : Wire.t list) (bits : bool list) : Quipper_math.Cplx.t 
     to amplitude. For unitary-equality tests on small circuits. *)
 let output_vector ?seed (b : Circuit.b) (inputs : bool list) :
     Quipper_math.Cplx.t array =
-  let flat = Circuit.inline b in
   let st = run_circuit ?seed b inputs in
   let out_wires =
     List.filter_map
       (fun (e : Wire.endpoint) ->
         match e.Wire.ty with Wire.Q -> Some e.Wire.wire | Wire.C -> None)
-      flat.Circuit.outputs
+      b.main.Circuit.outputs
   in
   let n = List.length out_wires in
   if n <> st.n then

@@ -29,4 +29,6 @@ let () =
       ("memo", Test_memo.suite);
       ("sweep", Test_sweep.suite);
       ("estimate", Test_estimate.suite);
+      ("live", Test_live.suite);
+      ("cli", Test_cli.suite);
     ]
