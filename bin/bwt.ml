@@ -17,7 +17,7 @@ let run_stream which format p =
     | "orthodox" -> Algo_bwt.whole ~p (Algo_bwt.orthodox_oracle p)
     | "template" -> Algo_bwt.whole ~p (Algo_bwt.template_oracle p)
     | "qcl" -> Qcl_baseline.Bwt_qcl.whole ~p
-    | s -> Fmt.failwith "unknown oracle %S (try orthodox, template, qcl)" s
+    | s -> Errors.invalidf "unknown oracle %S (try orthodox, template, qcl)" s
   in
   (match format with
   | "gatecount" ->
@@ -26,7 +26,7 @@ let run_stream which format p =
   | "text" ->
       let (), _ = Circ.run_streaming_unit circ (Sink.printer Fmt.stdout) in
       Fmt.pr "@."
-  | f -> Fmt.failwith "--stream supports gatecount and text, not %S" f);
+  | f -> Errors.invalidf "--stream supports gatecount and text, not %S" f);
   0
 
 (* Streaming optimisation: interpose the windowed peephole transformer
@@ -41,7 +41,7 @@ let run_stream_opt which format p verbose =
   (match format with
   | "gatecount" -> ()
   | f ->
-      Fmt.failwith
+      Errors.invalidf
         "--stream -O supports the gatecount format only, not %S (gate lines \
          stream before the report header could be known)" f);
   let circ : Wire.bit array Circ.t =
@@ -49,13 +49,11 @@ let run_stream_opt which format p verbose =
     | "orthodox" -> Algo_bwt.whole ~p (Algo_bwt.orthodox_oracle p)
     | "template" -> Algo_bwt.whole ~p (Algo_bwt.template_oracle p)
     | "qcl" -> Qcl_baseline.Bwt_qcl.whole ~p
-    | s -> Fmt.failwith "unknown oracle %S (try orthodox, template, qcl)" s
+    | s -> Errors.invalidf "unknown oracle %S (try orthodox, template, qcl)" s
   in
   let st = Stream_opt.stats_create () in
   let sink =
-    Sink.tee
-      (Sink.tee (Sink.gatecount ()) (Sink.depth ()))
-      (Stream_opt.sink ~stats:st (Sink.tee (Sink.gatecount ()) (Sink.depth ())))
+    Sink.tee (Sink.summary_depth ()) (Stream_opt.sink ~stats:st (Sink.summary_depth ()))
   in
   let ((before, depth_before), (after, depth_after)), _ =
     Circ.run_streaming_unit circ sink
@@ -84,9 +82,9 @@ let run_estimate which p base =
     | "orthodox" -> Algo_bwt.orthodox_oracle p
     | "template" -> Algo_bwt.template_oracle p
     | "qcl" ->
-        Fmt.failwith
+        Errors.invalidf
           "--estimate needs the step-decomposed oracles (orthodox, template)"
-    | s -> Fmt.failwith "unknown oracle %S (try orthodox, template)" s
+    | s -> Errors.invalidf "unknown oracle %S (try orthodox, template)" s
   in
   let prologue =
     Estimate.of_circ_unit (Qureg.init ~width:m Algo_bwt.entrance)
@@ -126,7 +124,7 @@ let run_fuse which p seed =
     | "orthodox" -> Algo_bwt.whole ~p (Algo_bwt.orthodox_oracle p)
     | "template" -> Algo_bwt.whole ~p (Algo_bwt.template_oracle p)
     | "qcl" -> Qcl_baseline.Bwt_qcl.whole ~p
-    | s -> Fmt.failwith "unknown oracle %S (try orthodox, template, qcl)" s
+    | s -> Errors.invalidf "unknown oracle %S (try orthodox, template, qcl)" s
   in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -180,16 +178,16 @@ let run which format n s optimize verbose stream fuse estimate estimate_base
   let p = { Algo_bwt.n; s; dt = Algo_bwt.default_params.Algo_bwt.dt } in
   if estimate then begin
     if optimize || stream || fuse then
-      Fmt.failwith "--estimate is incompatible with -O, --stream and --fuse";
+      Errors.invalidf "--estimate is incompatible with -O, --stream and --fuse";
     if format <> "gatecount" then
-      Fmt.failwith "--estimate supports the gatecount format only";
+      Errors.invalidf "--estimate supports the gatecount format only";
     run_estimate which p estimate_base
   end
   else if estimate_base <> None then
-    Fmt.failwith "--estimate-base needs --estimate"
+    Errors.invalidf "--estimate-base needs --estimate"
   else if fuse then begin
     if optimize || stream then
-      Fmt.failwith "--fuse runs its own streaming comparison; drop -O/--stream";
+      Errors.invalidf "--fuse runs its own streaming comparison; drop -O/--stream";
     run_fuse which p seed
   end
   else if stream then begin
@@ -202,7 +200,7 @@ let run which format n s optimize verbose stream fuse estimate estimate_base
     | "orthodox" -> Algo_bwt.generate ~p ~which:`Orthodox ()
     | "template" -> Algo_bwt.generate ~p ~which:`Template ()
     | "qcl" -> Qcl_baseline.Bwt_qcl.generate ~p ()
-    | s -> Fmt.failwith "unknown oracle %S (try orthodox, template, qcl)" s
+    | s -> Errors.invalidf "unknown oracle %S (try orthodox, template, qcl)" s
   in
   let b =
     if optimize then Quipper_opt.Passes.optimize_and_report ~verbose Fmt.stdout b
@@ -212,7 +210,7 @@ let run which format n s optimize verbose stream fuse estimate estimate_base
   | "gatecount" -> Fmt.pr "%a@." Gatecount.pp_summary (Gatecount.summarize b)
   | "text" -> Printer.print b
   | "ascii" -> Ascii.print ~max_columns:400 b
-  | f -> Fmt.failwith "unknown format %S" f);
+  | f -> Errors.invalidf "unknown format %S" f);
   0
   end
 

@@ -46,14 +46,14 @@ let workload name ~n ~s ~dt ~distance ~rounds =
   | "bwt" -> bwt_workload ~n ~s ~dt
   | "tf" -> tf_workload ()
   | "repcode" -> repcode_workload ~distance ~rounds
-  | w -> Fmt.failwith "unknown workload %S (try bwt, tf, repcode)" w
+  | w -> Quipper.Errors.invalidf "unknown workload %S (try bwt, tf, repcode)" w
 
 let parse_backend = function
   | "auto" -> `Auto
   | "clifford" -> `Clifford
   | "fused" -> `Fused
   | "statevector" -> `Statevector
-  | s -> Fmt.failwith "unknown backend %S (try auto, clifford, fused, statevector)" s
+  | s -> Quipper.Errors.invalidf "unknown backend %S (try auto, clifford, fused, statevector)" s
 
 (* A tiny order-sensitive digest over every shot of every reply, for
    reproducibility checks (CI runs the same batch twice and diffs). *)
@@ -156,7 +156,7 @@ let run_batch wl n s dt distance rounds shots requests clients seed backend chec
    preparation or one compiled template. *)
 let sweep_points ~base ~dt ~points ~lo ~hi =
   if Array.length base > 0 && Float.abs dt < 1e-12 then
-    Fmt.failwith "sweep: base --dt must be nonzero to scale the angle sites";
+    Quipper.Errors.invalidf "sweep: base --dt must be nonzero to scale the angle sites";
   List.init points (fun i ->
       let x =
         if points <= 1 then lo

@@ -24,7 +24,7 @@ let generate ~subroutine ~oracle_only ~p =
   | Some "mul" -> Algo_tf.Qwtfp.generate_mul ~p ()
   | Some "qwsh" -> Algo_tf.Qwtfp.generate_qwsh ~p ()
   | Some "oracle" -> Algo_tf.Qwtfp.generate_oracle ~p ()
-  | Some s -> Fmt.failwith "unknown subroutine %S (try pow17, mul, qwsh, oracle)" s
+  | Some s -> Errors.invalidf "unknown subroutine %S (try pow17, mul, qwsh, oracle)" s
   | None ->
       if oracle_only then Algo_tf.Qwtfp.generate_oracle ~p ()
       else Algo_tf.Qwtfp.generate ~p ()
@@ -64,7 +64,7 @@ let with_streamed ~subroutine ~oracle_only ~(p : Algo_tf.Oracle.params)
       go
         ~in_:(Qdata.triple node node Qdata.qubit)
         (fun (u, w, e) -> Algo_tf.Oracle.o1_ORACLE ~p (u, w, e))
-  | Some s -> Fmt.failwith "unknown subroutine %S (try pow17, mul, qwsh, oracle)" s
+  | Some s -> Errors.invalidf "unknown subroutine %S (try pow17, mul, qwsh, oracle)" s
   | None ->
       if oracle_only then
         let node = Qureg.shape p.n in
@@ -79,8 +79,8 @@ let with_streamed ~subroutine ~oracle_only ~(p : Algo_tf.Oracle.params)
    depth sinks so one pass produces the whole gatecount report —
    byte-identical to the materialized path, with O(1) memory per gate. *)
 let run_stream ~subroutine ~oracle_only ~p =
-  let sink () = Sink.tee3 (Sink.subroutines ()) (Sink.gatecount ()) (Sink.depth ()) in
-  let report ((subs, sub_order), summary, depth) =
+  let sink () = Sink.tee (Sink.subroutines ()) (Sink.summary_depth ()) in
+  let report ((subs, sub_order), (summary, depth)) =
     pp_per_subroutine subs sub_order;
     Fmt.pr "%a" Gatecount.pp_summary summary;
     Fmt.pr "Depth (upper bound): %d@." depth
@@ -96,12 +96,10 @@ let run_stream_opt ~subroutine ~oracle_only ~p ~verbose =
   let module Stream_opt = Quipper_opt.Stream_opt in
   let st = Stream_opt.stats_create () in
   let sink () =
-    Sink.tee
-      (Sink.tee (Sink.gatecount ()) (Sink.depth ()))
-      (Stream_opt.sink ~stats:st
-         (Sink.tee3 (Sink.subroutines ()) (Sink.gatecount ()) (Sink.depth ())))
+    Sink.tee (Sink.summary_depth ())
+      (Stream_opt.sink ~stats:st (Sink.tee (Sink.subroutines ()) (Sink.summary_depth ())))
   in
-  let report ((before, depth_before), ((subs, sub_order), after, depth_after)) =
+  let report ((before, depth_before), ((subs, sub_order), (after, depth_after))) =
     Fmt.pr "Before optimisation:@\n%a@\n" Gatecount.pp_summary before;
     if verbose then Fmt.pr "%a@." Stream_opt.pp_stats st;
     Fmt.pr "After optimisation:@\n%a@\n" Gatecount.pp_summary after;
@@ -140,7 +138,7 @@ let run_estimate ~subroutine ~oracle_only ~(p : Algo_tf.Oracle.params) ~base =
           ~in_:(Qdata.triple node node Qdata.qubit)
           (fun (u, w, e) -> Algo_tf.Oracle.o1_ORACLE ~p (u, w, e))
     | Some s ->
-        Fmt.failwith "unknown subroutine %S (try pow17, mul, qwsh, oracle)" s
+        Errors.invalidf "unknown subroutine %S (try pow17, mul, qwsh, oracle)" s
     | None ->
         if oracle_only then
           let node = Qureg.shape p.n in
@@ -233,31 +231,31 @@ let run format subroutine oracle_only gate_base simulate optimize verbose l n r
   let p = { Algo_tf.Oracle.l; n; r } in
   if estimate then begin
     if simulate || optimize || stream || fuse || gate_base <> None then
-      Fmt.failwith
+      Errors.invalidf
         "--estimate is incompatible with --simulate, -O, --stream, --fuse \
          and --gate-base (use --estimate-base for a symbolic base change)";
     (match format with
     | Gatecount -> ()
-    | _ -> Fmt.failwith "--estimate supports the gatecount format only");
+    | _ -> Errors.invalidf "--estimate supports the gatecount format only");
     run_estimate ~subroutine ~oracle_only ~p ~base:estimate_base
   end
   else if estimate_base <> None then
-    Fmt.failwith "--estimate-base needs --estimate"
+    Errors.invalidf "--estimate-base needs --estimate"
   else if fuse then begin
     if simulate || optimize || stream || gate_base <> None then
-      Fmt.failwith
+      Errors.invalidf
         "--fuse runs its own simulation comparison; drop --simulate, -O, \
          --stream and --gate-base";
     run_fuse ~p
   end
   else if stream then begin
     if simulate || gate_base <> None then
-      Fmt.failwith
+      Errors.invalidf
         "--stream is incompatible with --simulate and --gate-base (they \
          need the materialized circuit)";
     (match format with
     | Gatecount -> ()
-    | _ -> Fmt.failwith "--stream supports the gatecount format only");
+    | _ -> Errors.invalidf "--stream supports the gatecount format only");
     if optimize then run_stream_opt ~subroutine ~oracle_only ~p ~verbose
     else run_stream ~subroutine ~oracle_only ~p
   end
@@ -269,7 +267,7 @@ let run format subroutine oracle_only gate_base simulate optimize verbose l n r
     match gate_base with
     | Some "binary" -> Decompose.decompose_generic Decompose.Binary b
     | Some "toffoli" -> Decompose.decompose_generic Decompose.Toffoli b
-    | Some base -> Fmt.failwith "unknown gate base %S (try binary, toffoli)" base
+    | Some base -> Errors.invalidf "unknown gate base %S (try binary, toffoli)" base
     | None -> b
   in
   let b =

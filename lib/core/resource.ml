@@ -54,38 +54,53 @@ let signature (c : Gate.control) =
   | Wire.C, true -> c_pos
   | Wire.C, false -> c_neg
 
-let keyed kind inverted targets controls =
-  {
-    Xkey.kind;
-    inverted;
-    arity = List.length targets;
-    csig = List.map signature controls;
-  }
-
 let plain kind = { Xkey.kind; inverted = false; arity = 0; csig = [] }
 
-let xkey_of_gate (g : Gate.t) : Xkey.t option =
+(* Quipper prints the not gate capitalised *)
+let not_kind = "Not"
+
+(* [name = "not"], without a call *)
+let is_not name =
+  String.length name = 3
+  && String.unsafe_get name 0 = 'n'
+  && String.unsafe_get name 1 = 'o'
+  && String.unsafe_get name 2 = 't'
+
+(* A gate's key, field by field, handed to [f x g]: the kind is
+   [pre ^ kind], and [ambient] says whether a walk's ambient controls
+   join the signature (they do on controllable gates). Comments and
+   calls give [none]. *)
+let with_key (g : Gate.t) x f none =
   match g with
   | Gate.Gate { name; inv; targets; controls } ->
-      (* Quipper prints the not gate capitalised *)
-      let kind = if name = "not" then "Not" else name in
-      Some (keyed kind inv targets controls)
-  | Gate.Rot { name; inv; targets; controls; _ } ->
-      Some (keyed name inv targets controls)
-  | Gate.Phase { controls; _ } -> Some (keyed "GPhase" false [] controls)
+      f x g "" (if is_not name then not_kind else name) inv targets controls true
+  | Gate.Rot { name; inv; targets; controls; _ } -> f x g "" name inv targets controls true
+  | Gate.Phase { controls; _ } -> f x g "" "GPhase" false [] controls true
   | Gate.Init { ty = Wire.Q; value; _ } ->
-      Some (plain (if value then "Init1" else "Init0"))
+      f x g "" (if value then "Init1" else "Init0") false [] [] false
   | Gate.Init { ty = Wire.C; value; _ } ->
-      Some (plain (if value then "CInit1" else "CInit0"))
+      f x g "" (if value then "CInit1" else "CInit0") false [] [] false
   | Gate.Term { ty = Wire.Q; value; _ } ->
-      Some (plain (if value then "Term1" else "Term0"))
+      f x g "" (if value then "Term1" else "Term0") false [] [] false
   | Gate.Term { ty = Wire.C; value; _ } ->
-      Some (plain (if value then "CTerm1" else "CTerm0"))
-  | Gate.Discard { ty = Wire.Q; _ } -> Some (plain "Discard")
-  | Gate.Discard { ty = Wire.C; _ } -> Some (plain "CDiscard")
-  | Gate.Measure _ -> Some (plain "Meas")
-  | Gate.Cgate { name; _ } -> Some (plain ("CGate:" ^ name))
-  | Gate.Subroutine _ | Gate.Comment _ -> None
+      f x g "" (if value then "CTerm1" else "CTerm0") false [] [] false
+  | Gate.Discard { ty = Wire.Q; _ } -> f x g "" "Discard" false [] [] false
+  | Gate.Discard { ty = Wire.C; _ } -> f x g "" "CDiscard" false [] [] false
+  | Gate.Measure _ -> f x g "" "Meas" false [] [] false
+  | Gate.Cgate { name; _ } -> f x g "CGate:" name false [] [] false
+  | Gate.Subroutine _ | Gate.Comment _ -> none
+
+let xkey_of_gate (g : Gate.t) : Xkey.t option =
+  with_key g ()
+    (fun () _ pre kind inverted targets controls _ ->
+      Some
+        {
+          Xkey.kind = (if pre = "" then kind else pre ^ kind);
+          inverted;
+          arity = List.length targets;
+          csig = List.map signature controls;
+        })
+    None
 
 (* ------------------------------------------------------------------ *)
 (* Counts                                                              *)
@@ -185,12 +200,14 @@ let add_amb ((qp, qn, cp, cn) : amb) (cs : Gate.control list) : amb =
     (qp, qn, cp, cn) cs
 
 (* Per-box results, memoized: counts per ambient signature and call
-   direction, peak and depth per name (controls change neither). *)
+   direction, peak and depth per name (controls change neither). A
+   depth is kept exact and, when it is below [limit], native too (else
+   [-1]). *)
 type env = {
   find : string -> Circuit.subroutine;
   cmemo : (string * amb * bool, counts) Hashtbl.t;
   pmemo : (string, int) Hashtbl.t;
-  dmemo : (string, Wide.t) Hashtbl.t;
+  dmemo : (string, int * Wide.t) Hashtbl.t;
 }
 
 let env find =
@@ -201,18 +218,142 @@ let env find =
     dmemo = Hashtbl.create 16;
   }
 
-(* Per-wire clocks. Wire ids are small consecutive ints, so they are
-   their own hash. *)
-module Clock = Hashtbl.Make (struct
-  type t = Wire.t
+(* ------------------------------------------------------------------ *)
+(* Count cells                                                         *)
 
-  let equal = Int.equal
-  let hash (x : t) = x land max_int
-end)
+(* A walk's running count of one key: the walk's own gates in a native
+   int, box merges in [merged], the only exact part. *)
+type cell = {
+  key : Xkey.t;
+  hash : int;
+  shape : int;
+  mutable n : int;
+  mutable merged : Wide.t;
+  mutable rep : Gate.t;
+}
 
-(* A walk's running count of one key: mutated in place, so counting a
-   gate whose key was seen before allocates nothing in the map. *)
-type cell = { mutable n : Wide.t; mutable rep : Gate.t }
+let vacant =
+  { key = plain ""; hash = 0; shape = 0; n = 0; merged = Wide.zero;
+    rep = Gate.Comment { text = ""; labels = [] } }
+
+(* Open addressing with linear probing over a power-of-two array of
+   cells, [vacant] marking a free slot; it doubles at half load and
+   never deletes. *)
+type table = { mutable cells : cell array; mutable size : int }
+
+(* A key's [shape] packs everything but its kind into one int: a
+   leading 1, each control's rank in two bits, [arity] in eight and
+   [inverted] in one; -1 when that does not fit (more than 25 controls
+   or 255 targets), and only then do keys compare field by field. A
+   gate computes its key's shape and hash without the key being built. *)
+let push s r = if s < 0 || s >= 1 lsl 50 then -1 else (s lsl 2) lor r
+
+let close s inv arity =
+  if s < 0 || arity > 255 then -1 else (((s lsl 8) lor arity) lsl 1) lor Bool.to_int inv
+
+let rank_of (c : Gate.control) =
+  (match c.Gate.cty with Wire.Q -> 0 | Wire.C -> 2) + Bool.to_int c.Gate.positive
+
+let rec push_controls s = function
+  | [] -> s
+  | c :: cs -> push_controls (push s (rank_of c)) cs
+
+let rec push_copies s rank k = if k = 0 then s else push_copies (push s rank) rank (k - 1)
+
+(* the ambient tail [ambient_key] appends: ranks 1, 0, 3, 2 *)
+let push_tail s qp qn cp cn =
+  push_copies (push_copies (push_copies (push_copies s 1 qp) 0 qn) 3 cp) 2 cn
+
+let shape_of_key (x : Xkey.t) =
+  close
+    (List.fold_left (fun s c -> push s (Xkey.rank c)) 1 x.Xkey.csig)
+    x.Xkey.inverted x.Xkey.arity
+
+(* a polynomial hash of the kind's characters and the shape *)
+let mix h x = (h lsl 5) + h + x
+
+let hash_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := mix !h (Char.code (String.unsafe_get s i))
+  done;
+  !h
+
+let hash_key (x : Xkey.t) shape = mix (hash_string 0 x.Xkey.kind) shape
+let home h (cells : cell array) = (h * 0x2545F4914F6CDD1D) lsr 17 land (Array.length cells - 1)
+
+(* [x = pre ^ kind], without building the right-hand side *)
+let rec same_from x off s i =
+  i >= String.length s
+  || (String.unsafe_get x (off + i) = String.unsafe_get s i && same_from x off s (i + 1))
+
+let kind_is x pre kind =
+  let lp = String.length pre in
+  String.length x = lp + String.length kind
+  && (if lp = 0 then x == kind || same_from x 0 kind 0
+      else same_from x 0 pre 0 && same_from x lp kind 0)
+
+(* [csig] is the ranks of [qp], [qn], [cp], [cn] ambient controls *)
+let rec tail_is csig qp qn cp cn =
+  match csig with
+  | [] -> qp = 0 && qn = 0 && cp = 0 && cn = 0
+  | s :: r ->
+      let k = Xkey.rank s in
+      if qp > 0 then k = 1 && tail_is r (qp - 1) qn cp cn
+      else if qn > 0 then k = 0 && tail_is r 0 (qn - 1) cp cn
+      else if cp > 0 then k = 3 && tail_is r 0 0 (cp - 1) cn
+      else cn > 0 && k = 2 && tail_is r 0 0 0 (cn - 1)
+
+(* [csig] is the signature of [controls] followed by the ambient tail *)
+let rec csig_is csig controls qp qn cp cn =
+  match (csig, controls) with
+  | _, [] -> tail_is csig qp qn cp cn
+  | [], _ :: _ -> false
+  | s :: r, c :: cs -> Xkey.rank s = rank_of c && csig_is r cs qp qn cp cn
+
+(* the slot of the cell whose key a gate's fields spell, or the vacant
+   slot that ends its probe run *)
+let rec slot_of_gate cells i h shape pre kind inv targets controls qp qn cp cn =
+  let c = cells.(i) in
+  if
+    c == vacant
+    || c.hash = h && c.shape = shape
+       && kind_is c.key.Xkey.kind pre kind
+       && (shape >= 0
+          || c.key.Xkey.inverted = inv
+             && List.compare_length_with targets c.key.Xkey.arity = 0
+             && csig_is c.key.Xkey.csig controls qp qn cp cn)
+  then i
+  else
+    slot_of_gate cells ((i + 1) land (Array.length cells - 1)) h shape pre kind inv
+      targets controls qp qn cp cn
+
+let rec slot_of_key cells i h x =
+  let c = cells.(i) in
+  if c == vacant || (c.hash = h && Xkey.compare c.key x = 0) then i
+  else slot_of_key cells ((i + 1) land (Array.length cells - 1)) h x
+
+let insert t i c =
+  t.cells.(i) <- c;
+  t.size <- t.size + 1;
+  if 2 * t.size > Array.length t.cells then begin
+    let old = t.cells in
+    t.cells <- Array.make (2 * Array.length old) vacant;
+    Array.iter
+      (fun c ->
+        if c != vacant then
+          t.cells.(slot_of_key t.cells (home c.hash t.cells) c.hash c.key) <- c)
+      old
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Depth clocks                                                        *)
+
+(* Clocks live in a native-int map below [limit]; a clock at or above
+   it reads [limit] there and is kept exactly in the walk's side table.
+   Only box calls get there (flat gates would take 2^61 steps), and
+   below [limit] one native step plus one box depth cannot overflow. *)
+let limit = 1 lsl 61
 
 (* A walk's calls of one box (name, ambient signature, direction): how
    many, and the sequence number of the last one. *)
@@ -223,70 +364,143 @@ type calls = { mutable calls : int; mutable last : int }
 type walk = {
   env : env;
   amb : amb;
-  ambient : bool;  (** [amb <> no_amb] *)
   do_counts : bool;
   do_peak : bool;
   do_depth : bool;
-  mutable cells : cell Xmap.t;
+  counts : table;
   pending : (string * amb * bool, calls) Hashtbl.t;
   mutable seq : int;
   mutable live : int;
   mutable peak : int;
-  clock : Wide.t Clock.t;
-  mutable depth : Wide.t;
+  clock : Wire.Itbl.t;  (** absent: 0 *)
+  big : (Wire.t, Wide.t) Hashtbl.t;  (** the clocks at or above [limit] *)
+  mutable finish : int;  (** the latest finish below [limit] *)
+  mutable finish_big : Wide.t;  (** the latest at or above, or zero *)
 }
 
 let walk env ~amb ~counts ~peak ~depth ~live =
   {
     env;
     amb;
-    ambient = amb <> no_amb;
     do_counts = counts;
     do_peak = peak;
     do_depth = depth;
-    cells = Xmap.empty;
+    counts = { cells = Array.make (if counts then 16 else 1) vacant; size = 0 };
     pending = Hashtbl.create (if counts then 16 else 1);
     seq = 0;
     live;
     peak = live;
-    clock = Clock.create (if depth then 64 else 1);
-    depth = Wide.zero;
+    clock = Wire.Itbl.create (if depth then 64 else 2);
+    big = Hashtbl.create 1;
+    finish = 0;
+    finish_big = Wide.zero;
   }
 
+let depth_of w = if Wide.is_zero w.finish_big then Wide.of_int w.finish else w.finish_big
+
 let time w x =
-  match Clock.find_opt w.clock x with Some t -> t | None -> Wide.zero
+  let v = Wire.Itbl.find w.clock x in
+  if v < 0 then 0 else v
 
 let rec latest w t = function
   | [] -> t
-  | x :: xs -> latest w (Wide.max_ t (time w x)) xs
+  | x :: xs ->
+      let v = time w x in
+      latest w (if v > t then v else t) xs
 
 let rec latest_control w t = function
   | [] -> t
   | (c : Gate.control) :: cs ->
-      latest_control w (Wide.max_ t (time w c.Gate.cwire)) cs
+      let v = time w c.Gate.cwire in
+      latest_control w (if v > t then v else t) cs
 
-let finished w t = if Wide.compare t w.depth > 0 then w.depth <- t
+let rec set w t = function
+  | [] -> ()
+  | x :: xs ->
+      Wire.Itbl.replace w.clock x t;
+      set w t xs
 
-(* Every wire of [xs] and [cs] finishes [dt] after the latest of them. *)
-let advance w xs cs dt =
-  let t = Wide.add (latest_control w (latest w Wide.zero xs) cs) dt in
-  List.iter (fun x -> Clock.replace w.clock x t) xs;
-  List.iter (fun (c : Gate.control) -> Clock.replace w.clock c.Gate.cwire t) cs;
-  finished w t
+let rec set_control w t = function
+  | [] -> ()
+  | (c : Gate.control) :: cs ->
+      Wire.Itbl.replace w.clock c.Gate.cwire t;
+      set_control w t cs
+
+let finished w t = if t > w.finish then w.finish <- t
+
+(* The exact path, taken when a native clock would reach [limit]: every
+   wire of [xs], [ys] and [cs] finishes [dt] after the latest of them. *)
+let advance_big w xs ys cs dt =
+  let exact x = if time w x >= limit then Hashtbl.find w.big x else Wide.of_int (time w x) in
+  let wires = xs @ ys @ List.map (fun (c : Gate.control) -> c.Gate.cwire) cs in
+  let t = Wide.add (List.fold_left (fun t x -> Wide.max_ t (exact x)) Wide.zero wires) dt in
+  List.iter
+    (fun x ->
+      Wire.Itbl.replace w.clock x limit;
+      Hashtbl.replace w.big x t)
+    wires;
+  if Wide.compare t w.finish_big > 0 then w.finish_big <- t
+
+(* one step on a gate's targets and controls *)
+let advance w xs cs =
+  let t = latest_control w (latest w 0 xs) cs + 1 in
+  if t < limit then begin
+    set w t xs;
+    set_control w t cs;
+    finished w t
+  end
+  else advance_big w xs [] cs Wide.one
 
 let advance1 w x =
-  let t = Wide.succ (time w x) in
-  Clock.replace w.clock x t;
-  finished w t
+  let t = time w x + 1 in
+  if t < limit then begin
+    Wire.Itbl.replace w.clock x t;
+    finished w t
+  end
+  else advance_big w [ x ] [] [] Wide.one
+
+(* ------------------------------------------------------------------ *)
+(* The step                                                            *)
 
 let rec step w g =
   if w.do_counts then count w g;
   if w.do_peak then reach w g;
   if w.do_depth then tick w g
 
+(* One more gate of the key [with_key] spells, plus the walk's ambient
+   tail if [ambient]: found by its fields, so only a key's first gate
+   builds the key and its representative. *)
+and tally w g pre kind inv targets controls ambient =
+  let ((qp, qn, cp, cn) as amb) = if ambient then w.amb else no_amb in
+  let s = push_controls 1 controls in
+  let s = if qp lor qn lor cp lor cn = 0 then s else push_tail s qp qn cp cn in
+  let shape = close s inv (List.length targets) in
+  (* [hash_string] of [pre ^ kind], inline: this is the hot path *)
+  let h = ref 0 in
+  for i = 0 to String.length pre - 1 do
+    h := mix !h (Char.code (String.unsafe_get pre i))
+  done;
+  for i = 0 to String.length kind - 1 do
+    h := mix !h (Char.code (String.unsafe_get kind i))
+  done;
+  let h = mix !h shape in
+  let t = w.counts in
+  let i =
+    slot_of_gate t.cells (home h t.cells) h shape pre kind inv targets controls qp qn cp cn
+  in
+  let c = t.cells.(i) in
+  if c != vacant then c.n <- c.n + 1
+  else
+    match xkey_of_gate g with
+    | None -> ()
+    | Some x ->
+        let key, rep =
+          if qp + qn + cp + cn = 0 then (x, g) else (ambient_key amb x, ambient_rep amb g)
+        in
+        insert t i { key; hash = h; shape; n = 1; merged = Wide.zero; rep }
+
 and count w (g : Gate.t) =
   match g with
-  | Gate.Comment _ -> ()
   | Gate.Subroutine { name; inv; controls; _ } -> (
       (* a call costs O(1): its body's counts are added once per
          distinct box, times its calls, when the walk is read *)
@@ -300,19 +514,7 @@ and count w (g : Gate.t) =
           let name, amb, inv = key in
           ignore (sub_counts w.env name amb inv);
           Hashtbl.add w.pending key { calls = 1; last = w.seq })
-  | g -> (
-      match xkey_of_gate g with
-      | None -> ()
-      | Some x -> (
-          let shifted =
-            w.ambient && Gate.controllability g = Gate.Controllable
-          in
-          let x = if shifted then ambient_key w.amb x else x in
-          match Xmap.find_opt x w.cells with
-          | Some c -> c.n <- Wide.succ c.n
-          | None ->
-              let rep = if shifted then ambient_rep w.amb g else g in
-              w.cells <- Xmap.add x { n = Wide.one; rep } w.cells))
+  | g -> with_key g w tally ()
 
 and reach w (g : Gate.t) =
   match g with
@@ -331,21 +533,37 @@ and tick w (g : Gate.t) =
   match g with
   | Gate.Comment _ -> ()
   | Gate.Gate { targets; controls; _ } | Gate.Rot { targets; controls; _ } ->
-      advance w targets controls Wide.one
-  | Gate.Phase { controls; _ } -> advance w [] controls Wide.one
+      advance w targets controls
+  | Gate.Phase { controls; _ } -> advance w [] controls
   | Gate.Init { wire; _ } | Gate.Measure { wire } -> advance1 w wire
   | Gate.Term { wire; _ } | Gate.Discard { wire; _ } ->
-      advance1 w wire;
-      (* the wire is dead: its finish time is in [depth] already *)
-      Clock.remove w.clock wire
-  | Gate.Cgate { out; ins; _ } -> advance w (out :: ins) [] Wide.one
+      (* the wire is dead: only the walk's finish keeps its time *)
+      let t = time w wire + 1 in
+      if t < limit then finished w t
+      else begin
+        advance_big w [ wire ] [] [] Wide.one;
+        Hashtbl.remove w.big wire
+      end;
+      Wire.Itbl.remove w.clock wire
+  | Gate.Cgate { out; ins; _ } ->
+      let t = latest w (time w out) ins + 1 in
+      if t < limit then begin
+        Wire.Itbl.replace w.clock out t;
+        set w t ins;
+        finished w t
+      end
+      else advance_big w (out :: ins) [] [] Wide.one
   | Gate.Subroutine { name; inputs; outputs; controls; _ } ->
-      let wires =
-        List.sort_uniq Int.compare
-          (inputs @ outputs
-          @ List.map (fun (c : Gate.control) -> c.Gate.cwire) controls)
-      in
-      advance w wires [] (sub_depth w.env name)
+      (* a call advances every wire it touches by the body's depth *)
+      let n, d = sub_depth w.env name in
+      let t = latest_control w (latest w (latest w 0 inputs) outputs) controls + n in
+      if n >= 0 && t < limit then begin
+        set w t inputs;
+        set w t outputs;
+        set_control w t controls;
+        finished w t
+      end
+      else advance_big w inputs outputs controls d
 
 and counts_of w =
   (* in order of each box's last call, so that, as if each call had been
@@ -355,20 +573,29 @@ and counts_of w =
       (fun (a, _, _) (b, _, _) -> Int.compare a b)
       (Hashtbl.fold (fun key p acc -> (p.last, key, p.calls) :: acc) w.pending [])
   in
+  let t = w.counts in
   List.iter
     (fun (_, (name, amb, inv), calls) ->
       Xmap.iter
         (fun x (n, rep) ->
           let n = Wide.mul_int n calls in
-          match Xmap.find_opt x w.cells with
-          | Some c ->
-              c.n <- Wide.add c.n n;
-              c.rep <- rep
-          | None -> w.cells <- Xmap.add x { n; rep } w.cells)
+          let shape = shape_of_key x in
+          let h = hash_key x shape in
+          let i = slot_of_key t.cells (home h t.cells) h x in
+          let c = t.cells.(i) in
+          if c != vacant then begin
+            c.merged <- Wide.add c.merged n;
+            c.rep <- rep
+          end
+          else insert t i { key = x; hash = h; shape; n = 0; merged = n; rep })
         (sub_counts w.env name amb inv))
     boxes;
   Hashtbl.reset w.pending;
-  Xmap.map (fun c -> (c.n, c.rep)) w.cells
+  Array.fold_left
+    (fun m c ->
+      if c == vacant then m
+      else Xmap.add c.key (Wide.add (Wide.of_int c.n) c.merged, c.rep) m)
+    Xmap.empty t.cells
 
 and run env ~amb ~counts ~peak ~depth (c : Circuit.t) =
   let w = walk env ~amb ~counts ~peak ~depth ~live:(List.length c.Circuit.inputs) in
@@ -403,16 +630,17 @@ and sub_peak env name =
       p
 
 and sub_depth env name =
-  match Hashtbl.find_opt env.dmemo name with
-  | Some d -> d
-  | None ->
+  match Hashtbl.find env.dmemo name with
+  | nd -> nd
+  | exception Not_found ->
       let d =
-        (run env ~amb:no_amb ~counts:false ~peak:false ~depth:true
-           (env.find name).Circuit.circ)
-          .depth
+        depth_of
+          (run env ~amb:no_amb ~counts:false ~peak:false ~depth:true
+             (env.find name).Circuit.circ)
       in
-      Hashtbl.replace env.dmemo name d;
-      d
+      let n = match Wide.to_int_opt d with Some n when n < limit -> n | _ -> -1 in
+      Hashtbl.replace env.dmemo name (n, d);
+      (n, d)
 
 let result w ~in_arity ~out_arity =
   {
@@ -420,7 +648,7 @@ let result w ~in_arity ~out_arity =
     in_arity;
     out_arity;
     peak = (if w.do_peak then w.peak else 0);
-    depth = w.depth;
+    depth = depth_of w;
   }
 
 let of_circuit ?(counts = true) ?(peak = true) ?(depth = true) (b : Circuit.b) =

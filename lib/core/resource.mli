@@ -9,8 +9,21 @@
     {!Depth} are native-int projections of its vectors, the
     [Sink.gatecount] and [Sink.depth] streaming consumers run its
     streaming step, and [Quipper_estimate] adds the symbolic combinators
-    on top. Accumulators are {!Wide}, so the engine itself never wraps;
-    the native-int projections raise instead.
+    on top. Results are {!Wide}, so the engine itself never wraps; the
+    native-int projections raise instead.
+
+    A walk's per-gate step allocates nothing for a gate whose key and
+    wires it has seen before. Counts live in one open-addressing table
+    of cells per walk: a gate is hashed and matched from its own fields
+    (kind, [inv], target arity, control signature, and the walk's
+    ambient tail), and only a key's first gate builds its {!Xkey} and
+    representative. A cell counts its walk's own gates in a native int;
+    {!Wide} enters when a box's counts are merged in, times its calls.
+    Depth clocks are native ints in a {!Wire.Itbl} (absent meaning 0);
+    the rare clock at or above 2{^61}, which only a box depth past
+    native range reaches, is kept exactly in a side table. A terminated
+    wire leaves both. So a walk's memory is bounded by its distinct
+    keys and live wires, never by its gate count.
 
     The semantics, shared by every projection:
     - {b counts}: one per non-comment gate, keyed by {!Xkey}. A call

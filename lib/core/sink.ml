@@ -58,8 +58,6 @@ let tee (a : 'a t) (b : 'b t) : ('a * 'b) t =
         (ra, rb));
   }
 
-let tee3 a b c = map (fun (x, (y, z)) -> (x, y, z)) (tee a (tee b c))
-
 (* ------------------------------------------------------------------ *)
 (* First-class sinks                                                   *)
 
@@ -80,11 +78,19 @@ let resource ?counts ?peak ?depth () : Resource.t t =
 let gatecount () : Gatecount.summary t =
   map Gatecount.summary_of (resource ~depth:false ())
 
+let depth_of (v : Resource.t) = Resource.to_int "the depth" v.Resource.depth
+
 (** Its clock alone, as {!Depth.depth} projects it. *)
-let depth () : int t =
+let depth () : int t = map depth_of (resource ~counts:false ~peak:false ())
+
+(** Both projections of one walk; the summary is read first, as a
+    [tee] of the two sinks would. *)
+let summary_depth () : (Gatecount.summary * int) t =
   map
-    (fun (v : Resource.t) -> Resource.to_int "the depth" v.Resource.depth)
-    (resource ~counts:false ~peak:false ())
+    (fun v ->
+      let summary = Gatecount.summary_of v in
+      (summary, depth_of v))
+    (resource ())
 
 (** Streaming text printing, byte-identical to {!Printer.pp_bcircuit} on
     the materialized circuit: gate lines go out as gates stream,

@@ -38,8 +38,6 @@ val map : ('a -> 'b) -> 'a t -> 'b t
 val tee : 'a t -> 'b t -> ('a * 'b) t
 (** Feed one generation pass to two sinks; [finish] runs left first. *)
 
-val tee3 : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
-
 val resource :
   ?counts:bool -> ?peak:bool -> ?depth:bool -> unit -> Resource.t t
 (** The streaming step of {!Resource}, running the selected parts (all
@@ -55,6 +53,11 @@ val gatecount : unit -> Gatecount.summary t
 val depth : unit -> int t
 (** [resource] with the depth clock alone, identical to [Depth.depth] of
     the materialized circuit. *)
+
+val summary_depth : unit -> (Gatecount.summary * int) t
+(** One [resource] walk projected to both: equal to [tee (gatecount ())
+    (depth ())] (raising alike, the summary first), at the cost of one
+    walk instead of two. *)
 
 val printer : Format.formatter -> unit t
 (** Streaming text output, byte-identical to [Printer.pp_bcircuit] of

@@ -342,6 +342,43 @@ let test_alloc_pin () =
   if bwt > 46.5 then Alcotest.failf "BWT template: %.2f words per gate (pin 46.5)" bwt;
   if rev > 107.5 then Alcotest.failf "reverse_fun: %.2f words per gate (pin 107.5)" rev
 
+(* The resource fold over the same emission: the words each sink adds
+   per gate to emission into a null sink, and the words per gate of the
+   engine's walk over the materialized circuit, each on the second of
+   two runs. A walk allocates only for a gate key or a wire clock it has
+   not seen, so all four stay near zero. *)
+let fold_words_per_gate (mk : unit -> 'a Sink.t) =
+  let gates = ref 0 in
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let null = words (fun () -> bwt_template (Sink.make ~on_gate:(fun _ -> incr gates) ~finish:(fun _ -> ()) ())) in
+  let fold = words (fun () -> bwt_template (mk ())) in
+  (fold -. null) /. Float.of_int (!gates / 2)
+
+let materialized_words_per_gate () =
+  let b = Algo_bwt.generate ~p:{ Algo_bwt.n = 8; s = 8; dt = 0.1 } ~which:`Template () in
+  let words () =
+    let before = Gc.minor_words () in
+    ignore (Resource.of_circuit b);
+    Gc.minor_words () -. before
+  in
+  ignore (words ());
+  words () /. Float.of_int (Array.length b.Circuit.main.Circuit.gates)
+
+let test_fold_pins () =
+  List.iter
+    (fun (what, w) -> if w > 0.5 then Alcotest.failf "%s: %.2f words per gate (pin 0.5)" what w)
+    [
+      ("Sink.gatecount", fold_words_per_gate Sink.gatecount);
+      ("Sink.depth", fold_words_per_gate Sink.depth);
+      ("their tee", fold_words_per_gate (fun () -> Sink.tee (Sink.gatecount ()) (Sink.depth ())));
+      ("Resource.of_circuit", materialized_words_per_gate ());
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |]) prop_itbl_model;
@@ -350,4 +387,5 @@ let suite =
     Alcotest.test_case "random programs leak often enough" `Quick test_leak_coverage;
     Alcotest.test_case "births only under ids of their own scope" `Quick test_births_in_scope;
     Alcotest.test_case "words per emitted gate pinned" `Quick test_alloc_pin;
+    Alcotest.test_case "words per counted gate pinned" `Quick test_fold_pins;
   ]

@@ -29,6 +29,7 @@ let () =
       ("memo", Test_memo.suite);
       ("sweep", Test_sweep.suite);
       ("estimate", Test_estimate.suite);
+      ("resource", Test_resource.suite);
       ("live", Test_live.suite);
       ("cli", Test_cli.suite);
     ]
