@@ -449,9 +449,9 @@ let noise () =
     Circ.generate ~in_:shape (fun (x, y) ->
         Circ.bind (Qdint.add_in_place ~x ~y ()) (fun () -> Circ.return (x, y)))
   in
-  let inputs = shape.Qdata.bleaves (5, 4) in
+  let inputs = Qdata.bleaves shape (5, 4) in
   (* y := y + x mod 8, so (5, 4) |-> (5, 1) *)
-  let expected = shape.Qdata.bleaves (5, 1) in
+  let expected = Qdata.bleaves shape (5, 1) in
   (* 1. fault-site enumeration throughput *)
   let reps = 100 in
   let sites, t_enum =

@@ -41,19 +41,17 @@ let o7_shape_out l =
   Qdata.quad Qdata.qubit (reg_shape l) (reg_shape l) (reg_shape l)
 
 (** [o7_ADD ~l (ctl, x, y)]: boxed fresh s := y ⊞ (ctl ? x : 0). *)
-let o7_ADD ~l (ctl, x, y) : (Wire.qubit * Qureg.t * Qureg.t * Qureg.t) Circ.t =
+let o7_ADD ~l : Wire.qubit * Qureg.t * Qureg.t -> (Wire.qubit * Qureg.t * Qureg.t * Qureg.t) Circ.t =
+  let reg = reg_shape l in
   box "o7_ADD_controlled" ~in_:(o7_shape_in l) ~out:(o7_shape_out l)
     (fun (ctl, x, y) ->
       let* () =
         comment_with_labels "ENTER: o7_ADD_controlled"
-          [ lab Qdata.qubit ctl "ctrl"; lab (reg_shape l) x "x"; lab (reg_shape l) y "y" ]
+          [ lab Qdata.qubit ctl "ctrl"; lab reg x "x"; lab reg y "y" ]
       in
       let* s = Qinttf.add ~ctl ~x ~y () in
-      let* () =
-        comment_with_labels "EXIT: o7_ADD_controlled" [ lab (reg_shape l) s "s" ]
-      in
+      let* () = comment_with_labels "EXIT: o7_ADD_controlled" [ lab reg s "s" ] in
       return (ctl, x, y, s))
-    (ctl, x, y)
 
 (* ------------------------------------------------------------------ *)
 (* o8_MUL: boxed multiplication (Figure 3)                             *)
@@ -64,28 +62,22 @@ let pair_shape l = Qdata.pair (reg_shape l) (reg_shape l)
     rotation-doubling ladder of Figure 3: controlled adds interleaved with
     [double_TF] wire rotations, intermediate sums uncomputed in the
     mirrored second half. *)
-let o8_MUL ~l (x, y) : (Qureg.t * Qureg.t * Qureg.t) Circ.t =
-  box "o8" ~in_:(pair_shape l)
-    ~out:(Qdata.triple (reg_shape l) (reg_shape l) (reg_shape l))
+let o8_MUL ~l : Qureg.t * Qureg.t -> (Qureg.t * Qureg.t * Qureg.t) Circ.t =
+  let reg = reg_shape l in
+  box "o8" ~in_:(pair_shape l) ~out:(Qdata.triple reg reg reg)
     (fun (x, y) ->
-      let* () =
-        comment_with_labels "ENTER: o8_MUL"
-          [ lab (reg_shape l) x "x"; lab (reg_shape l) y "y" ]
-      in
+      let* () = comment_with_labels "ENTER: o8_MUL" [ lab reg x "x"; lab reg y "y" ] in
+      let add = o7_ADD ~l in
       let* p =
         with_computed
           (let* s0 = Qinttf.init_zero ~width:l in
            let rec go i xr s =
              if i = l then return s
              else
-               let* () =
-                 comment_with_labels "ENTER: double_TF" [ lab (reg_shape l) xr "x" ]
-               in
-               let* (_, _, _, s') = o7_ADD ~l (y.(i), xr, s) in
+               let* () = comment_with_labels "ENTER: double_TF" [ lab reg xr "x" ] in
+               let* (_, _, _, s') = add (y.(i), xr, s) in
                let xr' = Qinttf.double xr in
-               let* () =
-                 comment_with_labels "EXIT: double_TF" [ lab (reg_shape l) xr' "x" ]
-               in
+               let* () = comment_with_labels "EXIT: double_TF" [ lab reg xr' "x" ] in
                go (i + 1) xr' s'
            in
            go 0 x s0)
@@ -94,45 +86,43 @@ let o8_MUL ~l (x, y) : (Qureg.t * Qureg.t * Qureg.t) Circ.t =
             let* () = Qinttf.xor_into ~source:p ~target:out in
             return out)
       in
-      let* () = comment_with_labels "EXIT: o8_MUL" [ lab (reg_shape l) p "p" ] in
+      let* () = comment_with_labels "EXIT: o8_MUL" [ lab reg p "p" ] in
       return (x, y, p))
-    (x, y)
 
 (* ------------------------------------------------------------------ *)
 (* o4_POW17 (Figure 2)                                                 *)
 
 (** Squaring via copy / multiply / uncopy, using the boxed multiplier. *)
-let square_boxed ~l (x : Qureg.t) : Qureg.t Circ.t =
-  with_computed (Qinttf.copy x)
-    (fun x' ->
-      let* (_, _, p) = o8_MUL ~l (x, x') in
-      return p)
+let square_boxed ~l : Qureg.t -> Qureg.t Circ.t =
+  let mul = o8_MUL ~l in
+  fun x ->
+    with_computed (Qinttf.copy x) (fun x' ->
+        let* (_, _, p) = mul (x, x') in
+        return p)
 
 (** [o4_POW17 ~l x]: boxed (x, x^17): raise to the 16th power by four
     squarings, multiply by x, uncompute the squarings — the paper's
     Figure 2, verbatim structure including the comments. *)
-let o4_POW17 ~l (x : Qureg.t) : (Qureg.t * Qureg.t) Circ.t =
-  box "o4" ~in_:(reg_shape l) ~out:(pair_shape l)
+let o4_POW17 ~l : Qureg.t -> (Qureg.t * Qureg.t) Circ.t =
+  let reg = reg_shape l in
+  box "o4" ~in_:reg ~out:(pair_shape l)
     (fun x ->
-      let* () = comment_with_label "ENTER: o4_POW17" (reg_shape l) x "x" in
+      let* () = comment_with_label "ENTER: o4_POW17" reg x "x" in
+      let square = square_boxed ~l in
       let* x, x17 =
         with_computed_fun x
           (fun x ->
-            let* x2 = square_boxed ~l x in
-            let* x4 = square_boxed ~l x2 in
-            let* x8 = square_boxed ~l x4 in
-            let* x16 = square_boxed ~l x8 in
+            let* x2 = square x in
+            let* x4 = square x2 in
+            let* x8 = square x4 in
+            let* x16 = square x8 in
             return (x, x2, x4, x8, x16))
           (fun (x, x2, x4, x8, x16) ->
             let* (_, _, x17) = o8_MUL ~l (x, x16) in
             return ((x, x2, x4, x8, x16), x17))
       in
-      let* () =
-        comment_with_labels "EXIT: o4_POW17"
-          [ lab (reg_shape l) x "x"; lab (reg_shape l) x17 "x17" ]
-      in
+      let* () = comment_with_labels "EXIT: o4_POW17" [ lab reg x "x"; lab reg x17 "x17" ] in
       return (x, x17))
-    x
 
 (* ------------------------------------------------------------------ *)
 (* o1_ORACLE: the edge test                                            *)
@@ -150,12 +140,12 @@ let inject ~l (v : Qureg.t) : Qureg.t Circ.t =
 
 (** [o1_ORACLE ~p (u, w, out)]: out ^= edge(u, w) for n-bit node registers
     u, w. Boxed; cost is dominated by two POW17s and their uncomputation. *)
-let o1_ORACLE ~(p : params) ((u, w, out) : Qureg.t * Qureg.t * Wire.qubit) :
-    (Qureg.t * Qureg.t * Wire.qubit) Circ.t =
+let o1_ORACLE ~(p : params) :
+    Qureg.t * Qureg.t * Wire.qubit -> (Qureg.t * Qureg.t * Wire.qubit) Circ.t =
   let l = p.l and n = p.n in
   let node = reg_shape n in
-  box "o1" ~in_:(Qdata.triple node node Qdata.qubit)
-    ~out:(Qdata.triple node node Qdata.qubit)
+  let shape = Qdata.triple node node Qdata.qubit in
+  box "o1" ~in_:shape ~out:shape
     (fun (u, w, out) ->
       let* () =
         comment_with_labels "ENTER: o1_ORACLE"
@@ -165,8 +155,9 @@ let o1_ORACLE ~(p : params) ((u, w, out) : Qureg.t * Qureg.t * Wire.qubit) :
         with_computed
           (let* uu = inject ~l u in
            let* ww = inject ~l w in
-           let* _, u17 = o4_POW17 ~l uu in
-           let* _, w17 = o4_POW17 ~l ww in
+           let pow17 = o4_POW17 ~l in
+           let* _, u17 = pow17 uu in
+           let* _, w17 = pow17 ww in
            let* one = qinit_bit true in
            let* (_, _, _, s) = o7_ADD ~l (one, u17, w17) in
            return s)
@@ -174,7 +165,6 @@ let o1_ORACLE ~(p : params) ((u, w, out) : Qureg.t * Qureg.t * Wire.qubit) :
       in
       let* () = comment_with_labels "EXIT: o1_ORACLE" [ lab Qdata.qubit out "e" ] in
       return (u, w, out))
-    (u, w, out)
 
 (** Classical reference implementation of the edge predicate, for tests
     and for the classical post-processing step (§3.5). *)

@@ -3,7 +3,11 @@
     edge(u, w) iff the top bit of (u'^17 ⊞ w'^17) is set (see DESIGN.md
     for the substitution note on the exact predicate). Subroutine naming
     follows the paper: each of these is a boxed subcircuit whose inverse
-    appears as the starred boxes of Figures 2 and 3. *)
+    appears as the starred boxes of Figures 2 and 3.
+
+    A boxed generator builds its shape witnesses when it is applied to
+    its parameter ([o8_MUL ~l]), not at each call, so code that calls one
+    many times applies it once and calls the result. *)
 
 open Quipper
 module Qureg = Quipper_arith.Qureg

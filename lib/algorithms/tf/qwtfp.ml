@@ -50,23 +50,22 @@ let ee_index j k =
   if k >= j then invalid_arg "ee_index";
   (j * (j - 1) / 2) + k
 
-(* Shape witness for the full register file *)
+(* Shape witness for the full register file. Builds it anew: a boxed
+   generator computes it once, not per call. *)
 let regs_shape p :
     ((int list * int * int * bool list), registers, 'c) Qdata.t =
   let base =
     Qdata.quad
-      (Qdata.list_of (tuple_size p) (Qureg.shape p.n))
+      (Qdata.array_of (tuple_size p) (Qureg.shape p.n))
       (Qureg.shape p.r) (Qureg.shape p.n)
-      (Qdata.list_of (ee_size p) Qdata.qubit)
+      (Qdata.array_of (ee_size p) Qdata.qubit)
   in
-  Qdata.iso
-    ~bto:(fun (tt, i, v, ee) -> (tt, i, v, ee))
-    ~bof:(fun (tt, i, v, ee) -> (tt, i, v, ee))
-    ~qto:(fun (tt, i, v, ee) ->
-      { tt = Array.of_list tt; i; v; ee = Array.of_list ee })
-    ~qof:(fun { tt; i; v; ee } ->
-      (Array.to_list tt, i, v, Array.to_list ee))
-    ~cto:Fun.id ~cof:Fun.id base
+  let to_lists (tt, i, v, ee) = (Array.to_list tt, i, v, Array.to_list ee)
+  and of_lists (tt, i, v, ee) = (Array.of_list tt, i, v, Array.of_list ee) in
+  Qdata.iso ~bto:to_lists ~bof:of_lists
+    ~qto:(fun (tt, i, v, ee) -> { tt; i; v; ee })
+    ~qof:(fun { tt; i; v; ee } -> (tt, i, v, ee))
+    ~cto:to_lists ~cof:of_lists base
 
 (* ------------------------------------------------------------------ *)
 (* qRAM (the paper's [qram_fetch] / [qram_store])                      *)
@@ -119,9 +118,10 @@ let a12_FetchStoreE ~(p : params) (i : Qureg.t) (ee : Wire.qubit array)
     step. *)
 let a13_UPDATE ~(p : params) (tt : Qureg.t array) (ttd : Qureg.t)
     (eed : Wire.qubit array) : unit Circ.t =
+  let oracle = Oracle.o1_ORACLE ~p in
   iterm
     (fun k ->
-      let* _ = Oracle.o1_ORACLE ~p (ttd, tt.(k), eed.(k)) in
+      let* _ = oracle (ttd, tt.(k), eed.(k)) in
       return ())
     (List.init (tuple_size p) Fun.id)
 
@@ -131,12 +131,12 @@ let a14_SWAP (ttd : Qureg.t) (v : Qureg.t) : unit Circ.t =
 
 (** a6_QWSH: one walk step on the Hamming graph (§5.3.2, verbatim
     structure including comments and ancilla scoping). *)
-let a6_QWSH ~(p : params) (regs : registers) : registers Circ.t =
-  box "a6" ~in_:(regs_shape p) ~out:(regs_shape p)
+let a6_QWSH ~(p : params) : registers -> registers Circ.t =
+  let shape = regs_shape p and index = Qureg.shape p.r and node = Qureg.shape p.n in
+  box "a6" ~in_:shape ~out:shape
     (fun regs ->
       let* () =
-        comment_with_labels "ENTER: a6_QWSH"
-          [ lab (Qureg.shape p.r) regs.i "i"; lab (Qureg.shape p.n) regs.v "v" ]
+        comment_with_labels "ENTER: a6_QWSH" [ lab index regs.i "i"; lab node regs.v "v" ]
       in
       let* () =
         with_ancilla_init
@@ -162,16 +162,15 @@ let a6_QWSH ~(p : params) (regs : registers) : registers Circ.t =
                 return ()))
       in
       let* () =
-        comment_with_labels "EXIT: a6_QWSH"
-          [ lab (Qureg.shape p.r) regs.i "i"; lab (Qureg.shape p.n) regs.v "v" ]
+        comment_with_labels "EXIT: a6_QWSH" [ lab index regs.i "i"; lab node regs.v "v" ]
       in
       return regs)
-    regs
 
 (** a5_TestTriangleEdges: flip the phase when the cached edge table
     contains a triangle — a doubly-controlled Z per node triple. *)
-let a5_TestTriangleEdges ~(p : params) (regs : registers) : registers Circ.t =
-  box "a5" ~in_:(regs_shape p) ~out:(regs_shape p)
+let a5_TestTriangleEdges ~(p : params) : registers -> registers Circ.t =
+  let shape = regs_shape p in
+  box "a5" ~in_:shape ~out:shape
     (fun regs ->
       let ts = tuple_size p in
       let* () =
@@ -192,7 +191,6 @@ let a5_TestTriangleEdges ~(p : params) (regs : registers) : registers Circ.t =
           (List.init ts Fun.id)
       in
       return regs)
-    regs
 
 (* ------------------------------------------------------------------ *)
 (* Iteration structure                                                 *)
@@ -210,28 +208,27 @@ let r2_iterations p =
 
 (** A boxed segment of [segment] QWSH steps, so the materialised top-level
     circuit stays tiny regardless of the iteration counts. *)
-let walk_segment ~(p : params) (regs : registers) : registers Circ.t =
-  box "a6seg" ~in_:(regs_shape p) ~out:(regs_shape p)
-    (fun regs -> iterate segment (fun regs -> a6_QWSH ~p regs) regs)
-    regs
+let walk_segment ~(p : params) : registers -> registers Circ.t =
+  let shape = regs_shape p in
+  box "a6seg" ~in_:shape ~out:shape (fun regs -> iterate segment (a6_QWSH ~p) regs)
 
 (** a4_GCQWStep: one amplitude-amplification step — the triangle phase
     test followed by a walk of R2 QWSH steps. *)
-let a4_GCQWStep ~(p : params) (regs : registers) : registers Circ.t =
-  box "a4" ~in_:(regs_shape p) ~out:(regs_shape p)
-    (fun regs ->
+let a4_GCQWStep ~(p : params) : registers -> registers Circ.t =
+  let shape = regs_shape p in
+  box "a4" ~in_:shape ~out:shape (fun regs ->
       let* regs = a5_TestTriangleEdges ~p regs in
-      iterate (r2_iterations p / segment) (fun regs -> walk_segment ~p regs) regs)
-    regs
+      iterate (r2_iterations p / segment) (walk_segment ~p) regs)
 
 (** a2_FetchE: populate the initial edge table: one oracle call per node
     pair of the tuple. *)
 let a2_FetchE ~(p : params) (regs : registers) : unit Circ.t =
+  let oracle = Oracle.o1_ORACLE ~p in
   iterm
     (fun j ->
       iterm
         (fun k ->
-          let* _ = Oracle.o1_ORACLE ~p (regs.tt.(j), regs.tt.(k), regs.ee.(ee_index j k)) in
+          let* _ = oracle (regs.tt.(j), regs.tt.(k), regs.ee.(ee_index j k)) in
           return ())
         (List.init j Fun.id))
     (List.init (tuple_size p) Fun.id)
@@ -257,14 +254,11 @@ let a1_prologue ~(p : params) : registers Circ.t =
     edge table, §3.5). *)
 let a1_epilogue ~(p : params) (regs : registers) :
     (Wire.bit array list * Wire.bit array) Circ.t =
-  let* tt_bits =
-    mapm (fun t -> measure (Qureg.shape p.n) t) (Array.to_list regs.tt |> List.map Fun.id)
-  in
-  let* ee_bits =
-    mapm (fun e -> measure_qubit e) (Array.to_list regs.ee)
-  in
+  let node = Qureg.shape p.n in
+  let* tt_bits = mapm (measure node) (Array.to_list regs.tt) in
+  let* ee_bits = mapm measure_qubit (Array.to_list regs.ee) in
   let* () = discard (Qureg.shape p.r) regs.i in
-  let* () = discard (Qureg.shape p.n) regs.v in
+  let* () = discard node regs.v in
   return (tt_bits, Array.of_list ee_bits)
 
 (** a1_QWTFP: the whole algorithm — initialise, superpose, populate the
@@ -273,7 +267,7 @@ let a1_epilogue ~(p : params) (regs : registers) :
     estimation multiplies through without running the loop. *)
 let a1_QWTFP ~(p : params) : (Wire.bit array list * Wire.bit array) Circ.t =
   let* regs = a1_prologue ~p in
-  let* regs = iterate (r1_iterations p) (fun regs -> a4_GCQWStep ~p regs) regs in
+  let* regs = iterate (r1_iterations p) (a4_GCQWStep ~p) regs in
   a1_epilogue ~p regs
 
 (** Generate the whole-algorithm circuit. *)

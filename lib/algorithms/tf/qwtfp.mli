@@ -4,7 +4,10 @@
     a12_FetchStoreE, a13_UPDATE, a14_SWAP); walk steps are grouped into
     boxed segments so that the materialised circuit stays small at any
     iteration count — the paper's hierarchical-circuit story (§4.4.4).
-    Iteration-count model: see DESIGN.md. *)
+    Iteration-count model: see DESIGN.md.
+
+    As in {!Oracle}, a boxed step builds the register file's witness when
+    applied to [~p] ([a4_GCQWStep ~p]), once for all its calls. *)
 
 open Quipper
 module Qureg = Quipper_arith.Qureg

@@ -20,10 +20,10 @@ let of_list l : t = Array.of_list l
     qubit registers, and classical bit registers. *)
 let shape width : (int, t, Wire.bit array) Qdata.t =
   Qdata.iso
-    ~bto:(fun bools -> Quipper_math.Bitvec.to_int (Quipper_math.Bitvec.of_list bools))
-    ~bof:(fun n -> Quipper_math.Bitvec.to_list (Quipper_math.Bitvec.of_int ~width n))
-    ~qto:Array.of_list ~qof:Array.to_list ~cto:Array.of_list ~cof:Array.to_list
-    (Qdata.list_of width Qdata.qubit)
+    ~bto:(fun bools -> Quipper_math.Bitvec.to_int (Quipper_math.Bitvec.of_array bools))
+    ~bof:(fun n -> Quipper_math.Bitvec.to_array (Quipper_math.Bitvec.of_int ~width n))
+    ~qto:Fun.id ~qof:Fun.id ~cto:Fun.id ~cof:Fun.id
+    (Qdata.array_of width Qdata.qubit)
 
 (** Initialise a fresh register holding the constant [v]. *)
 let init ~width (v : int) : t Circ.t =

@@ -519,14 +519,24 @@ let with_ancilla_init (values : bool list) (f : qubit list -> 'a t) : 'a t =
 
 let comment text : unit t = fun c -> emit c (Gate.Comment { text; labels = [] })
 
+(* [base ^ "[" ^ string_of_int i ^ "]"], built in one string *)
+let indexed base i =
+  let k = string_of_int i and n = String.length base in
+  let b = Bytes.create (n + String.length k + 2) in
+  Bytes.blit_string base 0 b 0 n;
+  Bytes.set b n '[';
+  Bytes.blit_string k 0 b (n + 1) (String.length k);
+  Bytes.set b (Bytes.length b - 1) ']';
+  Bytes.unsafe_to_string b
+
 let label_endpoints (es : Wire.endpoint list) base =
   match es with
   | [ e ] -> [ (e.Wire.wire, base) ]
-  | es -> List.mapi (fun i (e : Wire.endpoint) -> (e.Wire.wire, Fmt.str "%s[%d]" base i)) es
+  | es -> List.mapi (fun i (e : Wire.endpoint) -> (e.Wire.wire, indexed base i)) es
 
 let comment_with_label text (w : ('b, 'q, 'c) Qdata.t) (x : 'q) base : unit t =
  fun c ->
-  emit c (Gate.Comment { text; labels = label_endpoints (w.Qdata.qleaves x) base })
+  emit c (Gate.Comment { text; labels = label_endpoints (Qdata.qleaves w x) base })
 
 (** Label several pieces of data at once, as in
     [comment_with_labels "ENTER: a6" [lab qd1 x "x"; lab qd2 y "y"]]. *)
@@ -537,7 +547,7 @@ let lab w x base = L (w, x, base)
 let comment_with_labels text (ls : labelled list) : unit t =
  fun c ->
   let labels =
-    List.concat_map (fun (L (w, x, base)) -> label_endpoints (w.Qdata.qleaves x) base) ls
+    List.concat_map (fun (L (w, x, base)) -> label_endpoints (Qdata.qleaves w x) base) ls
   in
   emit c (Gate.Comment { text; labels })
 
@@ -548,7 +558,7 @@ let comment_with_labels text (ls : labelled list) : unit t =
     boolean parameter [b] — the paper's [qinit :: QShape b q c => b -> Circ q]. *)
 let qinit (w : ('b, 'q, 'c) Qdata.t) (b : 'b) : 'q t =
  fun c ->
-  let bits = w.Qdata.bleaves b in
+  let bits = Qdata.bleaves w b in
   let es =
     List.map2
       (fun ty v ->
@@ -561,14 +571,14 @@ let qinit (w : ('b, 'q, 'c) Qdata.t) (b : 'b) : 'q t =
             Wire.cw b)
       w.Qdata.tys bits
   in
-  w.Qdata.qbuild es
+  Qdata.qbuild w es
 
 (** [qterm w b q]: assertively terminate quantum data, claiming it equals
     the parameter [b]. *)
 let qterm (w : ('b, 'q, 'c) Qdata.t) (b : 'b) (q : 'q) : unit t =
  fun c ->
-  let bits = w.Qdata.bleaves b in
-  let es = w.Qdata.qleaves q in
+  let bits = Qdata.bleaves w b in
+  let es = Qdata.qleaves w q in
   List.iter2
     (fun v (e : Wire.endpoint) ->
       without_controls
@@ -589,23 +599,23 @@ let measure (w : ('b, 'q, 'c) Qdata.t) (q : 'q) : 'c t =
             emit c (Gate.Measure { wire = e.Wire.wire });
             Wire.cw e.Wire.wire
         | Wire.C -> e)
-      (w.Qdata.qleaves q)
+      (Qdata.qleaves w q)
   in
-  w.Qdata.cbuild es
+  Qdata.cbuild w es
 
 let discard (w : ('b, 'q, 'c) Qdata.t) (q : 'q) : unit t =
  fun c ->
   List.iter
     (fun (e : Wire.endpoint) ->
       emit c (Gate.Discard { ty = e.Wire.ty; wire = e.Wire.wire }))
-    (w.Qdata.qleaves q)
+    (Qdata.qleaves w q)
 
 (** [controlled_not w target source]: apply a CNOT from each leaf of
     [source] onto the corresponding leaf of [target] — the generic
     [controlled_not :: QCData q => q -> q -> Circ (q, q)] of §4.5. *)
 let controlled_not (w : ('b, 'q, 'c) Qdata.t) ~(target : 'q) ~(source : 'q) : unit t =
  fun c ->
-  let ts = w.Qdata.qleaves target and ss = w.Qdata.qleaves source in
+  let ts = Qdata.qleaves w target and ss = Qdata.qleaves w source in
   List.iter2
     (fun (t : Wire.endpoint) (s : Wire.endpoint) ->
       match (t.Wire.ty, s.Wire.ty) with
@@ -631,9 +641,9 @@ let qinit_of (w : ('b, 'q, 'c) Qdata.t) (src : 'q) : 'q t =
              { name = "not"; inv = false; targets = [ w' ];
                controls = [ { Gate.cwire = e.Wire.wire; cty = e.Wire.ty; positive = true } ] });
         Wire.qw w')
-      (w.Qdata.qleaves src)
+      (Qdata.qleaves w src)
   in
-  w.Qdata.qbuild es
+  Qdata.qbuild w es
 
 (* ------------------------------------------------------------------ *)
 (* Subcircuit capture: the engine behind box / reverse / with_computed  *)
@@ -736,7 +746,7 @@ let capture (c : ctx) (in_w : ('b, 'q, 'cc) Qdata.t)
     let ins =
       List.map (fun ty -> { Wire.wire = fresh_wire c ty; ty }) in_w.Qdata.tys
     in
-    let outs = out_w.Qdata.qleaves (f (in_w.Qdata.qbuild ins) c) in
+    let outs = Qdata.qleaves out_w (f (Qdata.qbuild in_w ins) c) in
     close_scope c outs;
     (ins, c.buf, outs)
   with
@@ -830,7 +840,7 @@ let reverse_fun ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
       | (Gate.Discard _ | Gate.Measure _ | Gate.Cgate _) as g -> ignore (Gate.inverse g)
       | _ -> ())
     gates;
-  let actual = out.Qdata.qleaves y in
+  let actual = Qdata.qleaves out y in
   if List.length outs <> List.length actual then
     Errors.raise_ (Shape_mismatch "replay: input arity");
   let n = c.fresh - first in
@@ -848,7 +858,7 @@ let reverse_fun ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
     | Gate.Comment _ -> ()
     | g -> emit c (inverse_renamed c first n g)
   done;
-  in_.Qdata.qbuild
+  Qdata.qbuild in_
     (List.map (fun (e : Wire.endpoint) -> { e with Wire.wire = rename c first n e.Wire.wire }) ins)
 
 (** [reverse_simple w f]: reverse an in-place function (input and output
@@ -919,53 +929,64 @@ let box name ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
  fun x c ->
   if not c.boxing then f x c
   else begin
-    (match Hashtbl.find_opt c.subs name with
-    | Some existing ->
-        let rec same_tys (es : Wire.endpoint list) tys =
-          match (es, tys) with
-          | [], [] -> true
-          | e :: es, ty :: tys -> e.Wire.ty = ty && same_tys es tys
-          | _ -> false
-        in
-        if not (same_tys existing.circ.Circuit.inputs in_.Qdata.tys) then
-          Errors.raise_ (Subroutine_redefined name)
-    | None ->
-        (match c.on_sub_enter with Some f -> f name | None -> ());
-        let inputs, gates, outputs = capture c in_ out f in
-        let circ = { Circuit.inputs; gates = Vec.to_array gates; outputs } in
-        let controllable = subroutine_controllable circ in
-        let sub = { Circuit.circ; controllable } in
-        Hashtbl.replace c.subs name sub;
-        c.sub_order <- name :: c.sub_order;
-        (match c.on_sub_exit with Some f -> f name sub | None -> ()));
-    let sub = Hashtbl.find c.subs name in
+    let sub =
+      match Hashtbl.find_opt c.subs name with
+      | Some existing ->
+          let rec same_tys (es : Wire.endpoint list) tys =
+            match (es, tys) with
+            | [], [] -> true
+            | e :: es, ty :: tys -> e.Wire.ty = ty && same_tys es tys
+            | _ -> false
+          in
+          if not (same_tys existing.circ.Circuit.inputs in_.Qdata.tys) then
+            Errors.raise_ (Subroutine_redefined name);
+          existing
+      | None ->
+          (match c.on_sub_enter with Some f -> f name | None -> ());
+          let inputs, gates, outputs = capture c in_ out f in
+          let circ = { Circuit.inputs; gates = Vec.to_array gates; outputs } in
+          let controllable = subroutine_controllable circ in
+          let sub = { Circuit.circ; controllable } in
+          Hashtbl.replace c.subs name sub;
+          c.sub_order <- name :: c.sub_order;
+          (match c.on_sub_exit with Some f -> f name sub | None -> ());
+          sub
+    in
     let d_in = sub.circ.Circuit.inputs and d_out = sub.circ.Circuit.outputs in
-    let actual_ins = in_.Qdata.qleaves x in
+    let actual_ins = Qdata.qleaves in_ x in
     (if List.length actual_ins <> List.length d_in then
        Errors.raise_ (Shape_mismatch (Fmt.str "box %s: input arity" name)));
-    (* [capture] allocated the body's inputs as consecutive ids, so
-       [remap], indexed from the first one, maps them to the actual wires *)
-    let n = List.length d_in in
-    if Array.length c.remap < n then c.remap <- Array.make (max n (2 * Array.length c.remap)) 0;
-    List.iteri (fun i (a : Wire.endpoint) -> c.remap.(i) <- a.Wire.wire) actual_ins;
-    let first = match d_in with d :: _ -> d.Wire.wire | [] -> 0 in
-    let actual_outs =
-      List.map
-        (fun (e : Wire.endpoint) ->
-          let i = e.Wire.wire - first in
-          { e with Wire.wire = (if i >= 0 && i < n then c.remap.(i) else alloc_id c) })
-        d_out
+    let inputs = List.map (fun (e : Wire.endpoint) -> e.Wire.wire) actual_ins in
+    let rec in_place (ds : Wire.endpoint list) (es : Wire.endpoint list) =
+      match (ds, es) with
+      | [], [] -> true
+      | d :: ds, e :: es -> d.wire = e.wire && d.ty = e.ty && in_place ds es
+      | _ -> false
     in
-    emit c
-      (Gate.Subroutine
-         {
-           name;
-           inv = false;
-           inputs = List.map (fun (e : Wire.endpoint) -> e.Wire.wire) actual_ins;
-           outputs = List.map (fun (e : Wire.endpoint) -> e.Wire.wire) actual_outs;
-           controls = [];
-         });
-    out.Qdata.qbuild actual_outs
+    (* a body that hands back every input, in order and nothing else,
+       has the call's inputs as its outputs *)
+    let actual_outs, outputs =
+      if in_place d_in d_out then (actual_ins, inputs)
+      else begin
+        (* [capture] allocated the body's inputs as consecutive ids, so
+           [remap], indexed from the first one, maps them to the actual
+           wires *)
+        let n = List.length d_in in
+        if Array.length c.remap < n then c.remap <- Array.make (max n (2 * Array.length c.remap)) 0;
+        List.iteri (fun i (a : Wire.endpoint) -> c.remap.(i) <- a.Wire.wire) actual_ins;
+        let first = match d_in with d :: _ -> d.Wire.wire | [] -> 0 in
+        let actual_outs =
+          List.map
+            (fun (e : Wire.endpoint) ->
+              let i = e.Wire.wire - first in
+              { e with Wire.wire = (if i >= 0 && i < n then c.remap.(i) else alloc_id c) })
+            d_out
+        in
+        (actual_outs, List.map (fun (e : Wire.endpoint) -> e.Wire.wire) actual_outs)
+      end
+    in
+    emit c (Gate.Subroutine { name; inv = false; inputs; outputs; controls = [] });
+    Qdata.qbuild out actual_outs
   end
 
 (* ------------------------------------------------------------------ *)
@@ -986,7 +1007,7 @@ let generate ?(boxing = true) ~(in_ : ('b, 'q, 'c) Qdata.t) (f : 'q -> 'r t) :
   let ins =
     List.map (fun ty -> { Wire.wire = alloc_input c ty; ty }) in_.Qdata.tys
   in
-  let x = in_.Qdata.qbuild ins in
+  let x = Qdata.qbuild in_ ins in
   let r = f x c in
   let subs, sub_order = namespace_of_ctx c in
   let main =
@@ -1018,7 +1039,7 @@ let run_streaming ?(boxing = true) ?lift ~(in_ : ('b, 'q, 'c) Qdata.t)
     List.map (fun ty -> { Wire.wire = alloc_input c ty; ty }) in_.Qdata.tys
   in
   sink.Sink.on_inputs ins;
-  let x = in_.Qdata.qbuild ins in
+  let x = Qdata.qbuild in_ ins in
   let r = f x c in
   (sink.Sink.finish (live_outputs c), r)
 

@@ -253,7 +253,14 @@ val box :
 (** [box name ~in_ ~out f x]: apply [f] through a named boxed subcircuit.
     The first use generates the body once on dummy wires and records it in
     the namespace; every use emits a single call gate. Boxes nest —
-    hierarchical circuits — and resource counting exploits the sharing. *)
+    hierarchical circuits — and resource counting exploits the sharing.
+
+    A later call costs O(wires) and a few conses per wire: it reads the
+    leaves of [x], renames the body's outputs onto actual wires (a body
+    that hands back its inputs in place reuses them) and rebuilds the
+    result. [box] does not build the witnesses; a generator that is
+    called many times builds them once, as in
+    [let f ~p = let shape = ... in box "f" ~in_:shape ~out:shape body]. *)
 
 (** {1 Running} *)
 

@@ -15,15 +15,56 @@
     take a witness where the Haskell original takes a [QShape]
     constraint. *)
 
+type 'l cursor = { mutable rest : 'l list }
+(** The leaves a {!side}'s [take] has not read yet. *)
+
+type ('v, 'l) side = {
+  put : 'v -> 'l list -> 'l list;
+      (** [put v acc]: the leaves of [v], in order, in front of [acc] *)
+  take : 'l cursor -> 'v;
+      (** read one value from the front of the cursor and advance it past
+          the value's leaves *)
+}
+(** One version of a data type and its leaves: endpoints for the quantum
+    and classical versions, booleans for the parameter version.
+
+    Cost model: over a structure of [n] leaves, a [put] does O(n) work
+    and allocates one cons per leaf (and the leaf's endpoint); a [take]
+    does O(n) work and allocates the structure it returns, one list cell
+    or array slot per leaf. Nesting copies nothing. Only a failed [take]
+    re-reads leaves, to report the error {!build} describes. Building a
+    witness costs about as much as one [put], so code that converts many
+    values of one shape builds the witness once. *)
+
 type ('b, 'q, 'c) t = {
   tys : Wire.ty list;  (** wire types of the leaves of the ['q] version *)
-  qleaves : 'q -> Wire.endpoint list;
-  qbuild : Wire.endpoint list -> 'q;
-  cleaves : 'c -> Wire.endpoint list;
-  cbuild : Wire.endpoint list -> 'c;
-  bleaves : 'b -> bool list;
-  bbuild : bool list -> 'b;
+  qside : ('q, Wire.endpoint) side;
+  cside : ('c, Wire.endpoint) side;
+  bside : ('b, bool) side;
 }
+
+val leaves : ('v, 'l) side -> 'v -> 'l list
+(** All the leaves of a value; raises [Shape_mismatch] on a list or array
+    of the wrong length ("list length %d, expected %d"). *)
+
+val build : ('v, 'l) side -> 'l list -> 'v
+(** Rebuild a value from exactly as many leaves as the witness has.
+    Raises [Shape_mismatch] on a surplus ("too many leaves"), on a short
+    list ("not enough leaves", or the leaf's text — "qubit leaf", "bit
+    leaf", "bool leaf" — when a last component runs out) and on a
+    quantum leaf given a classical endpoint or back ("qubit leaf", "bit
+    leaf"). Of several errors, the first in this order is raised: too few
+    leaves for a pair's first component, then the second component's
+    errors, then the first's; list or array elements in order, each
+    checked for enough leaves first; a surplus last. *)
+
+val qleaves : ('b, 'q, 'c) t -> 'q -> Wire.endpoint list
+val qbuild : ('b, 'q, 'c) t -> Wire.endpoint list -> 'q
+val cleaves : ('b, 'q, 'c) t -> 'c -> Wire.endpoint list
+val cbuild : ('b, 'q, 'c) t -> Wire.endpoint list -> 'c
+val bleaves : ('b, 'q, 'c) t -> 'b -> bool list
+val bbuild : ('b, 'q, 'c) t -> bool list -> 'b
+(** {!leaves} and {!build} on each version. *)
 
 val size : ('b, 'q, 'c) t -> int
 (** Number of leaves. *)

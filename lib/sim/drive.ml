@@ -83,7 +83,7 @@ module Make (E : ENGINE) = struct
     readout ~measure:(E.measure st) ~read_bit:(E.read_bit st) es
 
   let measure_and_read st (w : ('b, 'q, 'c) Qdata.t) (q : 'q) : 'b =
-    w.Qdata.bbuild (readout st (w.Qdata.qleaves q))
+    Qdata.bbuild w (readout st (Qdata.qleaves w q))
 
   let run_fun ?seed ~(in_ : ('b, 'q, 'c) Qdata.t) (input : 'b)
       (f : 'q -> 'r Circ.t) : E.state * 'r =
@@ -92,7 +92,7 @@ module Make (E : ENGINE) = struct
       ~lift:(fun _ w -> E.read_bit st w)
       ~in_ f
       (Sink.make
-         ~on_inputs:(fun es -> load st es (in_.Qdata.bleaves input))
+         ~on_inputs:(fun es -> load st es (Qdata.bleaves in_ input))
          ~on_gate:(E.apply_gate st)
          ~finish:(fun _ -> st)
          ())

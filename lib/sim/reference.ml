@@ -330,8 +330,8 @@ let run_fun ?seed ~(in_ : ('b, 'q, 'c) Qdata.t) (input : 'b)
       match e.Wire.ty with
       | Wire.Q -> add_qubit st e.Wire.wire v
       | Wire.C -> Hashtbl.replace st.cenv e.Wire.wire v)
-    ins (in_.Qdata.bleaves input);
-  let x = in_.Qdata.qbuild ins in
+    ins (Qdata.bleaves in_ input);
+  let x = Qdata.qbuild in_ ins in
   let r = f x ctx in
   (st, r)
 

@@ -38,6 +38,6 @@ let classical_to_phase (f : 'qa -> Wire.qubit t) (x : 'qa) : 'qa t =
 let compute_copy_uncompute ~(out : ('b2, 'q2, 'c2) Qdata.t) (f : 'qa -> 'q2 t)
     (x : 'qa) : 'q2 t =
   with_computed (f x) (fun fx ->
-      let* y = qinit out (out.Qdata.bbuild (List.map (fun _ -> false) out.Qdata.tys)) in
+      let* y = qinit out (Qdata.bbuild out (List.map (fun _ -> false) out.Qdata.tys)) in
       let* () = controlled_not out ~target:y ~source:fx in
       return y)

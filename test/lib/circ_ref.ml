@@ -132,7 +132,7 @@ let capture (c : ctx) (in_w : ('b, 'q, 'cc) Qdata.t) (out_w : ('b2, 'q2, 'c2) Qd
       Tbl.iter (fun k v -> Tbl.replace c.live k v) saved_live)
     (fun () ->
       let ins = List.map (fun ty -> { Wire.wire = fresh_wire c ty; ty }) in_w.Qdata.tys in
-      let outs = out_w.Qdata.qleaves (f (in_w.Qdata.qbuild ins) c) in
+      let outs = Qdata.qleaves out_w (f (Qdata.qbuild in_w ins) c) in
       Tbl.iter
         (fun w _ ->
           if not (List.exists (fun (e : Wire.endpoint) -> e.wire = w) outs) then
@@ -180,7 +180,7 @@ let reverse_fun ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
     (f : 'q -> 'q2 t) : 'q2 -> 'q t =
  fun y c ->
   let rev = Circuit.reverse (capture c in_ out f) in
-  in_.Qdata.qbuild (replay c rev (out.Qdata.qleaves y))
+  Qdata.qbuild in_ (replay c rev (Qdata.qleaves out y))
 
 let box name ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
     (f : 'q -> 'q2 t) : 'q -> 'q2 t =
@@ -194,7 +194,7 @@ let box name ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
       Hashtbl.replace c.subs name { Circuit.circ; controllable = true });
   let sub = Hashtbl.find c.subs name in
   let d_in = sub.circ.inputs and d_out = sub.circ.outputs in
-  let actual_ins = in_.Qdata.qleaves x in
+  let actual_ins = Qdata.qleaves in_ x in
   if List.length actual_ins <> List.length d_in then
     Errors.raise_ (Shape_mismatch (Fmt.str "box %s: input arity" name));
   let n = List.length d_in in
@@ -215,7 +215,7 @@ let box name ~(in_ : ('b, 'q, 'c) Qdata.t) ~(out : ('b2, 'q2, 'c2) Qdata.t)
          outputs = List.map (fun (e : Wire.endpoint) -> e.wire) actual_outs;
          controls = [];
        });
-  out.Qdata.qbuild actual_outs
+  Qdata.qbuild out actual_outs
 
 (* The gates of [f] on fresh inputs of the given wire types. *)
 let generate tys (f : Wire.endpoint list -> 'r t) : Gate.t array * 'r =

@@ -87,6 +87,14 @@ let test_tf_paper_point_hash () =
   Alcotest.(check string) "Circuit.hash" "8ccc14912a9e6e2f"
     (Printf.sprintf "%Lx" (Circuit.hash b))
 
+(* The printed whole-algorithm circuit at l=3 n=2 r=2, comment labels
+   included (`tf -l 3 -n 2 -r 2 -f text | md5sum`), recorded before
+   labels were built without Format and shapes once per box. *)
+let test_tf_text_digest () =
+  let b = Algo_tf.Qwtfp.generate ~p:{ Algo_tf.Oracle.l = 3; n = 2; r = 2 } () in
+  Alcotest.(check string) "MD5 of the printed circuit" "52f410510174138b2c08708255da41de"
+    (Digest.to_hex (Digest.string (Printer.to_string b ^ "\n")))
+
 let test_tf_qram () =
   (* fetch from a 4-entry qram at every address *)
   let p = { Algo_tf.Oracle.l = 3; n = 2; r = 2 } in
@@ -311,6 +319,7 @@ let suite =
     Alcotest.test_case "TF circuits validate" `Quick test_tf_circuits_validate;
     Alcotest.test_case "TF full structure" `Quick test_tf_full_structure;
     Alcotest.test_case "TF paper-point hash (r=4)" `Quick test_tf_paper_point_hash;
+    Alcotest.test_case "TF printed text digest (l=3 n=2 r=2)" `Quick test_tf_text_digest;
     Alcotest.test_case "TF qram fetch" `Quick test_tf_qram;
     Alcotest.test_case "TF oracle scaling" `Quick test_tf_gatecounts_scale;
     Alcotest.test_case "BWT circuits validate" `Quick test_bwt_circuits_validate;

@@ -332,7 +332,7 @@ let prop_driver_law (module B : Backend.S) =
       in
       let outcomes =
         Quipper_sim.Drive.readout ~measure:(B.measure st) ~read_bit:(B.read_bit st)
-          (shape.Qdata.qleaves r)
+          (Qdata.qleaves shape r)
       in
       obs_fun = obs_circ && obs_fun = obs_sink
       && outcomes = Backend.run_and_measure (module B) ~seed b inputs)

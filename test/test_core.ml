@@ -219,7 +219,7 @@ let test_qdata_roundtrip () =
 let test_qdata_bool_roundtrip () =
   let w = Qdata.pair (Qdata.list_of 4 Qdata.qubit) Qdata.qubit in
   let bools = ([ true; false; true; true ], false) in
-  check "bool roundtrip" true (w.Qdata.bbuild (w.Qdata.bleaves bools) = bools)
+  check "bool roundtrip" true (Qdata.bbuild w (Qdata.bleaves w bools) = bools)
 
 let test_qinit_measure_generic () =
   let w = Qdata.pair Qdata.qubit (Qdata.list_of 2 Qdata.qubit) in
@@ -251,7 +251,247 @@ let test_shape_mismatch () =
   let w = Qdata.list_of 3 Qdata.qubit in
   expect_error
     (function Errors.Shape_mismatch _ -> true | _ -> false)
-    (fun () -> w.Qdata.qleaves [])
+    (fun () -> Qdata.qleaves w [])
+
+(* Comment labels: a single leaf keeps its name, every other structure
+   numbers its leaves in order, two digits included. *)
+let test_label_strings () =
+  let labels_of m =
+    let b, () = Circ.generate_unit m in
+    Array.to_list b.Circuit.main.Circuit.gates
+    |> List.concat_map (function
+         | Gate.Comment { labels; _ } -> List.map snd labels
+         | _ -> [])
+  in
+  let reg = Qdata.list_of 12 Qdata.qubit and t = Qdata.triple Qdata.qubit (Qdata.list_of 2 Qdata.qubit) Qdata.bit in
+  Alcotest.(check (list string)) "single leaf" [ "q" ]
+    (labels_of (let* q = qinit Qdata.qubit false in comment_with_label "c" Qdata.qubit q "q"));
+  Alcotest.(check (list string)) "register"
+    (List.init 12 (fun i -> Printf.sprintf "r[%d]" i))
+    (labels_of (let* r = qinit reg (List.init 12 (fun _ -> false)) in comment_with_label "c" reg r "r"));
+  Alcotest.(check (list string)) "triple and several labels"
+    [ "t[0]"; "t[1]"; "t[2]"; "t[3]"; "q"; "long name[0]"; "long name[1]" ]
+    (labels_of
+       (let* x = qinit t (false, [ true; false ], true) in
+        let* q = qinit Qdata.qubit false in
+        let* u = qinit (Qdata.pair Qdata.qubit Qdata.qubit) (false, false) in
+        comment_with_labels "c"
+          [ lab t x "t"; lab Qdata.qubit q "q"; lab (Qdata.pair Qdata.qubit Qdata.qubit) u "long name" ]))
+
+(* A surplus is refused on every version, where the builds once dropped
+   it when a list ended the structure. *)
+let test_surplus_refused () =
+  let text f =
+    match f () with
+    | _ -> Alcotest.fail "expected Shape_mismatch"
+    | exception Errors.Error (Shape_mismatch s) -> s
+  in
+  let q i = Wire.qw i and cw i = Wire.cw i in
+  let w = Qdata.pair Qdata.qubit (Qdata.list_of 2 Qdata.qubit) in
+  Alcotest.(check string) "quantum" "too many leaves"
+    (text (fun () -> Qdata.qbuild w [ q 0; q 1; q 2; q 3 ]));
+  Alcotest.(check string) "classical" "too many leaves"
+    (text (fun () -> Qdata.cbuild w [ cw 0; cw 1; cw 2; cw 3 ]));
+  Alcotest.(check string) "parameter" "too many leaves"
+    (text (fun () -> Qdata.bbuild (Qdata.list_of 2 Qdata.qubit) [ true; false; true ]));
+  Alcotest.(check string) "unit" "too many leaves"
+    (text (fun () -> Qdata.qbuild Qdata.unit [ q 0 ]));
+  check "exact length still builds" true
+    (Qdata.qbuild w [ q 0; q 1; q 2 ] = (Wire.Qubit 0, [ Wire.Qubit 1; Wire.Qubit 2 ]))
+
+(* Witnesses against [Qdata_ref], on random nested shapes. [pack d]
+   builds the witness of [d] twice, new and reference, and a generator
+   of values of its three versions whose lists and arrays are sometimes
+   one element too long or too short, each independently. *)
+module Ref = Quipper_testgen.Qdata_ref
+
+type desc =
+  | Q
+  | B
+  | U
+  | Pair of desc * desc
+  | Triple of desc * desc * desc
+  | Quad of desc * desc * desc * desc
+  | List of int * desc
+  | Array of int * desc
+  | Iso of desc
+
+type packed =
+  | P : ('b, 'q, 'c) Qdata.t * ('b, 'q, 'c) Ref.t * (Random.State.t -> 'q * 'c * 'b) -> packed
+
+let rec pack d =
+  let off_by_one st n =
+    match Random.State.int st 6 with 0 -> n + 1 | 1 -> max 0 (n - 1) | _ -> n
+  in
+  match d with
+  | Q ->
+      P (Qdata.qubit, Ref.qubit, fun st -> let i = Random.State.int st 99 in (Wire.Qubit i, Wire.Bit i, i > 49))
+  | B -> P (Qdata.bit, Ref.bit, fun st -> let i = Random.State.int st 99 in (Wire.Bit i, Wire.Bit i, i > 49))
+  | U -> P (Qdata.unit, Ref.unit, fun _ -> ((), (), ()))
+  | Pair (a, b) ->
+      let (P (na, ra, ga)) = pack a in
+      let (P (nb, rb, gb)) = pack b in
+      P
+        ( Qdata.pair na nb, Ref.pair ra rb,
+          fun st ->
+            let qa, ca, ba = ga st in
+            let qb, cb, bb = gb st in
+            ((qa, qb), (ca, cb), (ba, bb)) )
+  | Triple (a, b, c) ->
+      let (P (na, ra, ga)) = pack a in
+      let (P (nb, rb, gb)) = pack b in
+      let (P (nc, rc, gc)) = pack c in
+      P
+        ( Qdata.triple na nb nc, Ref.triple ra rb rc,
+          fun st ->
+            let qa, ca, ba = ga st in
+            let qb, cb, bb = gb st in
+            let qc, cc, bc = gc st in
+            ((qa, qb, qc), (ca, cb, cc), (ba, bb, bc)) )
+  | Quad (a, b, c, e) ->
+      let (P (na, ra, ga)) = pack a in
+      let (P (nb, rb, gb)) = pack b in
+      let (P (nc, rc, gc)) = pack c in
+      let (P (ne, re, ge)) = pack e in
+      P
+        ( Qdata.quad na nb nc ne, Ref.quad ra rb rc re,
+          fun st ->
+            let qa, ca, ba = ga st in
+            let qb, cb, bb = gb st in
+            let qc, cc, bc = gc st in
+            let qe, ce, be = ge st in
+            ((qa, qb, qc, qe), (ca, cb, cc, ce), (ba, bb, bc, be)) )
+  | List (n, a) ->
+      let (P (na, ra, ga)) = pack a in
+      let elements st =
+        let xs = List.init (off_by_one st n) (fun _ -> ga st) in
+        (List.map (fun (q, _, _) -> q) xs, List.map (fun (_, c, _) -> c) xs, List.map (fun (_, _, b) -> b) xs)
+      in
+      P (Qdata.list_of n na, Ref.list_of n ra, elements)
+  | Array (n, a) ->
+      let (P (na, ra, ga)) = pack a in
+      let elements st =
+        let xs = Array.init (off_by_one st n) (fun _ -> ga st) in
+        (Array.map (fun (q, _, _) -> q) xs, Array.map (fun (_, c, _) -> c) xs, Array.map (fun (_, _, b) -> b) xs)
+      in
+      P (Qdata.array_of n na, Ref.array_of n ra, elements)
+  | Iso a ->
+      let (P (na, ra, ga)) = pack a in
+      let iso w =
+        w ~bto:Option.some ~bof:Option.get ~qto:Option.some ~qof:Option.get ~cto:Option.some
+          ~cof:Option.get
+      in
+      P (iso Qdata.iso na, iso Ref.iso ra, fun st -> let q, c, b = ga st in (Some q, Some c, Some b))
+
+let desc_gen =
+  let open QCheck2.Gen in
+  let len = frequency [ (4, int_range 1 3); (1, pure 0) ] in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         let leaf = frequency [ (4, pure Q); (2, pure B); (1, pure U) ] in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [
+               (2, leaf);
+               (2, map2 (fun a b -> Pair (a, b)) sub sub);
+               (1, map3 (fun a b c -> Triple (a, b, c)) sub sub sub);
+               (1, map4 (fun a b c d -> Quad (a, b, c, d)) sub sub sub sub);
+               (2, map2 (fun k a -> List (k, a)) len sub);
+               (2, map2 (fun k a -> Array (k, a)) len sub);
+               (1, map (fun a -> Iso a) sub);
+             ])
+
+(* Leaves for a build: in a third of the lists about a fifth of the types
+   flipped; then the list exact, cut short, or one to three leaves too
+   long. *)
+let endpoints tys seed =
+  let st = Random.State.make [| seed |] in
+  let n = List.length tys in
+  let flip = Random.State.int st 3 = 0 in
+  let es =
+    List.mapi
+      (fun i ty ->
+        let ty = if flip && Random.State.int st 5 = 0 then (if ty = Wire.Q then Wire.C else Wire.Q) else ty in
+        { Wire.wire = i; ty })
+      tys
+  in
+  match Random.State.int st 4 with
+  | 0 ->
+      let k = Random.State.int st (n + 1) in
+      List.filteri (fun i _ -> i < k) es
+  | 1 -> es @ List.init (1 + Random.State.int st 3) (fun i -> Wire.qw (n + i))
+  | _ -> es
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Errors.Error (Shape_mismatch s) -> Error s
+
+type stats = { mutable ref_accepted_surplus : int; texts : (string, unit) Hashtbl.t }
+
+let stats = { ref_accepted_surplus = 0; texts = Hashtbl.create 8 }
+
+let agree_on (P (nw, rw, values)) seed =
+  let n = Ref.size rw in
+  let es = endpoints rw.tys seed in
+  let bools = List.map (fun (e : Wire.endpoint) -> e.ty = Wire.Q) es in
+  let same a b =
+    (match b with Error s -> Hashtbl.replace stats.texts s () | Ok _ -> ());
+    a = b
+  in
+  let builds =
+    if List.length es > n then begin
+      let refused = function Error _ -> true | Ok _ -> false in
+      if not (refused (outcome (fun () -> rw.qbuild es))) then
+        stats.ref_accepted_surplus <- stats.ref_accepted_surplus + 1;
+      refused (outcome (fun () -> Qdata.qbuild nw es))
+      && refused (outcome (fun () -> Qdata.cbuild nw es))
+      && refused (outcome (fun () -> Qdata.bbuild nw bools))
+    end
+    else
+      same (outcome (fun () -> Qdata.qbuild nw es)) (outcome (fun () -> rw.qbuild es))
+      && same (outcome (fun () -> Qdata.cbuild nw es)) (outcome (fun () -> rw.cbuild es))
+      && same (outcome (fun () -> Qdata.bbuild nw bools)) (outcome (fun () -> rw.bbuild bools))
+  in
+  (* leaves, or the error, of values that are well-formed or not *)
+  let x, c, b = values (Random.State.make [| seed |]) in
+  builds
+  && same (outcome (fun () -> Qdata.qleaves nw x)) (outcome (fun () -> rw.qleaves x))
+  && same (outcome (fun () -> Qdata.cleaves nw c)) (outcome (fun () -> rw.cleaves c))
+  && same (outcome (fun () -> Qdata.bleaves nw b)) (outcome (fun () -> rw.bleaves b))
+
+let witness_case_gen =
+  let open QCheck2.Gen in
+  let* d = desc_gen in
+  let* seeds = list_repeat 8 (int_bound 1_000_000) in
+  pure (d, seeds)
+
+let prop_witnesses_match_reference =
+  QCheck2.Test.make ~name:"witnesses = Qdata_ref on random shapes" ~count:500 witness_case_gen
+    (fun (d, seeds) ->
+      let p = pack d in
+      List.for_all (agree_on p) seeds)
+
+(* the property's cases must meet every error text and surpluses the
+   reference accepted *)
+let test_witness_coverage () =
+  Hashtbl.reset stats.texts;
+  stats.ref_accepted_surplus <- 0;
+  List.iter
+    (fun (d, seeds) ->
+      let p = pack d in
+      List.iter (fun seed -> ignore (agree_on p seed)) seeds)
+    (QCheck2.Gen.generate ~rand:(Random.State.make [| 28 |]) ~n:500 witness_case_gen);
+  let texts = Hashtbl.fold (fun s () acc -> s :: acc) stats.texts [] in
+  List.iter
+    (fun t ->
+      if not (List.exists (fun s -> Astring_contains.contains s t) texts) then
+        Alcotest.failf "no reference error %S met" t)
+    [ "not enough leaves"; "qubit leaf"; "bit leaf"; "bool leaf"; "list length" ];
+  if stats.ref_accepted_surplus < 20 then
+    Alcotest.failf "only %d surpluses the reference accepted" stats.ref_accepted_surplus
 
 (* ------------------------------------------------------------------ *)
 (* Boxed subcircuits (paper 4.4.4)                                     *)
@@ -581,6 +821,10 @@ let suite =
     Alcotest.test_case "generic qinit/measure" `Quick test_qinit_measure_generic;
     Alcotest.test_case "generic controlled_not" `Quick test_controlled_not_generic;
     Alcotest.test_case "shape mismatch detected" `Quick test_shape_mismatch;
+    Alcotest.test_case "comment label strings" `Quick test_label_strings;
+    Alcotest.test_case "surplus leaves refused" `Quick test_surplus_refused;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |]) prop_witnesses_match_reference;
+    Alcotest.test_case "reference test meets every error text" `Quick test_witness_coverage;
     Alcotest.test_case "box defined once, called thrice" `Quick test_box_defines_once;
     Alcotest.test_case "aggregate count = inline count" `Quick test_box_inline_agrees;
     Alcotest.test_case "box with fresh outputs" `Quick test_box_creates_fresh_outputs;

@@ -1,7 +1,8 @@
 (* The builder's live-wire bookkeeping: the open-addressing map against
    the standard library's table, the wire a leaky capture names against
-   the earlier chained-table bookkeeping ([Circ_ref]), and an upper bound
-   on the words the builder allocates per emitted gate. *)
+   the earlier chained-table bookkeeping ([Circ_ref]), and upper bounds
+   on the words the builder allocates per emitted gate and per wide box
+   call. *)
 
 open Quipper
 module Gen = QCheck2.Gen
@@ -85,10 +86,11 @@ module type BUILDER = sig
     ('q -> 'q2 t) -> 'q2 -> 'q t
 end
 
-(* a shape witness over raw endpoint lists *)
+(* a shape witness over raw endpoint lists; a build reads every leaf *)
+let raw = { Qdata.put = List.append; take = (fun cur -> let l = cur.Qdata.rest in cur.rest <- []; l) }
+
 let endpoints tys : (bool list, Wire.endpoint list, Wire.endpoint list) Qdata.t =
-  { tys; qleaves = Fun.id; qbuild = Fun.id; cleaves = Fun.id; cbuild = Fun.id;
-    bleaves = Fun.id; bbuild = Fun.id }
+  { tys; qside = raw; cside = raw; bside = raw }
 
 let tys_of = List.map (fun (e : Wire.endpoint) -> e.ty)
 
@@ -334,13 +336,13 @@ let reverse_heavy sink =
          done)
        sink)
 
-(* Upper bounds at the measured 46.30 and 107.36 words per gate.
+(* Upper bounds at the measured 40.25 and 91.03 words per gate.
    Allocation is deterministic and does not depend on QUIPPER_DOMAINS,
    since generation runs on one domain. *)
 let test_alloc_pin () =
   let bwt = words_per_gate bwt_template and rev = words_per_gate reverse_heavy in
-  if bwt > 46.5 then Alcotest.failf "BWT template: %.2f words per gate (pin 46.5)" bwt;
-  if rev > 107.5 then Alcotest.failf "reverse_fun: %.2f words per gate (pin 107.5)" rev
+  if bwt > 40.5 then Alcotest.failf "BWT template: %.2f words per gate (pin 40.5)" bwt;
+  if rev > 91.5 then Alcotest.failf "reverse_fun: %.2f words per gate (pin 91.5)" rev
 
 (* The resource fold over the same emission: the words each sink adds
    per gate to emission into a null sink, and the words per gate of the
@@ -379,6 +381,67 @@ let test_fold_pins () =
       ("Resource.of_circuit", materialized_words_per_gate ());
     ]
 
+(* Wide box calls. [box_call_words] is the minor words of one more call
+   of an in-place box over the 379 wires of the triangle finder's
+   register file at l=31 n=15 r=4, already defined, its witness built
+   once, streamed into a null sink. [tf_estimate_words] is the minor
+   words of one symbolic estimate at that point, composed as
+   [tf --estimate] composes it: 388 box calls (82 of them 379 wires
+   wide) and 4,506 comment labels around ~7,300 gates. Both are
+   deterministic and run on one domain. *)
+let tf_point = { Algo_tf.Oracle.l = 31; n = 15; r = 4 }
+
+let box_call_words () =
+  let shape = Algo_tf.Qwtfp.regs_shape tf_point in
+  let wide =
+    Circ.box "wide" ~in_:shape ~out:shape (fun regs c ->
+        Circ.hadamard_ regs.Algo_tf.Qwtfp.i.(0) c;
+        regs)
+  in
+  let run calls =
+    let sink = Sink.make ~on_gate:ignore ~finish:ignore () in
+    ignore
+      (Circ.run_streaming ~in_:shape
+         (fun regs c ->
+           let r = ref regs in
+           for _ = 1 to calls do
+             r := wide !r c
+           done)
+         sink)
+  in
+  let words calls =
+    let before = Gc.minor_words () in
+    run calls;
+    Gc.minor_words () -. before
+  in
+  ignore (words 1);
+  (words 101 -. words 1) /. 100.
+
+let tf_estimate_words () =
+  let module Estimate = Quipper_estimate.Estimate in
+  let module Qwtfp = Algo_tf.Qwtfp in
+  let p = tf_point in
+  let estimate () =
+    let shape = Qwtfp.regs_shape p in
+    let prologue = Estimate.of_circ_unit (Qwtfp.a1_prologue ~p) in
+    let step = Estimate.of_circ ~in_:shape (Qwtfp.a4_GCQWStep ~p) in
+    let epilogue = Estimate.of_circ ~in_:shape (Qwtfp.a1_epilogue ~p) in
+    Estimate.seq prologue (Estimate.seq (Estimate.repeat (Qwtfp.r1_iterations p) step) epilogue)
+  in
+  ignore (estimate ());
+  let before = Gc.minor_words () in
+  let e = estimate () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check string) "total gates" "3096690234577" (Wide.to_string (Estimate.total e));
+  words
+
+(* Upper bounds at the measured 4,773 words per call and 1,105,352 words
+   per estimate. *)
+let test_wide_call_pins () =
+  let call = box_call_words () and est = tf_estimate_words () in
+  if call > 4850. then Alcotest.failf "379-wire box call: %.0f words (pin 4850)" call;
+  if est > 1_125_000. then Alcotest.failf "tf estimate r=4: %.0f words (pin 1125000)" est
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |]) prop_itbl_model;
@@ -388,4 +451,5 @@ let suite =
     Alcotest.test_case "births only under ids of their own scope" `Quick test_births_in_scope;
     Alcotest.test_case "words per emitted gate pinned" `Quick test_alloc_pin;
     Alcotest.test_case "words per counted gate pinned" `Quick test_fold_pins;
+    Alcotest.test_case "words per wide box call pinned" `Quick test_wide_call_pins;
   ]

@@ -26,7 +26,7 @@ let adder_circuit () =
   in
   b
 
-let adder_inputs x y = adder_shape.Qdata.bleaves (x, y)
+let adder_inputs x y = Qdata.bleaves adder_shape (x, y)
 
 (* ------------------------------------------------------------------ *)
 (* Noise channels                                                      *)
