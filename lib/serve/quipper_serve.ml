@@ -177,24 +177,35 @@ let prepare_clifford req outputs =
       (fun seed -> bits_of (module Backend.Clifford) ~seed req.circuit req.inputs);
   }
 
-let measure_fused st outputs =
-  Array.of_list
-    (Quipper_sim.Drive.readout ~measure:(Fuse.measure st)
-       ~read_bit:(Fuse.read_bit st) outputs)
-
-(* [run seed] is one fused run of the prepared circuit: a full circuit
-   or a re-specialized template *)
-let fused_entry run outputs =
+(* [run seed] is one run of the prepared circuit on a dense backend.
+   Each state is dropped right after its snapshot or its readout, so it
+   hands its buffers back first: the next preparation on this domain
+   reuses them instead of growing a fresh pair. *)
+let dense_entry backend run outputs =
+  let st = run prep_seed in
+  let snap = Statevector.snapshot st in
+  Statevector.release st;
   {
-    e_backend = "fused";
+    e_backend = backend;
     e_sample =
-      (match Fuse.snapshot (run prep_seed) with
-      | Some snap ->
-          Some
-            (fun rng -> Array.of_list (Statevector.sample_from snap ~rng outputs))
-      | None -> None);
-    e_resim = (fun seed -> measure_fused (run seed) outputs);
+      Option.map
+        (fun snap rng -> Array.of_list (Statevector.sample_from snap ~rng outputs))
+        snap;
+    e_resim =
+      (fun seed ->
+        let st = run seed in
+        let bits =
+          Quipper_sim.Drive.readout ~measure:(Statevector.measure st)
+            ~read_bit:(Statevector.read_bit st) outputs
+        in
+        Statevector.release st;
+        Array.of_list bits);
   }
+
+(* a fused run of a full circuit or a re-specialized template, read
+   through its flushed statevector *)
+let fused_entry run outputs =
+  dense_entry "fused" (fun seed -> Fuse.statevector (run seed)) outputs
 
 let prepare_fused boxes req outputs =
   fused_entry
@@ -202,19 +213,9 @@ let prepare_fused boxes req outputs =
     outputs
 
 let prepare_sv req outputs =
-  let st = Statevector.run_circuit ~seed:prep_seed req.circuit req.inputs in
-  {
-    e_backend = "statevector";
-    e_sample =
-      (match Statevector.snapshot st with
-      | Some snap ->
-          Some
-            (fun rng -> Array.of_list (Statevector.sample_from snap ~rng outputs))
-      | None -> None);
-    e_resim =
-      (fun seed ->
-        bits_of (module Backend.Statevector) ~seed req.circuit req.inputs);
-  }
+  dense_entry "statevector"
+    (fun seed -> Statevector.run_circuit ~seed req.circuit req.inputs)
+    outputs
 
 let prepare t req =
   (* Optimizing here (not in [submit]) means the rewrite runs once per

@@ -10,7 +10,11 @@
     A service caches prepared states across requests, keyed on
     [(Circuit.hash, inputs)] and LRU-bounded when given a capacity, and
     shares one {!Quipper_sim.Fuse} compiled-box cache across all
-    preparations; {!submit_batch} splits independent requests into
+    preparations. Every dense state a preparation or a resimulated shot
+    runs is released once it is snapped or read
+    ({!Quipper_sim.Statevector.release}), so preparations on one domain
+    reuse one amplitude-buffer pair instead of each growing its own;
+    {!submit_batch} splits independent requests into
     deterministic contiguous chunks run on a process-wide pool, capped at
     the core count, with the caller taking part — so every outcome is a
     function of the request's own seed, never of the worker count.

@@ -897,6 +897,7 @@ and compile st ~name ~inv : program =
 (* Public surface                                                      *)
 
 let apply_gate st (g : Gate.t) =
+  Statevector.check_live st.sv;
   st.st_stats.gates_seen <- st.st_stats.gates_seen + 1;
   feed_site st st.fz None g
 
@@ -927,6 +928,11 @@ let statevector st =
 let snapshot st =
   flush st.fz;
   Statevector.snapshot st.sv
+
+(* a pending block would only be applied to the released buffers *)
+let release st =
+  st.fz.pending <- None;
+  Statevector.release st.sv
 
 let stats st = st.st_stats
 

@@ -110,6 +110,12 @@ val snapshot : state -> Statevector.snapshot option
     {!Statevector.snapshot}); sampling from it goes through
     {!Statevector.sample_from}. *)
 
+val release : state -> unit
+(** Drop any pending block and {!Statevector.release} the underlying
+    statevector: its buffer pair goes to this domain's spare slot for
+    the next state created there. Afterwards every gate, read,
+    measurement and snapshot on the state raises [Simulation _]. *)
+
 val stats : state -> stats
 
 val run_fun :

@@ -19,13 +19,15 @@
     [2^n] elements are live, and the arrays grow geometrically and never
     shrink, so the [Init]/[Term] ancilla churn typical of Quipper circuits
     (§4.2.2) costs a fill or a blit instead of an allocate-and-copy per
-    gate. Gates dispatch on {!Gate.fast_class} to the specialised in-place
-    kernels of {!Kernel} — index swaps for X/CNOT/Toffoli, diagonal
-    multiplies for the phase family, butterflies only for H and W — with
-    the generic matrix path as fallback. All kernel results are bit-for-bit
-    identical to the seed engine preserved in {!Reference}; probability
-    reductions stay sequential so sampled outcomes are independent of the
-    domain count. *)
+    gate. A state that is done hands its arrays to the next state created
+    on the same domain ({!release}), so a run of cold preparations grows
+    its buffers once rather than once per preparation. Gates dispatch on
+    {!Gate.fast_class} to the specialised in-place kernels of {!Kernel} —
+    index swaps for X/CNOT/Toffoli, diagonal multiplies for the phase
+    family, butterflies only for H and W — with the generic matrix path
+    as fallback. All kernel results are bit-for-bit identical to the seed
+    engine preserved in {!Reference}; probability reductions stay
+    sequential so sampled outcomes are independent of the domain count. *)
 
 open Quipper
 
@@ -56,43 +58,99 @@ type state = {
 
 let initial_capacity = 16
 
-let create_as name ?(seed = 1) () =
-  let re = Array.make initial_capacity 0.0 in
+(* One spare amplitude-buffer pair per domain: [release] leaves a
+   state's arrays here and the next [create_as] on the same domain takes
+   them, so cold preparations do not each grow a fresh pair from
+   [initial_capacity]. [sp_zeros] is the released state's watermark
+   ([sp_re.(i) = sp_im.(i) = 0.0] for every [i >= sp_zeros]), so the
+   taker fills only the stale part it grows into. The slot keeps the
+   larger pair, which bounds what a domain retains by the largest state
+   it has run; [[||]] means empty. *)
+type spare = {
+  mutable sp_re : float array;
+  mutable sp_im : float array;
+  mutable sp_zeros : int;
+}
+
+let spare = Domain.DLS.new_key (fun () -> { sp_re = [||]; sp_im = [||]; sp_zeros = 0 })
+
+let make name seed re im zeros_from =
   re.(0) <- 1.0;
+  im.(0) <- 0.0;
   {
     re;
-    im = Array.make initial_capacity 0.0;
+    im;
     n = 0;
     size = 1;
-    zeros_from = 1;
+    zeros_from;
     pos = [];
     cenv = Drive.Cenv.create name;
     rng = Quipper_math.Rng.create seed;
     rng_touched = false;
   }
 
+let create_as name ?(seed = 1) () =
+  let sp = Domain.DLS.get spare in
+  let re = sp.sp_re and im = sp.sp_im in
+  if Array.length re = 0 then
+    make name seed (Array.make initial_capacity 0.0) (Array.make initial_capacity 0.0) 1
+  else begin
+    sp.sp_re <- [||];
+    sp.sp_im <- [||];
+    make name seed re im sp.sp_zeros
+  end
+
+(* A released state has [size = 0]: every entry point checks this
+   before it reaches the (now empty) buffers. *)
+let check_live st =
+  if st.size = 0 then Errors.raise_ (Simulation "statevector: state used after release")
+
+let release st =
+  if st.size > 0 then begin
+    let sp = Domain.DLS.get spare in
+    if Array.length st.re > Array.length sp.sp_re then begin
+      sp.sp_re <- st.re;
+      sp.sp_im <- st.im;
+      sp.sp_zeros <- st.zeros_from
+    end;
+    st.re <- [||];
+    st.im <- [||];
+    st.n <- 0;
+    st.size <- 0;
+    st.zeros_from <- 0;
+    st.pos <- []
+  end
+
 let create = create_as "statevector"
 let num_qubits st = st.n
 let capacity st = Array.length st.re
 
 let position st w =
+  check_live st;
   match List.assoc_opt w st.pos with
   | Some p -> p
   | None -> Errors.raise_ (Simulation (Fmt.str "statevector: wire %d is not a live qubit" w))
 
 let qubit_index = position
 
-let read_bit st w = Drive.Cenv.read st.cenv w
-let set_bit st w v = Drive.Cenv.write st.cenv w v
+let read_bit st w =
+  check_live st;
+  Drive.Cenv.read st.cenv w
+
+let set_bit st w v =
+  check_live st;
+  Drive.Cenv.write st.cenv w v
 
 (* Gates are about to write somewhere in [0, size): the zero watermark
    can no longer vouch for anything below [size]. *)
 let dirty st = if st.zeros_from < st.size then st.zeros_from <- st.size
 
 let amplitudes st =
+  check_live st;
   Array.init st.size (fun i -> Quipper_math.Cplx.make st.re.(i) st.im.(i))
 
 let probabilities st =
+  check_live st;
   Array.init st.size (fun i -> (st.re.(i) *. st.re.(i)) +. (st.im.(i) *. st.im.(i)))
 
 (* ------------------------------------------------------------------ *)
@@ -214,6 +272,7 @@ let remove_qubit ?(on_assert_fail : (unit -> unit) option) st (w : Wire.t) (valu
     index bits; classical controls are evaluated immediately. [None] means
     a classical control is unsatisfied — skip the gate. *)
 let resolve_controls st (cs : Gate.control list) : (int * int) option =
+  check_live st;
   let rec go mask want = function
     | [] -> Some (mask, want)
     | (c : Gate.control) :: tl -> (
@@ -339,6 +398,7 @@ let gate_unitary (g : Gate.t) : Quipper_math.Mat2.t option =
     ({!Fuse}) uses to reach the raw buffers. *)
 let apply_kernel st
     (k : re:float array -> im:float array -> size:int -> unit) =
+  check_live st;
   dirty st;
   k ~re:st.re ~im:st.im ~size:st.size
 
@@ -384,6 +444,7 @@ let prob_one st (w : Wire.t) : float =
 (* ------------------------------------------------------------------ *)
 
 let apply_gate st (g : Gate.t) =
+  check_live st;
   match g with
   | Gate.Gate { name = "swap"; inv = _; targets = [ a; b ]; controls } ->
       with_2q st a b controls Kernel.kswap
@@ -453,6 +514,7 @@ type snapshot = {
 }
 
 let snapshot st : snapshot option =
+  check_live st;
   if st.rng_touched then None
   else
     Some

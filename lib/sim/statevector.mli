@@ -21,9 +21,20 @@
     need it, and interpret {!amplitudes}[(i)] as the basis state whose
     qubit [w] has value [(i lsr qubit_index st w) land 1].
 
+    {2 Capacity and buffer reuse}
+
     The amplitude buffers are capacity-managed: they grow geometrically,
     never shrink, and [Init]/[Term]/[measure] update them in place, so
     ancilla churn does not allocate once the high-water mark is reached.
+    Each domain also keeps one spare buffer pair: {!release} hands a
+    finished state's pair to it and the next {!create} on that domain
+    takes it, so a run of cold preparations grows its buffers once, not
+    once per preparation. The pair carries its zero watermark with it,
+    so the taker fills only the stale part it grows into; results are
+    bit-identical to a state on fresh buffers. The spare slot keeps the
+    larger of two pairs, so what a domain retains between states is
+    bounded by the largest state it has run.
+
     Gate application dispatches on {!Quipper.Gate.fast_class} to the
     specialised kernels in {!Kernel} and falls back to generic matrix
     application; results are bit-for-bit those of the {!Reference} seed
@@ -47,7 +58,18 @@ val num_qubits : state -> int
 
 val capacity : state -> int
 (** Allocated length of the amplitude buffers (>= [2^num_qubits]); grows
-    geometrically and never shrinks. Exposed for the capacity tests. *)
+    geometrically and never shrinks until {!release} (0 after). A state created on a domain that
+    holds a spare pair starts at that pair's length, so callers may only
+    rely on [>=]. Exposed for the capacity tests. *)
+
+val release : state -> unit
+(** Hand the state's buffer pair to this domain's spare slot (kept if
+    it is larger than the pair already there) and empty the state. Call
+    it when a state is done and about to be dropped; it is a no-op on a
+    state already released. Afterwards every gate, {!measure},
+    {!read_bit}, {!set_bit}, {!amplitudes}, {!snapshot} and index query
+    on the state raises [Simulation _]. Snapshots taken before the
+    release are copies and stay valid. *)
 
 val qubit_index : state -> Wire.t -> int
 (** Bit position of a live qubit in the amplitude index (see the ordering
@@ -96,6 +118,10 @@ val resolve_controls : state -> Gate.control list -> (int * int) option
     bits; classical controls are evaluated against the classical
     environment immediately. [None] means a classical control is
     unsatisfied: skip the gate. *)
+
+val check_live : state -> unit
+(** Raises [Simulation _] if the state was {!release}d — for an engine
+    that buffers gates before they reach the statevector ({!Fuse}). *)
 
 val apply_kernel :
   state -> (re:float array -> im:float array -> size:int -> unit) -> unit

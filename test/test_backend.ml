@@ -206,6 +206,145 @@ let test_capacity_retention_under_churn () =
   check "churn within capacity allocates nothing" true (Sv.capacity st = cap)
 
 (* ------------------------------------------------------------------ *)
+(* Buffer reuse across states                                          *)
+
+module Fuse = Quipper_sim.Fuse
+module Pool = Quipper_sim.Pool
+module Rng = Quipper_math.Rng
+
+(* Everything a run shows, floats as bit patterns: the amplitudes, three
+   snapshot shots, then the outputs measured on the state itself. *)
+let observe ~amplitudes ~snapshot ~measure (b : Circuit.b) =
+  let bits = Array.map (fun c -> (Int64.bits_of_float (Cplx.re c), Int64.bits_of_float (Cplx.im c))) in
+  let outs = b.Circuit.main.Circuit.outputs in
+  let amps = bits (amplitudes ()) in
+  let shots =
+    match snapshot () with
+    | Some snap -> List.init 3 (fun k -> Sv.sample_from snap ~rng:(Rng.create (11 + k)) outs)
+    | None -> []
+  in
+  (amps, shots, List.map (fun (e : Wire.endpoint) -> measure e.Wire.wire) outs)
+
+(* An engine runs a circuit and returns the state's capacity, its
+   release and its observation. *)
+let sv_engine b inputs =
+  let st = Sv.run_circuit ~seed:5 b inputs in
+  ( Sv.capacity st,
+    (fun () -> Sv.release st),
+    fun () ->
+      observe b ~amplitudes:(fun () -> Sv.amplitudes st)
+        ~snapshot:(fun () -> Sv.snapshot st) ~measure:(Sv.measure st) )
+
+let fuse_engine b inputs =
+  let st = Fuse.run_circuit ~seed:5 b inputs in
+  ( Sv.capacity (Fuse.statevector st),
+    (fun () -> Fuse.release st),
+    fun () ->
+      observe b ~amplitudes:(fun () -> Fuse.amplitudes st)
+        ~snapshot:(fun () -> Fuse.snapshot st) ~measure:(Fuse.measure st) )
+
+(* B observed on fresh buffers, then on the pair A released. *)
+let reuse_agrees engine (a, ia) (b, ib) =
+  ignore (Sv.create ()) (* empty this domain's spare slot *);
+  let _, _, obs = engine b ib in
+  let fresh = obs () in
+  let cap_a, release_a, _ = engine a ia in
+  release_a ();
+  let cap_b, release_b, obs = engine b ib in
+  let reused = obs () in
+  release_b ();
+  cap_b >= cap_a && reused = fresh
+
+(* Widths relate as the first component says: A wider, narrower or as
+   wide as B. Ancilla blocks leave stale amplitudes above the live
+   prefix, which is what a wrong zero watermark would expose. *)
+let reuse_pair_gen =
+  QCheck2.Gen.(
+    let* rel = oneofl [ `Wider; `Narrower; `Equal ] in
+    let* nb = int_range 2 5 in
+    let na = match rel with `Wider -> nb + 2 | `Narrower -> nb - 1 | `Equal -> nb in
+    let prog n = pair (ancilla_heavy_gen ~n) (list_repeat n bool) in
+    let* pa = prog na and* pb = prog nb in
+    return ((na, pa), (nb, pb)))
+
+let prop_reuse_bit_identical =
+  QCheck2.Test.make ~name:"released buffers: the next run is bit-identical to a fresh one"
+    ~count:150 reuse_pair_gen
+    (fun ((na, (opsa, ia)), (nb, (opsb, ib))) ->
+      let a = Gen.circuit_of_program ~n:na opsa and b = Gen.circuit_of_program ~n:nb opsb in
+      reuse_agrees sv_engine (a, ia) (b, ib) && reuse_agrees fuse_engine (a, ia) (b, ib))
+
+let test_release_contract () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s on a released state did not raise" what
+    | exception Errors.Error (Errors.Simulation _) -> ()
+  in
+  let q = Gate.Init { ty = Wire.Q; value = false; wire = 0 }
+  and c = Gate.Init { ty = Wire.C; value = true; wire = 1 }
+  and x = Gate.Gate { name = "X"; inv = false; targets = [ 0 ]; controls = [] } in
+  let sv = Sv.create () in
+  List.iter (Sv.apply_gate sv) [ q; c; x ];
+  let snap = Option.get (Sv.snapshot sv) in
+  Sv.release sv;
+  Sv.release sv;
+  check "released capacity" true (Sv.capacity sv = 0);
+  raises "Statevector gate" (fun () -> Sv.apply_gate sv x);
+  raises "Statevector Init" (fun () -> Sv.apply_gate sv q);
+  raises "Statevector measure" (fun () -> Sv.measure sv 0);
+  raises "Statevector read_bit" (fun () -> Sv.read_bit sv 1);
+  raises "Statevector amplitudes" (fun () -> Sv.amplitudes sv);
+  raises "Statevector snapshot" (fun () -> Sv.snapshot sv);
+  raises "Statevector qubit_index" (fun () -> Sv.qubit_index sv 0);
+  raises "Statevector apply_kernel" (fun () -> Sv.apply_kernel sv (fun ~re:_ ~im:_ ~size:_ -> ()));
+  (* a snapshot is a copy: it outlives the release *)
+  check "snapshot after release" true
+    (Sv.sample_from snap ~rng:(Rng.create 1) [ Wire.qw 0; Wire.cw 1 ] = [ true; true ]);
+  let fu = Fuse.create () in
+  List.iter (Fuse.apply_gate fu) [ q; c; x ];
+  Fuse.release fu;
+  raises "Fuse gate" (fun () -> Fuse.apply_gate fu x);
+  raises "Fuse measure" (fun () -> Fuse.measure fu 0);
+  raises "Fuse read_bit" (fun () -> Fuse.read_bit fu 1);
+  raises "Fuse amplitudes" (fun () -> Fuse.amplitudes fu);
+  raises "Fuse snapshot" (fun () -> Fuse.snapshot fu)
+
+(* Two prepares fanned out over two domains at different widths, live
+   at once: each waits (up to 2 s) until both have started, so they run
+   on different domains where the machine has two. Each releases its
+   pair, waits until both have, and creates one more state: that state
+   must start on the pair its own domain released. One slot shared by
+   the domains would hand one task the other's pair, or none. *)
+let test_spare_per_domain () =
+  let started = Atomic.make 0 and released = Atomic.make 0 in
+  let wait_for_both counter =
+    Atomic.incr counter;
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get counter < 2 && Unix.gettimeofday () -. t0 < 2. do
+      Domain.cpu_relax ()
+    done
+  in
+  let seen = Array.make 2 (0, 0, 0) in
+  Pool.run ~domains:2 2 (fun i ->
+      wait_for_both started;
+      let st = Sv.create () in
+      List.iter (Sv.apply_gate st)
+        (List.init (if i = 0 then 9 else 6) (fun w ->
+             Gate.Init { ty = Wire.Q; value = w mod 2 = 0; wire = w }));
+      let cap = Sv.capacity st in
+      Sv.release st;
+      wait_for_both released;
+      seen.(i) <- ((Domain.self () :> int), cap, Sv.capacity (Sv.create ())));
+  Array.iteri
+    (fun i (d, cap, got) ->
+      if got <> cap then
+        Alcotest.failf "task %d on domain %d released capacity %d and took %d" i d cap got)
+    seen;
+  let d0, _, _ = seen.(0) and d1, _, _ = seen.(1) in
+  if Domain.recommended_domain_count () > 1 then
+    check "the tasks ran on two domains" true (d0 <> d1)
+
+(* ------------------------------------------------------------------ *)
 (* The Backend contract                                                *)
 
 let test_backend_find () =
@@ -404,6 +543,9 @@ let suite =
     Alcotest.test_case "capacity grows geometrically" `Quick test_capacity_growth;
     Alcotest.test_case "capacity survives ancilla churn" `Quick
       test_capacity_retention_under_churn;
+    QCheck_alcotest.to_alcotest prop_reuse_bit_identical;
+    Alcotest.test_case "a released state refuses every use" `Quick test_release_contract;
+    Alcotest.test_case "spare buffers stay on their domain" `Quick test_spare_per_domain;
     Alcotest.test_case "backend lookup by name" `Quick test_backend_find;
     Alcotest.test_case "observation equality" `Quick test_observation_equality;
     Alcotest.test_case "run_fun + measure on every backend" `Quick

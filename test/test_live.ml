@@ -1,8 +1,8 @@
 (* The builder's live-wire bookkeeping: the open-addressing map against
    the standard library's table, the wire a leaky capture names against
-   the earlier chained-table bookkeeping ([Circ_ref]), and upper bounds
-   on the words the builder allocates per emitted gate and per wide box
-   call. *)
+   the earlier chained-table bookkeeping ([Circ_ref]), upper bounds on
+   the words the builder allocates per emitted gate and per wide box
+   call, and on the words of a cold shot-service preparation. *)
 
 open Quipper
 module Gen = QCheck2.Gen
@@ -442,6 +442,53 @@ let test_wide_call_pins () =
   if call > 4850. then Alcotest.failf "379-wire box call: %.0f words (pin 4850)" call;
   if est > 1_125_000. then Alcotest.failf "tf estimate r=4: %.0f words (pin 1125000)" est
 
+(* Cold preparations. One colour of an exact welded-tree walk step
+   (the sim_wide benchmark's circuit, at a smaller depth: 16 qubits at
+   its widest), submitted to a fresh service: every submit prepares it
+   on the fused backend, snaps it and drops the state.
+   [cold_prepare_words] is the (minor, major) words of the second of
+   two such submits on one domain. The second takes the amplitude-buffer
+   pair the first handed back, so its major words leave out the doubling
+   chain a fresh pair grows through, which is most of them without the
+   reuse. *)
+let walk_step_circuit depth =
+  let module Exact = Algo_bwt.Exact in
+  let g = Exact.build ~depth in
+  let start = List.find_map (fun (u, _, c) -> if c = 3 then Some u else None) g.Exact.edges in
+  fst
+    (Circ.generate_unit
+       (let open Circ in
+        let* a = Quipper_arith.Qureg.init ~width:g.Exact.label_bits (Option.get start) in
+        let* b, r = Exact.neighbour g ~colour:3 a in
+        let* () = Algo_bwt.timestep ~dt:0.3 a b r in
+        let* () = Exact.unneighbour g ~colour:3 a b r in
+        return a))
+
+let cold_prepare_words () =
+  let module Serve = Quipper_serve in
+  let module Kernel = Quipper_sim.Kernel in
+  let req = { Serve.circuit = walk_step_circuit 5; inputs = []; shots = 0; seed = 1 } in
+  let submit () = ignore (Serve.submit (Serve.create ()) req) in
+  let saved = !Kernel.num_domains in
+  Kernel.num_domains := 1;
+  Fun.protect
+    ~finally:(fun () -> Kernel.num_domains := saved)
+    (fun () ->
+      submit ();
+      Gc.minor ();
+      let minor0, _, major0 = Gc.counters () in
+      submit ();
+      let minor1, _, major1 = Gc.counters () in
+      (minor1 -. minor0, major1 -. major0))
+
+(* Upper bounds at the measured 109,904 minor and 15,512 major words
+   (138,939 and 284,580 before the buffer pair was reused). *)
+let test_cold_prepare_pins () =
+  let minor, major = cold_prepare_words () in
+  if major > 16_000. || minor > 111_000. then
+    Alcotest.failf "cold prepare: %.0f major words (pin 16000), %.0f minor (pin 111000)" major
+      minor
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |]) prop_itbl_model;
@@ -452,4 +499,5 @@ let suite =
     Alcotest.test_case "words per emitted gate pinned" `Quick test_alloc_pin;
     Alcotest.test_case "words per counted gate pinned" `Quick test_fold_pins;
     Alcotest.test_case "words per wide box call pinned" `Quick test_wide_call_pins;
+    Alcotest.test_case "words per cold prepare pinned" `Quick test_cold_prepare_pins;
   ]
