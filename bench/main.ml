@@ -444,6 +444,7 @@ let noise () =
   let module Sv = Quipper_sim.Statevector in
   let module Noise = Quipper_sim.Noise in
   let module Inject = Quipper_sim.Inject in
+  let module Svb = Quipper_sim.Backend.Statevector in
   let shape = Qdata.pair (Qdint.shape 3) (Qdint.shape 3) in
   let adder, _ =
     Circ.generate ~in_:shape (fun (x, y) ->
@@ -466,7 +467,7 @@ let noise () =
     (List.length sites)
     (t_enum /. float_of_int reps *. 1e6);
   (* 2. exhaustive single-fault campaign: X/Y/Z at every site *)
-  let r, t_rep = time (fun () -> Inject.report ~seed:1 adder inputs) in
+  let r, t_rep = time (fun () -> Inject.report_on (module Svb) ~seed:1 adder inputs) in
   Fmt.pr "%a" Inject.pp_report r;
   Fmt.pr "  campaign: %.2f s total, %.2f ms/fault@." t_rep
     (t_rep /. float_of_int r.Inject.faults *. 1e3);
@@ -482,7 +483,7 @@ let noise () =
   let (), t_noisy =
     time (fun () ->
         for seed = 1 to shots do
-          try ignore (Noise.run_circuit ~seed cfg adder inputs)
+          try ignore (Noise.run_circuit_on (module Svb) ~seed cfg adder inputs)
           with Errors.Error (Errors.Termination_assertion _) -> ()
         done)
   in
@@ -492,7 +493,7 @@ let noise () =
     (t_noisy /. t_clean);
   (* 4. resilient trial runner on the adder *)
   let s =
-    Noise.run_trials ~master_seed:2026 ~trials:100 ~max_failures:3
+    Noise.run_trials_on (module Svb) ~master_seed:2026 ~trials:100 ~max_failures:3
       (Noise.depolarizing 0.01) adder inputs ~expected
   in
   Fmt.pr "  adder under depolarizing 1%%, 100 trials, <=3 retries:@.  %a@."
@@ -505,7 +506,7 @@ let noise () =
     let g_expected = List.init gn (fun i -> (marked lsr i) land 1 = 1) in
     let gs, t_g =
       time (fun () ->
-          Noise.run_trials ~master_seed:7 ~trials:30 ~max_failures:3
+          Noise.run_trials_on (module Svb) ~master_seed:7 ~trials:30 ~max_failures:3
             (Noise.depolarizing 0.001) gb [] ~expected:g_expected)
     in
     Fmt.pr "  Grover n=%d marked=%d under depolarizing 0.1%%, 30 trials:@.  %a@."

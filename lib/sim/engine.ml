@@ -1,13 +1,8 @@
-(** The unified engine-selection knob for fault campaigns.
-
-    {!Noise} and {!Inject} historically each declared their own
-    [[ `Auto | `Frame | `Slow ]] and every [bin/] command parsed its
-    own spelling of it, with defaults that could drift apart. This
-    module is now the single definition: the campaign modules alias
-    their [engine] types to {!t} (kept one release for compatibility),
-    and every entry point defaults to {!default}, which reads the
-    [QUIPPER_ENGINE] environment variable the same way everywhere —
-    through {!Kernel.env}, like [QUIPPER_DOMAINS]. *)
+(** The engine-selection knob for fault campaigns: the one definition
+    of [`Auto]/[`Frame]/[`Slow] that {!Noise}, {!Inject} and every
+    [bin/] command share. Every campaign entry point defaults to
+    {!default}, which reads [QUIPPER_ENGINE] through {!Kernel.env}, like
+    [QUIPPER_DOMAINS]. What an engine does is {!Frame.campaign}'s rule. *)
 
 type t = [ `Auto | `Frame | `Slow ]
 

@@ -1,11 +1,13 @@
 (** The unified engine-selection knob for fault campaigns.
 
     One definition of the [`Auto]/[`Frame]/[`Slow] choice shared by
-    {!Noise}, {!Inject} and every [bin/] command: [`Auto] (the default)
-    runs the Pauli-frame engine ({!Frame}) where the circuit is
-    eligible and falls back to one-full-simulation-per-attempt;
-    [`Frame] and [`Slow] force the choice. Outcomes are bit-identical
-    across engines at equal seeds — only throughput differs. *)
+    {!Noise}, {!Inject} and every [bin/] command. {!Frame.campaign}
+    holds the one rule: [`Auto] and [`Frame] run the Pauli-frame engine
+    unless the backend observes classical bits only (a refused
+    [`Frame] notes why), falling back per lane to one full simulation
+    per attempt where the circuit is out of its reach; [`Slow] always
+    simulates. Outcomes are bit-identical across engines at equal seeds
+    — only throughput differs. *)
 
 type t = [ `Auto | `Frame | `Slow ]
 

@@ -35,20 +35,23 @@
     divergence absorbed exactly: applying or skipping a Pauli just
     toggles the frame bits — which is why error-correction circuits
     (measure syndrome, classically-controlled X correction) stay on the
-    fast path. *)
+    fast path.
+
+    The campaign drivers ({!Noise.run_trials_on},
+    {!Noise.sample_trials_on}, {!Inject.report_on}) share one lane loop,
+    {!campaign}: it picks the engine, runs a frame pass per chunk of
+    lanes, re-runs fallback lanes on the slow path and retries detected
+    lanes in further rounds. *)
 
 open Quipper
 module Rng = Quipper_math.Rng
 
-type channels = {
+type config = {
   bit_flip : float;
   phase_flip : float;
   depolarizing : float;
   readout : float;
 }
-
-let no_channels =
-  { bit_flip = 0.0; phase_flip = 0.0; depolarizing = 0.0; readout = 0.0 }
 
 (* 63 on 64-bit: every bit of a native int is a trial lane, and native
    int arrays stay unboxed (an int64 array would box every element). *)
@@ -64,7 +67,6 @@ type semantics = Tableau | Amplitudes
 (* Pass state                                                          *)
 
 type batch = {
-  base : int;  (** global lane id of this batch's lane 0 *)
   width : int;  (** lanes in this batch, <= lanes_per_word *)
   pool : Rng.pool;  (** noise mode: per-lane noise streams, unboxed; empty in inject *)
   faults : fault array;  (** inject mode: per-lane fault, ascending findex *)
@@ -80,7 +82,7 @@ type batch = {
           kept for the inject-mode masked test under [Tableau] semantics *)
 }
 
-type mode = M_noise of channels | M_inject of semantics
+type mode = M_noise of config | M_inject of semantics
 
 type pass = {
   mode : mode;
@@ -521,27 +523,26 @@ let on_inputs (p : pass) (inputs : bool list) (es : Wire.endpoint list) =
   p.gate_ix <- 0
 
 (* ------------------------------------------------------------------ *)
-(* Pass construction                                                   *)
+(* Passes                                                              *)
 
-let make_batches ~lanes ~rng_of ~fault_of =
+let make_batches ~lanes ~seed ~fault =
   let nbatches = (lanes + lanes_per_word - 1) / lanes_per_word in
   Array.init nbatches (fun bi ->
       let base = bi * lanes_per_word in
       let width = min lanes_per_word (lanes - base) in
       {
-        base;
         width;
         pool =
-          (match rng_of with
+          (match seed with
           | Some f ->
               let pl = Rng.pool width in
               for l = 0 to width - 1 do
-                Rng.pool_seed pl l (f (base + l))
+                Rng.pool_seed pl l (Rng.create (Rng.derive (f (base + l)) 1))
               done;
               pl
           | None -> Rng.pool 0);
         faults =
-          (match fault_of with
+          (match fault with
           | Some f -> Array.init width (fun l -> f (base + l))
           | None -> [||]);
         cursor = 0;
@@ -554,68 +555,67 @@ let make_batches ~lanes ~rng_of ~fault_of =
         retained = [];
       })
 
-let make_pass mode ~lanes ~rng_of ~fault_of =
-  {
-    mode;
-    ref_st = Clifford.create ~seed:1 ();
-    qslot = Hashtbl.create 64;
-    cslot = Hashtbl.create 64;
-    qfree = [];
-    qnext = 0;
-    cfree = [];
-    cnext = 0;
-    batches = make_batches ~lanes ~rng_of ~fault_of;
-    gate_ix = 0;
-    ineligible = None;
-    reasons = [];
-  }
+(** Push [lanes] frames through the inlined circuit alongside one clean
+    reference run. *)
+let propagate mode ~lanes ~seed ~fault (flat : Circuit.t) (inputs : bool list) =
+  let p =
+    {
+      mode;
+      ref_st = Clifford.create ~seed:1 ();
+      qslot = Hashtbl.create 64;
+      cslot = Hashtbl.create 64;
+      qfree = [];
+      qnext = 0;
+      cfree = [];
+      cnext = 0;
+      batches = make_batches ~lanes ~seed ~fault;
+      gate_ix = 0;
+      ineligible = None;
+      reasons = [];
+    }
+  in
+  on_inputs p inputs flat.Circuit.inputs;
+  Array.iter (on_gate p) flat.Circuit.gates;
+  p
 
-(* ------------------------------------------------------------------ *)
-(* Noise passes                                                        *)
+type 'a verdict = Done of 'a | Detected | Errored of string
 
-type noise_result = {
-  lanes : int;
-  outputs : int;
-  clean : bool array;  (** clean output bits, arity order; [||] if ineligible *)
-  flips : int array array;  (** [batch].(output): lane-packed flip words *)
-  detected : int array;  (** per-batch lane masks *)
-  fallback : int array;
-  ineligible : string option;
-  reasons : string list;  (** every distinct fallback reason, oldest first *)
+type 'a verdicts = {
+  verdict : int -> 'a verdict option;
+  ineligible : bool;
+  reasons : string list;
 }
 
-let all_fallback (p : pass) ~lanes ~outputs reason =
-  {
-    lanes;
-    outputs;
-    clean = [||];
-    flips = [||];
-    detected = Array.map (fun b -> b.det) p.batches;
-    fallback = Array.map (fun b -> full_mask b.width) p.batches;
-    ineligible = Some reason;
-    reasons = List.rev p.reasons;
-  }
+(* lane [l]'s batch and its bit in that batch's words *)
+let batch_of (p : pass) l = p.batches.(l / lanes_per_word)
+let bit_of l = 1 lsl (l mod lanes_per_word)
 
-let noise_finish (p : pass) ~lanes (outs : Wire.endpoint list) : noise_result =
-  let outputs = List.length outs in
+let noise_pass (cfg : config) (flat : Circuit.t) (inputs : bool list) ~lanes
+    ~(seed : int -> int) : bool array verdicts =
+  let p = propagate (M_noise cfg) ~lanes ~seed:(Some seed) ~fault:None flat inputs in
+  let outs = flat.Circuit.outputs in
   (* probe output determinism first: any random output measurement makes
      the whole pass ineligible (the slow path's sampling cannot be
      replayed from a frame) *)
-  if p.ineligible = None then
-    List.iter
-      (fun (e : Wire.endpoint) ->
-        if p.ineligible = None && e.Wire.ty = Wire.Q then
-          match Clifford.deterministic_outcome p.ref_st e.Wire.wire with
-          | None ->
-              mark_ineligible p
-                (Fmt.str
-                   "frame: output measurement on wire %d is not deterministic in the reference run"
-                   e.Wire.wire)
-          | Some _ -> ())
-      outs;
+  List.iter
+    (fun (e : Wire.endpoint) ->
+      if p.ineligible = None && e.Wire.ty = Wire.Q then
+        match Clifford.deterministic_outcome p.ref_st e.Wire.wire with
+        | None ->
+            mark_ineligible p
+              (Fmt.str
+                 "frame: output measurement on wire %d is not deterministic in the reference run"
+                 e.Wire.wire)
+        | Some _ -> ())
+    outs;
+  let reasons = List.rev p.reasons in
+  let detected l = (batch_of p l).det land bit_of l <> 0 in
   match p.ineligible with
-  | Some r -> all_fallback p ~lanes ~outputs r
+  | Some _ ->
+      let verdict l = if detected l then Some Detected else None in
+      { verdict; ineligible = true; reasons }
   | None ->
+      let outputs = List.length outs in
       let clean = Array.make outputs false in
       let flips = Array.map (fun _ -> Array.make outputs 0) p.batches in
       List.iteri
@@ -632,96 +632,34 @@ let noise_finish (p : pass) ~lanes (outs : Wire.endpoint list) : noise_result =
               Array.iteri (fun bi b -> flips.(bi).(ix) <- b.qx.(s)) p.batches;
               (* final-measurement readout error, one conditional draw per
                  live lane in output order, as Noise.measure_outputs *)
-              (match p.mode with
-              | M_noise ch when ch.readout > 0.0 ->
-                  Array.iteri
-                    (fun bi b ->
-                      let w = Rng.pool_bernoulli b.pool ~n:b.width ~prob:ch.readout in
-                      flips.(bi).(ix) <- flips.(bi).(ix) lxor (w land b.live))
-                    p.batches
-              | _ -> ())
+              if cfg.readout > 0.0 then
+                Array.iteri
+                  (fun bi b ->
+                    let w = Rng.pool_bernoulli b.pool ~n:b.width ~prob:cfg.readout in
+                    flips.(bi).(ix) <- flips.(bi).(ix) lxor (w land b.live))
+                  p.batches
           | Wire.C ->
               clean.(ix) <- Clifford.read_bit p.ref_st e.Wire.wire;
               let s = cslot_exn p e.Wire.wire in
               Array.iteri (fun bi b -> flips.(bi).(ix) <- b.cf.(s)) p.batches)
         outs;
-      {
-        lanes;
-        outputs;
-        clean;
-        flips;
-        detected = Array.map (fun b -> b.det) p.batches;
-        fallback = Array.map (fun b -> b.fb) p.batches;
-        ineligible = None;
-        reasons = List.rev p.reasons;
-      }
+      let verdict l =
+        let bit = bit_of l and flips = flips.(l / lanes_per_word) in
+        if detected l then Some Detected
+        else if (batch_of p l).fb land bit <> 0 then None
+        else
+          Some (Done (Array.init outputs (fun ix -> clean.(ix) <> (flips.(ix) land bit <> 0))))
+      in
+      { verdict; ineligible = false; reasons }
 
-type lane_outcome = Lane_bits of bool array | Lane_detected | Lane_fallback
-
-let lane_outcome (r : noise_result) lane : lane_outcome =
-  let bi = lane / lanes_per_word and l = lane mod lanes_per_word in
-  let bit = 1 lsl l in
-  if r.detected.(bi) land bit <> 0 then Lane_detected
-  else if r.ineligible <> None || r.fallback.(bi) land bit <> 0 then Lane_fallback
-  else
-    Lane_bits
-      (Array.init r.outputs (fun ix ->
-           r.clean.(ix) <> (r.flips.(bi).(ix) land bit <> 0)))
-
-let noise_sink (ch : channels) ~(inputs : bool list) ~(seeds : int array) () :
-    noise_result Sink.t =
-  let lanes = Array.length seeds in
+let inject_pass (semantics : semantics) (flat : Circuit.t) (inputs : bool list) ~lanes
+    ~(fault : int -> fault) : bool verdicts =
   let p =
-    make_pass (M_noise ch) ~lanes
-      ~rng_of:(Some (fun l -> Rng.create (Rng.derive seeds.(l) 1)))
-      ~fault_of:None
+    propagate (M_inject semantics) ~lanes ~seed:None ~fault:(Some fault) flat inputs
   in
-  Sink.unbox
-    (Sink.make
-       ~on_inputs:(on_inputs p inputs)
-       ~on_gate:(on_gate p)
-       ~finish:(noise_finish p ~lanes)
-       ())
-
-let noise_pass (ch : channels) (flat : Circuit.t) (inputs : bool list)
-    ~(seeds : int array) : noise_result =
-  let lanes = Array.length seeds in
-  let p =
-    make_pass (M_noise ch) ~lanes
-      ~rng_of:(Some (fun l -> Rng.create (Rng.derive seeds.(l) 1)))
-      ~fault_of:None
-  in
-  on_inputs p inputs flat.Circuit.inputs;
-  Array.iter (on_gate p) flat.Circuit.gates;
-  noise_finish p ~lanes flat.Circuit.outputs
-
-(* ------------------------------------------------------------------ *)
-(* Inject passes                                                       *)
-
-type inject_outcome = F_detected | F_corrupted | F_masked | F_fallback
-
-type inject_result = {
-  fault_outcomes : inject_outcome array;
-  inject_ineligible : string option;
-  inject_reasons : string list;
-}
-
-let inject_pass ~(semantics : semantics) (flat : Circuit.t) (inputs : bool list)
-    ~(faults : fault array) : inject_result =
-  let lanes = Array.length faults in
-  let p =
-    make_pass (M_inject semantics) ~lanes ~rng_of:None
-      ~fault_of:(Some (fun l -> faults.(l)))
-  in
-  on_inputs p inputs flat.Circuit.inputs;
-  Array.iter (on_gate p) flat.Circuit.gates;
+  let reasons = List.rev p.reasons in
   match p.ineligible with
-  | Some r ->
-      {
-        fault_outcomes = Array.make lanes F_fallback;
-        inject_ineligible = Some r;
-        inject_reasons = List.rev p.reasons;
-      }
+  | Some _ -> { verdict = (fun _ -> None); ineligible = true; reasons }
   | None ->
       (* the masked test: a surviving lane's residual frame (over live
          columns, plus measured/discarded columns under Tableau
@@ -741,46 +679,121 @@ let inject_pass ~(semantics : semantics) (flat : Circuit.t) (inputs : bool list)
             | Wire.Q -> None)
           flat.Circuit.outputs
       in
-      let outcomes = Array.make lanes F_fallback in
-      Array.iter
-        (fun b ->
-          for l = 0 to b.width - 1 do
-            let bit = 1 lsl l in
-            let lane = b.base + l in
-            if b.det land bit <> 0 then outcomes.(lane) <- F_detected
-            else if b.fb land bit <> 0 then outcomes.(lane) <- F_fallback
-            else begin
-              let comps =
-                List.filter_map
-                  (fun (col, s) ->
-                    let x = b.qx.(s) land bit <> 0 and z = b.qz.(s) land bit <> 0 in
-                    if x || z then Some (col, x, z) else None)
-                  live_cols
-              in
-              let comps =
-                match semantics with
-                | Amplitudes -> comps
-                | Tableau ->
-                    List.fold_left
-                      (fun acc (col, xw, zw) ->
-                        let x = xw land bit <> 0 and z = zw land bit <> 0 in
-                        if x || z then (col, x, z) :: acc else acc)
-                      comps b.retained
-              in
-              let cflips_clear =
-                List.for_all (fun s -> b.cf.(s) land bit = 0) cout_slots
-              in
-              outcomes.(lane) <-
-                (if
-                   cflips_clear
-                   && (comps = [] || Clifford.frame_commutes p.ref_st comps)
-                 then F_masked
-                 else F_corrupted)
-            end
-          done)
-        p.batches;
-      {
-        fault_outcomes = outcomes;
-        inject_ineligible = None;
-        inject_reasons = List.rev p.reasons;
-      }
+      let verdict l =
+        let b = batch_of p l and bit = bit_of l in
+        if b.det land bit <> 0 then Some Detected
+        else if b.fb land bit <> 0 then None
+        else begin
+          let comps =
+            List.filter_map
+              (fun (col, s) ->
+                let x = b.qx.(s) land bit <> 0 and z = b.qz.(s) land bit <> 0 in
+                if x || z then Some (col, x, z) else None)
+              live_cols
+          in
+          let comps =
+            match semantics with
+            | Amplitudes -> comps
+            | Tableau ->
+                List.fold_left
+                  (fun acc (col, xw, zw) ->
+                    let x = xw land bit <> 0 and z = zw land bit <> 0 in
+                    if x || z then (col, x, z) :: acc else acc)
+                  comps b.retained
+          in
+          let cflips_clear = List.for_all (fun s -> b.cf.(s) land bit = 0) cout_slots in
+          Some
+            (Done
+               (cflips_clear && (comps = [] || Clifford.frame_commutes p.ref_st comps)))
+        end
+      in
+      { verdict; ineligible = false; reasons }
+
+(* ------------------------------------------------------------------ *)
+(* Campaigns: the one lane loop                                        *)
+
+let contain f =
+  match f () with
+  | v -> Done v
+  | exception Errors.Error (Errors.Termination_assertion _) -> Detected
+  | exception Errors.Error e -> Errored (Errors.to_string e)
+  | exception e -> Errored (Printexc.to_string e)
+
+type tally = { frame : int; slow : int; detected : int; fallback_reasons : string list }
+
+(* lanes per frame pass: bounded memory however many lanes a campaign has *)
+let chunk = lanes_per_word * 1024
+
+let campaign (module B : Backend.S) (engine : Engine.t) ~lanes ~rounds ~frame ~slow
+    ~finish =
+  let frame_n = ref 0 and slow_n = ref 0 and detected = ref 0 in
+  let reasons = ref [] in
+  let note r = if not (List.mem r !reasons) then reasons := r :: !reasons in
+  (* the one engine rule: the backend's state comparison decides the
+     masked-fault semantics, and a backend that observes classical bits
+     only has none, so it runs slow *)
+  let semantics =
+    if engine = `Slow then None
+    else
+      match B.observe (B.create ~seed:1 ()) with
+      | Backend.Obs_tableau _ -> Some Tableau
+      | Backend.Obs_amplitudes _ -> Some Amplitudes
+      | Backend.Obs_bits _ ->
+          if engine = `Frame then
+            note
+              (Printf.sprintf
+                 "frame: backend %s observes classical bits only; campaign ran on the slow path"
+                 B.name);
+          None
+  in
+  let all_slow = ref false in
+  let retry = ref [] in
+  let settle round lane v =
+    match v with
+    | Detected ->
+        incr detected;
+        if round + 1 < rounds then retry := lane :: !retry else finish ~lane ~round v
+    | _ -> finish ~lane ~round v
+  in
+  let slow_lane round lane =
+    incr slow_n;
+    settle round lane (slow ~lane ~round)
+  in
+  let run_round round n lane_at =
+    let base = ref 0 in
+    while !base < n do
+      let m = min chunk (n - !base) and b0 = !base in
+      let lane i = lane_at (b0 + i) in
+      (match semantics with
+      | Some sem when not !all_slow ->
+          let v = frame sem ~round ~lanes:m ~lane in
+          List.iter note v.reasons;
+          if v.ineligible then all_slow := true;
+          for i = 0 to m - 1 do
+            match v.verdict i with
+            | Some r ->
+                incr frame_n;
+                settle round (lane i) r
+            | None -> slow_lane round (lane i)
+          done
+      | _ ->
+          for i = 0 to m - 1 do
+            slow_lane round (lane i)
+          done);
+      base := b0 + m
+    done
+  in
+  run_round 0 lanes Fun.id;
+  let round = ref 1 in
+  while !retry <> [] do
+    let again = Array.of_list (List.rev !retry) in
+    retry := [];
+    run_round !round (Array.length again) (Array.get again);
+    incr round
+  done;
+  {
+    frame = !frame_n;
+    slow = !slow_n;
+    detected = !detected;
+    fallback_reasons = List.rev !reasons;
+  }

@@ -19,9 +19,9 @@
       are only absorbed when the controlled gate is a pure Pauli
       (the error-correction case); anything else falls back lane-wise.
 
-    Entry points are deliberately low-level (flat circuits in, packed
-    words out): {!Noise.run_trials_on} and {!Inject.report_on} wrap them
-    and handle slow-path fallback. *)
+    The fault campaigns ({!Noise.run_trials_on}, {!Noise.sample_trials_on},
+    {!Inject.report_on}) are one lane loop, {!campaign}, given a pass, a
+    slow attempt and a classifier each. *)
 
 open Quipper
 
@@ -29,55 +29,37 @@ val lanes_per_word : int
 (** Trials advanced per word operation: [Sys.int_size] (63 on 64-bit;
     native ints keep the frame arrays unboxed). *)
 
-(** Mirror of {!Noise.config} (defined here to keep this module
-    independent of the slow path). *)
-type channels = {
+(** The noise channels, per gate and per wire, re-exported as
+    {!Noise.config} (documented there). *)
+type config = {
   bit_flip : float;
   phase_flip : float;
   depolarizing : float;
   readout : float;
 }
 
-val no_channels : channels
-(** All probabilities zero: pure propagation (fault injection). *)
+(** A lane's result: [Done] with its value, [Detected] (a termination
+    assertion fired) or [Errored] (anything else raised; slow attempts
+    only). *)
+type 'a verdict = Done of 'a | Detected | Errored of string
 
-(** {1 Noise passes: many trials, sampled faults} *)
-
-type noise_result = {
-  lanes : int;
-  outputs : int;
-  clean : bool array;  (** clean output bits, arity order; [[||]] if ineligible *)
-  flips : int array array;  (** [[batch].(output)]: lane-packed output-flip words *)
-  detected : int array;  (** per-batch masks: lanes a termination assertion caught *)
-  fallback : int array;  (** per-batch masks: lanes needing the slow path *)
-  ineligible : string option;
-      (** circuit-level fallback: every lane must re-run slow, and why *)
+(** A propagation pass over a chunk of lanes. *)
+type 'a verdicts = {
+  verdict : int -> 'a verdict option;
+      (** lane [l]'s verdict, [None] when it must re-run on the slow path *)
+  ineligible : bool;  (** the circuit is out of reach: run every later lane slow *)
   reasons : string list;  (** every distinct fallback reason, oldest first *)
 }
 
+(** {1 Noise passes: many trials, sampled faults} *)
+
 val noise_pass :
-  channels -> Circuit.t -> bool list -> seeds:int array -> noise_result
+  config -> Circuit.t -> bool list -> lanes:int -> seed:(int -> int) -> bool array verdicts
 (** One propagation pass over an inlined circuit: lane [l] is a trial
-    whose noise stream derives from [seeds.(l)] exactly as
-    {!Noise.run_circuit_on} does (child stream [Rng.derive seed 1]),
-    so a completed lane's output bits equal what the slow path at that
-    seed measures, bit for bit, on any backend. *)
-
-type lane_outcome =
-  | Lane_bits of bool array  (** completed: measured output bits, arity order *)
-  | Lane_detected  (** a termination assertion caught this lane's faults *)
-  | Lane_fallback  (** re-run this lane on the slow path *)
-
-val lane_outcome : noise_result -> int -> lane_outcome
-(** Decode one lane of a pass result. *)
-
-val noise_sink :
-  channels -> inputs:bool list -> seeds:int array -> unit -> noise_result Sink.t
-(** The same pass as a streaming consumer ({!Quipper.Sink.t}, boxed
-    subroutines expanded on the fly): memory is O(trials + live wires),
-    independent of gate count. Dynamic lifting is not available while
-    streaming into a frame pass — a generation function that lifts makes
-    the run raise, and the campaign should fall back to the slow path. *)
+    whose noise stream derives from [seed l] exactly as
+    {!Noise.run_circuit_on} does (child stream [Rng.derive seed 1]), so a
+    completed lane's output bits (arity order) equal what the slow path
+    at that seed measures, bit for bit, on any backend. *)
 
 (** {1 Inject passes: one deterministic Pauli fault per lane} *)
 
@@ -94,23 +76,49 @@ type fault = { findex : int; fwire : Wire.t; fx : bool; fz : bool }
     phase, so they do not. *)
 type semantics = Tableau | Amplitudes
 
-type inject_outcome = F_detected | F_corrupted | F_masked | F_fallback
+val inject_pass :
+  semantics -> Circuit.t -> bool list -> lanes:int -> fault:(int -> fault) -> bool verdicts
+(** Classify [lanes] faults in one propagation pass: lane [l] carries
+    exactly [fault l] (ascending [findex] in lane order — as
+    {!Quipper.Faultsite.enumerate} lists sites). Detection mirrors the
+    slow path's [Termination_assertion]; a completed lane is [Done true]
+    when masked: its residual frame commutes with every stabilizer
+    generator of the clean final state and flips no classical output
+    bit. *)
 
-type inject_result = {
-  fault_outcomes : inject_outcome array;  (** per fault, in input order *)
-  inject_ineligible : string option;
-  inject_reasons : string list;
+(** {1 Campaigns} *)
+
+val contain : (unit -> 'a) -> 'a verdict
+(** Run one slow attempt: [Termination_assertion] is [Detected], any
+    other exception [Errored] with its text, so one bad attempt never
+    loses a campaign. *)
+
+type tally = {
+  frame : int;  (** lane attempts the frame engine settled *)
+  slow : int;  (** lane attempts run on the slow path *)
+  detected : int;  (** attempts a termination assertion caught, either engine *)
+  fallback_reasons : string list;  (** distinct fallback reasons, oldest first *)
 }
 
-val inject_pass :
-  semantics:semantics ->
-  Circuit.t ->
-  bool list ->
-  faults:fault array ->
-  inject_result
-(** Classify every fault in one propagation pass: lane [l] carries
-    exactly [faults.(l)] (which must be ordered by ascending [findex] —
-    {!Quipper.Faultsite.enumerate} order is). Detection mirrors the slow
-    path's [Termination_assertion]; the masked test checks that the
-    lane's residual frame commutes with every stabilizer generator of
-    the clean final state and flips no classical output bit. *)
+val campaign :
+  (module Backend.S) ->
+  Engine.t ->
+  lanes:int ->
+  rounds:int ->
+  frame:(semantics -> round:int -> lanes:int -> lane:(int -> int) -> 'a verdicts) ->
+  slow:(lane:int -> round:int -> 'a verdict) ->
+  finish:(lane:int -> round:int -> 'a verdict -> unit) ->
+  tally
+(** The one lane loop of every fault campaign. Round 0 runs lanes
+    [0 .. lanes - 1]; a [Detected] lane runs again in the next round
+    while fewer than [rounds] have run, and every other verdict goes to
+    [finish] (in lane order within a round), as does the last round's
+    [Detected]. A round runs [frame] on
+    chunks of at most [lanes_per_word * 1024] lanes (chunk index [i] is
+    lane [lane i]) and [slow] on each lane a chunk falls back, and on
+    every lane once a pass reports the circuit ineligible.
+
+    The engine rule: [frame] runs unless the engine is [`Slow] or the
+    backend observes classical bits only ({!Backend.Obs_bits}); a
+    refused [`Frame] notes why. The backend's observation picks the
+    masked-fault {!semantics}. Verdicts do not depend on the engine. *)

@@ -23,7 +23,10 @@
     phase damage that would be observable by any further interference
     counts as corruption. Clean and faulty runs share one seed, so any
     measurements draw identically and the comparison isolates the
-    fault's effect. *)
+    fault's effect.
+
+    An exhaustive campaign is {!Frame.campaign}'s lane loop with one lane
+    per fault and no retries. *)
 
 open Quipper
 
@@ -98,158 +101,81 @@ let signature_on (type s) (module B : Backend.S with type state = s)
   in
   (B.observe st, cbits)
 
-let equal_up_to_phase = Backend.equal_up_to_phase
-
-let classify_on (module B : Backend.S) ~seed flat inputs ~clean
-    (site : Faultsite.site) (p : pauli) : outcome =
-  match
-    execute_on (module B) ~seed flat inputs
-      ~inject:(Some (site.Faultsite.index, site.Faultsite.wire, p))
-  with
-  | exception Errors.Error (Errors.Termination_assertion _) -> Detected
-  | exception Errors.Error e -> Errored (Errors.to_string e)
-  | exception e -> Errored (Printexc.to_string e)
-  | st ->
-      let obs, cbits = signature_on (module B) flat st in
-      let clean_obs, clean_cbits = clean in
-      if cbits = clean_cbits && Backend.equal_observation obs clean_obs then Masked
-      else Corrupted
-
-(** A prepared campaign over one circuit: the circuit is inlined once,
-    sites enumerated once, and — the expensive part — the clean
-    reference run (and its final-state signature) computed at most once,
-    lazily, however many faults are classified against it. *)
-type campaign = {
-  cflat : Circuit.t;
-  csites : Faultsite.site list;
-  cclassify : Faultsite.site -> pauli -> outcome;
-}
-
-let campaign_on (module B : Backend.S) ?(seed = 1) (b : Circuit.b)
-    (inputs : bool list) : campaign =
-  let cflat, prov = Circuit.inline_provenance b in
-  let csites = Faultsite.enumerate_flat ~flat:cflat ~prov in
+(** The slow classifier over one inlined circuit: the clean reference
+    run (and its signature) is computed at most once, lazily, however
+    many faults are classified against it. A classification is [Done]
+    with [true] when the fault is masked. *)
+let classifier_on (module B : Backend.S) ~seed (flat : Circuit.t) (inputs : bool list) =
   let clean =
-    lazy
-      (signature_on (module B) cflat
-         (execute_on (module B) ~seed cflat inputs ~inject:None))
+    lazy (signature_on (module B) flat (execute_on (module B) ~seed flat inputs ~inject:None))
   in
-  {
-    cflat;
-    csites;
-    cclassify =
-      (fun site p ->
-        classify_on (module B) ~seed cflat inputs ~clean:(Lazy.force clean) site p);
-  }
+  fun ((site : Faultsite.site), p) ->
+    let clean_obs, clean_cbits = Lazy.force clean in
+    Frame.contain (fun () ->
+        let st =
+          execute_on (module B) ~seed flat inputs
+            ~inject:(Some (site.Faultsite.index, site.Faultsite.wire, p))
+        in
+        let obs, cbits = signature_on (module B) flat st in
+        cbits = clean_cbits && Backend.equal_observation obs clean_obs)
+
+let outcome_of = function
+  | Frame.Done true -> Masked
+  | Frame.Done false -> Corrupted
+  | Frame.Detected -> Detected
+  | Frame.Errored msg -> Errored msg
 
 let run_site_on (module B : Backend.S) ?(seed = 1) (b : Circuit.b)
     (inputs : bool list) (site : Faultsite.site) (p : pauli) : outcome =
-  let c = campaign_on (module B) ~seed b inputs in
-  c.cclassify site p
+  outcome_of (classifier_on (module B) ~seed (Circuit.inline b) inputs (site, p))
 
-let frame_fault (site : Faultsite.site) (p : pauli) : Frame.fault =
+let frame_fault ((site : Faultsite.site), p) : Frame.fault =
   let fx, fz = match p with X -> (true, false) | Y -> (true, true) | Z -> (false, true) in
   { Frame.findex = site.Faultsite.index; fwire = site.Faultsite.wire; fx; fz }
 
 (** Exhaustive single-fault campaign: every site × every Pauli in
-    [paulis]. With [engine] [`Auto] (default) or [`Frame], all faults are
-    classified in one Pauli-frame propagation pass ({!Frame.inject_pass})
-    when the circuit is eligible — one lane per fault instead of one full
-    re-simulation per fault — with per-lane slow-path fallback; the
-    masked test matches the backend's state-comparison semantics
-    (canonical tableau vs amplitudes up to phase), so the classification
-    is bit-identical to [`Slow]. *)
+    [paulis], one lane each of {!Frame.campaign}'s loop. On the frame
+    engine one propagation pass classifies a chunk of faults instead of
+    one full re-simulation per fault; its masked test matches the
+    backend's state comparison (canonical tableau vs amplitudes up to
+    phase), so the classification is bit-identical to [`Slow]. *)
 let report_on (module B : Backend.S) ?(seed = 1) ?(paulis = all_paulis)
     ?(engine : Engine.t = Engine.default ()) (b : Circuit.b) (inputs : bool list) :
     report =
-  let c = campaign_on (module B) ~seed b inputs in
-  let site_paulis =
-    List.concat_map (fun site -> List.map (fun p -> (site, p)) paulis) c.csites
+  let flat, prov = Circuit.inline_provenance b in
+  let sites = Faultsite.enumerate_flat ~flat ~prov in
+  let faults =
+    Array.of_list (List.concat_map (fun site -> List.map (fun p -> (site, p)) paulis) sites)
   in
-  let semantics =
-    match engine with
-    | `Slow -> None
-    | `Frame | `Auto -> (
-        (* which masked-fault semantics does this backend's state
-           comparison imply? Bit-observation backends (classical) have
-           neither — they take the slow path. *)
-        match B.observe (B.create ~seed:1 ()) with
-        | Backend.Obs_tableau _ -> Some Frame.Tableau
-        | Backend.Obs_amplitudes _ -> Some Frame.Amplitudes
-        | Backend.Obs_bits _ -> None)
+  let classify = classifier_on (module B) ~seed flat inputs in
+  let outcomes = Array.make (Array.length faults) Masked in
+  let tally =
+    Frame.campaign (module B) engine ~lanes:(Array.length faults) ~rounds:1
+      ~frame:(fun sem ~round:_ ~lanes ~lane ->
+        Frame.inject_pass sem flat inputs ~lanes ~fault:(fun i ->
+            frame_fault faults.(lane i)))
+      ~slow:(fun ~lane ~round:_ -> classify faults.(lane))
+      ~finish:(fun ~lane ~round:_ v -> outcomes.(lane) <- outcome_of v)
   in
-  let frame_n = ref 0 and slow_n = ref 0 in
-  let reasons = ref [] in
-  let note r = if not (List.mem r !reasons) then reasons := r :: !reasons in
   let findings =
-    match semantics with
-    | Some sem when site_paulis <> [] ->
-        let faults = Array.of_list (List.map (fun (s, p) -> frame_fault s p) site_paulis) in
-        let ir = Frame.inject_pass ~semantics:sem c.cflat inputs ~faults in
-        List.iter note ir.Frame.inject_reasons;
-        (match ir.Frame.inject_ineligible with Some r -> note r | None -> ());
-        List.mapi
-          (fun i (site, p) ->
-            let outcome =
-              match ir.Frame.fault_outcomes.(i) with
-              | Frame.F_detected ->
-                  incr frame_n;
-                  Detected
-              | Frame.F_corrupted ->
-                  incr frame_n;
-                  Corrupted
-              | Frame.F_masked ->
-                  incr frame_n;
-                  Masked
-              | Frame.F_fallback ->
-                  incr slow_n;
-                  c.cclassify site p
-            in
-            { site; fault = p; outcome })
-          site_paulis
-    | _ ->
-        (match (engine, semantics) with
-        | `Frame, None ->
-            note
-              (Printf.sprintf
-                 "frame: backend %s observes classical bits only; campaign ran on the slow path"
-                 B.name)
-        | _ -> ());
-        List.map
-          (fun (site, p) ->
-            incr slow_n;
-            { site; fault = p; outcome = c.cclassify site p })
-          site_paulis
+    List.mapi
+      (fun i (site, fault) -> { site; fault; outcome = outcomes.(i) })
+      (Array.to_list faults)
   in
-  let count o =
-    List.fold_left (fun acc f -> if f.outcome = o then acc + 1 else acc) 0 findings
-  in
+  let count f = Array.fold_left (fun acc o -> if f o then acc + 1 else acc) 0 outcomes in
   {
-    gates = Array.length c.cflat.Circuit.gates;
-    sites = List.length c.csites;
-    faults = List.length findings;
-    detected = count Detected;
-    corrupted = count Corrupted;
-    masked = count Masked;
-    errored =
-      List.fold_left
-        (fun acc f -> match f.outcome with Errored _ -> acc + 1 | _ -> acc)
-        0 findings;
-    frame_faults = !frame_n;
-    slow_faults = !slow_n;
-    fallback_reasons = List.rev !reasons;
+    gates = Array.length flat.Circuit.gates;
+    sites = List.length sites;
+    faults = Array.length faults;
+    detected = count (( = ) Detected);
+    corrupted = count (( = ) Corrupted);
+    masked = count (( = ) Masked);
+    errored = count (function Errored _ -> true | _ -> false);
+    frame_faults = tally.Frame.frame;
+    slow_faults = tally.Frame.slow;
+    fallback_reasons = tally.Frame.fallback_reasons;
     findings;
   }
-
-(* The historical statevector-fixed entry points. *)
-
-let run_site ?(seed = 1) (b : Circuit.b) (inputs : bool list)
-    (site : Faultsite.site) (p : pauli) : outcome =
-  run_site_on (module Backend.Statevector) ~seed b inputs site p
-
-let report ?(seed = 1) ?(paulis = all_paulis) ?engine (b : Circuit.b)
-    (inputs : bool list) : report =
-  report_on (module Backend.Statevector) ~seed ~paulis ?engine b inputs
 
 let pct part whole =
   if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole

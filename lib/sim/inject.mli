@@ -3,12 +3,12 @@
     the outcome — measuring how much protection assertive termination
     (paper §4.2.2) actually buys.
 
-    Campaigns are generic over a {!Backend.S} (the [_on] functions);
-    injected Paulis are Clifford operations, so stabilizer-gate-set
-    circuits can run campaigns on the polynomial-time Clifford backend,
-    with states compared by canonical stabilizer form. The historical
-    names are fixed to the statevector backend and behave exactly as
-    before. *)
+    Every entry point takes the backend; injected Paulis are Clifford
+    operations, so stabilizer-gate-set circuits can run campaigns on the
+    polynomial-time Clifford backend, with states compared by canonical
+    stabilizer form. A campaign is {!Frame.campaign}'s lane loop under
+    its one engine rule (see {!Noise}): findings are the same under
+    every engine. *)
 
 open Quipper
 
@@ -46,10 +46,6 @@ type report = {
   findings : finding list;
 }
 
-val equal_up_to_phase :
-  ?eps:float -> Quipper_math.Cplx.t array -> Quipper_math.Cplx.t array -> bool
-(** Amplitude vectors equal up to one global phase factor. *)
-
 val run_site_on :
   (module Backend.S) ->
   ?seed:int ->
@@ -73,12 +69,5 @@ val report_on :
     site and every Pauli in [paulis] (default all three). The circuit is
     inlined and its clean reference run computed once per campaign, not
     once per fault. *)
-
-val run_site : ?seed:int -> Circuit.b -> bool list -> Faultsite.site -> pauli -> outcome
-(** {!run_site_on} fixed to the statevector backend. *)
-
-val report :
-  ?seed:int -> ?paulis:pauli list -> ?engine:Engine.t -> Circuit.b -> bool list -> report
-(** {!report_on} fixed to the statevector backend. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -19,9 +19,9 @@
 
     Noisy execution is generic over a {!Backend.S}: the Pauli kicks are
     Clifford operations, so campaigns run on the stabilizer backend too
-    where the circuit's own gates permit. The historical entry points
-    ([run_circuit], [run_and_measure], [run_trials]) remain, fixed to the
-    statevector backend, and behave bit-identically to before.
+    where the circuit's own gates permit. Both campaigns are
+    {!Frame.campaign}'s lane loop: [run_trials_on] with one round per
+    retry, [sample_trials_on] with one round.
 
     Seed discipline: the backend's own measurement stream uses the given
     seed unchanged, so a configuration with all probabilities zero is
@@ -29,10 +29,9 @@
     the derived child stream [Rng.derive seed 1]. *)
 
 open Quipper
-module Sv = Statevector
 module Rng = Quipper_math.Rng
 
-type config = {
+type config = Frame.config = {
   bit_flip : float;
   phase_flip : float;
   depolarizing : float;
@@ -111,24 +110,8 @@ let run_and_measure_on (module B : Backend.S) ?(seed = 1) cfg (b : Circuit.b)
   let st, rng = exec_on (module B) ~seed cfg flat inputs in
   measure_outputs (module B) rng cfg st flat
 
-(* The historical statevector-fixed entry points. *)
-
-let run_circuit ?(seed = 1) cfg (b : Circuit.b) (inputs : bool list) : Sv.state =
-  run_circuit_on (module Backend.Statevector) ~seed cfg b inputs
-
-let run_and_measure ?(seed = 1) cfg (b : Circuit.b) (inputs : bool list) : bool list =
-  run_and_measure_on (module Backend.Statevector) ~seed cfg b inputs
-
 (* ------------------------------------------------------------------ *)
 (* Trial-based resilient running                                       *)
-
-let channels_of cfg : Frame.channels =
-  {
-    Frame.bit_flip = cfg.bit_flip;
-    phase_flip = cfg.phase_flip;
-    depolarizing = cfg.depolarizing;
-    readout = cfg.readout;
-  }
 
 type trial_outcome =
   | Success of int  (** right answer after this many attempts *)
@@ -167,18 +150,11 @@ let pp_stats ppf s =
     s.attempts s.frame_attempts s.slow_attempts s.detected_failures;
   List.iter (fun r -> Fmt.pf ppf "@.  fallback: %s" r) s.fallback_reasons
 
-(** One slow-path attempt: full noisy simulation at [seed], all
-    non-assertion exceptions contained (one bad trial must never lose a
-    million-trial sweep). *)
+(** One slow-path attempt: full noisy simulation at [seed]. *)
 let slow_attempt_on (module B : Backend.S) ~seed cfg flat inputs =
-  match
-    let st, rng = exec_on (module B) ~seed cfg flat inputs in
-    measure_outputs (module B) rng cfg st flat
-  with
-  | bits -> `Bits bits
-  | exception Errors.Error (Errors.Termination_assertion _) -> `Detected
-  | exception Errors.Error e -> `Errored (Errors.to_string e)
-  | exception e -> `Errored (Printexc.to_string e)
+  Frame.contain (fun () ->
+      let st, rng = exec_on (module B) ~seed cfg flat inputs in
+      Array.of_list (measure_outputs (module B) rng cfg st flat))
 
 (** [run_trials_on backend ~trials ~max_failures cfg b inputs ~expected]:
     run the circuit noisily [trials] times, each trial drawing its seeds
@@ -189,99 +165,34 @@ let slow_attempt_on (module B : Backend.S) ~seed cfg flat inputs =
     wrong, so run it again". Attempts that complete are compared against
     [expected]; silent corruption is counted, not retried (nothing at run
     time can see it — that asymmetry is the point of the experiment).
-
-    [engine] picks the propagation machinery; outcomes are bit-identical
-    either way (same derived seeds, same classification). [`Auto] (the
-    default) runs eligible circuits through the {!Frame} engine — one
-    round per retry rank, every still-alive trial a bit-packed lane —
-    and falls back per lane (or whole-circuit) to the slow path;
-    [`Slow] forces the historical one-simulation-per-attempt path. *)
+    Round [a] of the lane loop runs attempt [a] of every trial still
+    alive. *)
 let run_trials_on (module B : Backend.S) ?(master_seed = 1)
     ?(engine : Engine.t = Engine.default ()) ~trials ~max_failures cfg (b : Circuit.b)
     (inputs : bool list) ~(expected : bool list) : stats =
-  if trials <= 0 then invalid_arg "Noise.run_trials: trials must be positive";
-  if max_failures < 0 then invalid_arg "Noise.run_trials: negative max_failures";
+  if trials <= 0 then invalid_arg "Noise.run_trials_on: trials must be positive";
+  if max_failures < 0 then invalid_arg "Noise.run_trials_on: negative max_failures";
   let flat = Circuit.inline b in
-  let attempts = ref 0 and detected = ref 0 in
-  let frame_attempts = ref 0 and slow_attempts = ref 0 in
-  let reasons = ref [] in
-  let note r = if not (List.mem r !reasons) then reasons := r :: !reasons in
+  let expected = Array.of_list expected in
   let seed_of t a = Rng.derive master_seed ((t * (max_failures + 1)) + a + 2) in
-  let slow_attempt seed =
-    incr attempts;
-    incr slow_attempts;
-    slow_attempt_on (module B) ~seed cfg flat inputs
-  in
-  let classify a bits = if bits = expected then Success (a + 1) else Wrong (a + 1) in
-  let use_frame =
-    match engine with
-    | `Slow -> false
-    | `Frame -> true
-    (* the classical backend rejects circuits the frame engine would
-       happily propagate (it has no quantum gates at all), so Auto only
-       engages the frame over backends with Clifford-capable slow paths *)
-    | `Auto -> not (String.equal B.name "classical")
-  in
   let outcomes = Array.make trials Gave_up in
-  if not use_frame then
-    for t = 0 to trials - 1 do
-      let rec go a =
-        if a > max_failures then Gave_up
-        else
-          match slow_attempt (seed_of t a) with
-          | `Bits bits -> classify a bits
-          | `Detected ->
-              incr detected;
-              go (a + 1)
-          | `Errored msg -> Errored msg
-      in
-      outcomes.(t) <- go 0
-    done
-  else begin
-    (* round-based: round [a] propagates attempt [a] of every trial still
-       alive, 63 trials per word operation; detected lanes re-enter the
-       next round with their next derived seed, exactly as the slow
-       path's per-trial retry loop would *)
-    let alive = ref (List.init trials Fun.id) in
-    let a = ref 0 in
-    let all_slow = ref false in
-    while !alive <> [] && !a <= max_failures do
-      let lanes = Array.of_list !alive in
-      let seeds = Array.map (fun t -> seed_of t !a) lanes in
-      let next = ref [] in
-      let retry t = if !a = max_failures then outcomes.(t) <- Gave_up else next := t :: !next in
-      let slow_lane i t =
-        match slow_attempt seeds.(i) with
-        | `Bits bits -> outcomes.(t) <- classify !a bits
-        | `Detected ->
-            incr detected;
-            retry t
-        | `Errored msg -> outcomes.(t) <- Errored msg
-      in
-      if !all_slow then Array.iteri slow_lane lanes
-      else begin
-        let pr = Frame.noise_pass (channels_of cfg) flat inputs ~seeds in
-        List.iter note pr.Frame.reasons;
-        if pr.Frame.ineligible <> None then all_slow := true;
-        Array.iteri
-          (fun i t ->
-            match Frame.lane_outcome pr i with
-            | Frame.Lane_bits bits ->
-                incr attempts;
-                incr frame_attempts;
-                outcomes.(t) <- classify !a (Array.to_list bits)
-            | Frame.Lane_detected ->
-                incr attempts;
-                incr frame_attempts;
-                incr detected;
-                retry t
-            | Frame.Lane_fallback -> slow_lane i t)
-          lanes
-      end;
-      alive := List.rev !next;
-      incr a
-    done
-  end;
+  (* one value per attempt count, so that a trial costs the campaign one
+     word: its slot in [outcomes] *)
+  let success = Array.init (max_failures + 1) (fun a -> Success (a + 1)) in
+  let wrong = Array.init (max_failures + 1) (fun a -> Wrong (a + 1)) in
+  let tally =
+    Frame.campaign (module B) engine ~lanes:trials ~rounds:(max_failures + 1)
+      ~frame:(fun _ ~round ~lanes ~lane ->
+        Frame.noise_pass cfg flat inputs ~lanes ~seed:(fun i -> seed_of (lane i) round))
+      ~slow:(fun ~lane ~round ->
+        slow_attempt_on (module B) ~seed:(seed_of lane round) cfg flat inputs)
+      ~finish:(fun ~lane ~round v ->
+        outcomes.(lane) <-
+          (match v with
+          | Frame.Done bits -> if bits = expected then success.(round) else wrong.(round)
+          | Frame.Detected -> Gave_up
+          | Frame.Errored msg -> Errored msg))
+  in
   let count f = Array.fold_left (fun acc o -> if f o then acc + 1 else acc) 0 outcomes in
   {
     trials;
@@ -289,18 +200,13 @@ let run_trials_on (module B : Backend.S) ?(master_seed = 1)
     wrong = count (function Wrong _ -> true | _ -> false);
     gave_up = count (function Gave_up -> true | _ -> false);
     errored = count (function Errored _ -> true | _ -> false);
-    attempts = !attempts;
-    detected_failures = !detected;
-    frame_attempts = !frame_attempts;
-    slow_attempts = !slow_attempts;
-    fallback_reasons = List.rev !reasons;
+    attempts = tally.Frame.frame + tally.Frame.slow;
+    detected_failures = tally.Frame.detected;
+    frame_attempts = tally.Frame.frame;
+    slow_attempts = tally.Frame.slow;
+    fallback_reasons = tally.Frame.fallback_reasons;
     outcomes;
   }
-
-let run_trials ?(master_seed = 1) ?engine ~trials ~max_failures cfg (b : Circuit.b)
-    (inputs : bool list) ~(expected : bool list) : stats =
-  run_trials_on (module Backend.Statevector) ~master_seed ?engine ~trials
-    ~max_failures cfg b inputs ~expected
 
 (* ------------------------------------------------------------------ *)
 (* Plain output sampling (no expected answer, no retries)              *)
@@ -322,42 +228,30 @@ type sample_summary = {
 }
 
 (** [sample_trials_on backend ~trials cfg b inputs ~f]: one noisy run per
-    trial (seed [Rng.derive master_seed (t + 2)] — the [run_trials]
+    trial (seed [Rng.derive master_seed (t + 2)] — the [run_trials_on]
     schedule at [max_failures = 0]), delivering each trial's measured
     outputs to [f t] in trial order. This is the entry point for
     workloads that decode outcomes offline — e.g. the repetition-code
     memory experiment, where the logical-error rate comes from majority
     votes over sampled syndrome/data bits, not from an expected-output
-    comparison. Trials run through the {!Frame} engine in bit-packed
-    blocks when eligible, the slow path otherwise. *)
+    comparison. *)
 let sample_trials_on (module B : Backend.S) ?(master_seed = 1)
     ?(engine : Engine.t = Engine.default ()) ~trials cfg (b : Circuit.b)
     (inputs : bool list) ~(f : int -> sample -> unit) : sample_summary =
-  if trials <= 0 then invalid_arg "Noise.sample_trials: trials must be positive";
+  if trials <= 0 then invalid_arg "Noise.sample_trials_on: trials must be positive";
   let flat = Circuit.inline b in
   let completed = ref 0 and tripped = ref 0 and errored = ref 0 in
-  let frame_n = ref 0 and slow_n = ref 0 and snapshot_n = ref 0 in
-  let reasons = ref [] in
-  let note r = if not (List.mem r !reasons) then reasons := r :: !reasons in
   let seed_of t = Rng.derive master_seed (t + 2) in
-  let slow_trial t =
-    incr slow_n;
-    match slow_attempt_on (module B) ~seed:(seed_of t) cfg flat inputs with
-    | `Bits bits ->
+  let emit t = function
+    | Frame.Done bits ->
         incr completed;
-        f t (Sampled (Array.of_list bits))
-    | `Detected ->
+        f t (Sampled bits)
+    | Frame.Detected ->
         incr tripped;
         f t Assertion_tripped
-    | `Errored msg ->
+    | Frame.Errored msg ->
         incr errored;
         f t (Sample_errored msg)
-  in
-  let use_frame =
-    match engine with
-    | `Slow -> false
-    | `Frame -> true
-    | `Auto -> not (String.equal B.name "classical")
   in
   (* With every channel off, trial [t] is exactly the plain backend run
      at [seed_of t] — so [`Auto] freezes the pre-measurement state once
@@ -367,7 +261,7 @@ let sample_trials_on (module B : Backend.S) ?(master_seed = 1)
      engines keep their historical machinery (they exist as cross-check
      paths), and any trouble in the one clean run — mid-circuit
      randomness ([snapshot] = [None]), tripped assertion, backend
-     limitation — falls through to the engine dispatch below. *)
+     limitation — falls through to the lane loop below. *)
   let noiseless_snapshot =
     if engine <> `Auto || not (is_noiseless cfg) then None
     else
@@ -375,76 +269,38 @@ let sample_trials_on (module B : Backend.S) ?(master_seed = 1)
       | st -> B.snapshot st
       | exception _ -> None
   in
-  (match noiseless_snapshot with
-  | Some snap ->
-      for t = 0 to trials - 1 do
-        match
-          B.sample_from snap ~rng:(Rng.create (seed_of t)) flat.Circuit.outputs
-        with
-        | bits ->
-            incr snapshot_n;
-            incr completed;
-            f t (Sampled (Array.of_list bits))
-        | exception Errors.Error (Errors.Termination_assertion _) ->
-            incr tripped;
-            f t Assertion_tripped
-        | exception Errors.Error e ->
-            incr errored;
-            f t (Sample_errored (Errors.to_string e))
-        | exception e ->
-            incr errored;
-            f t (Sample_errored (Printexc.to_string e))
-      done
-  | None ->
-  if not use_frame then
-    for t = 0 to trials - 1 do
-      slow_trial t
-    done
-  else begin
-    (* chunked passes: bounded memory however many trials are asked for *)
-    let chunk = Frame.lanes_per_word * 1024 in
-    let all_slow = ref false in
-    let t0 = ref 0 in
-    while !t0 < trials do
-      let n = min chunk (trials - !t0) in
-      if !all_slow then
-        for i = 0 to n - 1 do
-          slow_trial (!t0 + i)
-        done
-      else begin
-        let seeds = Array.init n (fun i -> seed_of (!t0 + i)) in
-        let pr = Frame.noise_pass (channels_of cfg) flat inputs ~seeds in
-        List.iter note pr.Frame.reasons;
-        if pr.Frame.ineligible <> None then all_slow := true;
-        for i = 0 to n - 1 do
-          let t = !t0 + i in
-          match Frame.lane_outcome pr i with
-          | Frame.Lane_bits bits ->
-              incr frame_n;
-              incr completed;
-              f t (Sampled bits)
-          | Frame.Lane_detected ->
-              incr frame_n;
-              incr tripped;
-              f t Assertion_tripped
-          | Frame.Lane_fallback -> slow_trial t
-        done
-      end;
-      t0 := !t0 + n
-    done
-  end);
+  let frame_n, slow_n, snapshot_n, reasons =
+    match noiseless_snapshot with
+    | Some snap ->
+        let drawn = ref 0 in
+        for t = 0 to trials - 1 do
+          let v =
+            Frame.contain (fun () ->
+                Array.of_list
+                  (B.sample_from snap ~rng:(Rng.create (seed_of t)) flat.Circuit.outputs))
+          in
+          (match v with Frame.Done _ -> incr drawn | _ -> ());
+          emit t v
+        done;
+        (0, 0, !drawn, [])
+    | None ->
+        let tally =
+          Frame.campaign (module B) engine ~lanes:trials ~rounds:1
+            ~frame:(fun _ ~round:_ ~lanes ~lane ->
+              Frame.noise_pass cfg flat inputs ~lanes ~seed:(fun i -> seed_of (lane i)))
+            ~slow:(fun ~lane ~round:_ ->
+              slow_attempt_on (module B) ~seed:(seed_of lane) cfg flat inputs)
+            ~finish:(fun ~lane ~round:_ v -> emit lane v)
+        in
+        (tally.Frame.frame, tally.Frame.slow, 0, tally.Frame.fallback_reasons)
+  in
   {
     sampled_trials = trials;
     completed = !completed;
     assertion_tripped = !tripped;
     sample_errored = !errored;
-    frame_sampled = !frame_n;
-    slow_sampled = !slow_n;
-    snapshot_sampled = !snapshot_n;
-    sample_reasons = List.rev !reasons;
+    frame_sampled = frame_n;
+    slow_sampled = slow_n;
+    snapshot_sampled = snapshot_n;
+    sample_reasons = reasons;
   }
-
-let sample_trials ?(master_seed = 1) ?engine ~trials cfg (b : Circuit.b)
-    (inputs : bool list) ~(f : int -> sample -> unit) : sample_summary =
-  sample_trials_on (module Backend.Statevector) ~master_seed ?engine ~trials cfg b
-    inputs ~f

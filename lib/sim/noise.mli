@@ -4,18 +4,21 @@
     from one master seed ({!Quipper_math.Rng.derive}) — every noisy run
     replays exactly.
 
-    Noisy execution is generic over {!Backend.S} (the Pauli kicks are
-    Clifford operations, so campaigns also run on the stabilizer backend
-    where the circuit's own gates permit); the [_on] functions take the
-    backend explicitly, the historical names are fixed to the
-    statevector backend and behave exactly as before.
+    Every entry point takes the backend (the Pauli kicks are Clifford
+    operations, so campaigns also run on the stabilizer backend where
+    the circuit's own gates permit). A configuration with all
+    probabilities zero is bit-identical to the plain backend run on the
+    same seed (property-tested).
 
-    A configuration with all probabilities zero is bit-identical to the
-    plain backend run on the same seed (property-tested). *)
+    Engines: both campaigns are {!Frame.campaign}'s lane loop, and its
+    rule is the one engine rule — the Pauli-frame engine runs unless the
+    engine is [`Slow] or the backend observes classical bits only, and
+    outcomes are the same under every engine (test_frame's engine
+    invariance law). *)
 
 open Quipper
 
-type config = {
+type config = Frame.config = {
   bit_flip : float;  (** X after each gate, per touched wire *)
   phase_flip : float;  (** Z after each gate, per touched wire *)
   depolarizing : float;  (** X/Y/Z uniformly, per touched wire *)
@@ -47,13 +50,7 @@ val run_and_measure_on :
 (** {!run_circuit_on}, then measure every output (readout noise applies
     to those final measurements too); returns outputs in arity order. *)
 
-val run_circuit : ?seed:int -> config -> Circuit.b -> bool list -> Statevector.state
-(** {!run_circuit_on} fixed to the statevector backend. *)
-
-val run_and_measure : ?seed:int -> config -> Circuit.b -> bool list -> bool list
-(** {!run_and_measure_on} fixed to the statevector backend. *)
-
-(** Outcome of one trial of {!run_trials}. *)
+(** Outcome of one trial of {!run_trials_on}. *)
 type trial_outcome =
   | Success of int  (** right answer after this many attempts *)
   | Wrong of int  (** completed, silently wrong — undetectable at run time *)
@@ -80,7 +77,6 @@ type stats = {
   outcomes : trial_outcome array;
 }
 
-val success_rate : stats -> float
 val pp_stats : Format.formatter -> stats -> unit
 
 val run_trials_on :
@@ -100,18 +96,6 @@ val run_trials_on :
     termination detects the failure; completed-but-wrong answers are
     counted, not retried — quantifying exactly what detection buys.
     Deterministic for a fixed master seed, whatever the [engine]. *)
-
-val run_trials :
-  ?master_seed:int ->
-  ?engine:Engine.t ->
-  trials:int ->
-  max_failures:int ->
-  config ->
-  Circuit.b ->
-  bool list ->
-  expected:bool list ->
-  stats
-(** {!run_trials_on} fixed to the statevector backend. *)
 
 (** {2 Plain output sampling}
 
@@ -147,10 +131,9 @@ val sample_trials_on :
   f:(int -> sample -> unit) ->
   sample_summary
 (** One noisy run per trial (no retries; trial [t]'s seed is
-    [Rng.derive master_seed (t + 2)], the {!run_trials} schedule at
+    [Rng.derive master_seed (t + 2)], the {!run_trials_on} schedule at
     [max_failures = 0]), delivering each trial's outputs to [f] in trial
-    order. Eligible circuits run through the frame engine in bit-packed
-    blocks of bounded memory; results are bit-identical to [`Slow].
+    order.
 
     When the configuration is noiseless and the engine is [`Auto], the
     campaign collapses to the backend's sampling surface: one clean run
@@ -159,14 +142,3 @@ val sample_trials_on :
     sampling law keeps each outcome bit-identical to the full
     re-simulation, at marginal cost per trial near zero (counted in
     [snapshot_sampled]). *)
-
-val sample_trials :
-  ?master_seed:int ->
-  ?engine:Engine.t ->
-  trials:int ->
-  config ->
-  Circuit.b ->
-  bool list ->
-  f:(int -> sample -> unit) ->
-  sample_summary
-(** {!sample_trials_on} fixed to the statevector backend. *)

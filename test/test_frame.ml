@@ -1,9 +1,9 @@
-(* Tests for the Pauli-frame fault engine (Quipper_sim.Frame) and its
-   wiring into Noise.run_trials_on / Inject.report_on: the acceptance
-   property is bit-identity — at equal derived seeds, campaigns on the
-   frame engine classify every trial and every fault exactly as the
-   slow one-simulation-per-attempt path does, over a 100+-circuit
-   deterministic Clifford corpus and on both quantum backends. *)
+(* Tests for the Pauli-frame fault engine (Quipper_sim.Frame) and the
+   one lane loop the campaigns share: the acceptance property is engine
+   invariance — at equal derived seeds, every campaign decides each
+   trial, sample and fault the same under `Auto, `Frame and `Slow, on
+   every backend and at every domain count, over a 100+-circuit
+   deterministic Clifford corpus. *)
 
 open Quipper
 open Circ
@@ -11,6 +11,7 @@ module Noise = Quipper_sim.Noise
 module Inject = Quipper_sim.Inject
 module Frame = Quipper_sim.Frame
 module Backend = Quipper_sim.Backend
+module Kernel = Quipper_sim.Kernel
 module Rng = Quipper_math.Rng
 module R = Algo_repcode
 
@@ -129,9 +130,6 @@ let circuit_measure ~n gs =
 let corpus_cfg =
   { Noise.bit_flip = 0.01; phase_flip = 0.005; depolarizing = 0.05; readout = 0.01 }
 
-let backends : (string * (module Backend.S)) list =
-  [ ("statevector", (module Backend.Statevector)); ("clifford", (module Backend.Clifford)) ]
-
 let stats_agree (s1 : Noise.stats) (s2 : Noise.stats) =
   s1.Noise.outcomes = s2.Noise.outcomes
   && s1.Noise.successes = s2.Noise.successes
@@ -141,69 +139,213 @@ let stats_agree (s1 : Noise.stats) (s2 : Noise.stats) =
   && s1.Noise.attempts = s2.Noise.attempts
   && s1.Noise.detected_failures = s2.Noise.detected_failures
 
-(* The tentpole acceptance test: >= 100 corpus circuits, trials
-   bit-identical between engines on both backends, and the frame engine
-   actually engaged (not silently falling back throughout). *)
-let test_corpus_trials_bit_identical () =
+(* ------------------------------------------------------------------ *)
+(* Engine invariance, one law: every campaign decides the same under
+   `Auto, `Frame and `Slow, on every backend, at 1, 2 and 4 kernel
+   domains. Counters (which engine settled a lane) may differ; what the
+   campaign decides may not. *)
+
+type case = {
+  label : string;
+  circ : Circuit.b;
+  inputs : bool list;
+  expected : bool list;
+  cfg : Noise.config;
+  master_seed : int;
+  eligible : bool;  (** the frame engine must carry lanes on quantum backends *)
+}
+
+let case ?(expected = []) ?(cfg = Noise.none) ?(master_seed = 1) ~eligible label circ
+    inputs =
+  { label; circ; inputs; expected; cfg; master_seed; eligible }
+
+(* What a campaign decides: per-trial outcomes, per-trial samples in
+   delivery order, per-fault findings, or the text of what it raised
+   (the classical backend cannot run a quantum clean reference). *)
+type decided =
+  | Trials of Noise.trial_outcome array
+  | Samples of (int * Noise.sample) list
+  | Findings of Inject.finding list
+  | Raised of string
+
+(* each campaign returns what it decided and how many lanes the frame
+   engine settled *)
+let trials_campaign c backend engine =
+  let s =
+    Noise.run_trials_on backend ~master_seed:c.master_seed ~engine ~trials:20
+      ~max_failures:2 c.cfg c.circ c.inputs ~expected:c.expected
+  in
+  (Trials s.Noise.outcomes, s.Noise.frame_attempts)
+
+let samples_campaign cfg c backend engine =
+  let got = ref [] in
+  let s =
+    Noise.sample_trials_on backend ~master_seed:c.master_seed ~engine ~trials:20 cfg
+      c.circ c.inputs ~f:(fun t x -> got := (t, x) :: !got)
+  in
+  (Samples (List.rev !got), s.Noise.frame_sampled)
+
+let inject_campaign c backend engine =
+  let r = Inject.report_on backend ~seed:3 ~engine c.circ c.inputs in
+  (Findings r.Inject.findings, r.Inject.frame_faults)
+
+let check_law ~campaigns cases =
+  let engines : Quipper_sim.Engine.t list = [ `Auto; `Frame; `Slow ] in
+  let saved = !Kernel.num_domains in
+  Fun.protect
+    ~finally:(fun () -> Kernel.num_domains := saved)
+    (fun () ->
+      List.iter
+        (fun c ->
+          List.iter
+            (fun ((module B : Backend.S) as backend) ->
+              List.iter
+                (fun (what, auto_frames, campaign) ->
+                  let reference = ref None in
+                  List.iter
+                    (fun domains ->
+                      Kernel.num_domains := domains;
+                      List.iter
+                        (fun engine ->
+                          let decided, framed =
+                            match campaign c backend engine with
+                            | r -> r
+                            | exception e -> (Raised (Printexc.to_string e), 0)
+                          in
+                          let where =
+                            Fmt.str "%s, %s on %s, engine %a, %d domains" c.label what
+                              B.name Quipper_sim.Engine.pp engine domains
+                          in
+                          (match !reference with
+                          | None -> reference := Some decided
+                          | Some r ->
+                              if r <> decided then
+                                Alcotest.failf "%s: decides differently" where);
+                          let quantum = not (String.equal B.name "classical") in
+                          let frames = engine = `Frame || (engine = `Auto && auto_frames) in
+                          if frames && quantum && c.eligible && framed = 0 then
+                            Alcotest.failf "%s: frame engine never engaged" where;
+                          if (not quantum) && framed > 0 then
+                            Alcotest.failf "%s: frame engine ran on classical bits" where)
+                        engines)
+                    [ 1; 2; 4 ])
+                campaigns)
+            Backend.all)
+        cases)
+
+(* The trial corpus: >= 100 circuits, under run_trials and noisy and
+   noiseless sampling. *)
+let trial_corpus () =
   let n = 4 in
-  let circuits = ref 0 in
-  for seed = 1 to 40 do
-    let rng = Rng.create seed in
-    let len = 4 + Rng.int rng 12 in
-    let gs = rand_gates rng ~n ~len in
-    let gs2 = rand_gates rng ~n:(n + 1) ~len:6 in
-    let inputs = List.init n (fun _ -> Rng.int rng 2 = 1) in
-    List.iter
-      (fun b ->
-        incr circuits;
-        List.iter
-          (fun (bname, backend) ->
-            let expected = Noise.run_and_measure_on backend ~seed:1 Noise.none b inputs in
+  List.concat_map
+    (fun seed ->
+      let rng = Rng.create seed in
+      let len = 4 + Rng.int rng 12 in
+      let gs = rand_gates rng ~n ~len in
+      let gs2 = rand_gates rng ~n:(n + 1) ~len:6 in
+      let inputs = List.init n (fun _ -> Rng.int rng 2 = 1) in
+      List.mapi
+        (fun v circ ->
+          case ~cfg:corpus_cfg ~master_seed:(7 * seed) ~eligible:true
+            ~expected:
+              (Noise.run_and_measure_on (module Backend.Clifford) ~seed:1 Noise.none circ
+                 inputs)
+            (Fmt.str "corpus seed %d variant %d" seed v)
+            circ inputs)
+        [ circuit_plain ~n gs; circuit_ancilla ~n gs gs2; circuit_measure ~n gs ])
+    (List.init 40 succ)
+
+(* Aggregate bit-identity on the same corpus: `Auto and `Slow agree on
+   every counter a campaign reports (attempts and detected failures
+   included, not only per-trial outcomes), on both quantum backends,
+   and the frame engine carries lanes on every circuit. *)
+let test_corpus_trials_bit_identical () =
+  let cases = trial_corpus () in
+  check "corpus has at least 100 circuits" true (List.length cases >= 100);
+  List.iter
+    (fun c ->
+      List.iter
+        (fun ((module B : Backend.S) as backend) ->
+          if not (String.equal B.name "classical") then begin
             let run engine =
-              Noise.run_trials_on backend ~master_seed:(7 * seed) ~engine ~trials:20
-                ~max_failures:2 corpus_cfg b inputs ~expected
+              Noise.run_trials_on backend ~master_seed:c.master_seed ~engine ~trials:20
+                ~max_failures:2 c.cfg c.circ c.inputs ~expected:c.expected
             in
             let s_slow = run `Slow and s_auto = run `Auto in
             if not (stats_agree s_slow s_auto) then
-              Alcotest.failf "corpus seed %d on %s: frame and slow outcomes differ"
-                seed bname;
+              Alcotest.failf "%s on %s: frame and slow outcomes differ" c.label B.name;
             if s_auto.Noise.frame_attempts = 0 then
-              Alcotest.failf
-                "corpus seed %d on %s: frame engine never engaged (reasons: %s)" seed
-                bname
-                (String.concat "; " s_auto.Noise.fallback_reasons))
-          backends)
-      [ circuit_plain ~n gs; circuit_ancilla ~n gs gs2; circuit_measure ~n gs ]
-  done;
-  check "corpus has at least 100 circuits" true (!circuits >= 100)
+              Alcotest.failf "%s on %s: frame engine never engaged (reasons: %s)" c.label
+                B.name
+                (String.concat "; " s_auto.Noise.fallback_reasons)
+          end)
+        Backend.all)
+    cases
 
-(* Same acceptance for fault injection: every (site, pauli) classified
-   identically by one frame pass and by per-fault re-simulation, under
-   both backends' masked-fault semantics. *)
-let test_corpus_inject_bit_identical () =
+(* A classical-reversible circuit with a self-cancelling H pair: the
+   classical backend cannot run it, so no engine may complete it. *)
+let hh_cnot_case =
+  let b, _ =
+    Circ.generate ~in_:(Qdata.list_of 2 Qdata.qubit) (fun ql ->
+        let qs = Array.of_list ql in
+        let* () = hadamard_ qs.(0) in
+        let* () = hadamard_ qs.(0) in
+        let* () = cnot ~control:qs.(0) ~target:qs.(1) in
+        return ql)
+  in
+  case ~expected:[ true; true ] ~cfg:(Noise.bit_flip 0.0) ~eligible:false "H; H; CNOT" b
+    [ true; false ]
+
+(* The 3-bit in-place adder (Toffolis, so every engine runs it slow) at
+   a few inputs: the domain count must not change a trial. *)
+let adder_cases =
+  let module Qdint = Quipper_arith.Qdint in
+  let shape = Qdata.pair (Qdint.shape 3) (Qdint.shape 3) in
+  let b, _ =
+    Circ.generate ~in_:shape (fun (x, y) ->
+        let* () = Qdint.add_in_place ~x ~y () in
+        return (x, y))
+  in
+  List.map
+    (fun (x, y) ->
+      case
+        ~expected:(Qdata.bleaves shape (x, (x + y) mod 8))
+        ~cfg:(Noise.depolarizing 0.03) ~master_seed:(x + (8 * y)) ~eligible:false
+        (Fmt.str "adder %d+%d" x y) b
+        (Qdata.bleaves shape (x, y)))
+    [ (0, 0); (3, 5); (7, 6) ]
+
+let test_law_trials () =
+  let cases = trial_corpus () in
+  check "corpus has at least 100 circuits" true (List.length cases >= 100);
+  check_law
+    ~campaigns:
+      [
+        ("run_trials", true, trials_campaign);
+        ("noisy sample_trials", true, fun c -> samples_campaign c.cfg c);
+        (* `Auto samples a noiseless campaign from one snapshot *)
+        ("noiseless sample_trials", false, samples_campaign Noise.none);
+      ]
+    ((hh_cnot_case :: adder_cases) @ cases)
+
+(* The inject corpus, under each backend's masked-fault semantics. *)
+let test_law_inject () =
   let n = 3 in
-  for seed = 1 to 12 do
-    let rng = Rng.create (100 + seed) in
-    let len = 3 + Rng.int rng 6 in
-    let gs = rand_gates rng ~n ~len in
-    let inputs = List.init n (fun _ -> Rng.int rng 2 = 1) in
-    List.iter
-      (fun b ->
-        List.iter
-          (fun (bname, backend) ->
-            let r_slow = Inject.report_on backend ~seed:3 ~engine:`Slow b inputs in
-            let r_auto = Inject.report_on backend ~seed:3 ~engine:`Auto b inputs in
-            if r_slow.Inject.findings <> r_auto.Inject.findings then
-              Alcotest.failf "inject seed %d on %s: classifications differ" seed bname;
-            check "frame classified most faults" true
-              (r_auto.Inject.frame_faults > 0);
-            check "counts agree" true
-              (r_slow.Inject.detected = r_auto.Inject.detected
-              && r_slow.Inject.corrupted = r_auto.Inject.corrupted
-              && r_slow.Inject.masked = r_auto.Inject.masked))
-          backends)
-      [ circuit_plain ~n gs; circuit_measure ~n gs ]
-  done
+  let cases =
+    List.concat_map
+      (fun seed ->
+        let rng = Rng.create (100 + seed) in
+        let len = 3 + Rng.int rng 6 in
+        let gs = rand_gates rng ~n ~len in
+        let inputs = List.init n (fun _ -> Rng.int rng 2 = 1) in
+        List.mapi
+          (fun v circ ->
+            case ~eligible:true (Fmt.str "inject seed %d variant %d" seed v) circ inputs)
+          [ circuit_plain ~n gs; circuit_measure ~n gs ])
+      (List.init 12 succ)
+  in
+  check_law ~campaigns:[ ("report", true, inject_campaign) ]
+    ((hh_cnot_case :: adder_cases) @ cases)
 
 (* Graceful degradation: a non-Clifford gate makes the campaign fall
    back wholesale, outcomes still bit-identical, and the report names
@@ -251,33 +393,6 @@ let test_inject_fallback_names_the_gate () =
     (r_auto.Inject.frame_faults = 0 && r_auto.Inject.slow_faults = r_auto.Inject.faults);
   check "the report names the rotation" true
     (List.exists (fun r -> contains r "Rz") r_auto.Inject.fallback_reasons)
-
-(* Streaming: the frame pass consumed as a Sink.t over run_streaming
-   sees exactly the gates the materialized pass sees. *)
-let test_noise_sink_matches_pass () =
-  let n = 3 in
-  let rng = Rng.create 5 in
-  let gs = rand_gates rng ~n ~len:10 in
-  let f ql =
-    let qs = Array.of_list ql in
-    let* () = sandwich gs qs in
-    return ql
-  in
-  let b, _ = Circ.generate ~in_:(Qdata.list_of n Qdata.qubit) f in
-  let inputs = [ true; false; true ] in
-  let seeds = Array.init 70 (fun i -> 50 + i) in
-  let ch =
-    { Frame.bit_flip = 0.02; phase_flip = 0.0; depolarizing = 0.05; readout = 0.01 }
-  in
-  let r_stream, _ =
-    Circ.run_streaming ~in_:(Qdata.list_of n Qdata.qubit) f
-      (Frame.noise_sink ch ~inputs ~seeds ())
-  in
-  let r_mat = Frame.noise_pass ch (Circuit.inline b) inputs ~seeds in
-  for l = 0 to Array.length seeds - 1 do
-    if Frame.lane_outcome r_stream l <> Frame.lane_outcome r_mat l then
-      Alcotest.failf "lane %d: streamed and materialized passes disagree" l
-  done
 
 (* ------------------------------------------------------------------ *)
 (* The repetition-code workload                                        *)
@@ -328,16 +443,14 @@ let test_repcode_sample_outcomes_identical () =
 
 let suite =
   [
+    Alcotest.test_case "law: trials and samples engine-invariant" `Quick test_law_trials;
+    Alcotest.test_case "law: inject engine-invariant" `Quick test_law_inject;
     Alcotest.test_case "corpus: trials bit-identical frame vs slow" `Quick
       test_corpus_trials_bit_identical;
-    Alcotest.test_case "corpus: inject bit-identical frame vs slow" `Quick
-      test_corpus_inject_bit_identical;
     Alcotest.test_case "fallback: trial campaign names the gate" `Quick
       test_fallback_names_the_gate;
     Alcotest.test_case "fallback: inject campaign names the gate" `Quick
       test_inject_fallback_names_the_gate;
-    Alcotest.test_case "streaming: noise sink matches materialized pass" `Quick
-      test_noise_sink_matches_pass;
     Alcotest.test_case "repcode: circuit shape" `Quick test_repcode_shape;
     Alcotest.test_case "repcode: frame matches slow" `Quick
       test_repcode_frame_matches_slow;

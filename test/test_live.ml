@@ -489,6 +489,77 @@ let test_cold_prepare_pins () =
     Alcotest.failf "cold prepare: %.0f major words (pin 16000), %.0f minor (pin 111000)" major
       minor
 
+(* ------------------------------------------------------------------ *)
+(* Fault campaigns: one chunk of frame lanes at a time                 *)
+
+(* A copy of input qubit 0 onto a |0> ancilla, uncopied and
+   assertively terminated: Clifford and deterministic, so the frame
+   engine carries every lane, and depolarizing noise trips the
+   assertion often enough that detected lanes retry in a second round. *)
+let copy_uncopy =
+  lazy
+    (fst
+       (Circ.generate ~in_:(Qdata.list_of 1 Qdata.qubit) (fun ql ->
+            let open Circ in
+            let q = List.hd ql in
+            let* a = qinit_bit false in
+            let* () = cnot ~control:q ~target:a in
+            let* () = cnot ~control:q ~target:a in
+            let* () = qterm_bit false a in
+            return ql)))
+
+let chunk = Quipper_sim.Frame.lanes_per_word * 1024
+
+let copy_uncopy_trials ?(engine = `Auto) trials =
+  Quipper_sim.Noise.run_trials_on
+    (module Quipper_sim.Backend.Clifford)
+    ~master_seed:3 ~engine ~trials ~max_failures:1 (Quipper_sim.Noise.depolarizing 0.01)
+    (Lazy.force copy_uncopy) [ true ] ~expected:[ true ]
+
+(* Major words of a campaign on one domain. The noise streams are
+   seeded, so the campaign allocates the same objects in the same order
+   on every run, and [Gc.minor] empties the minor heap first, so the
+   same ones are promoted (1.78 words per trial when this suite runs
+   alone, 1.39 in the whole suite). *)
+let campaign_major_words trials =
+  let module Kernel = Quipper_sim.Kernel in
+  let saved = !Kernel.num_domains in
+  Kernel.num_domains := 1;
+  Fun.protect
+    ~finally:(fun () -> Kernel.num_domains := saved)
+    (fun () ->
+      ignore (Lazy.force copy_uncopy);
+      Gc.minor ();
+      let _, _, major0 = Gc.counters () in
+      ignore (copy_uncopy_trials trials);
+      let _, _, major1 = Gc.counters () in
+      major1 -. major0)
+
+(* A frame pass covers at most one chunk of lanes, so a campaign's major
+   words are one outcome slot per trial plus one pass's scaffolding per
+   chunk, and the words per trial stay flat as the trials grow. When one
+   pass held every lane, this suite alone read 8.79 words per trial at
+   [chunk + 1] trials and 8.83 at [3 * chunk + 1]. *)
+let test_campaign_memory_pins () =
+  let small = chunk + 1 and large = (3 * chunk) + 1 in
+  let per_trial n = campaign_major_words n /. float_of_int n in
+  let w_small = per_trial small and w_large = per_trial large in
+  if w_large > 1.8 then
+    Alcotest.failf "%d-trial campaign: %.2f major words per trial (pin 1.8)" large w_large;
+  if w_large > w_small *. 1.02 then
+    Alcotest.failf "major words per trial grow with the trials: %.3f at %d, %.3f at %d"
+      w_small small w_large large
+
+(* Frame = Slow across a chunk boundary: lane [chunk] opens the second
+   pass of both rounds. *)
+let test_campaign_chunk_boundary () =
+  let frame = copy_uncopy_trials ~engine:`Frame (chunk + 1)
+  and slow = copy_uncopy_trials ~engine:`Slow (chunk + 1) in
+  Alcotest.(check bool) "outcomes equal" true
+    (frame.Quipper_sim.Noise.outcomes = slow.Quipper_sim.Noise.outcomes);
+  Alcotest.(check bool) "frame carried every attempt" true
+    (frame.Quipper_sim.Noise.slow_attempts = 0)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |]) prop_itbl_model;
@@ -500,4 +571,8 @@ let suite =
     Alcotest.test_case "words per counted gate pinned" `Quick test_fold_pins;
     Alcotest.test_case "words per wide box call pinned" `Quick test_wide_call_pins;
     Alcotest.test_case "words per cold prepare pinned" `Quick test_cold_prepare_pins;
+    Alcotest.test_case "campaign major words per trial pinned" `Quick
+      test_campaign_memory_pins;
+    Alcotest.test_case "campaign Frame = Slow across a chunk" `Quick
+      test_campaign_chunk_boundary;
   ]

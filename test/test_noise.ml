@@ -9,6 +9,7 @@ open Circ
 module Sv = Quipper_sim.Statevector
 module Noise = Quipper_sim.Noise
 module Inject = Quipper_sim.Inject
+module Svb = Quipper_sim.Backend.Statevector
 module Qdint = Quipper_arith.Qdint
 module Rng = Quipper_math.Rng
 
@@ -41,7 +42,9 @@ let test_bit_flip_certain () =
   let clean = Sv.run_circuit ~seed:1 b [ false ] in
   let out = (List.hd b.Circuit.main.Circuit.outputs).Wire.wire in
   check "clean X flips" true (abs_float (Sv.prob_one clean out -. 1.0) < 1e-9);
-  let noisy = Noise.run_circuit ~seed:1 (Noise.bit_flip 1.0) b [ false ] in
+  let noisy =
+    Noise.run_circuit_on (module Svb) ~seed:1 (Noise.bit_flip 1.0) b [ false ]
+  in
   check "noise X flips back" true (abs_float (Sv.prob_one noisy out) < 1e-9)
 
 let test_noise_trips_assertion () =
@@ -53,16 +56,17 @@ let test_noise_trips_assertion () =
         let* () = qterm_bit false a in
         return q)
   in
-  match Noise.run_circuit ~seed:1 (Noise.bit_flip 1.0) b [ false ] with
+  match Noise.run_circuit_on (module Svb) ~seed:1 (Noise.bit_flip 1.0) b [ false ] with
   | exception Errors.Error (Errors.Termination_assertion _) -> ()
   | _ -> Alcotest.fail "expected the noisy run to trip the termination assertion"
 
 let test_readout_error_certain () =
   let b, _ = Circ.generate ~in_:Qdata.qubit (fun q -> return q) in
   check "readout 1.0 always lies" true
-    (Noise.run_and_measure ~seed:1 (Noise.readout 1.0) b [ true ] = [ false ]);
+    (Noise.run_and_measure_on (module Svb) ~seed:1 (Noise.readout 1.0) b [ true ]
+    = [ false ]);
   check "readout 0.0 is faithful" true
-    (Noise.run_and_measure ~seed:1 Noise.none b [ true ] = [ true ])
+    (Noise.run_and_measure_on (module Svb) ~seed:1 Noise.none b [ true ] = [ true ])
 
 let prop_noiseless_is_bit_identical =
   (* all-zero probabilities: amplitude arrays equal to the bit, on random
@@ -73,7 +77,7 @@ let prop_noiseless_is_bit_identical =
     (fun (ops, inputs) ->
       let b = Gen.circuit_of_program ~n:4 ops in
       let clean = Sv.run_circuit ~seed:3 b inputs in
-      let noisy = Noise.run_circuit ~seed:3 Noise.none b inputs in
+      let noisy = Noise.run_circuit_on (module Svb) ~seed:3 Noise.none b inputs in
       Sv.amplitudes clean = Sv.amplitudes noisy)
 
 (* ------------------------------------------------------------------ *)
@@ -82,15 +86,15 @@ let prop_noiseless_is_bit_identical =
 let test_trials_clean_all_succeed () =
   let b = adder_circuit () in
   let s =
-    Noise.run_trials ~master_seed:9 ~trials:10 ~max_failures:0 Noise.none b
-      (adder_inputs 3 2) ~expected:(adder_inputs 3 5)
+    Noise.run_trials_on (module Svb) ~master_seed:9 ~trials:10 ~max_failures:0 Noise.none
+      b (adder_inputs 3 2) ~expected:(adder_inputs 3 5)
   in
   check "all succeed" true (s.Noise.successes = 10 && s.Noise.attempts = 10)
 
 let test_trials_deterministic () =
   let b = adder_circuit () in
   let run () =
-    Noise.run_trials ~master_seed:42 ~trials:40 ~max_failures:2
+    Noise.run_trials_on (module Svb) ~master_seed:42 ~trials:40 ~max_failures:2
       (Noise.depolarizing 0.02) b (adder_inputs 3 2) ~expected:(adder_inputs 3 5)
   in
   let s1 = run () and s2 = run () in
@@ -99,7 +103,7 @@ let test_trials_deterministic () =
     (s1.Noise.successes + s1.Noise.wrong + s1.Noise.gave_up + s1.Noise.errored
     = s1.Noise.trials);
   let s3 =
-    Noise.run_trials ~master_seed:43 ~trials:40 ~max_failures:2
+    Noise.run_trials_on (module Svb) ~master_seed:43 ~trials:40 ~max_failures:2
       (Noise.depolarizing 0.02) b (adder_inputs 3 2) ~expected:(adder_inputs 3 5)
   in
   check "a different master seed reshuffles the noise" true
@@ -138,7 +142,7 @@ let test_fault_sites_recurse_into_boxes () =
 
 let test_fault_report_all_classes () =
   let b = adder_circuit () in
-  let r = Inject.report ~seed:1 b (adder_inputs 5 4) in
+  let r = Inject.report_on (module Svb) ~seed:1 b (adder_inputs 5 4) in
   check "faults = sites * 3" true (r.Inject.faults = 3 * r.Inject.sites);
   check "some faults detected" true (r.Inject.detected > 0);
   check "some faults corrupt silently" true (r.Inject.corrupted > 0);
@@ -174,7 +178,7 @@ let test_fault_before_term_is_detected () =
           List.iter
             (fun p ->
               incr checked;
-              let o = Inject.run_site ~seed:1 b inputs s p in
+              let o = Inject.run_site_on (module Svb) ~seed:1 b inputs s p in
               if o <> Inject.Detected then
                 Alcotest.failf "fault %s at %s escaped the assertion (%s)"
                   (Inject.pauli_name p)
@@ -191,7 +195,8 @@ let test_masked_z_on_basis_state () =
   let sites = Faultsite.enumerate b in
   let s = List.hd sites in
   check "input-site Z fault is masked" true
-    (Inject.run_site ~seed:1 b (adder_inputs 1 2) s Inject.Z = Inject.Masked)
+    (Inject.run_site_on (module Svb) ~seed:1 b (adder_inputs 1 2) s Inject.Z
+    = Inject.Masked)
 
 let test_errored_trials_survive () =
   (* a backend raising mid-trial (clifford meets a T gate) is recorded
@@ -213,7 +218,7 @@ let test_errored_trials_survive () =
     = s.Noise.trials)
 
 let prop_domains_invariant =
-  (* satellite: QUIPPER_DOMAINS must not change per-trial outcomes *)
+  (* QUIPPER_DOMAINS must not change per-trial outcomes *)
   QCheck.Test.make ~count:10 ~name:"trial outcomes independent of domain count"
     QCheck.(pair (int_range 0 7) (int_range 0 7))
     (fun (x, y) ->
@@ -224,7 +229,9 @@ let prop_domains_invariant =
         Fun.protect
           ~finally:(fun () -> Quipper_sim.Kernel.num_domains := saved)
           (fun () ->
-            Noise.run_trials ~master_seed:(x + (8 * y)) ~trials:12 ~max_failures:1
+            Noise.run_trials_on
+              (module Svb)
+              ~master_seed:(x + (8 * y)) ~trials:12 ~max_failures:1
               (Noise.depolarizing 0.03) b (adder_inputs x y)
               ~expected:(adder_inputs x ((x + y) mod 8)))
       in
