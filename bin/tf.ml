@@ -29,17 +29,17 @@ let generate ~subroutine ~oracle_only ~p =
       if oracle_only then Algo_tf.Qwtfp.generate_oracle ~p ()
       else Algo_tf.Qwtfp.generate ~p ()
 
-(* per-box report lines from a collected subroutine namespace *)
-let pp_per_subroutine subs sub_order =
-  let b0 =
-    { Circuit.main = { Circuit.inputs = []; gates = [||]; outputs = [] };
-      subs; sub_order }
-  in
+(* The gatecount report of one engine run, as in the paper 5.3.1:
+   per-box counts first, then the aggregate and the depth. *)
+let print_report ((whole : Resource.t), boxes) =
+  let boxes = List.map (fun (name, v) -> (name, Gatecount.summary_of v)) boxes in
   List.iter
     (fun (name, s) ->
       Fmt.pr "Subroutine %S: %d gates, %d qubits@." name s.Gatecount.total
         s.Gatecount.qubits)
-    (Gatecount.per_subroutine b0)
+    boxes;
+  Fmt.pr "%a" Gatecount.pp_summary (Gatecount.summary_of whole);
+  Fmt.pr "Depth (upper bound): %d@." (Resource.to_int "the depth" whole.Resource.depth)
 
 (* One streamed generation pass of the selected entry point into [sink],
    with [report] on its result — the streaming modes below differ only
@@ -75,40 +75,31 @@ let with_streamed ~subroutine ~oracle_only ~(p : Algo_tf.Oracle.params)
   0
 
 (* Streaming mode: drive the same entry points through
-   [Circ.run_streaming], tee-ing the subroutine-namespace, gate-count and
-   depth sinks so one pass produces the whole gatecount report —
-   byte-identical to the materialized path, with O(1) memory per gate. *)
+   [Circ.run_streaming] into one resource walk, which produces the whole
+   gatecount report — byte-identical to the materialized path, with O(1)
+   memory per gate. *)
 let run_stream ~subroutine ~oracle_only ~p =
-  let sink () = Sink.tee (Sink.subroutines ()) (Sink.summary_depth ()) in
-  let report ((subs, sub_order), (summary, depth)) =
-    pp_per_subroutine subs sub_order;
-    Fmt.pr "%a" Gatecount.pp_summary summary;
-    Fmt.pr "Depth (upper bound): %d@." depth
-  in
-  with_streamed ~subroutine ~oracle_only ~p sink report
+  with_streamed ~subroutine ~oracle_only ~p Sink.report print_report
 
 (* Streaming optimisation: the windowed peephole transformer between
-   generation and the report sinks, unoptimized before-counters teed off
+   generation and the report walk, unoptimized before-counters teed off
    the same pass. Report layout matches materialized [-O] (the
-   [Passes.optimize_and_report] block, then the per-box/summary/depth
-   gatecount report of the optimized circuit). *)
+   [Passes.optimize_and_report] block, then the gatecount report of the
+   optimized circuit). *)
 let run_stream_opt ~subroutine ~oracle_only ~p ~verbose =
   let module Stream_opt = Quipper_opt.Stream_opt in
   let st = Stream_opt.stats_create () in
-  let sink () =
-    Sink.tee (Sink.summary_depth ())
-      (Stream_opt.sink ~stats:st (Sink.tee (Sink.subroutines ()) (Sink.summary_depth ())))
-  in
-  let report ((before, depth_before), ((subs, sub_order), (after, depth_after))) =
+  let sink () = Sink.tee (Sink.summary_depth ()) (Stream_opt.sink ~stats:st (Sink.report ())) in
+  let report ((before, depth_before), ((whole, _) as after_report)) =
+    let after = Gatecount.summary_of whole in
+    let depth_after = Resource.to_int "the depth" whole.Resource.depth in
     Fmt.pr "Before optimisation:@\n%a@\n" Gatecount.pp_summary before;
     if verbose then Fmt.pr "%a@." Stream_opt.pp_stats st;
     Fmt.pr "After optimisation:@\n%a@\n" Gatecount.pp_summary after;
     Fmt.pr "Optimizer: removed %d of %d logical gates; depth %d -> %d@."
       (before.Gatecount.total_logical - after.Gatecount.total_logical)
       before.Gatecount.total_logical depth_before depth_after;
-    pp_per_subroutine subs sub_order;
-    Fmt.pr "%a" Gatecount.pp_summary after;
-    Fmt.pr "Depth (upper bound): %d@." depth_after
+    print_report after_report
   in
   with_streamed ~subroutine ~oracle_only ~p sink report
 
@@ -276,14 +267,7 @@ let run format subroutine oracle_only gate_base simulate optimize verbose l n r
   in
   (match format with
   | Gatecount ->
-      (* per-box counts first, then the aggregate, as in the paper 5.3.1 *)
-      List.iter
-        (fun (name, s) ->
-          Fmt.pr "Subroutine %S: %d gates, %d qubits@." name s.Gatecount.total
-            s.Gatecount.qubits)
-        (Gatecount.per_subroutine b);
-      Fmt.pr "%a" Gatecount.pp_summary (Gatecount.summarize b);
-      Fmt.pr "Depth (upper bound): %d@." (Depth.depth b)
+      print_report (Resource.report b)
   | Text -> Printer.print b
   | AsciiArt -> Ascii.print ~max_columns:400 b);
   0

@@ -37,13 +37,10 @@ let add (k : key) n (t : t) : t =
 
 (** Forget the quantum/classical split and the order of the controls. *)
 let key_of_xkey (x : Resource.Xkey.t) : key =
-  let p, n =
-    List.fold_left
-      (fun (p, n) (_, positive) -> if positive then (p + 1, n) else (p, n + 1))
-      (0, 0) x.Resource.Xkey.csig
-  in
+  let csig = x.Resource.Xkey.csig in
+  let p = List.fold_left (fun p (_, positive) -> if positive then p + 1 else p) 0 csig in
   { kind = x.Resource.Xkey.kind; inverted = x.Resource.Xkey.inverted;
-    pos_controls = p; neg_controls = n }
+    pos_controls = p; neg_controls = List.length csig - p }
 
 let key_of_gate g = Option.map key_of_xkey (Resource.xkey_of_gate g)
 
@@ -191,22 +188,6 @@ let summary_of (v : Resource.t) : summary =
 
 let summarize (b : Circuit.b) : summary =
   summary_of (Resource.of_circuit ~depth:false b)
-
-(** Aggregated counts for each boxed subcircuit, in definition order —
-    Quipper's [-f gatecount] prints "a gate count for each boxed subcircuit
-    ... together with an aggregated gate count for the circuit with all
-    boxed subcircuits inlined" (§5.3.1). Each subroutine's count has its
-    own nested calls expanded. *)
-let per_subroutine (b : Circuit.b) : (string * summary) list =
-  List.map
-    (fun name ->
-      let sub = Circuit.find_sub b name in
-      let as_b =
-        { Circuit.main = sub.Circuit.circ; subs = b.Circuit.subs;
-          sub_order = b.Circuit.sub_order }
-      in
-      (name, summarize as_b))
-    b.Circuit.sub_order
 
 let pp ppf (t : t) =
   Counts.iter (fun k n -> Fmt.pf ppf "%d: %a@\n" n pp_key k) t

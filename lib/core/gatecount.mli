@@ -83,13 +83,14 @@ type summary = {
 }
 
 val summary_of : Resource.t -> summary
-(** The projection of a vector's counts and peak. *)
+(** The projection of a vector's counts and peak. The per-box section
+    of Quipper's [-f gatecount] output ("a gate count for each boxed
+    subcircuit", §5.3.1) is this projection of each box's vector from
+    {!Resource.report} or [Sink.report]: the same run that counts the
+    whole circuit, each box's own calls expanded and its peak counted
+    from its inputs. *)
 
 val summarize : Circuit.b -> summary
-
-val per_subroutine : Circuit.b -> (string * summary) list
-(** Aggregated counts for each boxed subcircuit, in definition order —
-    the per-box section of Quipper's [-f gatecount] output. *)
 
 val pp_key : Format.formatter -> key -> unit
 (** Quipper's format: [ "Not", controls 1+1 ] (and [a+0] printed [a]). *)

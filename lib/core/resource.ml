@@ -1,6 +1,6 @@
 (** The hierarchical resource engine: counts, peak wires and depth over
-    the call tree, walked once per box — see the interface for the
-    shared semantics. *)
+    the call tree, each box body walked once into a summary — see the
+    interface for the shared semantics. *)
 
 module Xkey = struct
   type t = {
@@ -107,8 +107,30 @@ let xkey_of_gate (g : Gate.t) : Xkey.t option =
 
 type counts = (Wide.t * Gate.t) Xmap.t
 
+(* Ambient controls by (quantum, classical) x (positive, negative). *)
+type amb = int * int * int * int
+
+let no_amb = (0, 0, 0, 0)
+
+(* One gate key's count before the ambient controls are spelled out:
+   the gate's own key and representative, whether it takes ambient
+   controls, and how many the calls above it added. [n], [rep] and
+   [rank] change only while the walk that made the term merges into it. *)
+type term = {
+  key : Xkey.t;
+  ambient : bool;
+  amb : amb;
+  mutable n : Wide.t;
+  mutable rep : Gate.t;
+  mutable rank : int;
+}
+
+(* A later term's representative wins a key two terms share. *)
+type terms = term array
+
 type t = {
   counts : counts;
+  terms : terms;
   in_arity : int;
   out_arity : int;
   peak : int;
@@ -119,9 +141,6 @@ let bump x w g (m : counts) : counts =
   Xmap.update x
     (function None -> Some (w, g) | Some (v, r) -> Some (Wide.add v w, r))
     m
-
-let merge (sub : counts) (acc : counts) : counts =
-  Xmap.union (fun _ (w, g) (v, _) -> Some (Wide.add v w, g)) sub acc
 
 let invert_key (x : Xkey.t) : Xkey.t =
   match x.Xkey.kind with
@@ -136,19 +155,15 @@ let invert_key (x : Xkey.t) : Xkey.t =
   | k when k = "Not" || Gate.self_inverse k -> x
   | _ -> { x with Xkey.inverted = not x.Xkey.inverted }
 
+let invert_rep g = try Gate.inverse g with _ -> g
+
 let invert (c : counts) : counts =
-  Xmap.fold
-    (fun x (w, g) acc ->
-      bump (invert_key x) w (try Gate.inverse g with _ -> g) acc)
-    c Xmap.empty
+  Xmap.fold (fun x (w, g) acc -> bump (invert_key x) w (invert_rep g) acc) c Xmap.empty
 
 let max_wire_of (g : Gate.t) =
   List.fold_left
     (fun m (e : Wire.endpoint) -> max m e.Wire.wire)
     0 (Gate.wires g)
-
-(* Ambient controls by (quantum, classical) x (positive, negative). *)
-type amb = int * int * int * int
 
 let ambient_key ((qp, qn, cp, cn) : amb) (x : Xkey.t) =
   let n k s = List.init k (fun _ -> s) in
@@ -185,56 +200,68 @@ let to_int what w =
         what (Wide.to_string w)
 
 (* ------------------------------------------------------------------ *)
-(* The walk                                                            *)
+(* Terms                                                               *)
 
-let no_amb = (0, 0, 0, 0)
+let add_amb ((qp, qn, cp, cn) : amb) ((qp', qn', cp', cn') : amb) : amb =
+  (qp + qp', qn + qn', cp + cp', cn + cn')
 
-let add_amb ((qp, qn, cp, cn) : amb) (cs : Gate.control list) : amb =
-  List.fold_left
-    (fun (qp, qn, cp, cn) (c : Gate.control) ->
-      match (c.Gate.cty, c.Gate.positive) with
-      | Wire.Q, true -> (qp + 1, qn, cp, cn)
-      | Wire.Q, false -> (qp, qn + 1, cp, cn)
-      | Wire.C, true -> (qp, qn, cp + 1, cn)
-      | Wire.C, false -> (qp, qn, cp, cn + 1))
-    (qp, qn, cp, cn) cs
+(* [n] plus how many of [cs] have that type and sign *)
+let rec count cty positive n = function
+  | [] -> n
+  | (c : Gate.control) :: cs ->
+      count cty positive (if c.Gate.cty == cty && c.Gate.positive == positive then n + 1 else n) cs
 
-(* Per-box results, memoized: counts per ambient signature and call
-   direction, peak and depth per name (controls change neither). A
-   depth is kept exact and, when it is below [limit], native too (else
-   [-1]). *)
-type env = {
-  find : string -> Circuit.subroutine;
-  cmemo : (string * amb * bool, counts) Hashtbl.t;
-  pmemo : (string, int) Hashtbl.t;
-  dmemo : (string, int * Wide.t) Hashtbl.t;
-}
+(* the tally of a control list *)
+let amb_of cs : amb =
+  (count Wire.Q true 0 cs, count Wire.Q false 0 cs, count Wire.C true 0 cs, count Wire.C false 0 cs)
 
-let env find =
-  {
-    find;
-    cmemo = Hashtbl.create 16;
-    pmemo = Hashtbl.create 16;
-    dmemo = Hashtbl.create 16;
-  }
+(* the last term of a key wins, so only its representative is built *)
+let view (ts : terms) : counts =
+  let m = ref Xmap.empty in
+  for i = Array.length ts - 1 downto 0 do
+    let t = ts.(i) in
+    let shifted = t.ambient && t.amb <> no_amb in
+    m :=
+      Xmap.update
+        (if shifted then ambient_key t.amb t.key else t.key)
+        (function
+          | None -> Some (t.n, if shifted then ambient_rep t.amb t.rep else t.rep)
+          | Some (v, r) -> Some (Wide.add v t.n, r))
+        !m
+  done;
+  !m
+
+let term key ambient amb n rep = { key; ambient; amb; n; rep; rank = 0 }
+
+let flat (c : counts) : terms =
+  Array.of_list
+    (Xmap.fold
+       (fun key (n, rep) acc ->
+         term key (Gate.controllability rep = Gate.Controllable) no_amb n rep :: acc)
+       c [])
+
+let append = Array.append
+let scale k = Array.map (fun t -> { t with n = Wide.mul_int t.n k })
+let reverse = Array.map (fun t -> { t with key = invert_key t.key; rep = invert_rep t.rep })
+let control amb = Array.map (fun t -> if t.ambient then { t with amb = add_amb t.amb amb } else t)
 
 (* ------------------------------------------------------------------ *)
 (* Count cells                                                         *)
 
-(* A walk's running count of one key: the walk's own gates in a native
-   int, box merges in [merged], the only exact part. *)
+(* A walk's running count of one of its own gates' keys, with the
+   first such gate as representative. *)
 type cell = {
-  key : Xkey.t;
+  ckey : Xkey.t;
   hash : int;
   shape : int;
-  mutable n : int;
-  mutable merged : Wide.t;
-  mutable rep : Gate.t;
+  cambient : bool;
+  mutable cn : int;
+  crep : Gate.t;
 }
 
 let vacant =
-  { key = plain ""; hash = 0; shape = 0; n = 0; merged = Wide.zero;
-    rep = Gate.Comment { text = ""; labels = [] } }
+  { ckey = plain ""; hash = 0; shape = 0; cambient = false; cn = 0;
+    crep = Gate.Comment { text = ""; labels = [] } }
 
 (* Open addressing with linear probing over a power-of-two array of
    cells, [vacant] marking a free slot; it doubles at half load and
@@ -242,14 +269,16 @@ let vacant =
 type table = { mutable cells : cell array; mutable size : int }
 
 (* A key's [shape] packs everything but its kind into one int: a
-   leading 1, each control's rank in two bits, [arity] in eight and
-   [inverted] in one; -1 when that does not fit (more than 25 controls
-   or 255 targets), and only then do keys compare field by field. A
-   gate computes its key's shape and hash without the key being built. *)
+   leading 1, each control's rank in two bits, [arity] in eight,
+   [inverted] and [ambient] in one each; -1 when that does not fit (more
+   than 25 controls or 255 targets), and only then do keys compare field
+   by field. A gate computes its key's shape and hash without the key
+   being built. *)
 let push s r = if s < 0 || s >= 1 lsl 50 then -1 else (s lsl 2) lor r
 
-let close s inv arity =
-  if s < 0 || arity > 255 then -1 else (((s lsl 8) lor arity) lsl 1) lor Bool.to_int inv
+let close s inv arity ambient =
+  if s < 0 || arity > 255 then -1
+  else (((((s lsl 8) lor arity) lsl 1) lor Bool.to_int inv) lsl 1) lor Bool.to_int ambient
 
 let rank_of (c : Gate.control) =
   (match c.Gate.cty with Wire.Q -> 0 | Wire.C -> 2) + Bool.to_int c.Gate.positive
@@ -258,28 +287,8 @@ let rec push_controls s = function
   | [] -> s
   | c :: cs -> push_controls (push s (rank_of c)) cs
 
-let rec push_copies s rank k = if k = 0 then s else push_copies (push s rank) rank (k - 1)
-
-(* the ambient tail [ambient_key] appends: ranks 1, 0, 3, 2 *)
-let push_tail s qp qn cp cn =
-  push_copies (push_copies (push_copies (push_copies s 1 qp) 0 qn) 3 cp) 2 cn
-
-let shape_of_key (x : Xkey.t) =
-  close
-    (List.fold_left (fun s c -> push s (Xkey.rank c)) 1 x.Xkey.csig)
-    x.Xkey.inverted x.Xkey.arity
-
 (* a polynomial hash of the kind's characters and the shape *)
 let mix h x = (h lsl 5) + h + x
-
-let hash_string h s =
-  let h = ref h in
-  for i = 0 to String.length s - 1 do
-    h := mix !h (Char.code (String.unsafe_get s i))
-  done;
-  !h
-
-let hash_key (x : Xkey.t) shape = mix (hash_string 0 x.Xkey.kind) shape
 let home h (cells : cell array) = (h * 0x2545F4914F6CDD1D) lsr 17 land (Array.length cells - 1)
 
 (* [x = pre ^ kind], without building the right-hand side *)
@@ -293,45 +302,32 @@ let kind_is x pre kind =
   && (if lp = 0 then x == kind || same_from x 0 kind 0
       else same_from x 0 pre 0 && same_from x lp kind 0)
 
-(* [csig] is the ranks of [qp], [qn], [cp], [cn] ambient controls *)
-let rec tail_is csig qp qn cp cn =
-  match csig with
-  | [] -> qp = 0 && qn = 0 && cp = 0 && cn = 0
-  | s :: r ->
-      let k = Xkey.rank s in
-      if qp > 0 then k = 1 && tail_is r (qp - 1) qn cp cn
-      else if qn > 0 then k = 0 && tail_is r 0 (qn - 1) cp cn
-      else if cp > 0 then k = 3 && tail_is r 0 0 (cp - 1) cn
-      else cn > 0 && k = 2 && tail_is r 0 0 0 (cn - 1)
-
-(* [csig] is the signature of [controls] followed by the ambient tail *)
-let rec csig_is csig controls qp qn cp cn =
+(* [csig] is the signature of [controls] *)
+let rec csig_is csig controls =
   match (csig, controls) with
-  | _, [] -> tail_is csig qp qn cp cn
-  | [], _ :: _ -> false
-  | s :: r, c :: cs -> Xkey.rank s = rank_of c && csig_is r cs qp qn cp cn
+  | [], [] -> true
+  | s :: r, c :: cs -> Xkey.rank s = rank_of c && csig_is r cs
+  | _ -> false
 
 (* the slot of the cell whose key a gate's fields spell, or the vacant
    slot that ends its probe run *)
-let rec slot_of_gate cells i h shape pre kind inv targets controls qp qn cp cn =
+let rec slot_of_gate cells i h shape pre kind inv targets controls ambient =
   let c = cells.(i) in
   if
     c == vacant
     || c.hash = h && c.shape = shape
-       && kind_is c.key.Xkey.kind pre kind
+       && kind_is c.ckey.Xkey.kind pre kind
        && (shape >= 0
-          || c.key.Xkey.inverted = inv
-             && List.compare_length_with targets c.key.Xkey.arity = 0
-             && csig_is c.key.Xkey.csig controls qp qn cp cn)
+          || c.ckey.Xkey.inverted = inv && c.cambient = ambient
+             && List.compare_length_with targets c.ckey.Xkey.arity = 0
+             && csig_is c.ckey.Xkey.csig controls)
   then i
   else
     slot_of_gate cells ((i + 1) land (Array.length cells - 1)) h shape pre kind inv
-      targets controls qp qn cp cn
+      targets controls ambient
 
-let rec slot_of_key cells i h x =
-  let c = cells.(i) in
-  if c == vacant || (c.hash = h && Xkey.compare c.key x = 0) then i
-  else slot_of_key cells ((i + 1) land (Array.length cells - 1)) h x
+let rec free cells i =
+  if cells.(i) == vacant then i else free cells ((i + 1) land (Array.length cells - 1))
 
 let insert t i c =
   t.cells.(i) <- c;
@@ -340,9 +336,7 @@ let insert t i c =
     let old = t.cells in
     t.cells <- Array.make (2 * Array.length old) vacant;
     Array.iter
-      (fun c ->
-        if c != vacant then
-          t.cells.(slot_of_key t.cells (home c.hash t.cells) c.hash c.key) <- c)
+      (fun c -> if c != vacant then t.cells.(free t.cells (home c.hash t.cells)) <- c)
       old
   end
 
@@ -355,20 +349,31 @@ let insert t i c =
    below [limit] one native step plus one box depth cannot overflow. *)
 let limit = 1 lsl 61
 
-(* A walk's calls of one box (name, ambient signature, direction): how
-   many, and the sequence number of the last one. *)
-type calls = { mutable calls : int; mutable last : int }
+(* What a box's one walk leaves: its terms, its peak from its inputs,
+   and its depth, exact and, below [limit], native too (else [-1]). *)
+type summary = { terms : terms; speak : int; dn : int; dw : Wide.t }
+
+(* A box, interned the first time a walk calls its name. *)
+type box = { id : int; summary : summary Lazy.t }
+
+type env = { find : string -> Circuit.subroutine; boxes : (string, box) Hashtbl.t }
+
+let env find = { find; boxes = Hashtbl.create 16 }
+
+(* A walk's calls of one box in one direction under one control tally:
+   how many, and the sequence number of the last one. *)
+type calls = { box : box; amb : amb; inv : bool; mutable calls : int; mutable last : int }
 
 (* One circuit's walk: the parts it was asked for, advanced gate by
    gate. *)
 type walk = {
   env : env;
-  amb : amb;
   do_counts : bool;
   do_peak : bool;
   do_depth : bool;
   counts : table;
-  pending : (string * amb * bool, calls) Hashtbl.t;
+  mutable own : cell list;  (** latest key first *)
+  pending : (int, calls list) Hashtbl.t;  (** by box id *)
   mutable seq : int;
   mutable live : int;
   mutable peak : int;
@@ -378,19 +383,25 @@ type walk = {
   mutable finish_big : Wide.t;  (** the latest at or above, or zero *)
 }
 
-let walk env ~amb ~counts ~peak ~depth ~live =
+(* a clock table for [n] live wires: a wide box's walk skips the
+   doubling chain through the small sizes *)
+let clocks n =
+  let rec pow2 k = if k >= 2 * n then k else pow2 (2 * k) in
+  Wire.Itbl.create (pow2 64)
+
+let walk env ~counts ~peak ~depth ~live =
   {
     env;
-    amb;
     do_counts = counts;
     do_peak = peak;
     do_depth = depth;
     counts = { cells = Array.make (if counts then 16 else 1) vacant; size = 0 };
+    own = [];
     pending = Hashtbl.create (if counts then 16 else 1);
     seq = 0;
     live;
     peak = live;
-    clock = Wire.Itbl.create (if depth then 64 else 2);
+    clock = (if depth then clocks live else Wire.Itbl.create 2);
     big = Hashtbl.create 1;
     finish = 0;
     finish_big = Wide.zero;
@@ -462,20 +473,11 @@ let advance1 w x =
 (* ------------------------------------------------------------------ *)
 (* The step                                                            *)
 
-let rec step w g =
-  if w.do_counts then count w g;
-  if w.do_peak then reach w g;
-  if w.do_depth then tick w g
-
-(* One more gate of the key [with_key] spells, plus the walk's ambient
-   tail if [ambient]: found by its fields, so only a key's first gate
-   builds the key and its representative. *)
-and tally w g pre kind inv targets controls ambient =
-  let ((qp, qn, cp, cn) as amb) = if ambient then w.amb else no_amb in
-  let s = push_controls 1 controls in
-  let s = if qp lor qn lor cp lor cn = 0 then s else push_tail s qp qn cp cn in
-  let shape = close s inv (List.length targets) in
-  (* [hash_string] of [pre ^ kind], inline: this is the hot path *)
+(* One more gate of the key [with_key] spells: found by its fields, so
+   only a key's first gate builds the key. *)
+let tally w g pre kind inv targets controls ambient =
+  let shape = close (push_controls 1 controls) inv (List.length targets) ambient in
+  (* the hash of [pre ^ kind] and the shape, inline: this is the hot path *)
   let h = ref 0 in
   for i = 0 to String.length pre - 1 do
     h := mix !h (Char.code (String.unsafe_get pre i))
@@ -485,53 +487,51 @@ and tally w g pre kind inv targets controls ambient =
   done;
   let h = mix !h shape in
   let t = w.counts in
-  let i =
-    slot_of_gate t.cells (home h t.cells) h shape pre kind inv targets controls qp qn cp cn
-  in
+  let i = slot_of_gate t.cells (home h t.cells) h shape pre kind inv targets controls ambient in
   let c = t.cells.(i) in
-  if c != vacant then c.n <- c.n + 1
+  if c != vacant then c.cn <- c.cn + 1
   else
     match xkey_of_gate g with
     | None -> ()
-    | Some x ->
-        let key, rep =
-          if qp + qn + cp + cn = 0 then (x, g) else (ambient_key amb x, ambient_rep amb g)
-        in
-        insert t i { key; hash = h; shape; n = 1; merged = Wide.zero; rep }
+    | Some ckey ->
+        let c = { ckey; hash = h; shape; cambient = ambient; cn = 1; crep = g } in
+        insert t i c;
+        w.own <- c :: w.own
 
-and count w (g : Gate.t) =
-  match g with
-  | Gate.Subroutine { name; inv; controls; _ } -> (
-      (* a call costs O(1): its body's counts are added once per
-         distinct box, times its calls, when the walk is read *)
-      let key = (name, add_amb w.amb controls, inv) in
-      w.seq <- w.seq + 1;
-      match Hashtbl.find_opt w.pending key with
-      | Some p ->
-          p.calls <- p.calls + 1;
-          p.last <- w.seq
-      | None ->
-          let name, amb, inv = key in
-          ignore (sub_counts w.env name amb inv);
-          Hashtbl.add w.pending key { calls = 1; last = w.seq })
-  | g -> with_key g w tally ()
+(* the calls of [ks] in direction [inv] whose tally is that of [cs] *)
+let rec calls_of inv cs = function
+  | [] -> raise_notrace Not_found
+  | k :: ks ->
+      let qp, qn, cp, cn = k.amb in
+      if
+        k.inv = inv
+        && count Wire.Q true 0 cs = qp && count Wire.Q false 0 cs = qn
+        && count Wire.C true 0 cs = cp && count Wire.C false 0 cs = cn
+      then k
+      else calls_of inv cs ks
 
-and reach w (g : Gate.t) =
+(* a call costs O(1): its box's terms are added once per entry, times
+   its calls, when the walk is read *)
+let call w b inv controls =
+  w.seq <- w.seq + 1;
+  let ks = try Hashtbl.find w.pending b.id with Not_found -> [] in
+  match calls_of inv controls ks with
+  | k ->
+      k.calls <- k.calls + 1;
+      k.last <- w.seq
+  | exception Not_found ->
+      Hashtbl.replace w.pending b.id ({ box = b; amb = amb_of controls; inv; calls = 1; last = w.seq } :: ks)
+
+let reach w (g : Gate.t) =
   match g with
   | Gate.Init _ | Gate.Cgate _ ->
       w.live <- w.live + 1;
       if w.live > w.peak then w.peak <- w.live
   | Gate.Term _ | Gate.Discard _ -> w.live <- w.live - 1
-  | Gate.Subroutine { name; inputs; outputs; _ } ->
-      let base = w.live - List.length inputs in
-      let reach = base + sub_peak w.env name in
-      w.live <- base + List.length outputs;
-      w.peak <- max w.peak (max reach w.live)
   | _ -> ()
 
-and tick w (g : Gate.t) =
+let tick w (g : Gate.t) =
   match g with
-  | Gate.Comment _ -> ()
   | Gate.Gate { targets; controls; _ } | Gate.Rot { targets; controls; _ } ->
       advance w targets controls
   | Gate.Phase { controls; _ } -> advance w [] controls
@@ -553,124 +553,151 @@ and tick w (g : Gate.t) =
         finished w t
       end
       else advance_big w (out :: ins) [] [] Wide.one
-  | Gate.Subroutine { name; inputs; outputs; controls; _ } ->
-      (* a call advances every wire it touches by the body's depth *)
-      let n, d = sub_depth w.env name in
-      let t = latest_control w (latest w (latest w 0 inputs) outputs) controls + n in
-      if n >= 0 && t < limit then begin
-        set w t inputs;
-        set w t outputs;
-        set_control w t controls;
-        finished w t
-      end
-      else advance_big w inputs outputs controls d
+  | Gate.Subroutine _ | Gate.Comment _ -> ()
 
-and counts_of w =
-  (* in order of each box's last call, so that, as if each call had been
-     added as it came, the last call's representatives win *)
-  let boxes =
-    List.sort
-      (fun (a, _, _) (b, _, _) -> Int.compare a b)
-      (Hashtbl.fold (fun key p acc -> (p.last, key, p.calls) :: acc) w.pending [])
+(* Terms that agree in key, ambient flag and tally, merged in place. *)
+module Merge = Hashtbl.Make (struct
+  type t = term
+
+  let equal a b = a.ambient = b.ambient && a.amb = b.amb && Xkey.compare a.key b.key = 0
+  let hash t = Hashtbl.hash t.key + (31 * Hashtbl.hash t.amb) + Bool.to_int t.ambient
+end)
+
+(* The walk's terms: its own keys, then each box it called, in order of
+   its last call, so that, as if each call had been added as it came,
+   the last call's representatives win. Terms that agree in key,
+   ambient flag and tally merge here; the keys they spell under ambient
+   controls merge only when read. *)
+let terms_of w : terms =
+  let merged = Merge.create 16 and built = ref [] and rank = ref 0 in
+  let add t =
+    incr rank;
+    match Merge.find merged t with
+    | u ->
+        u.n <- Wide.add u.n t.n;
+        u.rep <- t.rep;
+        u.rank <- !rank
+    | exception Not_found ->
+        t.rank <- !rank;
+        Merge.add merged t t;
+        built := t :: !built
   in
-  let t = w.counts in
+  List.iter (fun c -> add (term c.ckey c.cambient no_amb (Wide.of_int c.cn) c.crep)) w.own;
   List.iter
-    (fun (_, (name, amb, inv), calls) ->
-      Xmap.iter
-        (fun x (n, rep) ->
-          let n = Wide.mul_int n calls in
-          let shape = shape_of_key x in
-          let h = hash_key x shape in
-          let i = slot_of_key t.cells (home h t.cells) h x in
-          let c = t.cells.(i) in
-          if c != vacant then begin
-            c.merged <- Wide.add c.merged n;
-            c.rep <- rep
-          end
-          else insert t i { key = x; hash = h; shape; n = 0; merged = n; rep })
-        (sub_counts w.env name amb inv))
-    boxes;
-  Hashtbl.reset w.pending;
-  Array.fold_left
-    (fun m c ->
-      if c == vacant then m
-      else Xmap.add c.key (Wide.add (Wide.of_int c.n) c.merged, c.rep) m)
-    Xmap.empty t.cells
+    (fun k ->
+          Array.iter
+            (fun t ->
+              add
+                (term
+                   (if k.inv then invert_key t.key else t.key)
+                   t.ambient
+                   (if not t.ambient then no_amb else if k.amb = no_amb then t.amb else add_amb t.amb k.amb)
+                   (if k.calls = 1 then t.n else Wide.mul_int t.n k.calls)
+                   (if k.inv then invert_rep t.rep else t.rep)))
+            (Lazy.force k.box.summary).terms)
+    (List.sort
+       (fun a b -> Int.compare a.last b.last)
+       (Hashtbl.fold (fun _ ks acc -> List.rev_append ks acc) w.pending []));
+  let ts = Array.of_list !built in
+  Array.sort (fun a b -> Int.compare a.rank b.rank) ts;
+  ts
 
-and run env ~amb ~counts ~peak ~depth (c : Circuit.t) =
-  let w = walk env ~amb ~counts ~peak ~depth ~live:(List.length c.Circuit.inputs) in
-  Array.iter (step w) c.Circuit.gates;
-  w
-
-and sub_counts env name amb inv =
-  let key = (name, amb, inv) in
-  match Hashtbl.find_opt env.cmemo key with
-  | Some c -> c
-  | None ->
-      let c =
-        if inv then invert (sub_counts env name amb false)
-        else
-          counts_of
-            (run env ~amb ~counts:true ~peak:false ~depth:false
-               (env.find name).Circuit.circ)
-      in
-      Hashtbl.replace env.cmemo key c;
-      c
-
-and sub_peak env name =
-  match Hashtbl.find_opt env.pmemo name with
-  | Some p -> p
-  | None ->
-      let p =
-        (run env ~amb:no_amb ~counts:false ~peak:true ~depth:false
-           (env.find name).Circuit.circ)
-          .peak
-      in
-      Hashtbl.replace env.pmemo name p;
-      p
-
-and sub_depth env name =
-  match Hashtbl.find env.dmemo name with
-  | nd -> nd
-  | exception Not_found ->
-      let d =
-        depth_of
-          (run env ~amb:no_amb ~counts:false ~peak:false ~depth:true
-             (env.find name).Circuit.circ)
-      in
-      let n = match Wide.to_int_opt d with Some n when n < limit -> n | _ -> -1 in
-      Hashtbl.replace env.dmemo name (n, d);
-      (n, d)
-
-let result w ~in_arity ~out_arity =
+(* What a walk leaves: its terms, peak and depth. *)
+let summarize w =
+  let dw = depth_of w in
   {
-    counts = counts_of w;
-    in_arity;
-    out_arity;
-    peak = (if w.do_peak then w.peak else 0);
-    depth = depth_of w;
+    terms = (if w.do_counts then terms_of w else [||]);
+    speak = (if w.do_peak then w.peak else 0);
+    dn = (match Wide.to_int_opt dw with Some n when n < limit -> n | _ -> -1);
+    dw;
   }
 
-let of_circuit ?(counts = true) ?(peak = true) ?(depth = true) (b : Circuit.b) =
+let vector s ~in_arity ~out_arity =
+  { counts = view s.terms; terms = s.terms; in_arity; out_arity; peak = s.speak; depth = s.dw }
+
+let rec step w (g : Gate.t) =
+  match g with
+  | Gate.Subroutine { name; inv; inputs; outputs; controls } ->
+      let b = box_of w.env name in
+      let s = Lazy.force b.summary in
+      if w.do_counts then call w b inv controls;
+      if w.do_peak then begin
+        let base = w.live - List.length inputs in
+        w.live <- base + List.length outputs;
+        w.peak <- Int.max w.peak (Int.max (base + s.speak) w.live)
+      end;
+      if w.do_depth then begin
+        (* a call advances every wire it touches by the body's depth *)
+        let t = latest_control w (latest w (latest w 0 inputs) outputs) controls + s.dn in
+        if s.dn >= 0 && t < limit then begin
+          set w t inputs;
+          set w t outputs;
+          set_control w t controls;
+          finished w t
+        end
+        else advance_big w inputs outputs controls s.dw
+      end
+  | g ->
+      if w.do_counts then with_key g w tally ();
+      if w.do_peak then reach w g;
+      if w.do_depth then tick w g
+
+(* a box's summary comes from one walk of its body, the first time it
+   is needed *)
+and box_of env name =
+  match Hashtbl.find env.boxes name with
+  | b -> b
+  | exception Not_found ->
+      let summary =
+        lazy
+          (let c = (env.find name).Circuit.circ in
+           let w = walk env ~counts:true ~peak:true ~depth:true ~live:(List.length c.Circuit.inputs) in
+           Array.iter (step w) c.Circuit.gates;
+           summarize w)
+      in
+      let b = { id = Hashtbl.length env.boxes; summary } in
+      Hashtbl.add env.boxes name b;
+      b
+
+(* a box's vector, read from its summary *)
+let box_view env name =
+  let c = (env.find name).Circuit.circ in
+  ( name,
+    vector
+      (Lazy.force (box_of env name).summary)
+      ~in_arity:(List.length c.Circuit.inputs)
+      ~out_arity:(List.length c.Circuit.outputs) )
+
+let run env ~counts ~peak ~depth (b : Circuit.b) =
   let main = b.Circuit.main in
-  let w =
-    run (env (Circuit.find_sub b)) ~amb:no_amb ~counts ~peak ~depth main
-  in
-  result w
+  let w = walk env ~counts ~peak ~depth ~live:(List.length main.Circuit.inputs) in
+  Array.iter (step w) main.Circuit.gates;
+  vector (summarize w)
     ~in_arity:(List.length main.Circuit.inputs)
     ~out_arity:(List.length main.Circuit.outputs)
+
+let of_circuit ?(counts = true) ?(peak = true) ?(depth = true) (b : Circuit.b) =
+  run (env (Circuit.find_sub b)) ~counts ~peak ~depth b
+
+let report (b : Circuit.b) =
+  let env = env (Circuit.find_sub b) in
+  let whole = run env ~counts:true ~peak:true ~depth:true b in
+  (whole, List.map (box_view env) b.Circuit.sub_order)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming                                                           *)
 
-type stream = { defs : Circuit.Boxdefs.t; main : walk; mutable in_arity : int }
+type stream = {
+  defs : Circuit.Boxdefs.t;
+  main : walk;
+  mutable in_arity : int;
+  mutable order : string list;  (** definition order, latest first *)
+}
 
 let stream ?(counts = true) ?(peak = true) ?(depth = true) () =
   let defs = Circuit.Boxdefs.create () in
-  let main =
-    walk (env (Circuit.Boxdefs.find defs)) ~amb:no_amb ~counts ~peak ~depth ~live:0
-  in
-  { defs; main; in_arity = 0 }
+  let main = walk (env (Circuit.Boxdefs.find defs)) ~counts ~peak ~depth ~live:0 in
+  { defs; main; in_arity = 0; order = [] }
 
 let inputs s (es : Wire.endpoint list) =
   let n = List.length es in
@@ -679,6 +706,10 @@ let inputs s (es : Wire.endpoint list) =
   w.live <- w.live + n;
   if w.live > w.peak then w.peak <- w.live
 
-let define s name sub = Circuit.Boxdefs.define s.defs name sub
+let define s name sub =
+  if not (List.mem name s.order) then s.order <- name :: s.order;
+  Circuit.Boxdefs.define s.defs name sub
+
 let gate s g = step s.main g
-let finish s ~outputs = result s.main ~in_arity:s.in_arity ~out_arity:outputs
+let finish s ~outputs = vector (summarize s.main) ~in_arity:s.in_arity ~out_arity:outputs
+let boxes s = List.rev_map (box_view s.main.env) s.order

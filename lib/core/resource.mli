@@ -1,9 +1,9 @@
 (** The hierarchical resource engine (paper §5.3.1, §5.4): gate counts,
     peak live wires and a per-wire depth clock, computed as a product
-    over the call tree. Every boxed subcircuit is walked once per
-    ambient-control signature and its result multiplied by its calls;
-    nothing is ever inlined, so a 30-trillion-gate circuit costs as much
-    as its distinct box bodies.
+    over the call tree. Every boxed subcircuit is walked once, into one
+    summary (its terms, its peak and its depth), and each call composes
+    that summary; nothing is ever inlined, so a 30-trillion-gate circuit
+    costs as much as its distinct box bodies.
 
     This is the only implementation of that recursion. {!Gatecount} and
     {!Depth} are native-int projections of its vectors, the
@@ -12,18 +12,19 @@
     on top. Results are {!Wide}, so the engine itself never wraps; the
     native-int projections raise instead.
 
-    A walk's per-gate step allocates nothing for a gate whose key and
-    wires it has seen before. Counts live in one open-addressing table
-    of cells per walk: a gate is hashed and matched from its own fields
-    (kind, [inv], target arity, control signature, and the walk's
-    ambient tail), and only a key's first gate builds its {!Xkey} and
-    representative. A cell counts its walk's own gates in a native int;
-    {!Wide} enters when a box's counts are merged in, times its calls.
-    Depth clocks are native ints in a {!Wire.Itbl} (absent meaning 0);
-    the rare clock at or above 2{^61}, which only a box depth past
-    native range reaches, is kept exactly in a side table. A terminated
-    wire leaves both. So a walk's memory is bounded by its distinct
-    keys and live wires, never by its gate count.
+    A walk's step allocates nothing for a gate whose key and wires it
+    has seen, nor for a call of a box in a direction and under a control
+    tally it has seen: a gate is matched from its own fields in a table
+    of cells (only a key's first gate builds its {!Xkey}), and a call
+    finds its box by name and bumps a counter. A summary's terms keep
+    each gate's own key apart from the ambient controls the calls above
+    it add, as a tally, so one summary serves every control signature
+    its box is called under; keys and representatives are spelled out
+    only when a walk is read. Depth clocks are native ints in a
+    {!Wire.Itbl}; the rare clock at or above 2{^61} is kept exactly in a
+    side table, and a terminated wire leaves both. So a walk's memory is
+    bounded by its distinct keys and live wires, never by its gate
+    count.
 
     The semantics, shared by every projection:
     - {b counts}: one per non-comment gate, keyed by {!Xkey}. A call
@@ -67,9 +68,15 @@ type counts = (Wide.t * Gate.t) Xmap.t
 (** Per key: the count and one representative gate of that key (what
     [Quipper_estimate.Estimate.in_base] decomposes). *)
 
+type terms
+(** Counts before the ambient controls are spelled out: per gate key,
+    whether the gate takes ambient controls and how many of each sign
+    and type the calls above it added. *)
+
 (** A resource vector. *)
 type t = {
-  counts : counts;
+  counts : counts;  (** [view terms] *)
+  terms : terms;
   in_arity : int;
   out_arity : int;
   peak : int;
@@ -80,6 +87,11 @@ val of_circuit : ?counts:bool -> ?peak:bool -> ?depth:bool -> Circuit.b -> t
 (** Walk a materialized circuit. The flags (all [true] by default)
     select the parts to compute; a part left out reads as zero or
     empty. *)
+
+val report : Circuit.b -> t * (string * t) list
+(** One run over every part: the whole circuit's vector, and each box's
+    (its own calls expanded, its peak counted from its inputs), in
+    definition order, read from the summaries the run built. *)
 
 (** {1 Streaming}
 
@@ -99,15 +111,16 @@ val define : stream -> string -> Circuit.subroutine -> unit
 val gate : stream -> Gate.t -> unit
 val finish : stream -> outputs:int -> t
 
+val boxes : stream -> (string * t) list
+(** Each defined box's vector, in definition order, as {!report} gives
+    them: read from the summaries the walk built (a box no call reached
+    is walked now). *)
+
 (** {1 Operations on counts} *)
 
 val bump : Xkey.t -> Wide.t -> Gate.t -> counts -> counts
 (** Add a count under a key, keeping the key's representative if it
     has one. *)
-
-val merge : counts -> counts -> counts
-(** [merge sub acc] adds [sub] into [acc]; [sub]'s representatives
-    replace [acc]'s. *)
 
 val invert : counts -> counts
 (** The counts of the reversed circuit. *)
@@ -120,6 +133,26 @@ val ambient_key : int * int * int * int -> Xkey.t -> Xkey.t
 val ambient_rep : int * int * int * int -> Gate.t -> Gate.t
 (** The same gate with that many fresh control wires attached: a
     representative of [ambient_key]. *)
+
+(** {1 Operations on terms} *)
+
+val view : terms -> counts
+(** A controllable gate's key gains its ambient tally ({!ambient_key},
+    {!ambient_rep}); of two terms spelling one key, the later one's
+    representative wins. *)
+
+val flat : counts -> terms
+(** The terms of a circuit whose controls are all its gates' own. *)
+
+val append : terms -> terms -> terms
+(** The second's representatives win. *)
+
+val scale : int -> terms -> terms
+val reverse : terms -> terms
+
+val control : int * int * int * int -> terms -> terms
+(** Under that many more ambient controls, as for {!ambient_key}: the
+    keys spelled are those a walk of the controlled circuit gives. *)
 
 val max_wire_of : Gate.t -> Wire.t
 (** The largest wire id a gate touches (0 for none): ids above it are

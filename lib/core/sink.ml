@@ -61,18 +61,29 @@ let tee (a : 'a t) (b : 'b t) : ('a * 'b) t =
 (* ------------------------------------------------------------------ *)
 (* First-class sinks                                                   *)
 
-(** The resource engine's streaming step: counts, peak and depth as
-    selected, fed definitions as boxes close and call gates as they
-    stream, so a call costs O(1) amortized whatever the callee's size. *)
-let resource ?counts ?peak ?depth () : Resource.t t =
-  let st = Resource.stream ?counts ?peak ?depth () in
+(* a sink on the resource engine's streaming step *)
+let on_stream st finish =
   {
     on_inputs = Resource.inputs st;
     on_gate = Resource.gate st;
     on_subroutine_enter = (fun _ -> ());
     on_subroutine_exit = Resource.define st;
-    finish = (fun outs -> Resource.finish st ~outputs:(List.length outs));
+    finish = (fun outs -> finish (List.length outs));
   }
+
+(** The resource engine's streaming step: counts, peak and depth as
+    selected, fed definitions as boxes close and call gates as they
+    stream, so a call costs O(1) amortized whatever the callee's size. *)
+let resource ?counts ?peak ?depth () : Resource.t t =
+  let st = Resource.stream ?counts ?peak ?depth () in
+  on_stream st (fun outputs -> Resource.finish st ~outputs)
+
+(** The whole vector and each box's, from one walk. *)
+let report () : (Resource.t * (string * Resource.t) list) t =
+  let st = Resource.stream () in
+  on_stream st (fun outputs ->
+      let whole = Resource.finish st ~outputs in
+      (whole, Resource.boxes st))
 
 (** Its counts and peak, as {!Gatecount.summarize} projects them. *)
 let gatecount () : Gatecount.summary t =
@@ -121,22 +132,6 @@ let gates () : Gate.t list t =
     on_subroutine_enter = (fun _ -> ());
     on_subroutine_exit = (fun _ _ -> ());
     finish = (fun _ -> List.rev !acc);
-  }
-
-(** Collect the subroutine namespace as definitions close, in definition
-    order — enough to rebuild the non-main part of a [Circuit.b]. *)
-let subroutines () : (Circuit.subroutine Circuit.Namespace.t * string list) t =
-  let subs = ref Circuit.Namespace.empty in
-  let order = ref [] in
-  {
-    on_inputs = (fun _ -> ());
-    on_gate = (fun _ -> ());
-    on_subroutine_enter = (fun _ -> ());
-    on_subroutine_exit =
-      (fun name sub ->
-        if not (Circuit.Namespace.mem name !subs) then order := name :: !order;
-        subs := Circuit.Namespace.add name sub !subs);
-    finish = (fun _ -> (!subs, List.rev !order));
   }
 
 (** Rebuild a [Circuit.b] from the event stream: the collecting sink.

@@ -45,6 +45,11 @@ val resource :
     circuit. Subroutine calls cost O(1) amortized; memory is bounded by
     distinct gate kinds, live wires and the namespace. *)
 
+val report : unit -> (Resource.t * (string * Resource.t) list) t
+(** One walk of every part, read as {!Resource.report} reads a
+    materialized circuit: the whole vector and each defined box's, in
+    definition order. *)
+
 val gatecount : unit -> Gatecount.summary t
 (** [resource] without the depth clock, projected by
     {!Gatecount.summary_of}: identical (including the peak-wires figure)
@@ -67,11 +72,6 @@ val printer : Format.formatter -> unit t
 
 val gates : unit -> Gate.t list t
 (** Record the raw gate stream (tests; O(gates) memory by design). *)
-
-val subroutines :
-  unit -> (Circuit.subroutine Circuit.Namespace.t * string list) t
-(** Collect the subroutine namespace and definition order — the non-main
-    part of a [Circuit.b]. *)
 
 val circuit : unit -> Circuit.b t
 (** The collecting sink: rebuild a [Circuit.b] from the event stream

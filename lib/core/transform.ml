@@ -48,31 +48,20 @@ let max_wire (b : Circuit.b) : int =
   Circuit.Namespace.iter (fun _ s -> scan_circuit s.Circuit.circ) b.subs;
   !m
 
-let apply (rule : rule) (b : Circuit.b) : Circuit.b =
-  let fresh = ref (max_wire b + 1) in
-  let main = apply_to_circuit rule ~fresh b.main in
+(* Apply a whole-circuit function to the main circuit, then to every
+   subroutine body. *)
+let map_circuits (f : Circuit.t -> Circuit.t) (b : Circuit.b) : Circuit.b =
+  let main = f b.main in
   let subs =
     Circuit.Namespace.map
-      (fun (s : Circuit.subroutine) ->
-        { s with Circuit.circ = apply_to_circuit rule ~fresh s.Circuit.circ })
+      (fun (s : Circuit.subroutine) -> { s with Circuit.circ = f s.Circuit.circ })
       b.subs
   in
   { b with Circuit.main; subs }
 
-(** Apply a whole-circuit function to the main circuit and every
-    subroutine body — the hierarchical-application combinator shared by
-    the peephole pass below and the optimizer subsystem's pass manager
-    ([lib/opt]), whose passes need to see a whole [Circuit.t] (their
-    rewrites look across gates) rather than one gate at a time. *)
-let map_circuits (f : Circuit.t -> Circuit.t) (b : Circuit.b) : Circuit.b =
-  {
-    b with
-    Circuit.main = f b.main;
-    subs =
-      Circuit.Namespace.map
-        (fun (s : Circuit.subroutine) -> { s with Circuit.circ = f s.Circuit.circ })
-        b.subs;
-  }
+let apply (rule : rule) (b : Circuit.b) : Circuit.b =
+  let fresh = ref (max_wire b + 1) in
+  map_circuits (apply_to_circuit rule ~fresh) b
 
 (* ------------------------------------------------------------------ *)
 (* Peephole optimisation                                               *)

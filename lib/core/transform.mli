@@ -14,26 +14,14 @@ type rule = alloc -> Gate.t -> Gate.t list option
 
 val apply : rule -> Circuit.b -> Circuit.b
 
-val apply_to_circuit : rule -> fresh:int ref -> Circuit.t -> Circuit.t
-
 val max_wire : Circuit.b -> int
 (** Largest wire id mentioned anywhere (so allocators can avoid
     collisions). *)
-
-val map_circuits : (Circuit.t -> Circuit.t) -> Circuit.b -> Circuit.b
-(** Apply a whole-circuit function to the main circuit and every
-    subroutine body — how the optimizer pass manager ([lib/opt]) applies
-    its passes hierarchically. The function must preserve each circuit's
-    input/output arity. *)
 
 val gates_cancel : Gate.t -> Gate.t -> bool
 (** Are these adjacent gates mutual inverses on identical wires? Covers
     named gates, rotations, subroutine call/uncall pairs, and
     init/term pairs at the same value. *)
-
-val cancel_inverses_circuit : Circuit.t -> Circuit.t
-(** Cancel adjacent mutually-inverse gates to a fixed point; comments are
-    transparent to cancellation but preserved. *)
 
 val cancel_inverses : Circuit.b -> Circuit.b
 (** The paper's "whole-circuit optimizations" in their simplest useful

@@ -83,14 +83,15 @@ let pp_summary ppf (v : t) =
 (* ------------------------------------------------------------------ *)
 (* Combinators                                                         *)
 
+let with_terms terms (v : t) = { v with counts = Resource.view terms; terms }
+
 let seq (a : t) (b : t) : t =
   if a.out_arity <> b.in_arity then
     invalid_arg
       (Printf.sprintf "Estimate.seq: arity mismatch (%d outputs vs %d inputs)"
          a.out_arity b.in_arity);
   {
-    counts = Resource.merge b.counts a.counts;
-    in_arity = a.in_arity;
+    (with_terms (Resource.append a.terms b.terms) a) with
     out_arity = b.out_arity;
     (* at the seam exactly [a.out_arity = b.in_arity] wires are live —
        the baseline both peaks are measured from — so the combined peak
@@ -108,39 +109,18 @@ let repeat n (v : t) : t =
           be arity-preserving to iterate)"
          v.in_arity v.out_arity);
   if n = 0 then
-    { v with counts = Xmap.empty; depth = Wide.zero; peak = v.in_arity }
-  else
-    {
-      v with
-      counts = Xmap.map (fun (w, g) -> (Wide.mul_int w n, g)) v.counts;
-      depth = Wide.mul_int v.depth n;
-    }
+    { (with_terms (Resource.flat Xmap.empty) v) with depth = Wide.zero; peak = v.in_arity }
+  else { (with_terms (Resource.scale n v.terms) v) with depth = Wide.mul_int v.depth n }
 
 let inverse (v : t) : t =
-  {
-    v with
-    counts = Resource.invert v.counts;
-    in_arity = v.out_arity;
-    out_arity = v.in_arity;
-  }
+  { (with_terms (Resource.reverse v.terms) v) with in_arity = v.out_arity; out_arity = v.in_arity }
 
 let controlled ?(pos = 0) ?(neg = 0) (v : t) : t =
   if pos < 0 || neg < 0 then
     invalid_arg "Estimate.controlled: negative control count";
   if pos + neg = 0 then v
   else begin
-    let amb = (pos, neg, 0, 0) in
-    let counts =
-      Xmap.fold
-        (fun x (w, g) acc ->
-          match Gate.controllability g with
-          | Gate.Controllable ->
-              Resource.bump (Resource.ambient_key amb x) w
-                (Resource.ambient_rep amb g) acc
-          | _ -> Resource.bump x w g acc)
-        v.counts Xmap.empty
-    in
-    let v' = { v with counts } in
+    let v' = with_terms (Resource.control (pos, neg, 0, 0) v.terms) v in
     (* controls serialize every gate they attach to, so the only sound
        cheap depth bound for the controlled block is its gate total *)
     { v' with depth = Wide.max_ v.depth (total v') }
@@ -186,8 +166,7 @@ let in_base base (v : t) : t =
       (Xmap.empty, 1, 0)
   in
   {
-    v with
-    counts;
+    (with_terms (Resource.flat counts) v) with
     peak = v.peak + maxe;
     depth = Wide.mul_int v.depth maxd;
   }

@@ -70,10 +70,6 @@ val default_window : int
     less than four stacked stages of it did, since one stage holds only
     that many live gates; from 17 up one stage reduces as much or more. *)
 
-val default_rounds : int
-(** How many window stages [sink] stacks (1). A stage already reaches
-    the fixpoint of its rules within its window: over its own output,
-    another stage of the same window changes nothing. *)
 
 type memo
 (** A shareable box-body cache keyed on the {e skeleton} hash
@@ -102,7 +98,9 @@ val sink :
   'r Sink.t
 (** [sink inner] optimizes the event stream into [inner]. [rounds]
     stacks that many window stages, each fed the previous one's output
-    ({!default_rounds}; memory is O(rounds * window)); [window] bounds
+    (1 by default: a stage already reaches the fixpoint of its rules
+    within its window, so over its own output another stage of the same
+    window changes nothing; memory is O(rounds * window)); [window] bounds
     how many live gates a stage holds ({!default_window});
     [lookahead] bounds how many live entries a backward walk visits
     (32); pass [stats] to read the per-rule counters after [finish] —

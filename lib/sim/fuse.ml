@@ -901,8 +901,6 @@ let apply_gate st (g : Gate.t) =
   st.st_stats.gates_seen <- st.st_stats.gates_seen + 1;
   feed_site st st.fz None g
 
-let flush_pending st = flush st.fz
-
 let measure st w =
   flush st.fz;
   Statevector.measure st.sv w

@@ -90,10 +90,6 @@ val define : state -> string -> Circuit.subroutine -> unit
 val apply_gate : state -> Gate.t -> unit
 (** Feed one gate (possibly a subroutine call) into the fuser. *)
 
-val flush_pending : state -> unit
-(** Apply any pending partially-built block now. Reads below flush
-    implicitly; this is for callers driving the state directly. *)
-
 val measure : state -> Wire.t -> bool
 val read_bit : state -> Wire.t -> bool
 val set_bit : state -> Wire.t -> bool -> unit

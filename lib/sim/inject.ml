@@ -104,20 +104,27 @@ let signature_on (type s) (module B : Backend.S with type state = s)
 (** The slow classifier over one inlined circuit: the clean reference
     run (and its signature) is computed at most once, lazily, however
     many faults are classified against it. A classification is [Done]
-    with [true] when the fault is masked. *)
+    with [true] when the fault is masked. The clean run is contained
+    like a faulty one: when it raises, every fault classifies as what
+    it raised ([Errored], or [Detected] for a termination assertion). *)
 let classifier_on (module B : Backend.S) ~seed (flat : Circuit.t) (inputs : bool list) =
   let clean =
-    lazy (signature_on (module B) flat (execute_on (module B) ~seed flat inputs ~inject:None))
+    lazy
+      (Frame.contain (fun () ->
+           signature_on (module B) flat (execute_on (module B) ~seed flat inputs ~inject:None)))
   in
   fun ((site : Faultsite.site), p) ->
-    let clean_obs, clean_cbits = Lazy.force clean in
-    Frame.contain (fun () ->
-        let st =
-          execute_on (module B) ~seed flat inputs
-            ~inject:(Some (site.Faultsite.index, site.Faultsite.wire, p))
-        in
-        let obs, cbits = signature_on (module B) flat st in
-        cbits = clean_cbits && Backend.equal_observation obs clean_obs)
+    match Lazy.force clean with
+    | Frame.Detected -> Frame.Detected
+    | Frame.Errored msg -> Frame.Errored msg
+    | Frame.Done (clean_obs, clean_cbits) ->
+        Frame.contain (fun () ->
+            let st =
+              execute_on (module B) ~seed flat inputs
+                ~inject:(Some (site.Faultsite.index, site.Faultsite.wire, p))
+            in
+            let obs, cbits = signature_on (module B) flat st in
+            cbits = clean_cbits && Backend.equal_observation obs clean_obs)
 
 let outcome_of = function
   | Frame.Done true -> Masked

@@ -68,6 +68,8 @@ val report_on :
 (** Exhaustive single-fault campaign on the given backend, over every
     site and every Pauli in [paulis] (default all three). The circuit is
     inlined and its clean reference run computed once per campaign, not
-    once per fault. *)
+    once per fault. A clean run that raises does not abort the campaign:
+    every fault is [Errored] with its text ([Detected] if it was a
+    termination assertion). *)
 
 val pp_report : Format.formatter -> report -> unit

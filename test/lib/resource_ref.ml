@@ -257,8 +257,11 @@ and sub_depth env name =
       d
 
 let result w ~in_arity ~out_arity =
+  let counts = counts_of w in
   {
-    counts = counts_of w;
+    counts;
+    (* the model keeps keyed counts only *)
+    terms = flat counts;
     in_arity;
     out_arity;
     peak = (if w.do_peak then w.peak else 0);

@@ -108,7 +108,7 @@ let test_profile () =
 let test_per_subroutine () =
   let p = { Algo_tf.Oracle.l = 4; n = 3; r = 2 } in
   let b = Algo_tf.Qwtfp.generate_pow17 ~p () in
-  let per = Gatecount.per_subroutine b in
+  let per = List.map (fun (name, v) -> (name, Gatecount.summary_of v)) (snd (Resource.report b)) in
   check "has o7, o8, o4" true
     (List.for_all
        (fun n -> List.mem_assoc n per)

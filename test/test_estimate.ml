@@ -300,6 +300,54 @@ let test_boxed () =
   check "boxed peak = inlined peak" true
     (Estimate.peak_wires v = Gatecount.peak_wires flat)
 
+(* [boxed_circuit]'s per-box section, as [tf -f gatecount] prints it:
+   recorded when each box was re-walked as a main circuit of its own. *)
+let boxed_boxes_pinned =
+  [ ( "step",
+      "Aggregated gate count:\n1: \"H\"\n1: \"Not\", controls 1\n1: \"Not\", controls 1+1\n\
+       1: \"T\"\n1: \"swap\"\nTotal gates: 5\nInputs: 4\nOutputs: 4\nQubits in circuit: 4\n" ) ]
+
+let test_boxed_boxes () =
+  let whole, boxes = Resource.report (boxed_circuit ()) in
+  check "per-box summaries pinned" true
+    (List.map (fun (name, v) -> (name, Fmt.str "%a" Gatecount.pp_summary (Gatecount.summary_of v))) boxes
+    = boxed_boxes_pinned);
+  check "the same run's whole vector = summarize" true
+    (Estimate.agrees whole (Gatecount.summarize (boxed_circuit ())))
+
+(* [controlled] re-keys a vector as a walk of the controlled circuit
+   keys it: a gate's own controls first, then every ambient control in
+   one fixed order, however the controls were nested. Here an inner box
+   is called under a negative control inside an outer box, and the
+   outer call gains a positive one: H's signature is [q+; q-], not the
+   [q-; q+] that appending the new control would spell. *)
+let test_controlled_rekey () =
+  let q = Wire.qw in
+  let sub inputs gates = { Circuit.circ = { Circuit.inputs; gates; outputs = inputs }; controllable = true } in
+  let call name inputs controls = Gate.Subroutine { name; inv = false; inputs; outputs = inputs; controls } in
+  let ctl w positive = { Gate.cwire = w; cty = Wire.Q; positive } in
+  let subs =
+    Circuit.Namespace.empty
+    |> Circuit.Namespace.add "inner"
+         (sub [ q 0 ] [| Gate.Gate { name = "H"; inv = false; targets = [ 0 ]; controls = [] } |])
+    |> Circuit.Namespace.add "outer" (sub [ q 0; q 1 ] [| call "inner" [ 0 ] [ ctl 1 false ] |])
+  in
+  let boxed inputs gates =
+    { Circuit.main = { Circuit.inputs; gates; outputs = inputs }; subs; sub_order = [ "inner"; "outer" ] }
+  in
+  let plain = boxed [ q 0; q 1 ] [| call "outer" [ 0; 1 ] [] |] in
+  let controlled = boxed [ q 0; q 1; q 2 ] [| call "outer" [ 0; 1 ] [ ctl 2 true ] |] in
+  let view (v : Estimate.t) =
+    List.map
+      (fun (x, (n, g)) -> (x, Wide.to_string n, Gate.to_string g))
+      (Resource.Xmap.bindings v.Resource.counts)
+  in
+  let got = view (Estimate.controlled ~pos:1 (Estimate.of_circuit plain)) in
+  check "controlled = walk of the controlled call, representatives included" true
+    (got = view (Resource.of_circuit controlled));
+  check "H keyed [q+; q-]" true
+    (List.map (fun (x, _, _) -> x.Resource.Xkey.csig) got = [ [ (Wire.Q, true); (Wire.Q, false) ] ])
+
 (* ------------------------------------------------------------------ *)
 (* Past native-int range                                               *)
 
@@ -399,6 +447,9 @@ let suite =
     QCheck_alcotest.to_alcotest (prop_in_base Decompose.Toffoli "toffoli");
     QCheck_alcotest.to_alcotest (prop_in_base Decompose.Binary "binary");
     Alcotest.test_case "boxed: calls, controls, inverses" `Quick test_boxed;
+    Alcotest.test_case "boxed: per-box section pinned" `Quick test_boxed_boxes;
+    Alcotest.test_case "controlled: nested controls keyed as walked" `Quick
+      test_controlled_rekey;
     Alcotest.test_case "scaled: totals past int range" `Quick
       test_scaled_totals;
     Alcotest.test_case "bwt: composed = streamed, both oracles" `Quick

@@ -161,7 +161,7 @@ let case ?(expected = []) ?(cfg = Noise.none) ?(master_seed = 1) ~eligible label
 
 (* What a campaign decides: per-trial outcomes, per-trial samples in
    delivery order, per-fault findings, or the text of what it raised
-   (the classical backend cannot run a quantum clean reference). *)
+   (no campaign should raise, but engines must agree if one does). *)
 type decided =
   | Trials of Noise.trial_outcome array
   | Samples of (int * Noise.sample) list
@@ -296,6 +296,29 @@ let hh_cnot_case =
   case ~expected:[ true; true ] ~cfg:(Noise.bit_flip 0.0) ~eligible:false "H; H; CNOT" b
     [ true; false ]
 
+(* H then not: a Clifford circuit whose clean run the classical backend
+   cannot execute. *)
+let h_not_circ =
+  fst
+    (Circ.generate ~in_:Qdata.qubit (fun q ->
+         let* () = hadamard_ q in
+         let* () = qnot_ q in
+         return q))
+
+let h_not_case = case ~eligible:true "H; not" h_not_circ [ false ]
+
+(* A clean run that raises is contained: every fault of the campaign is
+   Errored with its text, and the campaign itself does not raise. *)
+let test_inject_clean_raises () =
+  let r = Inject.report_on (module Backend.Classical) h_not_circ [ false ] in
+  check "faults enumerated" true (r.Inject.faults > 0);
+  check "every fault Errored with the backend's message" true
+    (r.Inject.errored = r.Inject.faults
+    && List.for_all
+         (fun (f : Inject.finding) ->
+           f.Inject.outcome = Inject.Errored "simulation error: classical: gate H is not classical")
+         r.Inject.findings)
+
 (* The 3-bit in-place adder (Toffolis, so every engine runs it slow) at
    a few inputs: the domain count must not change a trial. *)
 let adder_cases =
@@ -345,7 +368,7 @@ let test_law_inject () =
       (List.init 12 succ)
   in
   check_law ~campaigns:[ ("report", true, inject_campaign) ]
-    ((hh_cnot_case :: adder_cases) @ cases)
+    ((hh_cnot_case :: h_not_case :: adder_cases) @ cases)
 
 (* Graceful degradation: a non-Clifford gate makes the campaign fall
    back wholesale, outcomes still bit-identical, and the report names
@@ -445,6 +468,7 @@ let suite =
   [
     Alcotest.test_case "law: trials and samples engine-invariant" `Quick test_law_trials;
     Alcotest.test_case "law: inject engine-invariant" `Quick test_law_inject;
+    Alcotest.test_case "inject: a raising clean run is Errored" `Quick test_inject_clean_raises;
     Alcotest.test_case "corpus: trials bit-identical frame vs slow" `Quick
       test_corpus_trials_bit_identical;
     Alcotest.test_case "fallback: trial campaign names the gate" `Quick

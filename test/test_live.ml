@@ -344,11 +344,12 @@ let test_alloc_pin () =
   if bwt > 40.5 then Alcotest.failf "BWT template: %.2f words per gate (pin 40.5)" bwt;
   if rev > 91.5 then Alcotest.failf "reverse_fun: %.2f words per gate (pin 91.5)" rev
 
-(* The resource fold over the same emission: the words each sink adds
-   per gate to emission into a null sink, and the words per gate of the
-   engine's walk over the materialized circuit, each on the second of
-   two runs. A walk allocates only for a gate key or a wire clock it has
-   not seen, so all four stay near zero. *)
+(* The resource fold over an emission: the words a sink adds per gate
+   to emission into a null sink, and the words per gate of the engine's
+   walk over the materialized circuit, each on the second of two runs.
+   A walk allocates only for a gate key, a wire clock or a call class
+   it has not seen, and each box once for its summary, so all stay near
+   zero. *)
 let fold_words_per_gate (mk : unit -> 'a Sink.t) =
   let gates = ref 0 in
   let words f =
@@ -371,6 +372,42 @@ let materialized_words_per_gate () =
   ignore (words ());
   words () /. Float.of_int (Array.length b.Circuit.main.Circuit.gates)
 
+(* [Sink.summary_depth] over the triangle finder's streamed emission at
+   the paper point (l=31 n=15 r=6: 9,134 top-level gates, 2,159 of them
+   calls of eight boxes whose bodies hold 56,016 gates), against
+   emission into a null sink, after a warm-up run. [total] is the words
+   one run adds per top-level gate: building each box's summary once
+   and reading the result included. [marginal] is what a second copy
+   of the emission in the same stream adds per top-level gate, every
+   box summarized and every key seen by then: the cost of the per-gate
+   step and of a call. *)
+let tf_fold_words () =
+  let p = { Algo_tf.Oracle.l = 31; n = 15; r = 6 } in
+  let emit k sink =
+    ignore
+      (Circ.run_streaming_unit
+         (fun c ->
+           for _ = 1 to k do
+             ignore (Algo_tf.Qwtfp.a1_QWTFP ~p c)
+           done)
+         sink)
+  in
+  let gates = ref 0 in
+  let null () = Sink.make ~on_gate:(fun _ -> incr gates) ~finish:ignore () in
+  let fold () = Sink.map ignore (Sink.summary_depth ()) in
+  let words k mk =
+    let before = Gc.minor_words () in
+    emit k (mk ());
+    Gc.minor_words () -. before
+  in
+  ignore (words 1 fold);
+  let null1 = words 1 null in
+  let top = Float.of_int !gates in
+  let fold1 = words 1 fold in
+  let null2 = words 2 null and fold2 = words 2 fold in
+  let total = (fold1 -. null1) /. top in
+  (total, ((fold2 -. null2) /. top) -. total)
+
 let test_fold_pins () =
   List.iter
     (fun (what, w) -> if w > 0.5 then Alcotest.failf "%s: %.2f words per gate (pin 0.5)" what w)
@@ -379,7 +416,12 @@ let test_fold_pins () =
       ("Sink.depth", fold_words_per_gate Sink.depth);
       ("their tee", fold_words_per_gate (fun () -> Sink.tee (Sink.gatecount ()) (Sink.depth ())));
       ("Resource.of_circuit", materialized_words_per_gate ());
-    ]
+    ];
+  (* measured 5.48 and 0.001 *)
+  let total, marginal = tf_fold_words () in
+  if total > 6.0 then Alcotest.failf "TF r=6 summary_depth: %.2f words per top-level gate (pin 6.0)" total;
+  if marginal > 1.0 then
+    Alcotest.failf "TF r=6 summary_depth: %.3f marginal words per top-level gate (pin 1.0)" marginal
 
 (* Wide box calls. [box_call_words] is the minor words of one more call
    of an in-place box over the 379 wires of the triangle finder's

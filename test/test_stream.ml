@@ -109,12 +109,10 @@ let boxed_prog (a, b2) =
 let test_boxed_stream_order () =
   let shape = Qdata.pair Qdata.qubit Qdata.qubit in
   let b, _ = Circ.generate ~in_:shape boxed_prog in
-  let (gates, (subs, sub_order)), _ =
-    Circ.run_streaming ~in_:shape boxed_prog
-      (Sink.tee (Sink.gates ()) (Sink.subroutines ()))
-  in
+  let streamed, _ = Circ.run_streaming ~in_:shape boxed_prog (Sink.circuit ()) in
+  let subs = streamed.Circuit.subs and sub_order = streamed.Circuit.sub_order in
   check "streamed gates equal the buffered main circuit" true
-    (gates = Array.to_list b.Circuit.main.Circuit.gates);
+    (streamed.Circuit.main.Circuit.gates = b.Circuit.main.Circuit.gates);
   check "definition order matches (innermost first)" true
     (sub_order = b.Circuit.sub_order);
   check "collected namespace equals the buffered one" true
